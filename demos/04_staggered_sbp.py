@@ -19,9 +19,10 @@ pair = build_sbp_pair(grid)
 print("odd nodes:", grid.x_odd[:4], "...")
 print("even nodes:", grid.x_even[:4], "...")
 
-# The SBP identity holds entrywise exactly (not just to roundoff).
-b = pair.q_odd + pair.q_even.T
-print("\nSBP identity exact:", np.array_equal(b, pair.boundary_matrix()))
+# The SBP identity holds entrywise exactly (not just to roundoff); the
+# matrices are sparse, so densify them for the comparison.
+b = (pair.q_odd + pair.q_even.T).toarray()
+print("\nSBP identity exact:", np.array_equal(b, pair.boundary_matrix().toarray()))
 print("corner entries of B:", b[0, 0], b[-1, -1])
 
 # Derivative exactness: constants vanish, linears are exact on both grids,

@@ -186,10 +186,9 @@ class Eigenstructure:
     def assemble_x(self) -> np.ndarray:
         r = self.n_odd
         s = self.x_tilde.shape[0]
-        x = np.zeros((r + s, r + s + 0))
+        x = np.zeros((r + s, r + s))
         inv = 1.0 / SQRT2
         x[:r, :r] = inv * self.x_hat
-        x[:r, s:] = 0.0
         x[r:, :r] = inv * self.x_tilde
         x[r:, r : s] = self.x_kernel
         x[:r, s:] = inv * self.x_hat

@@ -322,6 +322,10 @@ class Scenario:
     def ndim(self) -> int:
         return len(self.axes)
 
+    @property
+    def axis_names(self) -> list[str]:
+        return [AXIS_LABELS[a] for a in self.axes]
+
     def energy_of(self, tau: float) -> float | None:
         if self.mode != "energy":
             return None
@@ -341,7 +345,7 @@ class Scenario:
             "name": self.name,
             "model": {"N": self.n_max, "scattering": dict(self.scattering_dict)},
             "domain": {
-                "axes": [AXIS_LABELS[a] for a in self.axes],
+                "axes": self.axis_names,
                 "extents": [list(e) for e in self.extents],
                 "cells": list(self.cells),
                 "length_unit": self.length_unit,
@@ -406,8 +410,10 @@ def scenario_from_dict(doc: dict, base: Path | None = None) -> Scenario:
     model = doc["model"]
     _require_keys(model, {"N", "scattering", "stopping"}, {"N", "scattering", "stopping"}, "model")
     n_max = model["N"]
-    if not isinstance(n_max, int) or n_max < 0:
-        raise ValidationError(f"model.N must be a nonnegative integer, got {n_max!r}")
+    if not isinstance(n_max, int) or n_max < 1:
+        raise ValidationError(
+            f"model.N must be a positive integer, got {n_max!r} (P_0 has no transport, so no CFL time step)"
+        )
 
     dom = doc["domain"]
     _require_keys(dom, {"axes", "extents", "cells", "length_unit"}, {"axes", "extents", "cells"}, "domain")

@@ -11,22 +11,16 @@ from .mc import McResult
 from .solver import RunResult
 
 
-def _write_snapshot_csv(path: Path, nodes, values: np.ndarray, extra=None) -> None:
-    ndim = len(nodes)
-    header = ("x,u00" if ndim == 1 else "x,z,u00") + ("," + extra[0] if extra else "")
+def _write_snapshot_csv(path: Path, names, nodes, values: np.ndarray, extra=None) -> None:
+    """One row per tensor-grid node in ij order: the axis coordinates, u00[, extra]."""
+    header = ",".join([*names, "u00"] + ([extra[0]] if extra else []))
+    cols = [m.ravel() for m in np.meshgrid(*nodes, indexing="ij")] + [np.asarray(values).ravel()]
+    if extra:
+        cols.append(np.asarray(extra[1]).ravel())
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        if ndim == 1:
-            cols = [nodes[0], values] + ([extra[1]] if extra else [])
-            for row in zip(*cols):
-                fh.write(",".join(f"{float(v)!r}" for v in row) + "\n")
-        else:
-            xg, zg = np.meshgrid(nodes[0], nodes[1], indexing="ij")
-            cols = [xg.ravel(), zg.ravel(), values.ravel()]
-            if extra:
-                cols.append(extra[1].ravel())
-            for row in zip(*cols):
-                fh.write(",".join(f"{float(v)!r}" for v in row) + "\n")
+        for row in zip(*cols, strict=True):
+            fh.write(",".join(f"{float(v)!r}" for v in row) + "\n")
 
 
 def read_snapshot_csv(path):
@@ -53,7 +47,7 @@ def write_run(result: RunResult, outdir) -> dict:
     snap_files = []
     for i, snap in enumerate(result.snapshots):
         name = f"snapshot_{i:03d}.csv"
-        _write_snapshot_csv(outdir / name, snap.nodes, snap.u00)
+        _write_snapshot_csv(outdir / name, result.scenario.axis_names, snap.nodes, snap.u00)
         snap_files.append(
             {"file": name, "time": snap.time, "energy": snap.energy, "label": snapshot_label(snap)}
         )
@@ -62,7 +56,7 @@ def write_run(result: RunResult, outdir) -> dict:
     with open(outdir / "metadata.json", "w") as fh:
         json.dump(meta, fh, indent=2)
     with open(outdir / "plot_run.py", "w") as fh:
-        fh.write(_plot_script(result.scenario.ndim, snap_files))
+        fh.write(_plot_script(snap_files))
     return meta
 
 
@@ -70,12 +64,13 @@ def write_mc(result: McResult, outdir) -> dict:
     """Write tally CSVs (solver snapshot format) plus stderr companions."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    names = result.scenario.axis_names
     snap_files = []
     for i, snap in enumerate(result.snapshots):
         name = f"tally_{i:03d}.csv"
-        _write_snapshot_csv(outdir / name, result.centers, snap.u00)
+        _write_snapshot_csv(outdir / name, names, result.centers, snap.u00)
         _write_snapshot_csv(
-            outdir / f"tally_{i:03d}_stderr.csv", result.centers, snap.u00, ("stderr", snap.stderr)
+            outdir / f"tally_{i:03d}_stderr.csv", names, result.centers, snap.u00, ("stderr", snap.stderr)
         )
         snap_files.append(
             {"file": name, "time": snap.time, "energy": snap.energy}
@@ -112,13 +107,9 @@ def diff_against_run(mc_result: McResult, run_dir) -> dict:
         if match is None:
             continue
         data = read_snapshot_csv(run_dir / match["file"])
-        ndim = mc_result.scenario.ndim
-        if ndim == 1:
-            shape = (mc_result.scenario.cells[0] + 2,)
-        else:
-            shape = (mc_result.scenario.cells[0] + 2, mc_result.scenario.cells[1] + 2)
-        solver_u = np.asarray(data["u00"]).reshape(shape)
-        interior = solver_u[tuple(slice(1, -1) for _ in range(ndim))]
+        cells = mc_result.scenario.cells
+        solver_u = np.asarray(data["u00"]).reshape(tuple(c + 2 for c in cells))
+        interior = solver_u[tuple(slice(1, -1) for _ in cells)]
         diff = interior - snap.u00
         scale = float(np.abs(interior).max()) or 1.0
         entries.append(
@@ -134,35 +125,14 @@ def diff_against_run(mc_result: McResult, run_dir) -> dict:
     return {"run_dir": str(run_dir), "snapshots": entries}
 
 
-def _plot_script(ndim: int, snap_files) -> str:
-    """Matplotlib script reproducing the figure layout from the CSV artifacts."""
+def _plot_script(snap_files) -> str:
+    """Matplotlib script reproducing the figure layout from the CSV artifacts.
+
+    Axis names come from each snapshot's header; 2-D snapshots are drawn as
+    maps, 3-D snapshots as their mid-plane in the third axis.
+    """
     files = json.dumps([rec["file"] for rec in snap_files])
     labels = json.dumps([rec["label"] for rec in snap_files])
-    body_1d = '''
-for fname, label in zip(SNAPSHOTS, LABELS):
-    data = np.genfromtxt(here / fname, delimiter=",", names=True)
-    ax1.plot(data["x"], data["u00"], label=label)
-ax1.set_xlabel("x"); ax1.set_ylabel("u00"); ax1.legend()
-'''
-    body_2d = '''
-n = len(SNAPSHOTS)
-fig2, axes = plt.subplots(1, max(n, 1), figsize=(4 * max(n, 1), 3.5))
-axes = np.atleast_1d(axes)
-for ax, fname, label in zip(axes, SNAPSHOTS, LABELS):
-    data = np.genfromtxt(here / fname, delimiter=",", names=True)
-    x = np.unique(data["x"]); z = np.unique(data["z"])
-    u = data["u00"].reshape(x.size, z.size)
-    pc = ax.pcolormesh(x, z, u.T, shading="nearest")
-    fig2.colorbar(pc, ax=ax)
-    ax.set_title(label); ax.set_xlabel("x"); ax.set_ylabel("z")
-fig2.tight_layout(); fig2.savefig(here / "snapshots.png", dpi=150)
-for fname, label in zip(SNAPSHOTS, LABELS):
-    data = np.genfromtxt(here / fname, delimiter=",", names=True)
-    x = np.unique(data["x"]); z = np.unique(data["z"])
-    u = data["u00"].reshape(x.size, z.size)
-    ax1.plot(z, u[np.argmin(np.abs(x)), :], label=label)
-ax1.set_xlabel("z"); ax1.set_ylabel("u00 at x=0"); ax1.legend()
-'''
     return f'''"""Generated plotting script: density snapshots and the energy curve."""
 from pathlib import Path
 
@@ -175,9 +145,41 @@ here = Path(__file__).parent
 SNAPSHOTS = {files}
 LABELS = {labels}
 
+
+def load(fname):
+    """Axis names, node vectors and u00 on the grid; 3-D data cut at its mid-plane."""
+    data = np.genfromtxt(here / fname, delimiter=",", names=True)
+    names = [n for n in data.dtype.names if n != "u00"]
+    nodes = [np.unique(data[n]) for n in names]
+    u = data["u00"].reshape([x.size for x in nodes])
+    where = ""
+    if len(names) == 3:
+        mid = nodes[2].size // 2
+        u, where = u[:, :, mid], f" at {{names[2]}}={{nodes[2][mid]:.3g}}"
+    return names[:2], nodes[:2], u, where
+
+
 fig1, ax1 = plt.subplots(figsize=(5, 3.5))
-{body_1d if ndim == 1 else body_2d}
+maps = []
+for fname, label in zip(SNAPSHOTS, LABELS):
+    names, nodes, u, where = load(fname)
+    if len(names) == 1:
+        ax1.plot(nodes[0], u, label=label)
+        ax1.set_xlabel(names[0]); ax1.set_ylabel("u00")
+    else:
+        ax1.plot(nodes[1], u[np.argmin(np.abs(nodes[0])), :], label=label)
+        ax1.set_xlabel(names[1]); ax1.set_ylabel(f"u00 at {{names[0]}}=0{{where}}")
+        maps.append((label, names, nodes, u, where))
+ax1.legend()
 fig1.tight_layout(); fig1.savefig(here / "density.png", dpi=150)
+
+if maps:
+    fig2, axes = plt.subplots(1, len(maps), figsize=(4 * len(maps), 3.5))
+    for ax, (label, names, nodes, u, where) in zip(np.atleast_1d(axes), maps):
+        pc = ax.pcolormesh(nodes[0], nodes[1], u.T, shading="nearest")
+        fig2.colorbar(pc, ax=ax)
+        ax.set_title(label + where); ax.set_xlabel(names[0]); ax.set_ylabel(names[1])
+    fig2.tight_layout(); fig2.savefig(here / "snapshots.png", dpi=150)
 
 log = np.genfromtxt(here / "energy.csv", delimiter=",", names=True)
 fig3, ax3 = plt.subplots(figsize=(5, 3.5))

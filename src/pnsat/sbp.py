@@ -10,7 +10,10 @@ with diagonal positive P, interior stencils that are plain staggered
 central differences, and boundary closures solved here in exact rational
 arithmetic from the accuracy constraints plus the SBP identity.  The
 resulting D^o = (P^o)^{-1} Q^o is second-order accurate at every node; D^e
-is second-order except first-order in its two boundary rows.
+is second-order except first-order in its two boundary rows.  All matrices
+are sparse (CSR), assembled from the interior stencil and the exact 3x4
+closure corner, so building a pair costs time and memory linear in the
+number of cells.
 
 SAT penalties for the boundary condition u^o = +/- L Ahat u^e + g follow
 the one-parameter family tau^o = -alpha L^{-1}, alpha in [0, 1], with
@@ -60,29 +63,29 @@ class StaggeredGrid1d:
 
 @dataclass(frozen=True)
 class SbpPair:
-    """Operator pair on one staggered grid.
+    """Operator pair on one staggered grid, stored sparse (CSR).
 
     ``q_odd`` is (n+1) x (n+2), ``q_even`` is (n+2) x (n+1); ``p_odd`` /
     ``p_even`` are the diagonal norm entries (already scaled by h).
     ``d_odd`` maps even-grid functions to odd-grid derivative values and
-    vice versa for ``d_even``; both are sparse CSR, precomputed.
+    vice versa for ``d_even``.  ``closure_odd`` / ``closure_even`` list the
+    rows of D^o / D^e that differ from the staggered central stencil.
     """
 
     grid: StaggeredGrid1d
     p_odd: np.ndarray
     p_even: np.ndarray
-    q_odd: np.ndarray
-    q_even: np.ndarray
+    q_odd: sp.csr_matrix
+    q_even: sp.csr_matrix
     d_odd: sp.csr_matrix
     d_even: sp.csr_matrix
+    closure_odd: tuple[int, ...]
+    closure_even: tuple[int, ...]
 
-    def boundary_matrix(self) -> np.ndarray:
+    def boundary_matrix(self) -> sp.csr_matrix:
         """The exact corner matrix B = Q^o + (Q^e)^T."""
         n = self.grid.n_cells
-        b = np.zeros((n + 1, n + 2))
-        b[0, 0] = -1.0
-        b[n, n + 1] = 1.0
-        return b
+        return sp.csr_matrix(([-1.0, 1.0], ([0, n], [0, n + 1])), shape=(n + 1, n + 2))
 
 
 # ---------------------------------------------------------------------------
@@ -188,33 +191,30 @@ def _closure_corner():
     return qo_c, qe_c, po_c, pe_c
 
 
-def _overlay_exact(n: int):
-    """Exact (h = 1) operator entries for n >= 6: interior pattern + corners."""
+def _overlay(n: int):
+    """Exact (h = 1) entries that the closure corner fixes at both ends.
+
+    Returns dicts ``qo[i, j]``, ``qe[j, i]``, ``po[i]`` and ``pe[j]`` over
+    the closure region: the left corner, its antisymmetric mirror image at
+    the right end, and the fixed stencil entries next to the even corners.
+    Every row outside these dicts is the staggered stencil with unit norm.
+    For n >= 6 the two ends are disjoint; for n = 4, 5 they overlap, the
+    later write wins, and the result only pins the free parameters of
+    :func:`_small_exact`.
+    """
     qo_c, qe_c, po_c, pe_c = _closure_corner()
-    qo = [[Fraction(0)] * (n + 2) for _ in range(n + 1)]
-    qe = [[Fraction(0)] * (n + 1) for _ in range(n + 2)]
-    po = [Fraction(1)] * (n + 1)
-    pe = [Fraction(1)] * (n + 2)
-    for i in range(1, n):
-        qo[i][i] = Fraction(-1)
-        qo[i][i + 1] = Fraction(1)
-    for j in range(1, n + 1):
-        qe[j][j - 1] = Fraction(-1)
-        qe[j][j] = Fraction(1)
+    qo, po, pe = {}, {}, {}
+    qe = {(3, 3): Fraction(1), (n - 2, n - 3): Fraction(-1)}
     for i in range(3):
-        po[i] = po_c[i]
-        po[n - i] = po_c[i]
+        po[i] = po[n - i] = po_c[i]
         for j in range(4):
-            qo[i][j] = qo_c[i][j]
-            qo[n - i][n + 1 - j] = -qo_c[i][j]
+            qo[i, j] = qo_c[i][j]
+            qo[n - i, n + 1 - j] = -qo_c[i][j]
     for j in range(4):
-        pe[j] = pe_c[j]
-        pe[n + 1 - j] = pe_c[j]
+        pe[j] = pe[n + 1 - j] = pe_c[j]
         for i in range(3):
-            qe[j][i] = qe_c[j][i]
-            qe[n + 1 - j][n - i] = -qe_c[j][i]
-    qe[3][3] = Fraction(1)
-    qe[n - 2][n - 3] = Fraction(-1)
+            qe[j, i] = qe_c[j][i]
+            qe[n + 1 - j, n - i] = -qe_c[j][i]
     return qo, qe, po, pe
 
 
@@ -287,59 +287,58 @@ def _small_exact(n: int):
                 coeffs[idx[("pe", j)]] = -p * xe[j] ** (p - 1)
             sysm.add(coeffs, 0)
 
-    qo_ov, qe_ov, po_ov, pe_ov = _overlay_defaults(n)
+    overlay = dict(zip(("qo", "qe", "po", "pe"), _overlay(n)))
     defaults = [Fraction(0)] * len(idx)
-    for key, v in idx.items():
-        kind = key[0]
-        if kind == "qo":
-            defaults[v] = qo_ov[key[1]][key[2]]
-        elif kind == "qe":
-            defaults[v] = qe_ov[key[1]][key[2]]
-        elif kind == "po":
-            defaults[v] = po_ov[key[1]]
+    for (kind, *pos), v in idx.items():
+        if kind in ("qo", "qe"):
+            defaults[v] = overlay[kind].get(tuple(pos), Fraction(0))
         else:
-            defaults[v] = pe_ov[key[1]]
+            defaults[v] = overlay[kind].get(pos[0], Fraction(1))
     sol = sysm.solve(defaults)
 
-    qo = [[Fraction(0)] * (n + 2) for _ in range(n + 1)]
-    qe = [[Fraction(0)] * (n + 1) for _ in range(n + 2)]
-    for (i, j) in qo_pos:
-        qo[i][j] = sol[idx[("qo", i, j)]]
-    for (j, i) in qe_pos:
-        qe[j][i] = sol[idx[("qe", j, i)]]
-    po = [sol[idx[("po", i)]] for i in range(n + 1)]
-    pe = [sol[idx[("pe", j)]] for j in range(n + 2)]
-    if any(v <= 0 for v in po + pe):
+    qo = {(i, j): sol[idx[("qo", i, j)]] for (i, j) in qo_pos}
+    qe = {(j, i): sol[idx[("qe", j, i)]] for (j, i) in qe_pos}
+    po = {i: sol[idx[("po", i)]] for i in range(n + 1)}
+    pe = {j: sol[idx[("pe", j)]] for j in range(n + 2)}
+    if any(v <= 0 for v in (*po.values(), *pe.values())):
         raise NumericalError("SBP closure solve produced a non-positive norm entry")
     return qo, qe, po, pe
 
 
-def _overlay_defaults(n: int):
-    """Overlay pattern used only as the pinning default for small n."""
-    qo_c, qe_c, po_c, pe_c = _closure_corner()
-    qo = [[Fraction(0)] * (n + 2) for _ in range(n + 1)]
-    qe = [[Fraction(0)] * (n + 1) for _ in range(n + 2)]
-    po = [Fraction(1)] * (n + 1)
-    pe = [Fraction(1)] * (n + 2)
-    for i in range(1, n):
-        qo[i][i], qo[i][i + 1] = Fraction(-1), Fraction(1)
-    for j in range(1, n + 1):
-        qe[j][j - 1], qe[j][j] = Fraction(-1), Fraction(1)
-    for i in range(min(3, n + 1)):
-        po[i] = po_c[i]
-        po[n - i] = po_c[i]
-        for j in range(4):
-            if j < n + 2:
-                qo[i][j] = qo_c[i][j]
-                qo[n - i][n + 1 - j] = -qo_c[i][j]
-    for j in range(min(4, n + 2)):
-        pe[j] = pe_c[j]
-        pe[n + 1 - j] = pe_c[j]
-        for i in range(3):
-            if i < n + 1:
-                qe[j][i] = qe_c[j][i]
-                qe[n + 1 - j][n - i] = -qe_c[j][i]
-    return qo, qe, po, pe
+def _assemble(q: dict, p: dict, shape: tuple[int, int], shift: int, h: float):
+    """Sparse Q and D = P^{-1} Q, scaled norm P and closure rows of one operator.
+
+    ``q`` and ``p`` hold the exact (h = 1) entries of the rows they cover;
+    every other row i is the staggered stencil -1, +1 at columns
+    i + shift, i + shift + 1 with unit norm.  A covered row is a closure
+    row when its exact D entries differ from that stencil.
+    """
+    rows: dict[int, dict[int, Fraction]] = {}
+    for (i, j), v in sorted(q.items()):
+        row = rows.setdefault(i, {})
+        if v:
+            row[j] = v
+    stencil = np.ones(shape[0], dtype=bool)
+    stencil[list(rows)] = False
+    stencil = np.flatnonzero(stencil)
+    r, c, v = zip(*((i, j, float(w)) for i, row in rows.items() for j, w in row.items()))
+    q_mat = sp.csr_matrix(
+        (
+            np.concatenate([np.full(stencil.size, -1.0), np.ones(stencil.size), v]),
+            (np.concatenate([stencil, stencil, r]), np.concatenate([stencil + shift, stencil + shift + 1, c])),
+        ),
+        shape=shape,
+    )
+    p_vec = np.ones(shape[0])
+    p_vec[list(p)] = [float(w) for w in p.values()]
+    p_vec *= h
+    d_mat = q_mat.copy()
+    d_mat.data /= np.repeat(p_vec, np.diff(d_mat.indptr))  # entrywise Q / P, row by row
+    closure = tuple(
+        i for i, row in rows.items()
+        if {j: w / p[i] for j, w in row.items()} != {i + shift: -1, i + shift + 1: 1}
+    )
+    return q_mat, d_mat, p_vec, closure
 
 
 def build_sbp_pair(grid: StaggeredGrid1d) -> SbpPair:
@@ -347,28 +346,15 @@ def build_sbp_pair(grid: StaggeredGrid1d) -> SbpPair:
 
     The SBP identity Q^o + (Q^e)^T = B holds entrywise exactly (rational
     arithmetic, then converted to float); P entries are positive; D^o is
-    exact through quadratics at every node.
+    exact through quadratics at every node.  The matrices are assembled
+    sparse from the interior stencil and the exact closure entries, so the
+    cost grows linearly with the number of cells.
     """
     n = grid.n_cells
-    if n >= 6:
-        qo, qe, po, pe = _overlay_exact(n)
-    else:
-        qo, qe, po, pe = _small_exact(n)
-    h = grid.h
-    to_f = lambda rows: np.array([[float(v) for v in row] for row in rows])
-    p_odd = np.array([float(v) for v in po]) * h
-    p_even = np.array([float(v) for v in pe]) * h
-    q_odd = to_f(qo)
-    q_even = to_f(qe)
-    return SbpPair(
-        grid,
-        p_odd=p_odd,
-        p_even=p_even,
-        q_odd=q_odd,
-        q_even=q_even,
-        d_odd=sp.csr_matrix(q_odd / p_odd[:, None]),
-        d_even=sp.csr_matrix(q_even / p_even[:, None]),
-    )
+    qo, qe, po, pe = _overlay(n) if n >= 6 else _small_exact(n)
+    q_odd, d_odd, p_odd, closure_odd = _assemble(qo, po, (n + 1, n + 2), 0, grid.h)
+    q_even, d_even, p_even, closure_even = _assemble(qe, pe, (n + 2, n + 1), -1, grid.h)
+    return SbpPair(grid, p_odd, p_even, q_odd, q_even, d_odd, d_even, closure_odd, closure_even)
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +374,9 @@ class SatPenalty:
 def sat_penalties(l_matrix: np.ndarray, a_hat: np.ndarray, alpha: float, side: str) -> SatPenalty:
     """Energy-stable penalties tau^o = -alpha L^{-1} with the tied tau^e.
 
+    The tied even-side penalty is tau^e = +/-(1 - alpha) Ahat^T (+ on the
+    high side), so it is exactly zero at alpha = 1.
+
     The admissible family requires alpha in [0, 1]: the discrete energy
     bound needs tau^o negative semidefinite and x^T L (-tau^o)^T L x <=
     x^T L x, which for tau^o = -alpha L^{-1} is exactly alpha <= 1.  The
@@ -404,8 +393,10 @@ def sat_penalties(l_matrix: np.ndarray, a_hat: np.ndarray, alpha: float, side: s
     a_hat = np.atleast_2d(np.asarray(a_hat, dtype=float))
     tau_odd = -alpha * np.linalg.inv(l_matrix) if alpha != 0.0 else np.zeros_like(l_matrix)
     tau_odd = 0.5 * (tau_odd + tau_odd.T)
-    tied = (a_hat + tau_odd @ (l_matrix @ a_hat)).T
-    tau_even = tied if side == "high" else -tied
+    # tied penalty +/-(Ahat + tau^o L Ahat)^T in closed form: tau^o L = -alpha I
+    tau_even = (1.0 - alpha) * a_hat.T
+    if side == "low":
+        tau_even = -tau_even
     # spectral re-check: eigenvalues of L^(1/2) (-tau)^T L^(1/2) must be <= 1
     w, v = np.linalg.eigh(l_matrix)
     sqrt_l = (v * np.sqrt(w)) @ v.T

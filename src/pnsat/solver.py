@@ -13,10 +13,10 @@ scaled by the inverse boundary norm entry.
 
 Time integration is Strang-split: exact half-step relaxation (the
 scattering matrix is diagonal on the basis), a full transport step with
-classical RK4, then the second relaxation half-step.  :func:`rhs` and
-:func:`step_strang` are the readable reference implementations; ``run``
-drives an in-place buffered stepper that produces identical results
-(asserted in the test suite) at a fraction of the memory traffic.
+classical RK4, then the second relaxation half-step.  One buffered kernel
+computes the differences, the moment coupling and the SAT terms; ``run``
+steps in place with it, and :func:`rhs` and :func:`step_strang` run it on
+fresh buffers.  Families and face blocks without components are skipped.
 """
 
 from __future__ import annotations
@@ -126,6 +126,8 @@ def build_setup(scenario: Scenario) -> SolverSetup:
                 continue
             ae = tensor.complement(a, d)
             rows, cols = comps[a], comps[ae]
+            if not (rows.size and cols.size):
+                continue
             l_blk = bnd.onsager_L(basis, face, rows=rows)
             a_blk = system.a_hat_block(axis, rows, cols)
             if spec.kind == "unstable_marshak":
@@ -151,7 +153,7 @@ def build_setup(scenario: Scenario) -> SolverSetup:
             else:
                 g_space = np.ones(())
             blocks.append(FaceBlock(a, ae, rows, cols, m_eff, l_blk, pen, g_dir, g_space))
-            if spec.kind == "onsager" and rows.size:
+            if spec.kind == "onsager":
                 l_inv = np.linalg.inv(l_blk)
                 c_vals.append(np.linalg.norm(pen.tau_odd, 2))
                 c_vals.append(np.linalg.norm(l_inv + pen.tau_odd.T, 2))
@@ -235,37 +237,6 @@ def _slab(arr: np.ndarray, dim: int, idx: int) -> np.ndarray:
     return arr[(slice(None),) * dim + (idx,)]
 
 
-def rhs(setup: SolverSetup, state: dict, t: float = 0.0) -> dict:
-    """Transport + SAT increment (no relaxation); pure in ``state``."""
-    tensor = setup.tensor
-    out = {}
-    for a in setup.families:
-        acc = None
-        for d in range(tensor.ndim):
-            c = tensor.complement(a, d)
-            du = tensor.deriv(a, d, state[c])
-            flat = du.reshape(-1, du.shape[-1])
-            term = (flat @ setup.a_blocks[(a, d)]).reshape(du.shape[:-1] + (-1,))
-            acc = -term if acc is None else acc - term
-        out[a] = acc
-    for face in setup.faces:
-        d = face.dim
-        bidx = face.boundary_index
-        p_odd = setup.tensor.axis_weights(d, "o")[bidx]
-        p_even = setup.tensor.axis_weights(d, "e")[bidx]
-        tf = face.inflow.time_factor(t, setup.scenario.energy_map) if face.inflow.kind != "none" else 1.0
-        for blk in face.blocks:
-            u_o = _slab(state[blk.family_odd], d, bidx)
-            u_e = _slab(state[blk.family_even], d, bidx)
-            res = u_o - u_e @ blk.m_eff.T
-            if blk.has_source:
-                res = res - blk.g_at(t, tf)
-            _slab(out[blk.family_odd], d, bidx)[...] += (res @ blk.penalty.tau_odd.T) / p_odd
-            if np.any(blk.penalty.tau_even):
-                _slab(out[blk.family_even], d, bidx)[...] += (res @ blk.penalty.tau_even.T) / p_even
-    return out
-
-
 def face_source_norm_sq(setup: SolverSetup, face: FaceData, t: float) -> float:
     """Squared face norm of g at time t, transverse-weighted."""
     if face.inflow.kind == "none":
@@ -279,92 +250,64 @@ def face_source_norm_sq(setup: SolverSetup, face: FaceData, t: float) -> float:
     return total
 
 
-def _relax(setup: SolverSetup, state: dict, dt_half: float) -> None:
-    if not np.any(setup.q_relax):
-        return
-    for a in setup.families:
-        state[a] *= np.exp(setup.q_relax[setup.comps[a]] * dt_half)
-
-
 def _check_cfl(setup: SolverSetup, dt: float) -> None:
-    h_min = min(g.h for g in setup.tensor.grids)
-    limit = setup.scenario.cfl * h_min / setup.max_speed
+    limit = setup.dt_stable()
     if dt > limit * (1.0 + 1e-12):
         raise ValidationError(
-            f"dt = {dt} violates the CFL bound cfl * h / lambda_max = {limit}"
+            f"dt = {dt} violates the CFL bound cfl * h_min / sum_i lambda_max,i = {limit}"
         )
 
 
-def step_strang(setup: SolverSetup, state: dict, dt: float, t: float = 0.0) -> dict:
-    """One Strang-split step (reference implementation): relax, RK4, relax."""
-    _check_cfl(setup, dt)
-    u = {a: v.copy() for a, v in state.items()}
-    _relax(setup, u, 0.5 * dt)
-    k1 = rhs(setup, u, t)
-    u2 = {a: u[a] + 0.5 * dt * k1[a] for a in u}
-    k2 = rhs(setup, u2, t + 0.5 * dt)
-    u3 = {a: u[a] + 0.5 * dt * k2[a] for a in u}
-    k3 = rhs(setup, u3, t + 0.5 * dt)
-    u4 = {a: u[a] + dt * k3[a] for a in u}
-    k4 = rhs(setup, u4, t + dt)
-    for a in u:
-        u[a] += (dt / 6.0) * (k1[a] + 2.0 * k2[a] + 2.0 * k3[a] + k4[a])
-    _relax(setup, u, 0.5 * dt)
-    return u
-
-
 # ---------------------------------------------------------------------------
-# buffered stepper (same arithmetic as step_strang, minimal allocations)
+# the transport kernel
 
 
-def _nonstandard_rows(pair: SbpPair, parity: str):
-    """Rows of D^o / D^e that differ from the pure staggered central stencil."""
-    op = pair.d_odd if parity == "o" else pair.d_even
-    dense = op.toarray()
-    inv_h = 1.0 / pair.grid.h
-    rows = []
-    for i in range(dense.shape[0]):
-        expect = np.zeros(dense.shape[1])
-        if parity == "o":
-            expect[i], expect[i + 1] = -inv_h, inv_h
-        elif 1 <= i <= dense.shape[0] - 2:
-            expect[i - 1], expect[i] = -inv_h, inv_h
-        else:
-            nz = np.nonzero(dense[i])[0]
-            rows.append((i, nz, pair.grid.h * dense[i][nz]))
-            continue
-        if not np.allclose(dense[i], expect, atol=1e-14 * inv_h):
-            nz = np.nonzero(dense[i])[0]
-            rows.append((i, nz, pair.grid.h * dense[i][nz]))
-    return rows
+def _closure_weights(pair: SbpPair, parity: str) -> list:
+    """(row, columns, h * entries) of the closure rows of D^o or D^e."""
+    op, rows = (pair.d_odd, pair.closure_odd) if parity == "o" else (pair.d_even, pair.closure_even)
+    out = []
+    for i in rows:
+        lo, hi = op.indptr[i], op.indptr[i + 1]
+        out.append((i, op.indices[lo:hi], pair.grid.h * op.data[lo:hi]))
+    return out
 
 
 class _Stepper:
-    """In-place Strang/RK4 stepper with preallocated work buffers."""
+    """The transport kernel with in-place Strang/RK4 stepping on preallocated buffers."""
 
     def __init__(self, setup: SolverSetup):
         self.setup = setup
         tensor = setup.tensor
         self.closures = {
-            (d, p): _nonstandard_rows(tensor.pairs[d], p)
+            (d, p): _closure_weights(tensor.pairs[d], p)
             for d in range(tensor.ndim)
             for p in ("o", "e")
         }
-        # fold 1/h into the moment blocks so derivative buffers hold raw differences
-        self.scaled_blocks = {
-            (a, d): setup.a_blocks[(a, d)] / tensor.grids[d].h
-            for a in tensor.families
-            for d in range(tensor.ndim)
-        }
+        # per family with components: (axis, complement, moment block with 1/h
+        # folded in so the buffer holds raw differences, difference buffer)
+        self.terms = {}
+        for a in tensor.families:
+            if not setup.comps[a].size:
+                continue
+            self.terms[a] = []
+            for d in range(tensor.ndim):
+                c = tensor.complement(a, d)
+                if setup.comps[c].size:
+                    shape = tensor.family_shape(a) + (setup.comps[c].size,)
+                    block = setup.a_blocks[(a, d)] / tensor.grids[d].h
+                    self.terms[a].append((d, c, block, np.empty(shape)))
+        # per face: slab norm entries and the blocks, each with whether its even
+        # side is penalized (tau^e = +/-(1 - alpha) Ahat^T vanishes at alpha = 1)
+        self.sats = []
+        for face in setup.faces:
+            d, bidx = face.dim, face.boundary_index
+            p_odd = tensor.axis_weights(d, "o")[bidx]
+            p_even = tensor.axis_weights(d, "e")[bidx]
+            blocks = [(blk, blk.penalty.alpha != 1.0) for blk in face.blocks]
+            self.sats.append((face, p_odd, p_even, blocks))
         self.k = {a: self._empty(a) for a in tensor.families}
         self.stage = {a: self._empty(a) for a in tensor.families}
         self.acc = {a: self._empty(a) for a in tensor.families}
-        self.dbuf = {}
-        for a in tensor.families:
-            for d in range(tensor.ndim):
-                c = tensor.complement(a, d)
-                shape = list(tensor.family_shape(a)) + [setup.comps[c].size]
-                self.dbuf[(a, d)] = np.empty(shape)
         self.scratch = {a: self._empty(a) for a in tensor.families}
         self._relax_cache: tuple[float, dict] | None = None
 
@@ -391,42 +334,35 @@ class _Stepper:
                 target += w[j] * u_c[pre + (nz[j],)]
 
     def rhs_into(self, state: dict, t: float, out: dict) -> None:
+        """Transport + SAT increment of ``state`` at time t, written to ``out``."""
         setup = self.setup
-        tensor = setup.tensor
-        for a in tensor.families:
-            first = True
-            for d in range(tensor.ndim):
-                c = tensor.complement(a, d)
-                db = self.dbuf[(a, d)]
+        for a, terms in self.terms.items():
+            m_a = out[a].shape[-1]
+            for n, (d, c, block, db) in enumerate(terms):
                 self._diff_into(a, d, state[c], db)
                 flat = db.reshape(-1, db.shape[-1])
-                if first:
-                    target = out[a].reshape(-1, out[a].shape[-1])
-                    np.matmul(flat, self.scaled_blocks[(a, d)], out=target)
-                    first = False
+                if n == 0:
+                    np.matmul(flat, block, out=out[a].reshape(-1, m_a))
                 else:
-                    scr = self.scratch[a].reshape(-1, out[a].shape[-1])
-                    np.matmul(flat, self.scaled_blocks[(a, d)], out=scr)
+                    np.matmul(flat, block, out=self.scratch[a].reshape(-1, m_a))
                     out[a] += self.scratch[a]
             np.negative(out[a], out=out[a])
-        for face in setup.faces:
+        for face, p_odd, p_even, blocks in self.sats:
             d = face.dim
             bidx = face.boundary_index
-            p_odd = tensor.axis_weights(d, "o")[bidx]
-            p_even = tensor.axis_weights(d, "e")[bidx]
             tf = (
                 face.inflow.time_factor(t, setup.scenario.energy_map)
                 if face.inflow.kind != "none"
                 else 1.0
             )
-            for blk in face.blocks:
+            for blk, even_side in blocks:
                 u_o = _slab(state[blk.family_odd], d, bidx)
                 u_e = _slab(state[blk.family_even], d, bidx)
                 res = u_o - u_e @ blk.m_eff.T
                 if blk.has_source:
                     res = res - blk.g_at(t, tf)
                 _slab(out[blk.family_odd], d, bidx)[...] += (res @ blk.penalty.tau_odd.T) / p_odd
-                if np.any(blk.penalty.tau_even):
+                if even_side:
                     _slab(out[blk.family_even], d, bidx)[...] += (
                         res @ blk.penalty.tau_even.T
                     ) / p_even
@@ -471,6 +407,20 @@ class _Stepper:
         if factors is not None:
             for a in state:
                 state[a] *= factors[a]
+
+
+def rhs(setup: SolverSetup, state: dict, t: float = 0.0) -> dict:
+    """Transport + SAT increment (no relaxation); pure in ``state``."""
+    out = zero_state(setup)
+    _Stepper(setup).rhs_into(state, t, out)
+    return out
+
+
+def step_strang(setup: SolverSetup, state: dict, dt: float, t: float = 0.0) -> dict:
+    """One Strang-split step (relax, RK4, relax) of a copy of ``state``."""
+    u = {a: v.copy() for a, v in state.items()}
+    _Stepper(setup).step(u, dt, t)
+    return u
 
 
 # ---------------------------------------------------------------------------

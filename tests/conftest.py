@@ -3,6 +3,7 @@ from importlib.resources import files
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from pnsat.config import load_scenario, scenario_from_dict
 from pnsat.moments import MomentBasis, assemble_transport
@@ -48,3 +49,93 @@ def sector_test2(basis):
     rows = np.array([i for i in sector if i in odd_set])
     cols = np.array([i for i in sector if i not in odd_set])
     return rows, cols
+
+
+class AssembledOperator:
+    """Global sparse form of the semi-discrete system, du/dt = L u + s(t).
+
+    An independent reference for the solver's kernel: L is assembled from
+    Kronecker products of the SBP derivative matrices D^o / D^e with the
+    moment blocks, plus the SAT rows of every face block; s(t) carries the
+    boundary source g.  States are packed by concatenating the flattened
+    family arrays.
+    """
+
+    def __init__(self, setup):
+        self.setup = setup
+        tensor = setup.tensor
+        fams = setup.families
+        self.shapes = {a: tensor.family_shape(a) + (setup.comps[a].size,) for a in fams}
+        sizes = {a: int(np.prod(s)) for a, s in self.shapes.items()}
+        starts = np.cumsum([0] + list(sizes.values()))
+        self.slices = {a: slice(starts[i], starts[i + 1]) for i, a in enumerate(fams)}
+        blocks = {(a, b): sp.csr_matrix((sizes[a], sizes[b])) for a in fams for b in fams}
+        for a in fams:
+            for d in range(tensor.ndim):
+                pair = tensor.pairs[d]
+                op = pair.d_odd if a[d] == "o" else pair.d_even
+                blocks[a, tensor.complement(a, d)] -= sp.kron(
+                    self._on_axis(a, d, op), setup.a_blocks[(a, d)].T
+                )
+        self.lifts = []
+        for face in setup.faces:
+            d, b = face.dim, face.boundary_index
+            p_o = tensor.axis_weights(d, "o")[b]
+            p_e = tensor.axis_weights(d, "e")[b]
+            for blk in face.blocks:
+                ao, ae = blk.family_odd, blk.family_even
+                sel_o = self._on_axis(ao, d, self._unit_row(tensor.family_shape(ao)[d], b))
+                sel_e = self._on_axis(ae, d, self._unit_row(tensor.family_shape(ae)[d], b))
+                lift = {ao: sp.kron(sel_o.T, blk.penalty.tau_odd / p_o),
+                        ae: sp.kron(sel_e.T, blk.penalty.tau_even / p_e)}
+                residual = {ao: sp.kron(sel_o, np.eye(blk.rows.size)), ae: -sp.kron(sel_e, blk.m_eff)}
+                for x in (ao, ae):
+                    for y in (ao, ae):
+                        blocks[x, y] += lift[x] @ residual[y]
+                self.lifts.append((face, blk, lift))
+        self.matrix = sp.bmat([[blocks[a, b] for b in fams] for a in fams], format="csr")
+
+    def _on_axis(self, a, d, mid):
+        """Kronecker product over the grid axes: ``mid`` on axis d, identities elsewhere."""
+        shape = self.setup.tensor.family_shape(a)
+        before, after = int(np.prod(shape[:d])), int(np.prod(shape[d + 1:]))
+        return sp.kron(sp.kron(sp.identity(before), mid), sp.identity(after), format="csr")
+
+    @staticmethod
+    def _unit_row(n, index):
+        row = np.zeros((1, n))
+        row[0, index] = 1.0
+        return sp.csr_matrix(row)
+
+    def pack(self, state) -> np.ndarray:
+        return np.concatenate([state[a].ravel() for a in self.setup.families])
+
+    def unpack(self, vec) -> dict:
+        return {a: vec[self.slices[a]].reshape(s) for a, s in self.shapes.items()}
+
+    def source(self, t: float) -> np.ndarray:
+        out = np.zeros(self.matrix.shape[0])
+        energy_map = self.setup.scenario.energy_map
+        for face, blk, lift in self.lifts:
+            if face.inflow.kind != "none":
+                g = blk.g_at(t, face.inflow.time_factor(t, energy_map)).ravel()
+                for fam, mat in lift.items():
+                    out[self.slices[fam]] -= mat @ g
+        return out
+
+    def rhs(self, state, t: float = 0.0) -> dict:
+        return self.unpack(self.matrix @ self.pack(state) + self.source(t))
+
+    def step_strang(self, state, dt: float, t: float) -> dict:
+        """Relaxation half-step, classical RK4 on L u + s(t), relaxation half-step."""
+        relax = np.concatenate([
+            np.broadcast_to(np.exp(self.setup.q_relax[self.setup.comps[a]] * 0.5 * dt), s).ravel()
+            for a, s in self.shapes.items()
+        ])
+        u = relax * self.pack(state)
+        f = lambda v, s: self.matrix @ v + self.source(s)
+        k1 = f(u, t)
+        k2 = f(u + 0.5 * dt * k1, t + 0.5 * dt)
+        k3 = f(u + 0.5 * dt * k2, t + 0.5 * dt)
+        k4 = f(u + dt * k3, t + dt)
+        return self.unpack(relax * (u + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)))

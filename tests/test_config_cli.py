@@ -6,8 +6,25 @@ import pytest
 
 from conftest import bundled_doc, scenario_path
 from pnsat.cli import main
-from pnsat.config import scenario_from_dict
+from pnsat.config import load_scenario, scenario_from_dict
 from pnsat.errors import ValidationError
+from pnsat.solver import run
+
+
+def small_doc(axes, n_max, cells=6) -> dict:
+    """A short vacuum run on ``cells`` cells per axis, one snapshot at the end."""
+    return {
+        "name": "small",
+        "model": {"N": n_max, "scattering": {"kind": "none"}, "stopping": {"mode": "time"}},
+        "domain": {"axes": list(axes), "extents": [[-1.0, 1.0]] * len(axes), "cells": [cells] * len(axes)},
+        "boundaries": {
+            f"{ax}_{side}": {"type": "onsager", "alpha": 1.0, "psi_in": {"kind": "none"}}
+            for ax in axes for side in ("low", "high")
+        },
+        "initial": {"kind": "gaussian_bulk", "mu": [0.1] * len(axes), "sigma": [0.4] * len(axes)},
+        "integration": {"cfl": 0.5, "t_end": 0.2},
+        "outputs": {"snapshot_times": [0.2]},
+    }
 
 
 class TestConfigValidation:
@@ -127,6 +144,41 @@ class TestCli:
         assert main(["run", str(cfg), "-o", str(out)]) == 0
         header = (out / "snapshot_000.csv").read_text().splitlines()[0]
         assert header == "x,z,u00"
+
+    def test_empty_parity_families_and_p0(self, tmp_path, capsys):
+        # N = 1 and 2 leave some parity families without components; P_0 has no transport
+        for axes, n_max in (("xy", 1), ("xz", 1), ("xyz", 1), ("xyz", 2), ("x", 0), ("xz", 0), ("xyz", 0)):
+            cfg = tmp_path / f"{axes}_{n_max}.json"
+            cfg.write_text(json.dumps(small_doc(axes, n_max)))
+            out = tmp_path / f"{axes}_{n_max}"
+            code = main(["run", str(cfg), "-o", str(out)])
+            err = capsys.readouterr().err
+            if n_max == 0:
+                assert code == 1 and "model.N must be a positive integer" in err
+            else:
+                assert code == 0
+                rows = (out / "snapshot_000.csv").read_text().splitlines()
+                assert rows[0] == ",".join(axes) + ",u00"
+                assert len(rows) == 1 + 8 ** len(axes)
+
+    def test_run_3d_snapshots_read_back(self, tmp_path, capsys):
+        # every node of a 6^3 grid under the scenario's axis labels, for the run and the tallies
+        cfg = tmp_path / "cube.json"
+        cfg.write_text(json.dumps(small_doc("xyz", 3)))
+        out = tmp_path / "cube"
+        assert main(["run", str(cfg), "-o", str(out)]) == 0
+        snap = run(load_scenario(cfg)).snapshots[0]
+        data = np.genfromtxt(out / "snapshot_000.csv", delimiter=",", names=True)
+        assert data.dtype.names == ("x", "y", "z", "u00")
+        assert data.size == 512
+        assert np.array_equal(data["u00"], snap.u00.ravel())
+        for name, mesh in zip("xyz", np.meshgrid(*snap.nodes, indexing="ij")):
+            assert np.array_equal(data[name], mesh.ravel())
+        compile((out / "plot_run.py").read_text(), "plot_run.py", "exec")
+        mc = tmp_path / "cube_mc"
+        assert main(["oracle", str(cfg), "--n", "4000", "-o", str(mc), "--diff", str(out)]) == 0
+        assert (mc / "tally_000.csv").read_text().splitlines()[0] == "x,y,z,u00"
+        assert json.loads((mc / "diff.json").read_text())["snapshots"][0]["max_abs_diff"] >= 0.0
 
     def test_oracle_reproducible_and_diff(self, tmp_path, capsys):
         cfg = tmp_path / "probe.json"

@@ -28,8 +28,8 @@ class TestSbpPair:
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 16, 64])
     def test_sbp_identity_exact(self, n):
         pair = build_sbp_pair(StaggeredGrid1d(0.0, 1.0, n))
-        b = pair.q_odd + pair.q_even.T
-        assert np.array_equal(b, pair.boundary_matrix())  # entrywise exact
+        b = (pair.q_odd + pair.q_even.T).toarray()
+        assert np.array_equal(b, pair.boundary_matrix().toarray())  # entrywise exact
 
     @pytest.mark.parametrize("n", [4, 5, 6, 8, 16, 64])
     def test_norms_positive(self, n):
@@ -131,6 +131,11 @@ class TestSatPenalties:
             pen = sat_penalties(l_mat, a_hat, 0.7, side)
             tied = (a_hat + pen.tau_odd @ l_mat @ a_hat).T
             np.testing.assert_allclose(pen.tau_even, sign * tied, atol=1e-13)
+            # closed form +/-(1 - alpha) Ahat^T: exactly zero at alpha = 1
+            assert np.all(sat_penalties(l_mat, a_hat, 1.0, side).tau_even == 0.0)
+            np.testing.assert_array_equal(
+                sat_penalties(l_mat, a_hat, 0.5, side).tau_even, sign * 0.5 * a_hat.T
+            )
 
 
 class TestTensorGrid:
