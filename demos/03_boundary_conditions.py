@@ -43,7 +43,7 @@ bc = onsager_bc(basis, face, system, rows=rows, cols=cols)
 print("coupling row  Ahat       =", a_hat.ravel())
 print("half-moment   Mtilde     =", mt.ravel())
 print("stabilized    M = L Ahat =", bc.m_matrix.ravel(), " with L =", l_mat.ravel())
-print("Mtilde . (1, 2.5, -1)    =", float(mt @ [1.0, 2.5, -1.0]))
+print("Mtilde . (1, 2.5, -1)    =", float(mt.ravel() @ [1.0, 2.5, -1.0]))
 
 # The two matrices differ only in the columns of the highest even degree:
 print("difference per column    :", (mt - bc.m_matrix).ravel())

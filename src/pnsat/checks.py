@@ -353,6 +353,12 @@ def check_penalty_admissibility(tol=1e-12, seed=4) -> CheckResult:
 
 
 def check_semidiscrete_dissipativity(tol=1e-12, seed=5, n_samples=100) -> CheckResult:
+    """<u, P rhs(u)> <= 0 for random states over the full basis (g = 0).
+
+    The probe's initial moments fill all four (y, z) parity classes, so its
+    sector, and hence the probed state space, is the whole 16-component
+    basis; the check fails if it is not.
+    """
     from .config import scenario_from_dict
     from .solver import build_setup, rhs
 
@@ -364,7 +370,18 @@ def check_semidiscrete_dissipativity(tol=1e-12, seed=5, n_samples=100) -> CheckR
             "x_low": {"type": "onsager", "alpha": 1.0, "psi_in": {"kind": "none"}},
             "x_high": {"type": "onsager", "alpha": 0.5, "psi_in": {"kind": "none"}},
         },
-        "initial": {"kind": "zero"},
+        "initial": {
+            "kind": "gaussian_envelope_moments",
+            "center": [0.5],
+            "width": [0.2],
+            # (y, z) parity classes: (e, e), (o, e), (e, o), (o, o)
+            "moments": [
+                {"l": 0, "k": 0, "amp": 1.0},
+                {"l": 1, "k": -1, "amp": 1.0},
+                {"l": 1, "k": 0, "amp": 1.0},
+                {"l": 2, "k": -1, "amp": 1.0},
+            ],
+        },
         "integration": {"cfl": 0.5, "t_end": 1.0},
         "outputs": {"snapshot_times": []},
     })
@@ -384,8 +401,9 @@ def check_semidiscrete_dissipativity(tol=1e-12, seed=5, n_samples=100) -> CheckR
             val += float(np.sum(w[:, None] * st[a] * inc[a]))
             e_tot += setup.tensor.norm_sq(a, st[a])
         worst = max(worst, val / e_tot)
-    return CheckResult("solver.semidiscrete_dissipativity", worst <= tol, tol - worst,
-                       f"max <u, P rhs>/E = {worst:.2e}")
+    n, dim = setup.n_components, setup.basis.dim
+    return CheckResult("solver.semidiscrete_dissipativity", worst <= tol and n == dim, tol - worst,
+                       f"max <u, P rhs>/E = {worst:.2e} over {n}/{dim} components")
 
 
 ALL_CHECKS = (

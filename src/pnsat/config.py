@@ -36,6 +36,11 @@ def _require_keys(d: dict, allowed: set[str], required: set[str], where: str) ->
         raise ValidationError(f"missing key(s) {sorted(missing)} in {where}")
 
 
+def _is_integer(v) -> bool:
+    """True for an int that is not a bool (bool subclasses int); floats and strings fail."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _number(d, key, where, lo=None, hi=None):
     v = d[key]
     if not isinstance(v, (int, float)) or isinstance(v, bool):
@@ -410,7 +415,7 @@ def scenario_from_dict(doc: dict, base: Path | None = None) -> Scenario:
     model = doc["model"]
     _require_keys(model, {"N", "scattering", "stopping"}, {"N", "scattering", "stopping"}, "model")
     n_max = model["N"]
-    if not isinstance(n_max, int) or n_max < 1:
+    if not _is_integer(n_max) or n_max < 1:
         raise ValidationError(
             f"model.N must be a positive integer, got {n_max!r} (P_0 has no transport, so no CFL time step)"
         )
@@ -424,12 +429,14 @@ def scenario_from_dict(doc: dict, base: Path | None = None) -> Scenario:
     if len(set(axes)) != len(axes):
         raise ValidationError("domain.axes must not repeat")
     extents = tuple(tuple(map(float, e)) for e in dom["extents"])
-    cells = tuple(int(c) for c in dom["cells"])
+    cells = tuple(dom["cells"])
     if len(extents) != len(axes) or len(cells) != len(axes):
         raise ValidationError("domain.extents and domain.cells must match the number of axes")
     for (lo, hi), c in zip(extents, cells):
         if not hi > lo:
             raise ValidationError(f"domain extent [{lo}, {hi}] is empty")
+        if not _is_integer(c):
+            raise ValidationError(f"domain.cells entries must be integers, got {c!r}")
         if c < 4:
             raise ValidationError(f"domain.cells entries must be >= 4, got {c}")
 

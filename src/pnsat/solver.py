@@ -1,8 +1,16 @@
 """Semi-discrete P_N operator with SAT boundary terms and Strang stepping.
 
 State layout: one array per parity family (2^d families over the active
-axes), shaped (family grid shape) + (number of family components,).  The
-transport increment for family a is
+axes), shaped (family grid shape) + (number of family components,).  Each
+family holds only the components of the reachable sector: the volume,
+boundary, penalty and relaxation terms conserve the parity of every
+inactive axis, and every inflow depends only on the direction component
+along its face normal, so the data reach just the inactive-axis parity
+classes of the initial moments plus the all-even class (see
+:func:`sector_mask`).  A 1-D run at N = 13 integrates 56 of 196
+components, an x-z run with y-even data 105; a 3-axis run has no inactive
+axis and integrates the full basis.  The transport increment for family a
+is
 
     du^a = - sum_d A^a_d (D_d u^{c_d(a)})  +  boundary SATs,
 
@@ -47,14 +55,9 @@ class FaceBlock:
     penalty: SatPenalty
     g_dir: np.ndarray
     g_space: np.ndarray  # transverse profile on the slab, shape = transverse grid
-
-    @property
-    def has_source(self) -> bool:
-        return bool(self.g_dir.size and np.any(self.g_dir))
+    has_source: bool  # by symmetry: an inflow, and rows even off the face axis
 
     def g_at(self, t: float, time_factor: float) -> np.ndarray:
-        if not self.has_source:
-            return np.zeros(self.g_space.shape + (self.rows.size,))
         return time_factor * np.multiply.outer(self.g_space, self.g_dir)
 
 
@@ -92,9 +95,31 @@ class SolverSetup:
     def families(self):
         return self.tensor.families
 
+    @property
+    def n_components(self) -> int:
+        """Number of basis components integrated, summed over the families."""
+        return sum(c.size for c in self.comps.values())
+
     def dt_stable(self) -> float:
         h_min = min(g.h for g in self.tensor.grids)
         return self.scenario.cfl * h_min / self.speed_sum
+
+
+def sector_mask(scenario: Scenario, basis: MomentBasis) -> np.ndarray:
+    """Flat-basis mask of the components the scenario's data can reach.
+
+    A component is reachable when its parity class over the inactive axes
+    is the all-even class (which holds u00 and every inflow) or the class
+    of a non-zero initial moment amplitude.
+    """
+    inactive = [ax for ax in (1, 2, 3) if ax not in scenario.axes]
+    if not inactive:
+        return np.ones(basis.dim, dtype=bool)
+    classes = np.stack([basis.parity.signs[ax - 1] for ax in inactive], axis=-1)
+    amps = scenario.initial.moment_amplitudes(scenario.n_max)
+    reached = [np.ones(len(inactive), dtype=int)]
+    reached += [classes[flat] for flat, amp in amps.items() if amp != 0.0]
+    return np.any([np.all(classes == c, axis=-1) for c in reached], axis=0)
 
 
 def build_setup(scenario: Scenario) -> SolverSetup:
@@ -104,7 +129,8 @@ def build_setup(scenario: Scenario) -> SolverSetup:
         StaggeredGrid1d(lo, hi, c) for (lo, hi), c in zip(scenario.extents, scenario.cells)
     )
     tensor = TensorGrid.build(scenario.axes, grids)
-    comps = basis.family_indices(scenario.axes)
+    sector = sector_mask(scenario, basis)
+    comps = {a: idx[sector[idx]] for a, idx in basis.family_indices(scenario.axes).items()}
     a_blocks = {}
     for a in tensor.families:
         for d, axis in enumerate(scenario.axes):
@@ -135,15 +161,20 @@ def build_setup(scenario: Scenario) -> SolverSetup:
             else:
                 m_eff = face.sign * (l_blk @ a_blk)
             pen = sat_penalties(l_blk, a_blk, spec.alpha, side)
-            if spec.inflow.kind == "none":
-                g_dir = np.zeros(rows.size)
-            else:
-                g_dir = bnd.boundary_source(
+            # an inflow depends on omega only through omega_axis, so its
+            # moments vanish on rows odd in any other axis
+            even_off_axis = np.all(
+                [basis.parity.signs[ax - 1][rows] > 0 for ax in (1, 2, 3) if ax != axis], axis=0
+            )
+            has_source = spec.inflow.kind != "none" and bool(even_off_axis.any())
+            g_dir = np.zeros(rows.size)
+            if has_source:
+                g_dir[even_off_axis] = bnd.boundary_source(
                     face,
                     lambda om: spec.inflow.amplitude
                     * spec.inflow.direction_profile(om, axis, face.sign),
                     basis,
-                    rows=rows,
+                    rows=rows[even_off_axis],
                 )
             transverse = [tensor.axis_nodes(j, a[j]) for j in range(tensor.ndim) if j != d]
             if transverse:
@@ -152,7 +183,9 @@ def build_setup(scenario: Scenario) -> SolverSetup:
                     g_space = np.multiply.outer(g_space, spec.inflow.spatial_profile(tr))
             else:
                 g_space = np.ones(())
-            blocks.append(FaceBlock(a, ae, rows, cols, m_eff, l_blk, pen, g_dir, g_space))
+            blocks.append(
+                FaceBlock(a, ae, rows, cols, m_eff, l_blk, pen, g_dir, g_space, has_source)
+            )
             if spec.kind == "onsager":
                 l_inv = np.linalg.inv(l_blk)
                 c_vals.append(np.linalg.norm(pen.tau_odd, 2))
@@ -199,6 +232,8 @@ def initial_state(setup: SolverSetup) -> dict:
         for pos, flat in enumerate(setup.comps[a]):
             flat_to_family[int(flat)] = (a, pos)
     for flat, amp in amps.items():
+        if amp == 0.0:  # a zero moment does not widen the sector
+            continue
         a, pos = flat_to_family[flat]
         profile = sc.initial.spatial_profile(setup.tensor.family_nodes(a))
         state[a][..., pos] += amp * profile
@@ -244,6 +279,8 @@ def face_source_norm_sq(setup: SolverSetup, face: FaceData, t: float) -> float:
     tf = face.inflow.time_factor(t, setup.scenario.energy_map)
     total = 0.0
     for blk in face.blocks:
+        if not blk.has_source:
+            continue
         g = blk.g_at(t, tf)
         w = face.weight_tables[blk.family_odd]
         total += float(np.sum(w * np.sum(g * g, axis=-1)))
@@ -539,6 +576,10 @@ def run(scenario: Scenario) -> RunResult:
             for ax in scenario.axes
         },
         "c_constant": c_const,
+        "components": {
+            "integrated": setup.n_components,
+            "basis": setup.basis.dim,
+        },
         "length_unit": scenario.length_unit,
         "wall_seconds": _time.perf_counter() - wall0,
     }

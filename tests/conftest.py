@@ -42,6 +42,16 @@ def system5(basis5):
     return assemble_transport(basis5)
 
 
+def every_moment_initial(n_max: int, ndim: int) -> dict:
+    """Initial data with every basis moment non-zero, so the integrated sector is the full basis."""
+    return {
+        "kind": "gaussian_envelope_moments",
+        "center": [0.1] * ndim,
+        "width": [0.4] * ndim,
+        "moments": [{"l": l, "k": k, "amp": 1.0} for l in range(n_max + 1) for k in range(-l, l + 1)],
+    }
+
+
 def sector_test2(basis):
     """Transversally even sector of the order-2 system: one odd row, three even columns."""
     odd_set = set(basis.odd_positions(1).tolist())

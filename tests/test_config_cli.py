@@ -67,6 +67,30 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             scenario_from_dict(doc)
 
+    def test_model_n_must_be_a_strict_integer(self):
+        for bad in (True, 2.5, 3.0, "3"):
+            doc = bundled_doc("tc_inflow_1d")
+            doc["model"]["N"] = bad
+            with pytest.raises(ValidationError, match="model.N must be a positive integer"):
+                scenario_from_dict(doc)
+
+    def test_cells_must_be_strict_integers(self):
+        for bad in (True, 10.5, 100.0, "100"):
+            doc = bundled_doc("tc_inflow_1d")
+            doc["domain"]["cells"] = [bad]
+            with pytest.raises(ValidationError, match="domain.cells entries must be integers"):
+                scenario_from_dict(doc)
+
+    def test_strict_integer_errors_exit_1(self, tmp_path, capsys):
+        for section, key, bad in (("model", "N", True), ("domain", "cells", [10.5])):
+            doc = bundled_doc("tc_inflow_1d")
+            doc[section][key] = bad
+            cfg = tmp_path / f"{key}.json"
+            cfg.write_text(json.dumps(doc))
+            assert main(["run", str(cfg), "-o", str(tmp_path / key)]) == 1
+            assert "validation error" in capsys.readouterr().err
+            assert not (tmp_path / key).exists()
+
     def test_energy_mode_mapping(self):
         sc = scenario_from_dict(bundled_doc("tc4_beam"))
         assert sc.mode == "energy"
@@ -129,8 +153,22 @@ class TestCli:
         assert log_lines[0] == "t,E,bound"
         meta = json.loads((out / "metadata.json").read_text())
         assert meta["c_constant"] is not None
+        # N = 5 in 1-D: only the (y, z)-even class, 1 + 1 + 2 + 2 + 3 + 3 of 36
+        assert meta["components"] == {"integrated": 12, "basis": 36}
         # the metadata echo revalidates
         scenario_from_dict(meta["scenario"])
+
+    def test_run_records_component_counts(self, tmp_path, capsys):
+        # tc1 integrates the 56 (y, z)-even components of the 196 at N = 13
+        cfg = tmp_path / "tc1.json"
+        doc = bundled_doc("tc1")
+        doc["domain"]["cells"] = [20]
+        doc["integration"]["t_end"] = 0.1
+        doc["outputs"]["snapshot_times"] = [0.1]
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", str(cfg), "-o", str(tmp_path / "out")]) == 0
+        meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
+        assert meta["components"] == {"integrated": 56, "basis": 196}
 
     def test_run_2d_snapshot_header(self, tmp_path):
         cfg = tmp_path / "probe2d.json"

@@ -4,7 +4,8 @@ Draws scenarios over 1-3 axes in any order, N = 0..4 and 4-6 cells per
 axis, with Onsager or unstable Marshak faces, alpha in {0, 0.5, 1} and no,
 isotropic or beam inflow.  A run either exits 0 with a bound report whose
 snapshots read back to the in-memory arrays, or exits 1 or 2 with a
-message; the kernel's increment matches the assembled global operator.
+message; the kernel's increment matches the assembled global operator on
+random states over the full basis.
 """
 
 import contextlib
@@ -18,9 +19,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import AssembledOperator
+from conftest import AssembledOperator, every_moment_initial
 from pnsat.cli import main
-from pnsat.solver import rhs, run
+from pnsat.config import scenario_from_dict
+from pnsat.solver import build_setup, rhs, run
 
 INFLOWS = (
     {"kind": "none"},
@@ -84,9 +86,14 @@ def test_drawn_scenario_runs_or_fails_cleanly(doc):
             for name, mesh in zip(doc["domain"]["axes"], np.meshgrid(*snap.nodes, indexing="ij")):
                 assert np.array_equal(data[name], mesh.ravel())
 
-        setup = result.setup
+        # the probe's initial moments fill every inactive parity class, so its
+        # sector is the whole basis
+        n_max, ndim = doc["model"]["N"], len(doc["domain"]["axes"])
+        setup = build_setup(scenario_from_dict({**doc, "initial": every_moment_initial(n_max, ndim)}))
+        assert setup.n_components == (n_max + 1) ** 2
         rng = np.random.default_rng(0)
-        state = {a: rng.standard_normal(v.shape) for a, v in result.final_state.items()}
+        state = {a: rng.standard_normal(setup.tensor.family_shape(a) + (setup.comps[a].size,))
+                 for a in setup.families}
         want = AssembledOperator(setup).rhs(state, 0.05)
         got = rhs(setup, state, 0.05)
         scale = max((np.abs(v).max() for v in want.values() if v.size), default=1.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import interp1d
 
-from conftest import AssembledOperator, bundled_doc, load_bundled
+from conftest import AssembledOperator, bundled_doc, every_moment_initial, load_bundled
 from pnsat.config import scenario_from_dict
 from pnsat.errors import ValidationError
 from pnsat.moments import ScatteringSpectrum
@@ -23,7 +23,7 @@ from pnsat.solver import (
 )
 
 
-def vacuum_1d(n_max=5, cells=60, t_end=0.5, sigma=0.2, scattering=None, cfl=0.5):
+def vacuum_1d(n_max=5, cells=60, t_end=0.5, sigma=0.2, scattering=None, cfl=0.5, initial=None):
     return scenario_from_dict({
         "name": "probe",
         "model": {
@@ -36,8 +36,8 @@ def vacuum_1d(n_max=5, cells=60, t_end=0.5, sigma=0.2, scattering=None, cfl=0.5)
             "x_low": {"type": "onsager", "alpha": 1.0, "psi_in": {"kind": "none"}},
             "x_high": {"type": "onsager", "alpha": 1.0, "psi_in": {"kind": "none"}},
         },
-        "initial": {"kind": "gaussian_bulk", "mu": [0.0], "sigma": [sigma],
-                    "normalize": "pdf", "direction": {"kind": "isotropic"}},
+        "initial": initial or {"kind": "gaussian_bulk", "mu": [0.0], "sigma": [sigma],
+                               "normalize": "pdf", "direction": {"kind": "isotropic"}},
         "integration": {"cfl": cfl, "t_end": t_end},
         "outputs": {"snapshot_times": [t_end]},
     })
@@ -98,8 +98,10 @@ class TestRhs:
         assert err < 5e-3  # O(h^2) at h = 0.01 with |f'''| ~ 1e2 scale
 
     def test_semidiscrete_dissipativity(self):
-        sc = vacuum_1d(n_max=3, cells=24)
+        # moments in every (y, z) parity class: the random states span the full basis
+        sc = vacuum_1d(n_max=3, cells=24, initial=every_moment_initial(3, 1))
         setup = build_setup(sc)
+        assert setup.n_components == 16
         rng = np.random.default_rng(5)
         for _ in range(100):
             st = {a: rng.standard_normal(setup.tensor.family_shape(a) + (setup.comps[a].size,))
