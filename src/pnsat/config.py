@@ -422,12 +422,22 @@ def scenario_from_dict(doc: dict, base: Path | None = None) -> Scenario:
 
     dom = doc["domain"]
     _require_keys(dom, {"axes", "extents", "cells", "length_unit"}, {"axes", "extents", "cells"}, "domain")
+    for key in ("axes", "extents", "cells"):
+        if not isinstance(dom[key], list):
+            raise ValidationError(f"domain.{key} must be a list, got {dom[key]!r}")
     axis_names = dom["axes"]
-    if not axis_names or any(a not in AXIS_NAMES for a in axis_names):
+    if not axis_names or any(not isinstance(a, str) or a not in AXIS_NAMES for a in axis_names):
         raise ValidationError(f"domain.axes must be a nonempty list drawn from {sorted(AXIS_NAMES)}")
     axes = tuple(AXIS_NAMES[a] for a in axis_names)
     if len(set(axes)) != len(axes):
         raise ValidationError("domain.axes must not repeat")
+    for e in dom["extents"]:
+        if not (
+            isinstance(e, list)
+            and len(e) == 2
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in e)
+        ):
+            raise ValidationError(f"domain.extents entries must be [lo, hi] number pairs, got {e!r}")
     extents = tuple(tuple(map(float, e)) for e in dom["extents"])
     cells = tuple(dom["cells"])
     if len(extents) != len(axes) or len(cells) != len(axes):

@@ -18,7 +18,12 @@ and Monte Carlo tallies are directly comparable.
 
 from __future__ import annotations
 
+import functools
+import logging
 import math
+import multiprocessing
+import os
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +33,8 @@ from .errors import NumericalError, ValidationError
 
 FOUR_PI = 4.0 * math.pi
 SQRT_FOUR_PI = math.sqrt(4.0 * math.pi)
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -55,10 +62,32 @@ class TallyGrid:
         return float(np.prod([e[1] - e[0] for e in self.edges]))
 
     def deposit(self, acc: np.ndarray, pos: np.ndarray, weights: np.ndarray) -> None:
+        """Add the weights of points in ``pos`` to their bins of ``acc``.
+
+        Bit-identical to adding ``np.histogramdd(pos, self.edges, weights=weights)``:
+        bin i holds edges[i] <= x < edges[i+1], the last bin also x == edges[-1],
+        other points are dropped, and each bin sums its weights in input order.
+        The bin comes from arithmetic on the uniform edges, corrected by one
+        where roundoff puts a point on the wrong side of an edge.
+        """
         if pos.shape[0] == 0:
             return
-        hist, _ = np.histogramdd(pos, bins=self.edges, weights=weights)
-        acc += hist
+        size = acc.size
+        flat = np.zeros(pos.shape[0], dtype=np.intp)
+        inside = np.ones(pos.shape[0], dtype=bool)
+        for d, e in enumerate(self.edges):
+            x = pos[:, d]
+            n = e.size - 1
+            i = np.floor((x - e[0]) * (n / (e[-1] - e[0]))).astype(np.intp)
+            np.clip(i, 0, n - 1, out=i)
+            i -= x < e[i]
+            i += (x >= e[i + 1]) & (i < n - 1)
+            inside &= (x >= e[0]) & (x <= e[-1])
+            flat *= n
+            flat += i
+        # one bin past the grid collects the dropped points
+        flat[~inside] = size
+        acc += np.bincount(flat, weights, minlength=size + 1)[:size].reshape(acc.shape)
 
 
 @dataclass
@@ -323,6 +352,41 @@ def _advance_batch(sc: Scenario, grid: TallyGrid, pos, dirs, birth, weight, rng,
             grid.deposit(acc_list[snap_idx], pos[ready], wgt[ready] * scale)
 
 
+def _workers(n_batches: int) -> int:
+    """Worker processes for a run: one per usable core, at most one per batch."""
+    return min(n_batches, len(os.sched_getaffinity(0)))
+
+
+def _run_batch(sc: Scenario, grid: TallyGrid, has_beam: bool, record, task) -> np.ndarray:
+    """Sample and advance one (seed, count) batch; return its (n_snapshots, *bins) tally.
+
+    ``record`` is (times, snapshot indices, scales) of the deposits, in time order.
+    """
+    child, n_b = task
+    rng = np.random.default_rng(child)
+    sample = _sample_beam_source if has_beam else _sample_initial
+    pos, dirs, birth, weight = sample(sc, n_b, rng)
+    tally = np.zeros((len(sc.snapshot_times),) + grid.shape)
+    _advance_batch(sc, grid, pos, dirs, birth, weight, rng, (*record, list(tally)))
+    return tally
+
+
+def _run_batches(batch, tasks: list, workers: int) -> list[np.ndarray]:
+    """Batch tallies in task order, from a pool of ``workers`` forked processes.
+
+    Forked workers start without importing anything again, so callers need
+    no ``__main__`` guard (the demos call ``simulate`` at module level).
+    Exceptions raised in a worker re-raise here with their type.
+    """
+    if workers == 1:
+        return list(map(batch, tasks))
+    pool = multiprocessing.get_context("fork").Pool(workers)
+    with pool:
+        tallies = pool.map(batch, tasks, chunksize=1)
+    pool.join()
+    return tallies
+
+
 def simulate(
     scenario: Scenario,
     n_particles: int,
@@ -334,12 +398,16 @@ def simulate(
     """Monte Carlo estimate of the u00 snapshots of a scenario.
 
     Deterministic for a fixed seed.  Particles are processed in independent
-    batches with spawned random streams (mergeable by summation, hence
-    embarrassingly parallel); the batch spread yields the per-bin standard
-    error.  ``window_frac`` sets the track-length window as a fraction of
-    the time horizon; ``subsamples`` is the number of deposit points along
-    the in-window track.
+    batches, each with its own spawned random stream and its own tally; the
+    batch spread yields the per-bin standard error.  The batches run on a
+    pool of forked worker processes, one per usable core (at most one per
+    batch), or in this process when one core is usable.  The tallies are
+    stacked in batch order before they are reduced, so the result is
+    bit-identical for every worker count.  ``window_frac`` sets the
+    track-length window as a fraction of the time horizon; ``subsamples``
+    is the number of deposit points along the in-window track.
     """
+    t0 = time.perf_counter()
     if n_particles < n_batches:
         raise ValidationError("need at least one particle per batch")
     sc = scenario
@@ -363,21 +431,12 @@ def simulate(
     rec_scale = [rec_scale[i] for i in order]
 
     seq = np.random.SeedSequence(seed)
-    children = seq.spawn(n_batches)
-    batch_tallies = np.zeros((n_batches, len(snap_times)) + grid.shape)
     counts = [n_particles // n_batches] * n_batches
     for i in range(n_particles % n_batches):
         counts[i] += 1
-    for b, (child, n_b) in enumerate(zip(children, counts)):
-        rng = np.random.default_rng(child)
-        if has_beam:
-            pos, dirs, birth, weight = _sample_beam_source(sc, n_b, rng)
-        else:
-            pos, dirs, birth, weight = _sample_initial(sc, n_b, rng)
-        acc_list = [batch_tallies[b, si] for si in range(len(snap_times))]
-        _advance_batch(
-            sc, grid, pos, dirs, birth, weight, rng, (rec_times, rec_snap, rec_scale, acc_list)
-        )
+    batch = functools.partial(_run_batch, sc, grid, has_beam, (rec_times, rec_snap, rec_scale))
+    workers = _workers(n_batches)
+    batch_tallies = np.stack(_run_batches(batch, list(zip(seq.spawn(n_batches), counts)), workers))
     # number density -> u00 convention, per bin volume; each batch is an
     # independent estimate of the full tally (per-particle weight uses the
     # batch size), so the batch mean is the estimator
@@ -389,6 +448,10 @@ def simulate(
         TallySnapshot(ts, sc.energy_of(ts), mean[i], stderr[i])
         for i, ts in enumerate(snap_times)
     ]
+    log.debug(
+        "simulate: %d batches on %d workers in %.3f s",
+        n_batches, workers, time.perf_counter() - t0,
+    )
     return McResult(
         scenario=sc,
         grid=grid,
@@ -397,6 +460,7 @@ def simulate(
         seed=seed,
         meta={
             "n_batches": n_batches,
+            "workers": workers,
             "window": window,
             "subsamples": subsamples,
             "source": "beam" if has_beam else "initial",

@@ -1,10 +1,12 @@
 import json
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
 
 from conftest import bundled_doc, scenario_path
+from pnsat import mc as mc_module
 from pnsat.cli import main
 from pnsat.config import load_scenario, scenario_from_dict
 from pnsat.errors import ValidationError
@@ -80,6 +82,33 @@ class TestConfigValidation:
             doc["domain"]["cells"] = [bad]
             with pytest.raises(ValidationError, match="domain.cells entries must be integers"):
                 scenario_from_dict(doc)
+
+    def test_domain_lists_must_be_lists(self):
+        for key, bad in (("cells", 100), ("cells", "100"), ("axes", "x"), ("axes", {"x": 1}),
+                         ("extents", 1.0), ("extents", {"x": [0.0, 1.0]})):
+            doc = bundled_doc("tc_inflow_1d")
+            doc["domain"][key] = bad
+            with pytest.raises(ValidationError, match=f"domain.{key} must be a list"):
+                scenario_from_dict(doc)
+        for bad in ([["x"]], [1]):
+            doc = bundled_doc("tc_inflow_1d")
+            doc["domain"]["axes"] = bad
+            with pytest.raises(ValidationError, match="domain.axes must be a nonempty list"):
+                scenario_from_dict(doc)
+        for bad in (1.0, [0.0], [0.0, 1.0, 2.0], ["0", "1"], [False, 1.0], "01"):
+            doc = bundled_doc("tc_inflow_1d")
+            doc["domain"]["extents"] = [bad]
+            with pytest.raises(ValidationError, match="domain.extents entries must be"):
+                scenario_from_dict(doc)
+
+    def test_domain_non_list_exits_1(self, tmp_path, capsys):
+        doc = bundled_doc("tc_inflow_1d")
+        doc["domain"]["cells"] = 100
+        cfg = tmp_path / "cells.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", str(cfg), "-o", str(tmp_path / "out")]) == 1
+        assert "domain.cells must be a list" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_strict_integer_errors_exit_1(self, tmp_path, capsys):
         for section, key, bad in (("model", "N", True), ("domain", "cells", [10.5])):
@@ -235,6 +264,34 @@ class TestCli:
         assert (mc1 / "tally_000.csv").read_text() == (mc2 / "tally_000.csv").read_text()
         diff = json.loads((mc1 / "diff.json").read_text())
         assert diff["snapshots"][0]["max_abs_diff"] < 0.1
+
+    def test_oracle_worker_error_exits_2(self, tmp_path, capsys, monkeypatch):
+        # the Legendre reconstruction 1 + 5 P2(c) is negative near c = 0: a NumericalError
+        # raised by the first collision inside a pool worker
+        monkeypatch.setattr(mc_module, "_workers", lambda n_batches: 2)
+        table = tmp_path / "negative.table"
+        table.write_text("sigma_t 1.0\n0 1.0\n1 0.0\n2 1.0\n")
+        doc = small_doc("x", 3)
+        doc["model"]["scattering"] = {"kind": "table", "path": str(table)}
+        cfg = tmp_path / "negative.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["oracle", str(cfg), "--n", "2000", "-o", str(tmp_path / "mc")]) == 2
+        err = capsys.readouterr().err
+        assert "numerical failure: tabulated scattering kernel is not sampleable" in err
+        assert "Traceback" not in err
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "mc").exists()
+
+    def test_oracle_too_few_particles_exits_1_before_workers(self, tmp_path, capsys, monkeypatch):
+        def no_batches(*args):
+            raise AssertionError("batches started")
+
+        monkeypatch.setattr(mc_module, "_run_batches", no_batches)
+        cfg = tmp_path / "small.json"
+        cfg.write_text(json.dumps(small_doc("x", 3)))
+        assert main(["oracle", str(cfg), "--n", "15", "-o", str(tmp_path / "mc")]) == 1
+        assert "validation error: need at least one particle per batch" in capsys.readouterr().err
+        assert not (tmp_path / "mc").exists()
 
     def test_assemble_dumps_matrices(self, tmp_path):
         out = tmp_path / "mats"

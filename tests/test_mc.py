@@ -1,12 +1,19 @@
+import json
+import logging
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
 from conftest import bundled_doc
+from pnsat import mc as mc_module
+from pnsat.cli import main
 from pnsat.config import scenario_from_dict
 from pnsat.errors import NumericalError, ValidationError
 from pnsat.mc import TallyGrid, simulate
+from pnsat.moments import ScatteringSpectrum, dump_moment_table
 
 SQRT_FOUR_PI = math.sqrt(4.0 * math.pi)
 
@@ -25,6 +32,13 @@ def free_streaming_1d(cells=50, t_end=0.8, snaps=(0.4, 0.8)):
         "integration": {"cfl": 0.5, "t_end": t_end},
         "outputs": {"snapshot_times": list(snaps)},
     })
+
+
+def scattering_1d(scattering: dict, n=13):
+    doc = free_streaming_1d().to_dict()
+    doc["model"]["N"] = n
+    doc["model"]["scattering"] = scattering
+    return scenario_from_dict(doc)
 
 
 def u00_free_streaming(t, x, sigma=0.2):
@@ -47,6 +61,48 @@ class TestTallyGrid:
         sc = free_streaming_1d(cells=50)
         assert TallyGrid.from_scenario(sc).bin_volume == pytest.approx(0.04)
 
+    @pytest.mark.parametrize(
+        "extents, cells",
+        [
+            ([(-1.0, 1.0)], [50]),
+            ([(0.0, 1.0), (-0.3, 0.7)], [7, 13]),
+            ([(-2.0, 3.0), (0.1, 0.4), (-1.0, 1.0)], [5, 9, 4]),
+        ],
+    )
+    def test_deposit_bit_identical_to_histogramdd(self, extents, cells):
+        grid = TallyGrid(tuple(np.linspace(lo, hi, c + 1) for (lo, hi), c in zip(extents, cells)))
+        rng = np.random.default_rng(11)
+        # every edge (interior, lo, hi), the neighbours of each, and points beyond both ends
+        special = []
+        for e in grid.edges:
+            width = e[-1] - e[0]
+            vals = np.concatenate([
+                e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf),
+                [e[0] - 0.5 * width, e[-1] + 0.5 * width],
+            ])
+            special.append(vals)
+        n_special = max(v.size for v in special)
+        cols = [rng.permutation(np.resize(v, n_special)) for v in special]
+        edge_pts = np.stack(cols, axis=1)
+        # points whose every coordinate sits exactly on an edge
+        on_edges = np.stack([rng.choice(e, 400) for e in grid.edges], axis=1)
+        lo = np.array([e[0] for e in grid.edges])
+        hi = np.array([e[-1] for e in grid.edges])
+        span = hi - lo
+        rand = lo + rng.uniform(-0.1, 1.1, (5000, len(cells))) * span
+        pos = np.concatenate([edge_pts, on_edges, rand])
+        pos = pos[rng.permutation(pos.shape[0])]
+        weights = rng.lognormal(0.0, 2.0, pos.shape[0])
+        want = np.full(grid.shape, 0.125)
+        hist, _ = np.histogramdd(pos, bins=grid.edges, weights=weights)
+        want += hist
+        got = np.full(grid.shape, 0.125)
+        grid.deposit(got, pos, weights)
+        assert np.array_equal(got, want)
+        empty = np.zeros(grid.shape)
+        grid.deposit(empty, pos[:0], weights[:0])
+        assert not empty.any()
+
 
 class TestDeterminism:
     def test_same_seed_bit_identical(self):
@@ -61,6 +117,56 @@ class TestDeterminism:
         a = simulate(sc, 20_000, seed=7)
         b = simulate(sc, 20_000, seed=8)
         assert any(not np.array_equal(sa.u00, sb.u00) for sa, sb in zip(a.snapshots, b.snapshots))
+
+
+def _table_1d(tmp_path):
+    path = tmp_path / "hg.table"
+    dump_moment_table(ScatteringSpectrum.henyey_greenstein(1.5, 0.4, 8, sigma_t=2.0), path)
+    return scattering_1d({"kind": "table", "path": str(path)}, n=8)
+
+
+PARALLEL_CASES = {
+    "tc3": lambda tmp_path: scenario_from_dict(bundled_doc("tc3_vacuum")),
+    "tc4": lambda tmp_path: scenario_from_dict(bundled_doc("tc4_beam")),
+    "hg_1d": lambda tmp_path: scattering_1d(
+        {"kind": "henyey_greenstein", "sigma_s": 2.0, "g": 0.6, "sigma_t": 2.5}),
+    "table_1d": _table_1d,
+}
+
+
+class TestParallelBatches:
+    """The pooled batches give the in-process result bit for bit."""
+
+    @pytest.mark.parametrize("case", sorted(PARALLEL_CASES))
+    def test_worker_count_does_not_change_tallies(self, case, tmp_path, monkeypatch):
+        sc = PARALLEL_CASES[case](tmp_path)
+        results = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(mc_module, "_workers", lambda n_batches, w=workers: w)
+            results[workers] = simulate(sc, 20_003, seed=17)
+            assert results[workers].meta["workers"] == workers
+            assert multiprocessing.active_children() == []
+        for one, two in zip(results[1].snapshots, results[2].snapshots):
+            assert one.u00.any()
+            assert np.array_equal(one.u00, two.u00)
+            assert np.array_equal(one.stderr, two.stderr)
+
+    def test_default_worker_count(self):
+        cores = len(os.sched_getaffinity(0))
+        assert mc_module._workers(16) == min(16, cores)
+        assert mc_module._workers(1) == 1
+
+    def test_workers_recorded_and_logged(self, tmp_path, monkeypatch, caplog):
+        monkeypatch.setattr(mc_module, "_workers", lambda n_batches: 2)
+        cfg = tmp_path / "free.json"
+        cfg.write_text(json.dumps(free_streaming_1d().to_dict()))
+        with caplog.at_level(logging.DEBUG, logger="pnsat.mc"):
+            assert main(["oracle", str(cfg), "--n", "5000", "-o", str(tmp_path / "mc")]) == 0
+        meta = json.loads((tmp_path / "mc" / "mc_metadata.json").read_text())
+        assert meta["workers"] == 2 and meta["n_batches"] == 16
+        records = [r for r in caplog.records if r.name == "pnsat.mc"]
+        assert len(records) == 1 and records[0].levelno == logging.DEBUG
+        assert "16 batches on 2 workers" in records[0].getMessage()
 
 
 class TestAgainstKineticSolution:
