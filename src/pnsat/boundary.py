@@ -49,15 +49,34 @@ class Face:
         return 1 if self.side == "high" else -1
 
 
-def _face_quad(basis: MomentBasis, face: Face, quad, sign: int) -> SphereQuadrature:
-    if quad is not None:
-        if quad.restriction != (face.axis, sign):
-            raise ValidationError(
-                f"quadrature restriction {quad.restriction} does not match face "
-                f"axis {face.axis} hemisphere sign {sign}"
-            )
-        return quad
-    return build_quadrature(basis.n_max, restriction=(face.axis, sign))
+def outgoing_quadrature(basis: MomentBasis, face: Face) -> SphereQuadrature:
+    """Default rule of :func:`onsager_L` and :func:`marshak_matrix`: the half-sphere omega_axis > 0.
+
+    It depends only on the face axis, so both faces of an axis can share it.
+    """
+    return build_quadrature(basis.n_max, restriction=(face.axis, +1))
+
+
+def inflow_quadrature(basis: MomentBasis, face: Face) -> SphereQuadrature:
+    """Default rule of :func:`boundary_source`: the face's incoming half-sphere.
+
+    It oversamples the polar cosine (at least 48 Gauss nodes) because
+    inflow profiles are generally not polynomial.
+    """
+    return build_quadrature(
+        basis.n_max, restriction=(face.axis, -face.sign), polar_nodes=max(basis.n_max + 2, 48)
+    )
+
+
+def _face_quad(basis: MomentBasis, face: Face, quad) -> SphereQuadrature:
+    if quad is None:
+        return outgoing_quadrature(basis, face)
+    if quad.restriction != (face.axis, +1):
+        raise ValidationError(
+            f"quadrature restriction {quad.restriction} does not match face "
+            f"axis {face.axis} hemisphere sign +1"
+        )
+    return quad
 
 
 def _rows_cols(basis: MomentBasis, face: Face, rows, cols):
@@ -76,7 +95,7 @@ def marshak_matrix(basis: MomentBasis, face: Face, quad=None, rows=None, cols=No
     realized here by evaluating on omega_axis > 0 and applying the face sign.
     """
     rows, cols = _rows_cols(basis, face, rows, cols)
-    q = _face_quad(basis, face, quad, +1)
+    q = _face_quad(basis, face, quad)
     y = eval_basis(basis.n_max, q.nodes)
     return face.sign * 2.0 * (y[:, rows].T @ (q.weights[:, None] * y[:, cols]))
 
@@ -90,7 +109,7 @@ def onsager_L(basis: MomentBasis, face: Face, quad=None, rows=None) -> np.ndarra
     1e-10, which would signal a quadrature breakdown.
     """
     rows, _ = _rows_cols(basis, face, rows, None)
-    q = _face_quad(basis, face, quad, +1)
+    q = _face_quad(basis, face, quad)
     y = eval_basis(basis.n_max, q.nodes)[:, rows]
     w = q.weights / q.nodes[:, face.axis - 1]
     lmat = 2.0 * (y.T @ (w[:, None] * y))
@@ -143,16 +162,13 @@ def boundary_source(face: Face, psi_in, basis: MomentBasis, quad=None, rows=None
     """g = 2 < psi_in, Y^o >_{n-}: incoming-hemisphere moments of the inflow.
 
     ``psi_in`` is a callable taking direction arrays of shape (n, 3).  The
-    default rule oversamples the polar cosine (48 Gauss nodes) because
-    inflow profiles are generally not polynomial; pass ``quad`` to control
-    this.  Since L is invertible, g automatically satisfies the
+    default rule is :func:`inflow_quadrature`; pass ``quad`` to control
+    it.  Since L is invertible, g automatically satisfies the
     admissibility requirement g in Im(L).
     """
     rows, _ = _rows_cols(basis, face, rows, None)
     if quad is None:
-        quad = build_quadrature(
-            basis.n_max, restriction=(face.axis, -face.sign), polar_nodes=max(basis.n_max + 2, 48)
-        )
+        quad = inflow_quadrature(basis, face)
     elif quad.restriction != (face.axis, -face.sign):
         raise ValidationError("boundary_source needs a quadrature on the incoming hemisphere")
     y = eval_basis(basis.n_max, quad.nodes)[:, rows]

@@ -168,13 +168,47 @@ def _rotate(dirs: np.ndarray, mu_s: np.ndarray, chi: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_supported(sc: Scenario) -> None:
+    """Raise ValidationError unless the scenario is a source the oracle samples.
+
+    Two sources are supported: 'gaussian_bulk' initial data with no face
+    inflow, and 'zero' initial data with exactly one inflow face, a 'beam'
+    (with ``sigma_x`` on multi-axis domains).
+    """
+    inflows = {
+        f"{sc.axis_names[d]}_{side}": spec.inflow
+        for (d, side), spec in sc.faces.items()
+        if spec.inflow.kind != "none"
+    }
+    kind = sc.initial.kind
+    if kind == "gaussian_bulk":
+        if inflows:
+            raise ValidationError(
+                "Monte Carlo runs with 'gaussian_bulk' initial data need every face inflow "
+                f"'none', got inflow on {', '.join(sorted(inflows))}"
+            )
+        return
+    if kind != "zero":
+        raise ValidationError(
+            f"Monte Carlo supports 'gaussian_bulk' or 'zero' initial data, got {kind!r}"
+        )
+    if len(inflows) != 1:
+        raise ValidationError(
+            "Monte Carlo runs with 'zero' initial data need exactly one inflow face, "
+            f"got {len(inflows)}"
+        )
+    [(name, inflow)] = inflows.items()
+    if inflow.kind != "beam":
+        raise ValidationError(
+            f"Monte Carlo supports only 'beam' inflow, got {inflow.kind!r} on {name}"
+        )
+    if sc.ndim > 1 and inflow.sigma_x is None:
+        raise ValidationError(f"multi-axis Monte Carlo beam runs need sigma_x on {name}")
+
+
 def _sample_initial(sc: Scenario, n: int, rng):
     """Positions, directions, weight-per-particle for an initial-value run."""
     init = sc.initial
-    if init.kind != "gaussian_bulk":
-        raise ValidationError(
-            f"Monte Carlo supports 'gaussian_bulk' initial data, got {init.kind!r}"
-        )
     pos = np.stack(
         [rng.normal(m, s, n) for m, s in zip(init.mu, init.sigma)], axis=1
     )
@@ -207,14 +241,9 @@ def _sample_initial(sc: Scenario, n: int, rng):
 
 def _sample_beam_source(sc: Scenario, n: int, rng):
     """Positions, directions, birth times, weight for a boundary beam run."""
-    beam_faces = [
-        ((d, side), spec)
-        for (d, side), spec in sc.faces.items()
-        if spec.inflow.kind == "beam"
-    ]
-    if len(beam_faces) != 1:
-        raise ValidationError("Monte Carlo beam runs need exactly one beam face")
-    (d, side), spec = beam_faces[0]
+    (d, side), spec = next(
+        (key, spec) for key, spec in sc.faces.items() if spec.inflow.kind == "beam"
+    )
     inflow = spec.inflow
     axis = sc.axes[d]
     sign = 1 if side == "high" else -1
@@ -246,8 +275,6 @@ def _sample_beam_source(sc: Scenario, n: int, rng):
             lo, hi = sc.extents[j]
             pos[:, j] = lo if side == "low" else hi
         else:
-            if inflow.sigma_x is None:
-                raise ValidationError("2-d beam sources need sigma_x")
             pos[:, j] = rng.normal(0.0, inflow.sigma_x, n)
             # integral of exp(-(x/(sqrt2 s))^2) over the line
             space_integral *= inflow.sigma_x * math.sqrt(2.0 * math.pi)
@@ -403,11 +430,14 @@ def simulate(
     pool of forked worker processes, one per usable core (at most one per
     batch), or in this process when one core is usable.  The tallies are
     stacked in batch order before they are reduced, so the result is
-    bit-identical for every worker count.  ``window_frac`` sets the
+    bit-identical for every worker count.  An unsupported source (see
+    :func:`_check_supported`) raises ValidationError before any particle is
+    sampled or any worker starts.  ``window_frac`` sets the
     track-length window as a fraction of the time horizon; ``subsamples``
     is the number of deposit points along the in-window track.
     """
     t0 = time.perf_counter()
+    _check_supported(scenario)
     if n_particles < n_batches:
         raise ValidationError("need at least one particle per batch")
     sc = scenario

@@ -62,14 +62,30 @@ class StaggeredGrid1d:
 
 
 @dataclass(frozen=True)
+class ClosureCorner:
+    """Dense block ``weights = h * D[rows, cols]`` at one end of D^o or D^e.
+
+    ``rows`` spans the closure rows of that end (with any stencil rows
+    between them) and ``cols`` every column they touch; the entries come
+    from the exact closure, so applying ``weights`` to ``u[cols]`` gives
+    h * (D u)[rows].
+    """
+
+    rows: slice
+    cols: slice
+    weights: np.ndarray
+
+
+@dataclass(frozen=True)
 class SbpPair:
     """Operator pair on one staggered grid, stored sparse (CSR).
 
     ``q_odd`` is (n+1) x (n+2), ``q_even`` is (n+2) x (n+1); ``p_odd`` /
     ``p_even`` are the diagonal norm entries (already scaled by h).
     ``d_odd`` maps even-grid functions to odd-grid derivative values and
-    vice versa for ``d_even``.  ``closure_odd`` / ``closure_even`` list the
-    rows of D^o / D^e that differ from the staggered central stencil.
+    vice versa for ``d_even``.  ``corners_odd`` / ``corners_even`` hold the
+    low-end and high-end closure corners of D^o / D^e: every row outside
+    them is the staggered central stencil.
     """
 
     grid: StaggeredGrid1d
@@ -79,8 +95,8 @@ class SbpPair:
     q_even: sp.csr_matrix
     d_odd: sp.csr_matrix
     d_even: sp.csr_matrix
-    closure_odd: tuple[int, ...]
-    closure_even: tuple[int, ...]
+    corners_odd: tuple[ClosureCorner, ClosureCorner]
+    corners_even: tuple[ClosureCorner, ClosureCorner]
 
     def boundary_matrix(self) -> sp.csr_matrix:
         """The exact corner matrix B = Q^o + (Q^e)^T."""
@@ -306,12 +322,13 @@ def _small_exact(n: int):
 
 
 def _assemble(q: dict, p: dict, shape: tuple[int, int], shift: int, h: float):
-    """Sparse Q and D = P^{-1} Q, scaled norm P and closure rows of one operator.
+    """Sparse Q and D = P^{-1} Q, scaled norm P and closure corners of one operator.
 
     ``q`` and ``p`` hold the exact (h = 1) entries of the rows they cover;
     every other row i is the staggered stencil -1, +1 at columns
     i + shift, i + shift + 1 with unit norm.  A covered row is a closure
-    row when its exact D entries differ from that stencil.
+    row when its exact D entries differ from that stencil; the closure rows
+    in each half of the operator make up one :class:`ClosureCorner`.
     """
     rows: dict[int, dict[int, Fraction]] = {}
     for (i, j), v in sorted(q.items()):
@@ -334,11 +351,26 @@ def _assemble(q: dict, p: dict, shape: tuple[int, int], shift: int, h: float):
     p_vec *= h
     d_mat = q_mat.copy()
     d_mat.data /= np.repeat(p_vec, np.diff(d_mat.indptr))  # entrywise Q / P, row by row
-    closure = tuple(
-        i for i, row in rows.items()
-        if {j: w / p[i] for j, w in row.items()} != {i + shift: -1, i + shift + 1: 1}
-    )
-    return q_mat, d_mat, p_vec, closure
+
+    def stencil(i):
+        return {i + shift: Fraction(-1), i + shift + 1: Fraction(1)}
+
+    def h_d(i):  # exact entries of row i of h * D
+        return {j: w / p[i] for j, w in rows[i].items()} if i in rows else stencil(i)
+
+    closure = [i for i in rows if h_d(i) != stencil(i)]
+    low = [i for i in closure if 2 * i < shape[0]]
+    high = [i for i in closure if 2 * i >= shape[0]]
+    corners = []
+    for lo, hi in ((0, max(low) + 1), (min(high), shape[0])):
+        entries = [h_d(i) for i in range(lo, hi)]
+        c0 = min(min(e) for e in entries)
+        weights = np.zeros((hi - lo, max(max(e) for e in entries) + 1 - c0))
+        for i, e in enumerate(entries):
+            for j, w in e.items():
+                weights[i, j - c0] = float(w)
+        corners.append(ClosureCorner(slice(lo, hi), slice(c0, c0 + weights.shape[1]), weights))
+    return q_mat, d_mat, p_vec, tuple(corners)
 
 
 def build_sbp_pair(grid: StaggeredGrid1d) -> SbpPair:
@@ -352,9 +384,9 @@ def build_sbp_pair(grid: StaggeredGrid1d) -> SbpPair:
     """
     n = grid.n_cells
     qo, qe, po, pe = _overlay(n) if n >= 6 else _small_exact(n)
-    q_odd, d_odd, p_odd, closure_odd = _assemble(qo, po, (n + 1, n + 2), 0, grid.h)
-    q_even, d_even, p_even, closure_even = _assemble(qe, pe, (n + 2, n + 1), -1, grid.h)
-    return SbpPair(grid, p_odd, p_even, q_odd, q_even, d_odd, d_even, closure_odd, closure_even)
+    q_odd, d_odd, p_odd, corners_odd = _assemble(qo, po, (n + 1, n + 2), 0, grid.h)
+    q_even, d_even, p_even, corners_even = _assemble(qe, pe, (n + 2, n + 1), -1, grid.h)
+    return SbpPair(grid, p_odd, p_even, q_odd, q_even, d_odd, d_even, corners_odd, corners_even)
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,24 @@ classical RK4, then the second relaxation half-step.  One buffered kernel
 computes the differences, the moment coupling and the SAT terms; ``run``
 steps in place with it, and :func:`rhs` and :func:`step_strang` run it on
 fresh buffers.  Families and face blocks without components are skipped.
+
+Kernel layout.  The state u and the RK4 quantities k, stage and acc are
+each one flat contiguous array holding the families in order; the family
+arrays are reshaped views of it, so every RK4 update is one array
+operation on the whole state.  The first RHS call for an (input, output)
+buffer pair binds a plan that later calls reuse: the hi/lo slices of each
+staggered difference and its target, the coupling blocks with -1/h folded
+in, and every face block's boundary slabs with m_eff^T and the penalties
+already divided by the boundary norm entries.  Each SBP closure is one
+small dense product per grid end (:class:`pnsat.sbp.ClosureCorner`) along
+the differenced axis.  An RHS call is then a fixed list of subtractions,
+``matmul`` calls and in-place additions.
 """
 
 from __future__ import annotations
 
+import functools
+import logging
 import math
 import time as _time
 from dataclasses import dataclass
@@ -39,7 +53,9 @@ from . import boundary as bnd
 from .config import Scenario, face_key_to_dim_side
 from .errors import NumericalError, ValidationError
 from .moments import MomentBasis, PnSystem, assemble_transport, scattering_diagonal
-from .sbp import SatPenalty, SbpPair, StaggeredGrid1d, TensorGrid, sat_penalties
+from .sbp import SatPenalty, StaggeredGrid1d, TensorGrid, sat_penalties
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -100,6 +116,18 @@ class SolverSetup:
         """Number of basis components integrated, summed over the families."""
         return sum(c.size for c in self.comps.values())
 
+    @functools.cached_property
+    def energy_weights(self) -> dict:
+        """Per family with components: the flattened outer product of its axis norm entries."""
+        out = {}
+        for a in self.families:
+            if self.comps[a].size:
+                w = np.ones(())
+                for p in self.tensor.family_weights(a):
+                    w = np.multiply.outer(w, p)
+                out[a] = w.ravel()
+        return out
+
     def dt_stable(self) -> float:
         h_min = min(g.h for g in self.tensor.grids)
         return self.scenario.cfl * h_min / self.speed_sum
@@ -142,9 +170,14 @@ def build_setup(scenario: Scenario) -> SolverSetup:
     q_relax = scattering_diagonal(scenario.scattering, basis)
 
     faces = []
+    outgoing = {}  # one half-sphere rule per axis serves both of its faces
     for (d, side), spec in scenario.faces.items():
         axis = scenario.axes[d]
         face = bnd.Face(axis, side)
+        if axis not in outgoing:
+            outgoing[axis] = bnd.outgoing_quadrature(basis, face)
+        q_out = outgoing[axis]
+        q_in = bnd.inflow_quadrature(basis, face) if spec.inflow.kind != "none" else None
         blocks = []
         c_vals = []
         for a in tensor.families:
@@ -154,10 +187,10 @@ def build_setup(scenario: Scenario) -> SolverSetup:
             rows, cols = comps[a], comps[ae]
             if not (rows.size and cols.size):
                 continue
-            l_blk = bnd.onsager_L(basis, face, rows=rows)
+            l_blk = bnd.onsager_L(basis, face, quad=q_out, rows=rows)
             a_blk = system.a_hat_block(axis, rows, cols)
             if spec.kind == "unstable_marshak":
-                m_eff = bnd.marshak_matrix(basis, face, rows=rows, cols=cols)
+                m_eff = bnd.marshak_matrix(basis, face, quad=q_out, rows=rows, cols=cols)
             else:
                 m_eff = face.sign * (l_blk @ a_blk)
             pen = sat_penalties(l_blk, a_blk, spec.alpha, side)
@@ -174,6 +207,7 @@ def build_setup(scenario: Scenario) -> SolverSetup:
                     lambda om: spec.inflow.amplitude
                     * spec.inflow.direction_profile(om, axis, face.sign),
                     basis,
+                    quad=q_in,
                     rows=rows[even_off_axis],
                 )
             transverse = [tensor.axis_nodes(j, a[j]) for j in range(tensor.ndim) if j != d]
@@ -222,10 +256,19 @@ def zero_state(setup: SolverSetup) -> dict:
     }
 
 
-def initial_state(setup: SolverSetup) -> dict:
-    """Populate the family arrays from the scenario's initial spec."""
+def initial_state(setup: SolverSetup, out: dict | None = None) -> dict:
+    """Populate the family arrays from the scenario's initial spec.
+
+    Writes into ``out`` (a dict of family arrays, zeroed first) when given,
+    so a run fills its stepper's own buffer; otherwise into a new zero state.
+    """
     sc = setup.scenario
-    state = zero_state(setup)
+    if out is None:
+        state = zero_state(setup)
+    else:
+        state = out
+        for v in state.values():
+            v.fill(0.0)
     amps = sc.initial.moment_amplitudes(sc.n_max)
     flat_to_family = {}
     for a in setup.families:
@@ -253,7 +296,11 @@ def initial_state(setup: SolverSetup) -> dict:
 
 def energy(setup: SolverSetup, state: dict) -> float:
     """Total discrete energy: sum of squared family SBP norms."""
-    return sum(setup.tensor.norm_sq(a, state[a]) for a in setup.families)
+    total = 0.0
+    for a, w in setup.energy_weights.items():
+        u = state[a].reshape(w.size, -1)
+        total += float(np.dot(np.einsum("ij,ij->i", u, u), w))
+    return total
 
 
 def mass_u00(setup: SolverSetup, state: dict) -> float:
@@ -299,29 +346,33 @@ def _check_cfl(setup: SolverSetup, dt: float) -> None:
 # the transport kernel
 
 
-def _closure_weights(pair: SbpPair, parity: str) -> list:
-    """(row, columns, h * entries) of the closure rows of D^o or D^e."""
-    op, rows = (pair.d_odd, pair.closure_odd) if parity == "o" else (pair.d_even, pair.closure_even)
-    out = []
-    for i in rows:
-        lo, hi = op.indptr[i], op.indptr[i + 1]
-        out.append((i, op.indices[lo:hi], pair.grid.h * op.data[lo:hi]))
-    return out
+def _along(arr: np.ndarray, d: int) -> np.ndarray:
+    """View of a C-contiguous array as (before, axis d, after): axis d at position -2."""
+    shape = arr.shape
+    return arr.reshape(math.prod(shape[:d]), shape[d], math.prod(shape[d + 1:]))
 
 
 class _Stepper:
-    """The transport kernel with in-place Strang/RK4 stepping on preallocated buffers."""
+    """The transport kernel with in-place Strang/RK4 stepping on flat buffers.
+
+    u, k, stage and acc are each one contiguous array that holds every
+    family in ``setup.families`` order; :meth:`views` gives the per-family
+    arrays, and ``state`` is the dict of views of u.  The first
+    :meth:`rhs_into` call for an (input, output) buffer pair binds a plan of
+    views and operands that later calls on that pair reuse.
+    """
 
     def __init__(self, setup: SolverSetup):
         self.setup = setup
         tensor = setup.tensor
-        self.closures = {
-            (d, p): _closure_weights(tensor.pairs[d], p)
-            for d in range(tensor.ndim)
-            for p in ("o", "e")
-        }
-        # per family with components: (axis, complement, moment block with 1/h
-        # folded in so the buffer holds raw differences, difference buffer)
+        self.shapes = {a: tensor.family_shape(a) + (setup.comps[a].size,) for a in setup.families}
+        sizes = [math.prod(shape) for shape in self.shapes.values()]
+        self.offsets = np.cumsum([0] + sizes)
+        self.u, self.k, self.stage, self.acc = (np.empty(self.offsets[-1]) for _ in range(4))
+        self.state = self.views(self.u)
+        self.scratch = np.empty(max(sizes))
+        # per family with components: (axis, complement, -(moment block)/h so
+        # the difference buffer holds raw differences, difference buffer)
         self.terms = {}
         for a in tensor.families:
             if not setup.comps[a].size:
@@ -331,133 +382,157 @@ class _Stepper:
                 c = tensor.complement(a, d)
                 if setup.comps[c].size:
                     shape = tensor.family_shape(a) + (setup.comps[c].size,)
-                    block = setup.a_blocks[(a, d)] / tensor.grids[d].h
+                    block = setup.a_blocks[(a, d)] / -tensor.grids[d].h
                     self.terms[a].append((d, c, block, np.empty(shape)))
-        # per face: slab norm entries and the blocks, each with whether its even
-        # side is penalized (tau^e = +/-(1 - alpha) Ahat^T vanishes at alpha = 1)
+        # per face: the inflow when a block carries a source, and per block the
+        # operands m_eff^T, g's space-direction product, tau^o^T / p^o and,
+        # unless alpha = 1 makes tau^e vanish, tau^e^T / p^e
         self.sats = []
         for face in setup.faces:
             d, bidx = face.dim, face.boundary_index
             p_odd = tensor.axis_weights(d, "o")[bidx]
             p_even = tensor.axis_weights(d, "e")[bidx]
-            blocks = [(blk, blk.penalty.alpha != 1.0) for blk in face.blocks]
-            self.sats.append((face, p_odd, p_even, blocks))
-        self.k = {a: self._empty(a) for a in tensor.families}
-        self.stage = {a: self._empty(a) for a in tensor.families}
-        self.acc = {a: self._empty(a) for a in tensor.families}
-        self.scratch = {a: self._empty(a) for a in tensor.families}
+            blocks = []
+            for blk in face.blocks:
+                g = np.multiply.outer(blk.g_space, blk.g_dir) if blk.has_source else None
+                tau_even = blk.penalty.tau_even.T / p_even if blk.penalty.alpha != 1.0 else None
+                blocks.append((blk, blk.m_eff.T.copy(), g, blk.penalty.tau_odd.T / p_odd, tau_even))
+            inflow = face.inflow if any(blk.has_source for blk in face.blocks) else None
+            self.sats.append((face, inflow, blocks))
+        q = {a: setup.q_relax[setup.comps[a]] for a in setup.families if setup.comps[a].size}
+        self.q_relax = q if any(np.any(v) for v in q.values()) else None
         self._relax_cache: tuple[float, dict] | None = None
+        self._plans: dict = {}
+        self.rhs_calls = 0
 
-    def _empty(self, a):
-        return np.empty(
-            self.setup.tensor.family_shape(a) + (self.setup.comps[a].size,)
-        )
+    def views(self, flat: np.ndarray) -> dict:
+        """Per-family arrays viewing one flat buffer."""
+        return {
+            a: flat[lo:hi].reshape(shape)
+            for (a, shape), lo, hi in zip(self.shapes.items(), self.offsets[:-1], self.offsets[1:])
+        }
 
-    def _diff_into(self, a, d, u_c, out):
-        """Raw staggered differences of u_c along axis d onto family a's grid."""
-        pre = (slice(None),) * d
-        if a[d] == "o":
-            np.subtract(u_c[pre + (slice(1, None),)], u_c[pre + (slice(None, -1),)], out=out)
-        else:
-            np.subtract(
-                u_c[pre + (slice(1, None),)],
-                u_c[pre + (slice(None, -1),)],
-                out=out[pre + (slice(1, -1),)],
-            )
-        for i, nz, w in self.closures[(d, a[d])]:
-            target = out[pre + (i,)]
-            target[...] = w[0] * u_c[pre + (nz[0],)]
-            for j in range(1, nz.size):
-                target += w[j] * u_c[pre + (nz[j],)]
+    def load(self, state: dict) -> None:
+        """Copy a dict of family arrays into u."""
+        for a, v in self.state.items():
+            v[...] = state[a]
 
-    def rhs_into(self, state: dict, t: float, out: dict) -> None:
-        """Transport + SAT increment of ``state`` at time t, written to ``out``."""
-        setup = self.setup
+    def _bind(self, x: np.ndarray, out: np.ndarray) -> tuple:
+        """The plan of one (input, output) buffer pair: views and operands bound once."""
+        tensor = self.setup.tensor
+        src_of, dst_of = self.views(x), self.views(out)
+        diffs, corners, coupling = [], [], []
         for a, terms in self.terms.items():
-            m_a = out[a].shape[-1]
+            dst = dst_of[a].reshape(-1, dst_of[a].shape[-1])
             for n, (d, c, block, db) in enumerate(terms):
-                self._diff_into(a, d, state[c], db)
-                flat = db.reshape(-1, db.shape[-1])
+                src = src_of[c]
+                pre = (slice(None),) * d
+                target = db if a[d] == "o" else db[pre + (slice(1, -1),)]
+                diffs.append((src[pre + (slice(1, None),)], src[pre + (slice(None, -1),)], target))
+                pair = tensor.pairs[d]
+                for cn in pair.corners_odd if a[d] == "o" else pair.corners_even:
+                    corners.append((cn.weights, _along(src, d)[:, cn.cols], _along(db, d)[:, cn.rows]))
+                lhs = db.reshape(-1, db.shape[-1])
                 if n == 0:
-                    np.matmul(flat, block, out=out[a].reshape(-1, m_a))
+                    coupling.append((lhs, block, dst, None))
                 else:
-                    np.matmul(flat, block, out=self.scratch[a].reshape(-1, m_a))
-                    out[a] += self.scratch[a]
-            np.negative(out[a], out=out[a])
-        for face, p_odd, p_even, blocks in self.sats:
-            d = face.dim
-            bidx = face.boundary_index
-            tf = (
-                face.inflow.time_factor(t, setup.scenario.energy_map)
-                if face.inflow.kind != "none"
-                else 1.0
-            )
-            for blk, even_side in blocks:
-                u_o = _slab(state[blk.family_odd], d, bidx)
-                u_e = _slab(state[blk.family_even], d, bidx)
-                res = u_o - u_e @ blk.m_eff.T
-                if blk.has_source:
-                    res = res - blk.g_at(t, tf)
-                _slab(out[blk.family_odd], d, bidx)[...] += (res @ blk.penalty.tau_odd.T) / p_odd
-                if even_side:
-                    _slab(out[blk.family_even], d, bidx)[...] += (
-                        res @ blk.penalty.tau_even.T
-                    ) / p_even
+                    coupling.append((lhs, block, self.scratch[: dst.size].reshape(dst.shape), dst))
+        sats = []
+        for face, inflow, blocks in self.sats:
+            d, bidx = face.dim, face.boundary_index
+            bound = []
+            for blk, m_t, g, tau_odd, tau_even in blocks:
+                u_o = _slab(src_of[blk.family_odd], d, bidx)
+                out_e = _slab(dst_of[blk.family_even], d, bidx)
+                bound.append((
+                    u_o, _slab(src_of[blk.family_even], d, bidx), m_t, np.empty_like(u_o), g,
+                    _slab(dst_of[blk.family_odd], d, bidx), tau_odd,
+                    out_e if tau_even is not None else None, tau_even,
+                ))
+            sats.append((inflow, bound))
+        return diffs, corners, coupling, sats
 
-    def _relax_factors(self, dt_half: float) -> dict | None:
-        if not np.any(self.setup.q_relax):
-            return None
+    def rhs_into(self, x: np.ndarray, t: float, out: np.ndarray) -> None:
+        """Transport + SAT increment of the flat state ``x`` at time t, written to ``out``."""
+        plan = self._plans.get((id(x), id(out)))
+        if plan is None:  # the plan's views keep x and out alive, so their ids stay theirs
+            plan = self._plans[id(x), id(out)] = self._bind(x, out)
+        self.rhs_calls += 1
+        diffs, corners, coupling, sats = plan
+        for hi, lo, target in diffs:
+            np.subtract(hi, lo, out=target)
+        for weights, src, target in corners:
+            np.matmul(weights, src, out=target)
+        for lhs, block, target, into in coupling:
+            np.matmul(lhs, block, out=target)
+            if into is not None:
+                into += target
+        energy_map = self.setup.scenario.energy_map
+        for inflow, bound in sats:
+            tf = inflow.time_factor(t, energy_map) if inflow is not None else 0.0
+            for u_o, u_e, m_t, res, g, out_o, tau_odd, out_e, tau_even in bound:
+                np.matmul(u_e, m_t, out=res)
+                np.subtract(u_o, res, out=res)
+                if g is not None:
+                    res -= tf * g
+                out_o += res @ tau_odd
+                if out_e is not None:
+                    out_e += res @ tau_even
+
+    def _relax(self, dt_half: float) -> None:
+        """Exact relaxation of u over dt_half; factors cached per step size."""
         if self._relax_cache is None or self._relax_cache[0] != dt_half:
-            factors = {
-                a: np.exp(self.setup.q_relax[self.setup.comps[a]] * dt_half)
-                for a in self.setup.families
-            }
+            factors = {a: np.exp(q * dt_half) for a, q in self.q_relax.items()}
             self._relax_cache = (dt_half, factors)
-        return self._relax_cache[1]
+        for a, f in self._relax_cache[1].items():
+            self.state[a] *= f
 
     def step(self, state: dict, dt: float, t: float) -> None:
-        """Advance ``state`` in place by one Strang step."""
+        """Advance ``state`` in place by one Strang step.
+
+        ``state`` is stepped in u directly when it is ``self.state``; any
+        other dict of family arrays is copied into u and back.
+        """
         _check_cfl(self.setup, dt)
-        factors = self._relax_factors(0.5 * dt)
-        if factors is not None:
-            for a in state:
-                state[a] *= factors[a]
-        k, stage, acc = self.k, self.stage, self.acc
-        self.rhs_into(state, t, k)
-        for a in state:
-            acc[a][...] = k[a]
-        for c, weight, t_off in ((0.5 * dt, 2.0, 0.5 * dt), (0.5 * dt, 2.0, 0.5 * dt), (dt, 1.0, dt)):
-            for a in state:
-                np.multiply(k[a], c, out=stage[a])
-                stage[a] += state[a]
+        own = all(state[a] is v for a, v in self.state.items())
+        if not own:
+            self.load(state)
+        if self.q_relax is not None:
+            self._relax(0.5 * dt)
+        u, k, stage, acc = self.u, self.k, self.stage, self.acc
+        self.rhs_into(u, t, acc)  # k1 goes straight into the accumulator
+        for prev, c, twice, t_off in (
+            (acc, 0.5 * dt, True, 0.5 * dt), (k, 0.5 * dt, True, 0.5 * dt), (k, dt, False, dt)
+        ):
+            np.multiply(prev, c, out=stage)
+            stage += u
             self.rhs_into(stage, t + t_off, k)
-            for a in state:
-                if weight == 2.0:
-                    acc[a] += k[a]
-                    acc[a] += k[a]
-                else:
-                    acc[a] += k[a]
-        scale = dt / 6.0
-        for a in state:
-            acc[a] *= scale
-            state[a] += acc[a]
-        if factors is not None:
-            for a in state:
-                state[a] *= factors[a]
+            acc += k
+            if twice:
+                acc += k
+        acc *= dt / 6.0
+        u += acc
+        if self.q_relax is not None:
+            self._relax(0.5 * dt)
+        if not own:
+            for a, v in self.state.items():
+                state[a][...] = v
 
 
 def rhs(setup: SolverSetup, state: dict, t: float = 0.0) -> dict:
     """Transport + SAT increment (no relaxation); pure in ``state``."""
-    out = zero_state(setup)
-    _Stepper(setup).rhs_into(state, t, out)
-    return out
+    stepper = _Stepper(setup)
+    stepper.load(state)
+    stepper.rhs_into(stepper.u, t, stepper.k)
+    return stepper.views(stepper.k)
 
 
 def step_strang(setup: SolverSetup, state: dict, dt: float, t: float = 0.0) -> dict:
     """One Strang-split step (relax, RK4, relax) of a copy of ``state``."""
-    u = {a: v.copy() for a, v in state.items()}
-    _Stepper(setup).step(u, dt, t)
-    return u
+    stepper = _Stepper(setup)
+    stepper.load(state)
+    stepper.step(stepper.state, dt, t)
+    return stepper.state
 
 
 # ---------------------------------------------------------------------------
@@ -510,11 +585,12 @@ def run(scenario: Scenario) -> RunResult:
     """Integrate a scenario to its end time, recording energy and snapshots."""
     wall0 = _time.perf_counter()
     setup = build_setup(scenario)
-    state = initial_state(setup)
     stepper = _Stepper(setup)
+    state = initial_state(setup, out=stepper.state)
     dt_base = setup.dt_stable()
     t = 0.0
     times = [0.0]
+    setup_s = _time.perf_counter() - wall0
     energies = [energy(setup, state)]
     gsq = [0.0]
     gnorm_prev = sum(face_source_norm_sq(setup, f, 0.0) for f in setup.faces)
@@ -561,6 +637,11 @@ def run(scenario: Scenario) -> RunResult:
         if step_count > 10_000_000:
             raise NumericalError("step budget exceeded")
 
+    stepping_s = _time.perf_counter() - wall0 - setup_s
+    logger.debug(
+        "run %s: %d steps of dt = %.6g on %d components, set-up %.3f s, stepping %.3f s",
+        scenario.name, step_count, dt_base, setup.n_components, setup_s, stepping_s,
+    )
     c_vals = [f.c_constant for f in setup.faces if f.c_constant is not None]
     all_onsager = all(f.kind == "onsager" for f in setup.faces)
     c_const = max(c_vals) if (c_vals and all_onsager) else (0.0 if all_onsager else None)
@@ -581,6 +662,8 @@ def run(scenario: Scenario) -> RunResult:
             "basis": setup.basis.dim,
         },
         "length_unit": scenario.length_unit,
+        "seconds": {"setup": setup_s, "stepping": stepping_s},
+        "rhs_calls": stepper.rhs_calls,
         "wall_seconds": _time.perf_counter() - wall0,
     }
     return RunResult(scenario, log, snapshots, meta, state, setup)

@@ -184,6 +184,9 @@ class TestCli:
         assert meta["c_constant"] is not None
         # N = 5 in 1-D: only the (y, z)-even class, 1 + 1 + 2 + 2 + 3 + 3 of 36
         assert meta["components"] == {"integrated": 12, "basis": 36}
+        assert set(meta["seconds"]) == {"setup", "stepping"}
+        assert all(v >= 0.0 for v in meta["seconds"].values())
+        assert meta["rhs_calls"] == 4 * meta["steps"]  # four RK4 stages per step
         # the metadata echo revalidates
         scenario_from_dict(meta["scenario"])
 

@@ -276,6 +276,55 @@ class TestSamplers:
             simulate(sc, 1000, seed=0)
 
 
+class TestSupportedSources:
+    """Unsupported sources fail in the caller, before any batch is sampled."""
+
+    @pytest.fixture(autouse=True)
+    def no_batches(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("batches started")
+
+        monkeypatch.setattr(mc_module, "_run_batches", refuse)
+
+    def test_bulk_with_inflow_face_rejected(self):
+        # an isotropic psi_in face beside bulk data would be dropped from the tally
+        doc = bundled_doc("tc_inflow_1d")
+        doc["initial"] = {"kind": "gaussian_bulk", "mu": [0.5], "sigma": [0.1]}
+        with pytest.raises(ValidationError, match="need every face inflow 'none', got inflow on x_low"):
+            simulate(scenario_from_dict(doc), 1000, seed=0)
+
+    def test_beam_with_bulk_initial_rejected(self):
+        doc = bundled_doc("tc4_beam")
+        doc["initial"] = {"kind": "gaussian_bulk", "mu": [0.0, -90.0], "sigma": [10.0, 10.0]}
+        with pytest.raises(ValidationError, match="got inflow on z_high"):
+            simulate(scenario_from_dict(doc), 1000, seed=0)
+
+    def test_isotropic_inflow_rejected_before_workers(self):
+        sc = scenario_from_dict(bundled_doc("tc_inflow_1d"))
+        with pytest.raises(ValidationError, match="only 'beam' inflow, got 'isotropic' on x_low"):
+            simulate(sc, 1000, seed=0)
+        assert multiprocessing.active_children() == []
+
+    def test_two_beams_rejected(self):
+        doc = bundled_doc("tc4_beam")
+        doc["boundaries"]["z_low"]["psi_in"] = doc["boundaries"]["z_high"]["psi_in"]
+        with pytest.raises(ValidationError, match="exactly one inflow face, got 2"):
+            simulate(scenario_from_dict(doc), 1000, seed=0)
+
+    def test_multi_axis_beam_needs_sigma_x(self):
+        doc = bundled_doc("tc4_beam")
+        del doc["boundaries"]["z_high"]["psi_in"]["sigma_x"]
+        with pytest.raises(ValidationError, match="need sigma_x on z_high"):
+            simulate(scenario_from_dict(doc), 1000, seed=0)
+
+    def test_oracle_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "inflow.json"
+        cfg.write_text(json.dumps(bundled_doc("tc_inflow_1d")))
+        assert main(["oracle", str(cfg), "--n", "1000", "-o", str(tmp_path / "mc")]) == 1
+        assert "validation error: Monte Carlo supports only 'beam' inflow" in capsys.readouterr().err
+        assert not (tmp_path / "mc").exists()
+
+
 class TestBeamSource:
     def test_total_injected_mass(self):
         doc = bundled_doc("tc4_beam")

@@ -31,6 +31,28 @@ class TestSbpPair:
         b = (pair.q_odd + pair.q_even.T).toarray()
         assert np.array_equal(b, pair.boundary_matrix().toarray())  # entrywise exact
 
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 16, 400])
+    def test_closure_corners_reproduce_derivatives(self, n):
+        # the staggered stencil on every row, then each stored corner over its rows;
+        # at n = 4, 5 the low-end and high-end corners of the small exact solve touch
+        grid = StaggeredGrid1d(-0.3, 1.1, n)
+        pair = build_sbp_pair(grid)
+        rng = np.random.default_rng(n)
+        for op, corners, parity in ((pair.d_odd, pair.corners_odd, "o"), (pair.d_even, pair.corners_even, "e")):
+            low, high = corners
+            assert low.rows.start == 0 and low.rows.stop <= high.rows.start
+            assert high.rows.stop == op.shape[0]
+            u = rng.standard_normal(op.shape[1])
+            out = np.full(op.shape[0], np.nan)
+            if parity == "o":
+                out[:] = u[1:] - u[:-1]
+            else:
+                out[1:-1] = u[1:] - u[:-1]
+            for corner in corners:
+                out[corner.rows] = corner.weights @ u[corner.cols]
+            ref = grid.h * (op @ u)
+            assert np.abs(out - ref).max() <= 1e-14 * np.abs(ref).max()
+
     @pytest.mark.parametrize("n", [4, 5, 6, 8, 16, 64])
     def test_norms_positive(self, n):
         pair = build_sbp_pair(StaggeredGrid1d(-2.0, 3.0, n))

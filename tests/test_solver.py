@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -5,9 +6,11 @@ import pytest
 from scipy.interpolate import interp1d
 
 from conftest import AssembledOperator, bundled_doc, every_moment_initial, load_bundled
+from pnsat import boundary as bnd
 from pnsat.config import scenario_from_dict
 from pnsat.errors import ValidationError
 from pnsat.moments import ScatteringSpectrum
+from pnsat.sbp import sat_penalties
 from pnsat.solver import (
     _Stepper,
     build_setup,
@@ -40,6 +43,39 @@ def vacuum_1d(n_max=5, cells=60, t_end=0.5, sigma=0.2, scattering=None, cfl=0.5,
                                "normalize": "pdf", "direction": {"kind": "isotropic"}},
         "integration": {"cfl": cfl, "t_end": t_end},
         "outputs": {"snapshot_times": [t_end]},
+    })
+
+
+BEAM = {"kind": "beam", "amplitude": 1.0, "sigma_x": 0.5, "sigma_omega": 0.3,
+        "eps_center": 1.9, "sigma_eps": 0.1}
+ISOTROPIC = {"kind": "isotropic", "amplitude": 1.0}
+
+
+def small_nd(axes, cells, inflow_face, inflow, n_max=3):
+    """An n-D run with every moment set, isotropic scattering, an inflow face and an alpha = 0.5 face.
+
+    A beam with ``eps_center`` makes the run energy-mode, so its source depends on time.
+    """
+    boundaries = {
+        f"{ax}_{side}": {"type": "onsager", "alpha": 1.0, "psi_in": {"kind": "none"}}
+        for ax in axes for side in ("low", "high")
+    }
+    boundaries[inflow_face]["psi_in"] = inflow
+    boundaries[f"{axes[0]}_low"]["alpha"] = 0.5
+    timed = "eps_center" in inflow
+    return scenario_from_dict({
+        "name": "probe_nd",
+        "model": {
+            "N": n_max,
+            "scattering": {"kind": "isotropic", "sigma_s": 1.5},
+            "stopping": {"mode": "energy", "s_rho": 1.0, "eps_max": 2.0, "eps_end": 1.5}
+            if timed else {"mode": "time"},
+        },
+        "domain": {"axes": list(axes), "extents": [[-1.0, 1.0]] * len(axes), "cells": list(cells)},
+        "boundaries": boundaries,
+        "initial": every_moment_initial(n_max, len(axes)),
+        "integration": {"cfl": 0.5} if timed else {"cfl": 0.5, "t_end": 0.5},
+        "outputs": {"snapshot_energies": [1.5]} if timed else {"snapshot_times": [0.5]},
     })
 
 
@@ -161,9 +197,13 @@ class TestStepping:
             step_strang(setup, state, 10.0 * setup.dt_stable(), 0.0)
 
     def test_buffered_stepper_matches_reference(self):
-        # reference: RK4 on the assembled global sparse operator
-        for scattering in (None, {"kind": "isotropic", "sigma_s": 1.5}):
-            sc = vacuum_1d(n_max=4, cells=30, scattering=scattering)
+        # reference: RK4 on the assembled global sparse operator; the n-D cases carry
+        # relaxation, an alpha = 0.5 face (even-side penalty), a time-dependent
+        # inflow and closure corners along every axis, n = 4, 5 included
+        cases = [vacuum_1d(n_max=4, cells=30, scattering=s)
+                 for s in (None, {"kind": "isotropic", "sigma_s": 1.5})]
+        cases += [small_nd("xz", (8, 5), "z_high", BEAM), small_nd("xyz", (4, 5, 6), "y_low", ISOTROPIC)]
+        for sc in cases:
             setup = build_setup(sc)
             state = initial_state(setup)
             dt = setup.dt_stable()
@@ -178,6 +218,47 @@ class TestStepping:
             for a in state:
                 np.testing.assert_allclose(fast[a], ref[a], atol=1e-13)
 
+    def test_n_dimensional_cases_exercise_every_term(self):
+        for sc in (small_nd("xz", (8, 5), "z_high", BEAM), small_nd("xyz", (4, 5, 6), "y_low", ISOTROPIC)):
+            setup = build_setup(sc)
+            assert setup.n_components == setup.basis.dim
+            assert any(np.any(setup.q_relax[c]) for c in setup.comps.values())
+            blocks = [blk for f in setup.faces for blk in f.blocks]
+            assert any(blk.penalty.alpha == 0.5 for blk in blocks)
+            assert any(blk.has_source for blk in blocks)
+        sc = small_nd("xz", (8, 5), "z_high", BEAM)
+        beam = sc.faces[(1, "high")].inflow
+        assert beam.time_factor(0.0, sc.energy_map) != beam.time_factor(0.1, sc.energy_map)
+
+    def test_stepper_reused_across_caller_dicts(self):
+        # one stepper stepping two different dicts in turn agrees with fresh steppers
+        sc = small_nd("xz", (8, 5), "z_high", BEAM)
+        setup = build_setup(sc)
+        dt = setup.dt_stable()
+        first = initial_state(setup)
+        second = {a: 0.5 * v[::-1].copy() for a, v in first.items()}
+        want = {}
+        for name, st in (("first", first), ("second", second)):
+            want[name] = {a: v.copy() for a, v in st.items()}
+            fresh = _Stepper(setup)
+            for i in range(2):
+                fresh.step(want[name], dt, i * dt)
+        shared = _Stepper(setup)
+        got = {"first": {a: v.copy() for a, v in first.items()},
+               "second": {a: v.copy() for a, v in second.items()}}
+        for i in range(2):
+            for name in ("first", "second"):
+                shared.step(got[name], dt, i * dt)
+        for name in got:
+            for a in got[name]:
+                assert np.array_equal(got[name][a], want[name][a])
+        # stepping the stepper's own views in place gives the same result
+        shared.load(first)
+        for i in range(2):
+            shared.step(shared.state, dt, i * dt)
+        for a in first:
+            assert np.array_equal(shared.state[a], want["first"][a])
+
     def test_single_step_energy_non_increasing(self):
         sc = vacuum_1d(n_max=5, cells=60)
         setup = build_setup(sc)
@@ -185,6 +266,52 @@ class TestStepping:
         e0 = energy(setup, state)
         new = step_strang(setup, state, setup.dt_stable(), 0.0)
         assert energy(setup, new) <= e0 * (1.0 + 1e-12)
+
+
+BUNDLED = ("tc1", "tc2_stable", "tc2_unstable", "tc3_vacuum", "tc4_beam", "tc_inflow_1d")
+
+
+class TestSetup:
+    def test_shared_rules_match_per_block_build(self):
+        # each block rebuilt with its own default half-sphere rules: bit-identical
+        for name in BUNDLED:
+            sc = load_bundled(name)
+            setup = build_setup(sc)
+            basis = setup.basis
+            for f in setup.faces:
+                face = bnd.Face(f.axis, f.side)
+                for blk in f.blocks:
+                    l_blk = bnd.onsager_L(basis, face, rows=blk.rows)
+                    a_blk = setup.system.a_hat_block(f.axis, blk.rows, blk.cols)
+                    if f.kind == "unstable_marshak":
+                        m_eff = bnd.marshak_matrix(basis, face, rows=blk.rows, cols=blk.cols)
+                    else:
+                        m_eff = face.sign * (l_blk @ a_blk)
+                    pen = sat_penalties(l_blk, a_blk, f.alpha, f.side)
+                    assert np.array_equal(blk.l_matrix, l_blk)
+                    assert np.array_equal(blk.m_eff, m_eff)
+                    assert np.array_equal(blk.penalty.tau_odd, pen.tau_odd)
+                    assert np.array_equal(blk.penalty.tau_even, pen.tau_even)
+                    g_dir = np.zeros(blk.rows.size)
+                    if blk.has_source:
+                        even = np.all([basis.parity.signs[ax - 1][blk.rows] > 0
+                                       for ax in (1, 2, 3) if ax != f.axis], axis=0)
+                        g_dir[even] = bnd.boundary_source(
+                            face,
+                            lambda om: f.inflow.amplitude * f.inflow.direction_profile(om, f.axis, face.sign),
+                            basis, rows=blk.rows[even],
+                        )
+                    assert np.array_equal(blk.g_dir, g_dir)
+
+    def test_one_rule_per_axis_and_inflow_face(self, monkeypatch):
+        calls = []
+        build = bnd.build_quadrature
+        monkeypatch.setattr(bnd, "build_quadrature", lambda *a, **k: calls.append(k) or build(*a, **k))
+        setup = build_setup(load_bundled("tc4_beam"))
+        blocks = [blk for f in setup.faces for blk in f.blocks]
+        per_block = len(blocks) + sum(blk.has_source for blk in blocks)
+        # x and z outgoing rules, plus the incoming rule of the beam face
+        assert len(calls) == 3 < per_block
 
 
 class TestRun:
@@ -208,6 +335,18 @@ class TestRun:
         res = run(sc)
         m1 = mass_u00(res.setup, res.final_state)
         assert abs(m1 - m0) < 1e-8 * abs(m0)
+
+    def test_run_logs_one_debug_event(self, caplog):
+        sc = vacuum_1d(n_max=3, cells=24, t_end=0.1)
+        assert logging.getLogger("pnsat.solver").handlers == []  # silent unless the caller configures logging
+        with caplog.at_level(logging.DEBUG, logger="pnsat.solver"):
+            res = run(sc)
+        records = [r for r in caplog.records if r.name == "pnsat.solver"]
+        assert len(records) == 1 and records[0].levelno == logging.DEBUG
+        meta = res.metadata
+        assert meta["rhs_calls"] == 4 * meta["steps"]
+        n_comp = meta["components"]["integrated"]
+        assert f"{meta['steps']} steps of dt = {meta['dt']:.6g} on {n_comp} components" in records[0].getMessage()
 
     def test_pseudo_one_dim_reduction(self):
         # z-invariant 2-d run against the 1-d run, matched time step
