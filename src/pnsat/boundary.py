@@ -18,8 +18,8 @@ condition determines exactly the incoming characteristic waves.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -130,32 +130,21 @@ class OnsagerBoundary:
     l_matrix: np.ndarray
     a_hat: np.ndarray
     m_matrix: np.ndarray
-    source: Callable[[float], np.ndarray] | None = None
 
-    @property
-    def n_odd(self) -> int:
-        return self.l_matrix.shape[0]
-
-    def g(self, t: float = 0.0) -> np.ndarray:
-        if self.source is None:
-            return np.zeros(self.n_odd)
-        return self.source(t)
+    @functools.cached_property
+    def l_min(self) -> float:
+        """Smallest eigenvalue of L, so ||L^{-1}||_2 = 1 / l_min."""
+        return float(np.linalg.eigvalsh(self.l_matrix)[0])
 
 
 def onsager_bc(
-    basis: MomentBasis,
-    face: Face,
-    system: PnSystem,
-    source: Callable[[float], np.ndarray] | None = None,
-    quad=None,
-    rows=None,
-    cols=None,
+    basis: MomentBasis, face: Face, system: PnSystem, quad=None, rows=None, cols=None
 ) -> OnsagerBoundary:
     """Assemble the stabilized boundary condition for one face."""
     rows, cols = _rows_cols(basis, face, rows, cols)
     lmat = onsager_L(basis, face, quad=quad, rows=rows)
     a_hat = system.a_hat_block(face.axis, rows, cols)
-    return OnsagerBoundary(face, lmat, a_hat, face.sign * (lmat @ a_hat), source)
+    return OnsagerBoundary(face, lmat, a_hat, face.sign * (lmat @ a_hat))
 
 
 def boundary_source(face: Face, psi_in, basis: MomentBasis, quad=None, rows=None) -> np.ndarray:

@@ -21,6 +21,7 @@ from .io import diff_against_run, write_mc, write_run
 from .mc import simulate
 from .moments import MomentBasis, assemble_transport
 from .solver import energy_bound_check, run
+from .sphharm import classify_parity
 
 EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL, EXIT_IO = 0, 1, 2, 3
 
@@ -74,24 +75,15 @@ def cmd_assemble(args) -> int:
     with open(outdir / "basis.csv", "w") as fh:
         fh.write("position,l,k,parity_x,parity_y,parity_z\n")
         for i in basis.indices:
-            from .sphharm import classify_parity
-
-            fh.write(
-                f"{i.flat},{i.l},{i.k},"
-                + ",".join(classify_parity(ax, i) for ax in (1, 2, 3))
-                + "\n"
-            )
+            fh.write(f"{i.flat},{i.l},{i.k}," + ",".join(classify_parity(ax, i) for ax in (1, 2, 3)) + "\n")
     for axis, name in ((1, "x"), (2, "y"), (3, "z")):
         np.savetxt(outdir / f"a_{name}.csv", system.a_full[axis - 1], delimiter=",")
         np.savetxt(outdir / f"ahat_{name}.csv", system.a_hat[axis - 1], delimiter=",")
         hi = bnd.Face(axis, "high")
-        np.savetxt(outdir / f"l_{name}.csv", bnd.onsager_L(basis, hi), delimiter=",")
+        bc = bnd.onsager_bc(basis, hi, system)
+        np.savetxt(outdir / f"l_{name}.csv", bc.l_matrix, delimiter=",")
         np.savetxt(outdir / f"mtilde_{name}_high.csv", bnd.marshak_matrix(basis, hi), delimiter=",")
-        np.savetxt(
-            outdir / f"m_{name}_high.csv",
-            bnd.onsager_bc(basis, hi, system).m_matrix,
-            delimiter=",",
-        )
+        np.savetxt(outdir / f"m_{name}_high.csv", bc.m_matrix, delimiter=",")
     print(f"wrote {outdir}/ (basis table, A, Ahat, L, Mtilde, M per axis)")
     return EXIT_OK
 

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .moments import ScatteringSpectrum, load_moment_table
+from .sphharm import ShIndex
 
 AXIS_NAMES = {"x": 1, "y": 2, "z": 3}
 AXIS_LABELS = {1: "x", 2: "y", 3: "z"}
@@ -43,13 +44,39 @@ def _is_integer(v) -> bool:
 
 def _number(d, key, where, lo=None, hi=None):
     v = d[key]
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ValidationError(f"{where}.{key} must be a number, got {v!r}")
+    if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
+        raise ValidationError(f"{where}.{key} must be a finite number, got {v!r}")
     if lo is not None and v < lo:
         raise ValidationError(f"{where}.{key} must be >= {lo}, got {v}")
     if hi is not None and v > hi:
         raise ValidationError(f"{where}.{key} must be <= {hi}, got {v}")
     return float(v)
+
+
+def _numbers(d, key, where, count=None, positive=False) -> tuple[float, ...]:
+    """``d[key]`` as a list of finite numbers (``count`` of them, each > 0 when ``positive``)."""
+    v = d[key]
+    if not isinstance(v, list) or (count is not None and len(v) != count):
+        size = "" if count is None else f" of length {count}"
+        raise ValidationError(f"{where}.{key} must be a list of numbers{size}, got {v!r}")
+    out = tuple(_number(v, i, f"{where}.{key}") for i in range(len(v)))
+    if positive and not all(x > 0.0 for x in out):
+        raise ValidationError(f"{where}.{key} entries must be > 0, got {v!r}")
+    return out
+
+
+def _moment(m, where) -> tuple[int, int, float]:
+    """One initial moment {"l", "k", "amp"}: integers with |k| <= l and a finite amplitude."""
+    if not isinstance(m, dict):
+        raise ValidationError(f"{where} must be an object with keys l, k, amp, got {m!r}")
+    _require_keys(m, {"l", "k", "amp"}, {"l", "k", "amp"}, where)
+    if not (_is_integer(m["l"]) and _is_integer(m["k"])):
+        raise ValidationError(f"{where}: l and k must be integers, got l={m['l']!r}, k={m['k']!r}")
+    try:
+        idx = ShIndex(m["l"], m["k"])
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
+    return idx.l, idx.k, _number(m, "amp", where)
 
 
 # ---------------------------------------------------------------------------
@@ -188,20 +215,21 @@ class InitialSpec:
         if kind == "gaussian_bulk":
             allowed = {"kind", "mu", "sigma", "amplitude", "normalize", "direction"}
             _require_keys(d, allowed, {"kind", "mu", "sigma"}, where)
-            mu, sg = tuple(map(float, d["mu"])), tuple(map(float, d["sigma"]))
-            if len(mu) != ndim or len(sg) != ndim:
-                raise ValidationError(f"{where}: mu/sigma must have {ndim} entries")
+            mu, sg = _numbers(d, "mu", where, ndim), _numbers(d, "sigma", where, ndim, positive=True)
             norm = d.get("normalize", "peak")
             if norm not in ("peak", "pdf"):
                 raise ValidationError(f"{where}.normalize must be 'peak' or 'pdf'")
             direction = d.get("direction", {"kind": "isotropic"})
+            if not isinstance(direction, dict):
+                raise ValidationError(f"{where}.direction must be an object, got {direction!r}")
             dkind = direction.get("kind")
             if dkind == "isotropic":
                 _require_keys(direction, {"kind"}, {"kind"}, f"{where}.direction")
                 da, db = 1.0, 0.0
             elif dkind == "affine_mu":
                 _require_keys(direction, {"kind", "a", "b"}, {"kind", "a", "b"}, f"{where}.direction")
-                da, db = float(direction["a"]), float(direction["b"])
+                at = f"{where}.direction"
+                da, db = _number(direction, "a", at), _number(direction, "b", at)
                 if da <= 0 or abs(db) > da:
                     raise ValidationError(f"{where}.direction: need a > 0 and |b| <= a for a nonnegative distribution")
             else:
@@ -210,7 +238,7 @@ class InitialSpec:
                 "gaussian_bulk",
                 mu=mu,
                 sigma=sg,
-                amplitude=float(d.get("amplitude", 1.0)),
+                amplitude=_number(d, "amplitude", where) if "amplitude" in d else 1.0,
                 normalize=norm,
                 direction=dkind,
                 dir_a=da,
@@ -219,10 +247,10 @@ class InitialSpec:
         if kind == "gaussian_envelope_moments":
             allowed = {"kind", "center", "width", "moments", "odd_from_bc"}
             _require_keys(d, allowed, {"kind", "center", "width", "moments"}, where)
-            center, width = tuple(map(float, d["center"])), tuple(map(float, d["width"]))
-            if len(center) != ndim or len(width) != ndim:
-                raise ValidationError(f"{where}: center/width must have {ndim} entries")
-            moments = tuple((int(m["l"]), int(m["k"]), float(m["amp"])) for m in d["moments"])
+            center, width = _numbers(d, "center", where, ndim), _numbers(d, "width", where, ndim, positive=True)
+            if not isinstance(d["moments"], list):
+                raise ValidationError(f"{where}.moments must be a list, got {d['moments']!r}")
+            moments = tuple(_moment(m, f"{where}.moments[{i}]") for i, m in enumerate(d["moments"]))
             return cls(
                 "gaussian_envelope_moments",
                 center=center,
@@ -468,7 +496,7 @@ def scenario_from_dict(doc: dict, base: Path | None = None) -> Scenario:
         t_end = _number(integ, "t_end", "integration", lo=0.0)
         s_rho = eps_max = None
         _require_keys(outputs, {"snapshot_times"}, set(), "outputs")
-        snaps = tuple(float(t) for t in outputs.get("snapshot_times", []))
+        snaps = _numbers(outputs, "snapshot_times", "outputs") if "snapshot_times" in outputs else ()
     elif mode == "energy":
         _require_keys(stopping, {"mode", "s_rho", "eps_max", "eps_end"}, {"mode", "s_rho", "eps_max", "eps_end"}, "model.stopping")
         s_rho = _number(stopping, "s_rho", "model.stopping", lo=0.0)
@@ -481,9 +509,8 @@ def scenario_from_dict(doc: dict, base: Path | None = None) -> Scenario:
         _require_keys(integ, {"cfl"}, {"cfl"}, "integration")
         t_end = (eps_max - eps_end) / s_rho
         _require_keys(outputs, {"snapshot_energies"}, set(), "outputs")
-        snaps = tuple(
-            sorted((eps_max - float(e)) / s_rho for e in outputs.get("snapshot_energies", []))
-        )
+        energies = _numbers(outputs, "snapshot_energies", "outputs") if "snapshot_energies" in outputs else ()
+        snaps = tuple(sorted((eps_max - e) / s_rho for e in energies))
         for t in snaps:
             if t < 0 or t > t_end + 1e-12:
                 raise ValidationError("snapshot energies must lie inside [eps_end, eps_max]")

@@ -116,6 +116,17 @@ class McResult:
 # sampling helpers
 
 
+def _accepted(n: int, propose) -> np.ndarray:
+    """n draws by rejection; ``propose(m)`` returns the accepted ones of m proposals (2 * missing + 16)."""
+    out = np.empty(n)
+    filled = 0
+    while filled < n:
+        take = propose(2 * (n - filled) + 16)[: n - filled]
+        out[filled : filled + take.size] = take
+        filled += take.size
+    return out
+
+
 def _sample_deflection(kind_dict: dict, spectrum, n: int, rng) -> np.ndarray:
     kind = kind_dict.get("kind")
     if kind == "isotropic":
@@ -134,16 +145,11 @@ def _sample_deflection(kind_dict: dict, spectrum, n: int, rng) -> np.ndarray:
         if dens.min() < -1e-10 * max(dens.max(), 1.0):
             raise NumericalError("tabulated scattering kernel is not sampleable (negative density)")
         env = dens.max() * 1.05
-        out = np.empty(n)
-        filled = 0
-        while filled < n:
-            m = 2 * (n - filled) + 16
+
+        def propose(m):
             cand = rng.uniform(-1.0, 1.0, m)
-            acc = rng.random(m) * env < np.maximum(spectrum.phase_density(cand), 0.0)
-            take = cand[acc][: n - filled]
-            out[filled : filled + take.size] = take
-            filled += take.size
-        return out
+            return cand[rng.random(m) * env < np.maximum(spectrum.phase_density(cand), 0.0)]
+        return _accepted(n, propose)
     raise NumericalError(f"scattering kind {kind!r} is not sampleable")
 
 
@@ -222,15 +228,11 @@ def _sample_initial(sc: Scenario, n: int, rng):
         total_mass = SQRT_FOUR_PI * mass_profile  # rho = sqrt(4 pi) * u00
     else:
         a, b = init.dir_a, init.dir_b
-        mu = np.empty(n)
-        filled = 0
-        while filled < n:
-            m = 2 * (n - filled) + 16
+
+        def propose(m):
             cand = rng.uniform(-1.0, 1.0, m)
-            acc = rng.random(m) * (a + abs(b)) < a + b * cand
-            take = cand[acc][: n - filled]
-            mu[filled : filled + take.size] = take
-            filled += take.size
+            return cand[rng.random(m) * (a + abs(b)) < a + b * cand]
+        mu = _accepted(n, propose)
         total_mass = FOUR_PI * a * mass_profile
     phi = rng.uniform(0.0, 2.0 * math.pi, n)
     s_t = np.sqrt(np.maximum(0.0, 1.0 - mu * mu))
@@ -249,14 +251,11 @@ def _sample_beam_source(sc: Scenario, n: int, rng):
     sign = 1 if side == "high" else -1
     # birth times from the energy profile (or uniform when none)
     if inflow.eps_center is not None:
-        taus = np.empty(n)
-        filled = 0
-        while filled < n:
-            eps = rng.normal(inflow.eps_center, inflow.sigma_eps, 2 * (n - filled) + 16)
-            tau = (sc.eps_max - eps) / sc.s_rho
-            tau = tau[(tau >= 0.0) & (tau <= sc.t_end)][: n - filled]
-            taus[filled : filled + tau.size] = tau
-            filled += tau.size
+
+        def propose_tau(m):
+            tau = (sc.eps_max - rng.normal(inflow.eps_center, inflow.sigma_eps, m)) / sc.s_rho
+            return tau[(tau >= 0.0) & (tau <= sc.t_end)]
+        taus = _accepted(n, propose_tau)
         # time integral of exp(-((eps(tau)-c)/(sqrt2 s))^2) over [0, t_end]
         rt2s = math.sqrt(2.0) * inflow.sigma_eps
         z0 = (sc.eps_max - inflow.eps_center) / rt2s
@@ -280,21 +279,17 @@ def _sample_beam_source(sc: Scenario, n: int, rng):
             space_integral *= inflow.sigma_x * math.sqrt(2.0 * math.pi)
     # direction: density |mu| * exp(-((mu*sign+1)/(sqrt2 s))^2) on the incoming half
     s_om = inflow.sigma_omega
-    mu_in = np.empty(n)
-    filled = 0
-    while filled < n:
-        m = 2 * (n - filled) + 16
+
+    def propose_mu(m):
         cand = -1.0 + np.abs(rng.normal(0.0, s_om, m))
-        cand = cand[(cand < 0.0)][: m]
-        acc = rng.random(cand.size) < np.abs(cand)
-        take = cand[acc][: n - filled]
-        mu_in[filled : filled + take.size] = take
-        filled += take.size
+        cand = cand[cand < 0.0]
+        return cand[rng.random(cand.size) < np.abs(cand)]
+    mu_in = _accepted(n, propose_mu)
     # mu_in is the cosine along the INWARD direction -sign*e_axis ... flip to axis component
     mu_axis = sign * mu_in
     phi = rng.uniform(0.0, 2.0 * math.pi, n)
     s_t = np.sqrt(np.maximum(0.0, 1.0 - mu_axis * mu_axis))
-    comp = {1: 0, 2: 1, 3: 2}[axis]
+    comp = axis - 1
     dirs = np.empty((n, 3))
     others = [c for c in range(3) if c != comp]
     dirs[:, comp] = mu_axis
@@ -321,7 +316,7 @@ def _advance_batch(sc: Scenario, grid: TallyGrid, pos, dirs, birth, weight, rng,
     sigma_t = sc.scattering.sigma_t
     sigma_0 = float(sc.scattering.moments[0])
     kernel = sc.scattering_dict
-    comp = [{1: 0, 2: 1, 3: 2}[ax] for ax in sc.axes]
+    comp = [ax - 1 for ax in sc.axes]
     lo = np.array([e[0] for e in sc.extents])
     hi = np.array([e[1] for e in sc.extents])
 

@@ -19,6 +19,16 @@ complement and the SAT at a boundary node penalizes the residual of
 u^o = +/- (L Ahat) u^e + g (or the half-moment matrix for unstable faces),
 scaled by the inverse boundary norm entry.
 
+Boundary set-up.  L and Ahat do not depend on the side, so each axis
+assembles them once per odd family with :func:`pnsat.boundary.onsager_bc`
+on its high face, and both faces share them (the low face negates M).
+With the penalty tau^o = -alpha L^-1 the constant of the energy bound is
+C = max(alpha, 1 - alpha) / lambda_min(L) per block, and since
+g(t) = time_factor(t) (g_space (x) g_dir), the face norm of g is
+time_factor(t)^2 times a sum fixed at set-up.  Each axis speed (the
+largest singular value of its Ahat) is computed once and serves the CFL
+step and the run metadata.
+
 Time integration is Strang-split: exact half-step relaxation (the
 scattering matrix is diagonal on the basis), a full transport step with
 classical RK4, then the second relaxation half-step.  One buffered kernel
@@ -73,9 +83,6 @@ class FaceBlock:
     g_space: np.ndarray  # transverse profile on the slab, shape = transverse grid
     has_source: bool  # by symmetry: an inflow, and rows even off the face axis
 
-    def g_at(self, t: float, time_factor: float) -> np.ndarray:
-        return time_factor * np.multiply.outer(self.g_space, self.g_dir)
-
 
 @dataclass(frozen=True)
 class FaceData:
@@ -86,7 +93,7 @@ class FaceData:
     alpha: float
     inflow: object
     blocks: tuple[FaceBlock, ...]
-    weight_tables: dict
+    source_norm_sq: float  # ||g||^2 at time factor 1: sum over blocks of (sum w g_space^2)(g_dir . g_dir)
     c_constant: float | None
 
     @property
@@ -104,12 +111,15 @@ class SolverSetup:
     a_blocks: dict
     q_relax: np.ndarray
     faces: tuple[FaceData, ...]
-    max_speed: float
-    speed_sum: float
+    speeds: dict  # per active axis: the largest singular value of its Ahat
 
     @property
     def families(self):
         return self.tensor.families
+
+    @property
+    def max_speed(self) -> float:
+        return max(self.speeds.values())
 
     @property
     def n_components(self) -> int:
@@ -130,7 +140,7 @@ class SolverSetup:
 
     def dt_stable(self) -> float:
         h_min = min(g.h for g in self.tensor.grids)
-        return self.scenario.cfl * h_min / self.speed_sum
+        return self.scenario.cfl * h_min / sum(self.speeds.values())
 
 
 def sector_mask(scenario: Scenario, basis: MomentBasis) -> np.ndarray:
@@ -170,30 +180,31 @@ def build_setup(scenario: Scenario) -> SolverSetup:
     q_relax = scattering_diagonal(scenario.scattering, basis)
 
     faces = []
-    outgoing = {}  # one half-sphere rule per axis serves both of its faces
+    shared = {}  # per axis: its half-sphere rule and, per odd family, the high face's Onsager blocks
     for (d, side), spec in scenario.faces.items():
         axis = scenario.axes[d]
         face = bnd.Face(axis, side)
-        if axis not in outgoing:
-            outgoing[axis] = bnd.outgoing_quadrature(basis, face)
-        q_out = outgoing[axis]
+        if axis not in shared:
+            high = bnd.Face(axis, "high")
+            q_out = bnd.outgoing_quadrature(basis, high)
+            pairs = {a: tensor.complement(a, d) for a in tensor.families if a[d] == "o"}
+            shared[axis] = q_out, {
+                a: bnd.onsager_bc(basis, high, system, quad=q_out, rows=comps[a], cols=comps[ae])
+                for a, ae in pairs.items()
+                if comps[a].size and comps[ae].size
+            }
+        q_out, onsager = shared[axis]
         q_in = bnd.inflow_quadrature(basis, face) if spec.inflow.kind != "none" else None
         blocks = []
-        c_vals = []
-        for a in tensor.families:
-            if a[d] != "o":
-                continue
+        source_norm_sq = 0.0
+        for a, bc in onsager.items():
             ae = tensor.complement(a, d)
             rows, cols = comps[a], comps[ae]
-            if not (rows.size and cols.size):
-                continue
-            l_blk = bnd.onsager_L(basis, face, quad=q_out, rows=rows)
-            a_blk = system.a_hat_block(axis, rows, cols)
             if spec.kind == "unstable_marshak":
                 m_eff = bnd.marshak_matrix(basis, face, quad=q_out, rows=rows, cols=cols)
             else:
-                m_eff = face.sign * (l_blk @ a_blk)
-            pen = sat_penalties(l_blk, a_blk, spec.alpha, side)
+                m_eff = face.sign * bc.m_matrix  # M = sign * L Ahat: L and Ahat are side-independent
+            pen = sat_penalties(bc.l_matrix, bc.a_hat, spec.alpha, side)
             # an inflow depends on omega only through omega_axis, so its
             # moments vanish on rows odd in any other axis
             even_off_axis = np.all(
@@ -218,19 +229,19 @@ def build_setup(scenario: Scenario) -> SolverSetup:
             else:
                 g_space = np.ones(())
             blocks.append(
-                FaceBlock(a, ae, rows, cols, m_eff, l_blk, pen, g_dir, g_space, has_source)
+                FaceBlock(a, ae, rows, cols, m_eff, bc.l_matrix, pen, g_dir, g_space, has_source)
             )
-            if spec.kind == "onsager":
-                l_inv = np.linalg.inv(l_blk)
-                c_vals.append(np.linalg.norm(pen.tau_odd, 2))
-                c_vals.append(np.linalg.norm(l_inv + pen.tau_odd.T, 2))
-        weight_tables = {
-            a: tensor.boundary_weight(a, d) for a in tensor.families if a[d] == "o"
-        }
-        c_const = max(c_vals) if (spec.kind == "onsager" and c_vals) else None
-        faces.append(
-            FaceData(d, side, axis, spec.kind, spec.alpha, spec.inflow, tuple(blocks), weight_tables, c_const)
-        )
+            if has_source:
+                w = tensor.boundary_weight(a, d)
+                source_norm_sq += float(np.sum(w * g_space * g_space)) * float(g_dir @ g_dir)
+        c_const = None
+        if spec.kind == "onsager" and onsager:
+            # tau^o = -alpha L^-1, so per block ||tau^o|| = alpha / l_min and
+            # ||L^-1 + tau^o^T|| = (1 - alpha) / l_min
+            c_const = max(spec.alpha, 1.0 - spec.alpha) / min(bc.l_min for bc in onsager.values())
+        faces.append(FaceData(
+            d, side, axis, spec.kind, spec.alpha, spec.inflow, tuple(blocks), source_norm_sq, c_const
+        ))
     return SolverSetup(
         scenario=scenario,
         basis=basis,
@@ -240,8 +251,7 @@ def build_setup(scenario: Scenario) -> SolverSetup:
         a_blocks=a_blocks,
         q_relax=q_relax,
         faces=tuple(faces),
-        max_speed=max(system.max_speed(ax) for ax in scenario.axes),
-        speed_sum=sum(system.max_speed(ax) for ax in scenario.axes),
+        speeds={ax: system.max_speed(ax) for ax in scenario.axes},
     )
 
 
@@ -320,18 +330,11 @@ def _slab(arr: np.ndarray, dim: int, idx: int) -> np.ndarray:
 
 
 def face_source_norm_sq(setup: SolverSetup, face: FaceData, t: float) -> float:
-    """Squared face norm of g at time t, transverse-weighted."""
+    """Squared face norm of g at time t, transverse-weighted: time_factor(t)^2 ||g||^2 at factor 1."""
     if face.inflow.kind == "none":
         return 0.0
     tf = face.inflow.time_factor(t, setup.scenario.energy_map)
-    total = 0.0
-    for blk in face.blocks:
-        if not blk.has_source:
-            continue
-        g = blk.g_at(t, tf)
-        w = face.weight_tables[blk.family_odd]
-        total += float(np.sum(w * np.sum(g * g, axis=-1)))
-    return total
+    return tf * tf * face.source_norm_sq
 
 
 def _check_cfl(setup: SolverSetup, dt: float) -> None:
@@ -487,16 +490,9 @@ class _Stepper:
         for a, f in self._relax_cache[1].items():
             self.state[a] *= f
 
-    def step(self, state: dict, dt: float, t: float) -> None:
-        """Advance ``state`` in place by one Strang step.
-
-        ``state`` is stepped in u directly when it is ``self.state``; any
-        other dict of family arrays is copied into u and back.
-        """
+    def step(self, dt: float, t: float) -> None:
+        """Advance u (and so ``self.state``) in place by one Strang step."""
         _check_cfl(self.setup, dt)
-        own = all(state[a] is v for a, v in self.state.items())
-        if not own:
-            self.load(state)
         if self.q_relax is not None:
             self._relax(0.5 * dt)
         u, k, stage, acc = self.u, self.k, self.stage, self.acc
@@ -514,9 +510,6 @@ class _Stepper:
         u += acc
         if self.q_relax is not None:
             self._relax(0.5 * dt)
-        if not own:
-            for a, v in self.state.items():
-                state[a][...] = v
 
 
 def rhs(setup: SolverSetup, state: dict, t: float = 0.0) -> dict:
@@ -531,7 +524,7 @@ def step_strang(setup: SolverSetup, state: dict, dt: float, t: float = 0.0) -> d
     """One Strang-split step (relax, RK4, relax) of a copy of ``state``."""
     stepper = _Stepper(setup)
     stepper.load(state)
-    stepper.step(stepper.state, dt, t)
+    stepper.step(dt, t)
     return stepper.state
 
 
@@ -618,7 +611,7 @@ def run(scenario: Scenario) -> RunResult:
         dt = min(dt_base, scenario.t_end - t)
         if next_snap is not None and t + dt > next_snap - 1e-12:
             dt = next_snap - t
-        stepper.step(state, dt, t)
+        stepper.step(dt, t)
         t += dt
         step_count += 1
         e_now = energy(setup, state)
@@ -652,10 +645,7 @@ def run(scenario: Scenario) -> RunResult:
         "steps": step_count,
         "cfl": scenario.cfl,
         "max_speed": setup.max_speed,
-        "matrix_norms": {
-            f"ahat_axis_{ax}": float(np.linalg.norm(setup.system.a_hat[ax - 1], 2))
-            for ax in scenario.axes
-        },
+        "matrix_norms": {f"ahat_axis_{ax}": speed for ax, speed in setup.speeds.items()},
         "c_constant": c_const,
         "components": {
             "integrated": setup.n_components,

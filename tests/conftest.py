@@ -128,7 +128,8 @@ class AssembledOperator:
         energy_map = self.setup.scenario.energy_map
         for face, blk, lift in self.lifts:
             if face.inflow.kind != "none":
-                g = blk.g_at(t, face.inflow.time_factor(t, energy_map)).ravel()
+                tf = face.inflow.time_factor(t, energy_map)
+                g = (tf * np.multiply.outer(blk.g_space, blk.g_dir)).ravel()
                 for fam, mat in lift.items():
                     out[self.slices[fam]] -= mat @ g
         return out

@@ -101,10 +101,6 @@ class TestOnsagerBc:
                 low_degree = np.array([basis.indices[j].l < n for j in basis.even_positions(axis)])
                 assert np.abs((mt - bc.m_matrix)[:, low_degree]).max() < 1e-11
 
-    def test_zero_inflow_gives_zero_source(self, basis2, system2):
-        bc = onsager_bc(basis2, Face(1, "low"), system2)
-        np.testing.assert_array_equal(bc.g(0.0), np.zeros(bc.n_odd))
-
     def test_sign_per_side(self, basis5, system5):
         for axis in (1, 2, 3):
             lo = onsager_bc(basis5, Face(axis, "low"), system5)

@@ -29,6 +29,28 @@ def small_doc(axes, n_max, cells=6) -> dict:
     }
 
 
+# (bundled scenario, (section, key), a value that must be a validation error)
+BAD_VALUES = [
+    ("tc2_stable", ("initial", "moments"), [{"l": 1, "k": 2, "amp": 1.0}]),  # |k| > l
+    ("tc2_stable", ("initial", "moments"), [{"l": 1.7, "k": 0, "amp": 1.0}]),
+    ("tc2_stable", ("initial", "moments"), [{"l": True, "k": 0, "amp": 1.0}]),
+    ("tc2_stable", ("initial", "moments"), [{"l": 0, "k": 0}]),
+    ("tc2_stable", ("initial", "moments"), [{"l": 0, "k": 0, "amp": "1"}]),
+    ("tc2_stable", ("initial", "moments"), {"l": 0, "k": 0, "amp": 1.0}),
+    ("tc2_stable", ("initial", "moments"), [[0, 0, 1.0]]),
+    ("tc2_stable", ("initial", "center"), ["0"]),
+    ("tc2_stable", ("initial", "width"), [0.0]),
+    ("tc1", ("initial", "mu"), ["0"]),
+    ("tc1", ("initial", "sigma"), [-0.2]),
+    ("tc1", ("initial", "amplitude"), "1"),
+    ("tc1", ("initial", "direction"), {"kind": "affine_mu", "a": "1", "b": 0.0}),
+    ("tc1", ("outputs", "snapshot_times"), ["0.4"]),
+    ("tc1", ("integration", "t_end"), math.nan),
+    ("tc1", ("integration", "t_end"), math.inf),
+    ("tc4_beam", ("outputs", "snapshot_energies"), [math.nan]),
+]
+
+
 class TestConfigValidation:
     def test_roundtrip_is_fixed_point(self):
         for name in ("tc1", "tc2_unstable", "tc2_stable", "tc3_vacuum", "tc4_beam", "tc_inflow_1d"):
@@ -119,6 +141,19 @@ class TestConfigValidation:
             assert main(["run", str(cfg), "-o", str(tmp_path / key)]) == 1
             assert "validation error" in capsys.readouterr().err
             assert not (tmp_path / key).exists()
+
+    @pytest.mark.parametrize("name, where, bad", BAD_VALUES)
+    def test_bad_values_exit_1(self, tmp_path, capsys, name, where, bad):
+        doc = bundled_doc(name)
+        section, key = where
+        doc[section][key] = bad
+        with pytest.raises(ValidationError):
+            scenario_from_dict(doc)
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", str(cfg), "-o", str(tmp_path / "out")]) == 1
+        assert "validation error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_energy_mode_mapping(self):
         sc = scenario_from_dict(bundled_doc("tc4_beam"))

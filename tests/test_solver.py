@@ -9,7 +9,7 @@ from conftest import AssembledOperator, bundled_doc, every_moment_initial, load_
 from pnsat import boundary as bnd
 from pnsat.config import scenario_from_dict
 from pnsat.errors import ValidationError
-from pnsat.moments import ScatteringSpectrum
+from pnsat.moments import PnSystem, ScatteringSpectrum
 from pnsat.sbp import sat_penalties
 from pnsat.solver import (
     _Stepper,
@@ -17,6 +17,7 @@ from pnsat.solver import (
     detect_plateaus,
     energy,
     energy_bound_check,
+    face_source_norm_sq,
     initial_state,
     mass_u00,
     rhs,
@@ -211,12 +212,12 @@ class TestStepping:
             ref = state
             for i in range(3):
                 ref = op.step_strang(ref, dt, i * dt)
-            fast = {a: v.copy() for a, v in state.items()}
             stepper = _Stepper(setup)
+            stepper.load(state)
             for i in range(3):
-                stepper.step(fast, dt, i * dt)
+                stepper.step(dt, i * dt)
             for a in state:
-                np.testing.assert_allclose(fast[a], ref[a], atol=1e-13)
+                np.testing.assert_allclose(stepper.state[a], ref[a], atol=1e-13)
 
     def test_n_dimensional_cases_exercise_every_term(self):
         for sc in (small_nd("xz", (8, 5), "z_high", BEAM), small_nd("xyz", (4, 5, 6), "y_low", ISOTROPIC)):
@@ -231,7 +232,7 @@ class TestStepping:
         assert beam.time_factor(0.0, sc.energy_map) != beam.time_factor(0.1, sc.energy_map)
 
     def test_stepper_reused_across_caller_dicts(self):
-        # one stepper stepping two different dicts in turn agrees with fresh steppers
+        # one stepper loading two different dicts in turn agrees with fresh steppers
         sc = small_nd("xz", (8, 5), "z_high", BEAM)
         setup = build_setup(sc)
         dt = setup.dt_stable()
@@ -239,25 +240,23 @@ class TestStepping:
         second = {a: 0.5 * v[::-1].copy() for a, v in first.items()}
         want = {}
         for name, st in (("first", first), ("second", second)):
-            want[name] = {a: v.copy() for a, v in st.items()}
             fresh = _Stepper(setup)
+            fresh.load(st)
             for i in range(2):
-                fresh.step(want[name], dt, i * dt)
+                fresh.step(dt, i * dt)
+            want[name] = {a: v.copy() for a, v in fresh.state.items()}
         shared = _Stepper(setup)
         got = {"first": {a: v.copy() for a, v in first.items()},
                "second": {a: v.copy() for a, v in second.items()}}
         for i in range(2):
             for name in ("first", "second"):
-                shared.step(got[name], dt, i * dt)
+                shared.load(got[name])
+                shared.step(dt, i * dt)
+                for a, v in shared.state.items():
+                    got[name][a][...] = v
         for name in got:
             for a in got[name]:
                 assert np.array_equal(got[name][a], want[name][a])
-        # stepping the stepper's own views in place gives the same result
-        shared.load(first)
-        for i in range(2):
-            shared.step(shared.state, dt, i * dt)
-        for a in first:
-            assert np.array_equal(shared.state[a], want["first"][a])
 
     def test_single_step_energy_non_increasing(self):
         sc = vacuum_1d(n_max=5, cells=60)
@@ -312,6 +311,57 @@ class TestSetup:
         per_block = len(blocks) + sum(blk.has_source for blk in blocks)
         # x and z outgoing rules, plus the incoming rule of the beam face
         assert len(calls) == 3 < per_block
+
+    @pytest.mark.parametrize("name, builds", [("tc1", 1), ("tc3_vacuum", 4), ("tc4_beam", 4)])
+    def test_one_onsager_assembly_per_axis_block(self, monkeypatch, name, builds):
+        # both faces of an axis share one L per odd family
+        calls = []
+        build = bnd.onsager_L
+        monkeypatch.setattr(bnd, "onsager_L", lambda *a, **k: calls.append(k) or build(*a, **k))
+        setup = build_setup(load_bundled(name))
+        assert len(calls) == builds == sum(len(f.blocks) for f in setup.faces) // 2
+
+    def test_one_speed_per_axis(self, monkeypatch):
+        calls = []
+        speed = PnSystem.max_speed
+        monkeypatch.setattr(PnSystem, "max_speed", lambda self, ax=None: calls.append(ax) or speed(self, ax))
+        for sc in (vacuum_1d(n_max=3, cells=20, t_end=0.1), small_nd("xz", (8, 5), "z_high", BEAM)):
+            calls.clear()
+            result = run(sc)
+            speeds = result.setup.speeds
+            assert calls == list(sc.axes) == list(speeds)
+            assert result.metadata["matrix_norms"] == {f"ahat_axis_{ax}": v for ax, v in speeds.items()}
+            assert result.metadata["max_speed"] == max(speeds.values())
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_closed_form_c_matches_penalty_norms(self, name):
+        # C = max over blocks of (||tau^o||, ||L^-1 + tau^o^T||), from the stored blocks
+        for f in build_setup(load_bundled(name)).faces:
+            if f.kind != "onsager":
+                assert f.c_constant is None
+                continue
+            want = max(
+                max(np.linalg.norm(blk.penalty.tau_odd, 2),
+                    np.linalg.norm(np.linalg.inv(blk.l_matrix) + blk.penalty.tau_odd.T, 2))
+                for blk in f.blocks
+            )
+            np.testing.assert_allclose(f.c_constant, want, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("name", ["tc4_beam", "tc_inflow_1d"])
+    def test_closed_form_source_norm(self, name):
+        sc = load_bundled(name)
+        setup = build_setup(sc)
+        for t in (0.0, 0.5 * sc.t_end, sc.t_end):
+            for f in setup.faces:
+                want = 0.0
+                if f.inflow.kind != "none":
+                    tf = f.inflow.time_factor(t, sc.energy_map)
+                    for blk in f.blocks:
+                        g = tf * np.multiply.outer(blk.g_space, blk.g_dir)
+                        w = setup.tensor.boundary_weight(blk.family_odd, f.dim)
+                        want += float(np.sum(w * np.sum(g * g, axis=-1)))
+                np.testing.assert_allclose(face_source_norm_sq(setup, f, t), want, rtol=1e-14, atol=0.0)
+            assert any(face_source_norm_sq(setup, f, t) > 0.0 for f in setup.faces)
 
 
 class TestRun:
