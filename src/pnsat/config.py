@@ -28,8 +28,15 @@ AXIS_NAMES = {"x": 1, "y": 2, "z": 3}
 AXIS_LABELS = {1: "x", 2: "y", 3: "z"}
 
 
+def _section(d, where: str) -> dict:
+    """``d`` itself when it is a JSON object; anything else is a ValidationError."""
+    if not isinstance(d, dict):
+        raise ValidationError(f"{where} must be an object, got {d!r}")
+    return d
+
+
 def _require_keys(d: dict, allowed: set[str], required: set[str], where: str) -> None:
-    unknown = set(d) - allowed
+    unknown = set(_section(d, where)) - allowed
     if unknown:
         raise ValidationError(f"unknown key(s) {sorted(unknown)} in {where}")
     missing = required - set(d)
@@ -53,6 +60,14 @@ def _number(d, key, where, lo=None, hi=None):
     return float(v)
 
 
+def _positive(d, key, where) -> float:
+    """``d[key]`` as a finite number > 0."""
+    v = _number(d, key, where)
+    if not v > 0.0:
+        raise ValidationError(f"{where}.{key} must be > 0, got {v}")
+    return v
+
+
 def _numbers(d, key, where, count=None, positive=False) -> tuple[float, ...]:
     """``d[key]`` as a list of finite numbers (``count`` of them, each > 0 when ``positive``)."""
     v = d[key]
@@ -67,8 +82,6 @@ def _numbers(d, key, where, count=None, positive=False) -> tuple[float, ...]:
 
 def _moment(m, where) -> tuple[int, int, float]:
     """One initial moment {"l", "k", "amp"}: integers with |k| <= l and a finite amplitude."""
-    if not isinstance(m, dict):
-        raise ValidationError(f"{where} must be an object with keys l, k, amp, got {m!r}")
     _require_keys(m, {"l", "k", "amp"}, {"l", "k", "amp"}, where)
     if not (_is_integer(m["l"]) and _is_integer(m["k"])):
         raise ValidationError(f"{where}: l and k must be integers, got l={m['l']!r}, k={m['k']!r}")
@@ -96,7 +109,7 @@ class InflowSpec:
 
     @classmethod
     def from_dict(cls, d: dict, where: str) -> "InflowSpec":
-        kind = d.get("kind")
+        kind = _section(d, where).get("kind")
         if kind == "none":
             _require_keys(d, {"kind"}, {"kind"}, where)
             return cls("none")
@@ -109,10 +122,10 @@ class InflowSpec:
             return cls(
                 "beam",
                 amplitude=_number(d, "amplitude", where),
-                sigma_x=_number(d, "sigma_x", where, lo=0.0) if "sigma_x" in d else None,
-                sigma_omega=_number(d, "sigma_omega", where, lo=0.0),
+                sigma_x=_positive(d, "sigma_x", where) if "sigma_x" in d else None,
+                sigma_omega=_positive(d, "sigma_omega", where),
                 eps_center=_number(d, "eps_center", where) if "eps_center" in d else None,
-                sigma_eps=_number(d, "sigma_eps", where, lo=0.0) if "sigma_eps" in d else None,
+                sigma_eps=_positive(d, "sigma_eps", where) if "sigma_eps" in d else None,
             )
         raise ValidationError(f"{where}.kind must be 'none', 'isotropic' or 'beam', got {kind!r}")
 
@@ -208,7 +221,7 @@ class InitialSpec:
 
     @classmethod
     def from_dict(cls, d: dict, ndim: int, where: str = "initial") -> "InitialSpec":
-        kind = d.get("kind")
+        kind = _section(d, where).get("kind")
         if kind == "zero":
             _require_keys(d, {"kind"}, {"kind"}, where)
             return cls("zero")
@@ -220,9 +233,7 @@ class InitialSpec:
             if norm not in ("peak", "pdf"):
                 raise ValidationError(f"{where}.normalize must be 'peak' or 'pdf'")
             direction = d.get("direction", {"kind": "isotropic"})
-            if not isinstance(direction, dict):
-                raise ValidationError(f"{where}.direction must be an object, got {direction!r}")
-            dkind = direction.get("kind")
+            dkind = _section(direction, f"{where}.direction").get("kind")
             if dkind == "isotropic":
                 _require_keys(direction, {"kind"}, {"kind"}, f"{where}.direction")
                 da, db = 1.0, 0.0
@@ -406,7 +417,7 @@ class Scenario:
 
 
 def _scattering_from_dict(d: dict, n_max: int, base: Path | None) -> ScatteringSpectrum:
-    kind = d.get("kind")
+    kind = _section(d, "model.scattering").get("kind")
     if kind == "none":
         _require_keys(d, {"kind"}, {"kind"}, "model.scattering")
         return ScatteringSpectrum.none(n_max)
@@ -487,7 +498,7 @@ def scenario_from_dict(doc: dict, base: Path | None = None) -> Scenario:
             faces[(d_, side)] = FaceSpec.from_dict(bnd[f"{name}_{side}"], f"boundaries.{name}_{side}")
 
     stopping = model["stopping"]
-    mode = stopping.get("mode")
+    mode = _section(stopping, "model.stopping").get("mode")
     integ = doc["integration"]
     outputs = doc["outputs"]
     if mode == "time":

@@ -7,6 +7,15 @@ sigma_t.  Domain faces are vacuum: a particle crossing any face is lost.
 Energy-mode scenarios need no special handling since the continuous
 slowing down transformation makes energy an affine function of pseudo-time.
 
+Transport is event-driven: each pass flies every live particle once, from
+its birth or last collision to its next collision, its exit or the last
+record time, and deposits it at every record time the flight covers; only
+the particles that collided fly again.  The random draws therefore come in
+flight-generation order, so tallies at a fixed seed differ from those of
+versions that stopped every particle at each record time, but they are a
+statistically equivalent realization, still bit-identical between repeats
+and across worker counts.
+
 Fluence-density snapshots are tallied with a track-length estimator: each
 particle deposits its in-window track, discretized at a few sub-times of a
 short window centred on the snapshot time, into the spatial bins of the
@@ -306,72 +315,139 @@ def _sample_beam_source(sc: Scenario, n: int, rng):
 # ---------------------------------------------------------------------------
 # transport
 
+BIRTH_TOL = 1e-15  # a particle is tallied at record times from birth - BIRTH_TOL on
+
+
+def _record_times(sc: Scenario, window_frac: float, subsamples: int):
+    """(times, snapshot indices, scales) of the deposits, in time order.
+
+    Each snapshot's track-length window (``window_frac`` of the horizon,
+    narrowed to fit inside [0, t_end]) is sampled at ``subsamples`` evenly
+    spaced record times, each scaled 1 / subsamples; a zero-width window
+    has one record time.
+    """
+    window = window_frac * sc.t_end
+    rec = []
+    for si, ts in enumerate(sc.snapshot_times):
+        w_eff = min(window, 2.0 * ts, 2.0 * (sc.t_end - ts))
+        k_eff = subsamples if w_eff > 0.0 else 1
+        for j in range(k_eff):
+            rec.append((ts - 0.5 * w_eff + w_eff * (j + 0.5) / k_eff, si, 1.0 / k_eff))
+    rec.sort(key=lambda r: r[0])
+    times, snaps, scales = zip(*rec)
+    return list(times), list(snaps), list(scales)
+
+
+def _exit_distance(x: list, d: list, lo: list, hi: list) -> np.ndarray:
+    """Path length to the face each particle leaves through (inf when it never does).
+
+    Per axis the far face along the flight, (hi - x) / d for d > 0 and
+    (lo - x) / d for d < 0; the particle leaves at the nearest of them.
+    """
+    s_exit = None
+    for xk, dk, lk, hk in zip(x, d, lo, hi):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = (np.where(dk > 0.0, hk, lk) - xk) / dk
+        s[dk == 0.0] = np.inf
+        s_exit = s if s_exit is None else np.minimum(s_exit, s, out=s_exit)
+    return s_exit
+
 
 def _advance_batch(sc: Scenario, grid: TallyGrid, pos, dirs, birth, weight, rng, record):
-    """Advance one particle batch through all record times, depositing tallies.
+    """Fly one particle batch from event to event, depositing its tallies.
 
-    ``record`` is a list of (time, snapshot_index, scale); tallies are
-    written into the caller's accumulator array (n_snapshots, *bins).
+    ``record`` is (times, snapshot indices, scales, accumulators): the record
+    times in increasing order, the snapshot each feeds, its deposit scale,
+    and one accumulator (*bins) per snapshot.  Each pass flies every live
+    particle once, from its birth or last collision (time t0, position p0)
+    to the nearest of its next collision, its exit through a face and the
+    last record time, and deposits it at p0 + d (t_r - t0) for every record
+    time t_r the flight covers:
+
+    - from birth - BIRTH_TOL on for a first flight, after t0 for a flight
+      that starts at a collision;
+    - up to the end of the flight, but not at the time a particle exits.
+
+    Only the particles that collided fly again: they scatter (a pure
+    absorber stops there) and draw their next collision distance.  Returns
+    (flights, deposits), the number of flights and of (particle, record
+    time) points handed to ``grid.deposit``.
     """
     sigma_t = sc.scattering.sigma_t
     sigma_0 = float(sc.scattering.moments[0])
     kernel = sc.scattering_dict
     comp = [ax - 1 for ax in sc.axes]
-    lo = np.array([e[0] for e in sc.extents])
-    hi = np.array([e[1] for e in sc.extents])
+    lo = [e[0] for e in sc.extents]
+    hi = [e[1] for e in sc.extents]
+    times, snaps, scales, acc = record
+    rec = np.asarray(times, dtype=float)
 
-    t = birth.copy()
-    wgt = np.full(pos.shape[0], weight)
-    alive = np.ones(pos.shape[0], dtype=bool)
+    n = pos.shape[0]
+    x = [np.ascontiguousarray(pos[:, k]) for k in range(len(comp))]
+    u = [np.ascontiguousarray(dirs[:, c]) for c in range(3)]
+    t0 = np.asarray(birth, dtype=float)
+    w = np.full(n, weight)
     if sigma_t > 0.0:
-        to_coll = rng.exponential(1.0 / sigma_t, pos.shape[0])
+        s_coll = rng.exponential(1.0 / sigma_t, n)
     else:
-        to_coll = np.full(pos.shape[0], np.inf)
-
-    acc_list = record[3]
-    for t_rec, snap_idx, scale in zip(record[0], record[1], record[2]):
-        active = alive & (t < t_rec)
-        guard = 0
-        while np.any(active):
-            idx = np.nonzero(active)[0]
-            p = pos[idx]
-            d_act = dirs[idx][:, comp]
-            tt = t[idx]
-            s_target = t_rec - tt
-            # distance to the nearest face along the flight direction
-            with np.errstate(divide="ignore", invalid="ignore"):
-                d_lo = (lo[None, :] - p) / d_act
-                d_hi = (hi[None, :] - p) / d_act
-            d_exit = np.where(d_act != 0.0, np.maximum(d_lo, d_hi), np.inf)
-            s_exit = d_exit.min(axis=1)
-            s_coll = to_coll[idx]
-            s = np.minimum(np.minimum(s_target, s_coll), s_exit)
-            pos[idx] = p + d_act * s[:, None]
-            t[idx] = tt + s
-            to_coll[idx] = s_coll - s
-            exited = s_exit <= np.minimum(s_target, s_coll)
-            collided = (~exited) & (s_coll < s_target)
-            if np.any(exited):
-                alive[idx[exited]] = False
-            if np.any(collided):
-                ci = idx[collided]
-                n_c = ci.size
-                if sigma_0 <= 0.0:
-                    alive[ci] = False
-                else:
-                    if sigma_0 < sigma_t:
-                        wgt[ci] *= sigma_0 / sigma_t
-                    mu_s = _sample_deflection(kernel, sc.scattering, n_c, rng)
-                    chi = rng.uniform(0.0, 2.0 * math.pi, n_c)
-                    dirs[ci] = _rotate(dirs[ci], mu_s, chi)
-                    to_coll[ci] = rng.exponential(1.0 / sigma_t, n_c)
-            active = alive & (t < t_rec - 1e-15)
-            guard += 1
-            if guard > 10_000_000:
-                raise NumericalError("Monte Carlo event loop did not converge")
-        ready = alive & (t >= t_rec - 1e-15) & (birth <= t_rec + 1e-15)
-        if np.any(ready):
-            grid.deposit(acc_list[snap_idx], pos[ready], wgt[ready] * scale)
+        s_coll = np.full(n, np.inf)
+    r_lo = np.searchsorted(rec, t0 - BIRTH_TOL, side="left")
+    # (n, ndim) deposit points with contiguous columns
+    pts = np.empty((len(comp), n)).T
+    flights = deposits = 0
+    while t0.size:
+        flights += t0.size
+        d = [u[c] for c in comp]
+        s_end = np.maximum(rec[-1] - t0, 0.0)
+        s_exit = _exit_distance(x, d, lo, hi)
+        s = np.minimum(s_coll, s_end)
+        exited = s_exit <= s
+        collided = ~exited & (s_coll < s_end)
+        np.minimum(s, s_exit, out=s)
+        t1 = t0 + s
+        r_hi = np.where(
+            exited,
+            np.searchsorted(rec, t1, side="left"),
+            np.where(collided, np.searchsorted(rec, t1, side="right"), rec.size),
+        )
+        # deposit every flight that covers a record time, one record at a time
+        cov = np.flatnonzero(r_hi > r_lo)
+        if cov.size:
+            c_lo, c_hi = r_lo[cov], r_hi[cov]
+            c_t0, c_w = t0[cov], w[cov]
+            c_x = [xk[cov] for xk in x]
+            c_d = [dk[cov] for dk in d]
+            for r in range(int(c_lo.min()), int(c_hi.max())):
+                j = np.flatnonzero((c_lo <= r) & (c_hi > r))
+                if not j.size:
+                    continue
+                dt = rec[r] - c_t0[j]
+                p = pts[: j.size]
+                for k in range(len(comp)):
+                    np.multiply(c_d[k][j], dt, out=p[:, k])
+                    p[:, k] += c_x[k][j]
+                grid.deposit(acc[snaps[r]], p, c_w[j] * scales[r])
+                deposits += j.size
+        if sigma_0 <= 0.0:
+            break
+        # the collided particles scatter and fly again
+        ci = np.flatnonzero(collided)
+        n_c = ci.size
+        if not n_c:
+            break
+        s_c = s[ci]
+        x = [xk[ci] + dk[ci] * s_c for xk, dk in zip(x, d)]
+        t0 = t1[ci]
+        w = w[ci]
+        if sigma_0 < sigma_t:
+            w *= sigma_0 / sigma_t
+        mu_s = _sample_deflection(kernel, sc.scattering, n_c, rng)
+        chi = rng.uniform(0.0, 2.0 * math.pi, n_c)
+        new = _rotate(np.stack([uc[ci] for uc in u], axis=1), mu_s, chi)
+        u = [np.ascontiguousarray(new[:, c]) for c in range(3)]
+        s_coll = rng.exponential(1.0 / sigma_t, n_c)
+        r_lo = np.searchsorted(rec, t0, side="right")
+    return flights, deposits
 
 
 def _workers(n_batches: int) -> int:
@@ -379,22 +455,25 @@ def _workers(n_batches: int) -> int:
     return min(n_batches, len(os.sched_getaffinity(0)))
 
 
-def _run_batch(sc: Scenario, grid: TallyGrid, has_beam: bool, record, task) -> np.ndarray:
-    """Sample and advance one (seed, count) batch; return its (n_snapshots, *bins) tally.
+def _run_batch(sc: Scenario, grid: TallyGrid, has_beam: bool, record, task):
+    """Sample and advance one (seed, count) batch.
 
-    ``record`` is (times, snapshot indices, scales) of the deposits, in time order.
+    ``record`` is (times, snapshot indices, scales) of the deposits, in time
+    order.  Returns the batch's (n_snapshots, *bins) tally with its flight
+    and deposit counts.
     """
     child, n_b = task
     rng = np.random.default_rng(child)
     sample = _sample_beam_source if has_beam else _sample_initial
     pos, dirs, birth, weight = sample(sc, n_b, rng)
     tally = np.zeros((len(sc.snapshot_times),) + grid.shape)
-    _advance_batch(sc, grid, pos, dirs, birth, weight, rng, (*record, list(tally)))
-    return tally
+    flights, deposits = _advance_batch(
+        sc, grid, pos, dirs, birth, weight, rng, (*record, list(tally)))
+    return tally, flights, deposits
 
 
-def _run_batches(batch, tasks: list, workers: int) -> list[np.ndarray]:
-    """Batch tallies in task order, from a pool of ``workers`` forked processes.
+def _run_batches(batch, tasks: list, workers: int) -> list:
+    """Batch results in task order, from a pool of ``workers`` forked processes.
 
     Forked workers start without importing anything again, so callers need
     no ``__main__`` guard (the demos call ``simulate`` at module level).
@@ -404,9 +483,9 @@ def _run_batches(batch, tasks: list, workers: int) -> list[np.ndarray]:
         return list(map(batch, tasks))
     pool = multiprocessing.get_context("fork").Pool(workers)
     with pool:
-        tallies = pool.map(batch, tasks, chunksize=1)
+        results = pool.map(batch, tasks, chunksize=1)
     pool.join()
-    return tallies
+    return results
 
 
 def simulate(
@@ -430,6 +509,13 @@ def simulate(
     sampled or any worker starts.  ``window_frac`` sets the
     track-length window as a fraction of the time horizon; ``subsamples``
     is the number of deposit points along the in-window track.
+
+    Each batch advances its particles flight by flight (see
+    :func:`_advance_batch`); the tallies at a fixed seed are a different
+    realization from those of versions that stopped every particle at each
+    record time, statistically equivalent to them.  ``meta`` records the
+    total ``"flights"`` and ``"deposits"`` (particle positions handed to
+    the tally grid), summed in batch order.
     """
     t0 = time.perf_counter()
     _check_supported(scenario)
@@ -441,27 +527,18 @@ def simulate(
     snap_times = list(sc.snapshot_times)
     if not snap_times:
         raise ValidationError("scenario defines no snapshots to tally")
-    window = window_frac * sc.t_end
-    rec_times, rec_snap, rec_scale = [], [], []
-    for si, ts in enumerate(snap_times):
-        w_eff = min(window, 2.0 * ts, 2.0 * (sc.t_end - ts))
-        k_eff = subsamples if w_eff > 0.0 else 1
-        for j in range(k_eff):
-            rec_times.append(ts - 0.5 * w_eff + w_eff * (j + 0.5) / k_eff)
-            rec_snap.append(si)
-            rec_scale.append(1.0 / k_eff)
-    order = np.argsort(rec_times, kind="stable")
-    rec_times = [rec_times[i] for i in order]
-    rec_snap = [rec_snap[i] for i in order]
-    rec_scale = [rec_scale[i] for i in order]
+    record = _record_times(sc, window_frac, subsamples)
 
     seq = np.random.SeedSequence(seed)
     counts = [n_particles // n_batches] * n_batches
     for i in range(n_particles % n_batches):
         counts[i] += 1
-    batch = functools.partial(_run_batch, sc, grid, has_beam, (rec_times, rec_snap, rec_scale))
+    batch = functools.partial(_run_batch, sc, grid, has_beam, record)
     workers = _workers(n_batches)
-    batch_tallies = np.stack(_run_batches(batch, list(zip(seq.spawn(n_batches), counts)), workers))
+    tallies, flights, deposits = zip(
+        *_run_batches(batch, list(zip(seq.spawn(n_batches), counts)), workers))
+    batch_tallies = np.stack(tallies)
+    flights, deposits = sum(flights), sum(deposits)
     # number density -> u00 convention, per bin volume; each batch is an
     # independent estimate of the full tally (per-particle weight uses the
     # batch size), so the batch mean is the estimator
@@ -474,8 +551,8 @@ def simulate(
         for i, ts in enumerate(snap_times)
     ]
     log.debug(
-        "simulate: %d batches on %d workers in %.3f s",
-        n_batches, workers, time.perf_counter() - t0,
+        "simulate: %d batches on %d workers in %.3f s, %d flights, %d deposits",
+        n_batches, workers, time.perf_counter() - t0, flights, deposits,
     )
     return McResult(
         scenario=sc,
@@ -486,8 +563,10 @@ def simulate(
         meta={
             "n_batches": n_batches,
             "workers": workers,
-            "window": window,
+            "window": window_frac * sc.t_end,
             "subsamples": subsamples,
+            "flights": flights,
+            "deposits": deposits,
             "source": "beam" if has_beam else "initial",
         },
     )

@@ -50,6 +50,21 @@ BAD_VALUES = [
     ("tc4_beam", ("outputs", "snapshot_energies"), [math.nan]),
 ]
 
+# every part of a document that must be a JSON object, as a key path into tc_inflow_1d
+OBJECT_SECTIONS = [
+    (), ("model",), ("model", "scattering"), ("model", "stopping"), ("domain",),
+    ("boundaries",), ("boundaries", "x_low"), ("boundaries", "x_low", "psi_in"),
+    ("initial",), ("integration",), ("outputs",),
+]
+
+# zero-width beam parameters, each on a bundled scenario
+ZERO_WIDTH_BEAMS = [
+    ("tc_inflow_1d", "x_low", {"kind": "beam", "amplitude": 1.0, "sigma_omega": 0.0}),
+    ("tc4_beam", "z_high", {"sigma_x": 0}),
+    ("tc4_beam", "z_high", {"sigma_eps": 0}),
+    ("tc4_beam", "z_high", {"sigma_omega": -0.1}),
+]
+
 
 class TestConfigValidation:
     def test_roundtrip_is_fixed_point(self):
@@ -153,6 +168,46 @@ class TestConfigValidation:
         cfg.write_text(json.dumps(doc))
         assert main(["run", str(cfg), "-o", str(tmp_path / "out")]) == 1
         assert "validation error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("path", OBJECT_SECTIONS, ids=lambda p: ".".join(p) or "config")
+    def test_non_object_section_exits_1(self, tmp_path, capsys, path):
+        doc = bundled_doc("tc_inflow_1d")
+        if path:
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = 5
+        else:
+            doc = 5
+        where = ".".join(path) or "config"
+        with pytest.raises(ValidationError, match=f"^{where} must be an object, got 5$"):
+            scenario_from_dict(doc)
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", str(cfg), "-o", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"validation error: {where} must be an object" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_object_direction_rejected(self):
+        doc = bundled_doc("tc3_vacuum")
+        doc["initial"]["direction"] = 5
+        with pytest.raises(ValidationError, match="^initial.direction must be an object, got 5$"):
+            scenario_from_dict(doc)
+
+    @pytest.mark.parametrize("name, face, beam", ZERO_WIDTH_BEAMS)
+    def test_zero_width_beam_exits_1(self, tmp_path, capsys, name, face, beam):
+        doc = bundled_doc(name)
+        doc["boundaries"][face]["psi_in"].update(beam)
+        [key] = (k for k in beam if k.startswith("sigma"))
+        with pytest.raises(ValidationError, match=f"psi_in.{key} must be > 0"):
+            scenario_from_dict(doc)
+        cfg = tmp_path / "beam.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", str(cfg), "-o", str(tmp_path / "out")]) == 1
+        assert f"validation error: boundaries.{face}.psi_in.{key} must be > 0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_energy_mode_mapping(self):

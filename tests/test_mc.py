@@ -164,9 +164,157 @@ class TestParallelBatches:
             assert main(["oracle", str(cfg), "--n", "5000", "-o", str(tmp_path / "mc")]) == 0
         meta = json.loads((tmp_path / "mc" / "mc_metadata.json").read_text())
         assert meta["workers"] == 2 and meta["n_batches"] == 16
+        # vacuum: one flight per particle
+        assert meta["flights"] == 5000 and meta["deposits"] > 0
         records = [r for r in caplog.records if r.name == "pnsat.mc"]
         assert len(records) == 1 and records[0].levelno == logging.DEBUG
         assert "16 batches on 2 workers" in records[0].getMessage()
+        assert f"{meta['flights']} flights, {meta['deposits']} deposits" in records[0].getMessage()
+
+    @pytest.mark.parametrize("case", ["tc4", "hg_1d"])
+    def test_worker_count_does_not_change_counts(self, case, tmp_path, monkeypatch):
+        sc = PARALLEL_CASES[case](tmp_path)
+        counts = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(mc_module, "_workers", lambda n_batches, w=workers: w)
+            meta = simulate(sc, 20_003, seed=17).meta
+            counts[workers] = (meta["flights"], meta["deposits"])
+        # scatterers fly again after each collision
+        assert counts[1][0] > 20_003 and counts[1][1] > 0
+        assert counts[1] == counts[2]
+
+
+class Distances:
+    """A stand-in generator: ``exponential`` hands out the given path lengths; any other draw fails."""
+
+    def __init__(self, *lengths):
+        self.lengths = list(lengths)
+
+    def exponential(self, scale, n):
+        out, self.lengths = np.array(self.lengths[:n], dtype=float), self.lengths[n:]
+        return out
+
+
+def fly(sc, x, u, birth, times, rng=None):
+    """Advance hand-built particles (rows of x, directions u) with one snapshot per record time.
+
+    Returns the per-record tallies (in weight units) and the (flights, deposits) counts.
+    """
+    grid = TallyGrid.from_scenario(sc)
+    acc = [np.zeros(grid.shape) for _ in times]
+    rng = np.random.default_rng(0) if rng is None else rng
+    state = rng.bit_generator.state if hasattr(rng, "bit_generator") else None
+    counts = mc_module._advance_batch(
+        sc, grid, np.array(x, dtype=float), np.array(u, dtype=float), np.array(birth, dtype=float),
+        1.0, rng, (list(times), list(range(len(times))), [1.0] * len(times), acc))
+    if state is not None:
+        assert rng.bit_generator.state == state  # no scattering, no draw
+    return acc, counts
+
+
+def bin_of(sc, x):
+    """The 1-D tally bin that holds x."""
+    edges = TallyGrid.from_scenario(sc).edges[0]
+    return int(np.searchsorted(edges, x, side="right")) - 1
+
+
+def direct_tally(sc, pos, dirs, birth, weight, record, absorbed=None):
+    """Straight-line tallies: p0 + d (t_r - birth) for each particle born by t_r and still inside.
+
+    ``absorbed`` optionally gives the time each particle is absorbed (tallied up to and at it).
+    Returns the (n_snapshots, *bins) tally and the number of deposited points.
+    """
+    grid = TallyGrid.from_scenario(sc)
+    tally = np.zeros((len(sc.snapshot_times),) + grid.shape)
+    comp = [ax - 1 for ax in sc.axes]
+    lo = np.array([e[0] for e in sc.extents])
+    hi = np.array([e[1] for e in sc.extents])
+    deposits = 0
+    for t_r, snap, scale in zip(*record):
+        keep = birth - 1e-15 <= t_r
+        if absorbed is not None:
+            keep &= t_r <= absorbed
+        p = pos[keep] + dirs[keep][:, comp] * (t_r - birth[keep])[:, None]
+        p = p[np.all((p > lo) & (p < hi), axis=1)]
+        grid.deposit(tally[snap], p, np.full(p.shape[0], weight * scale))
+        deposits += p.shape[0]
+    return tally, deposits
+
+
+class TestEventSemantics:
+    """One flight per particle between events; deposits at the record times each flight covers."""
+
+    def test_exit_exactly_at_a_record_time_is_not_tallied(self):
+        sc = free_streaming_1d()  # vacuum on [-1, 1]: no collision, no draw
+        # leaves x = 1 at t = 0.5 exactly, and just after
+        acc, counts = fly(sc, [[0.5]], [[1.0, 0.0, 0.0]], [0.0], [0.25, 0.5])
+        assert acc[0][bin_of(sc, 0.75)] == 1.0 and acc[0].sum() == 1.0
+        assert not acc[1].any()
+        assert counts == (1, 1)
+        acc, counts = fly(sc, [[0.5 - 2.0**-20]], [[1.0, 0.0, 0.0]], [0.0], [0.25, 0.5])
+        assert acc[1][-1] == 1.0 and counts == (1, 2)
+
+    def test_birth_exactly_at_a_record_time_is_tallied(self):
+        sc = free_streaming_1d()
+        times = [0.2, 0.4, 0.6]
+        for birth, tallied in ((0.4, [0, 1, 1]), (0.4 + 5e-16, [0, 1, 1]), (0.4 + 1e-14, [0, 0, 1])):
+            acc, counts = fly(sc, [[0.0]], [[1.0, 0.0, 0.0]], [birth], times)
+            assert [a.sum() for a in acc] == tallied
+            assert counts == (1, sum(tallied))
+        acc, _ = fly(sc, [[0.0]], [[1.0, 0.0, 0.0]], [0.4], times)
+        assert acc[1][bin_of(sc, 0.0)] == 1.0 and acc[2][bin_of(sc, 0.2)] == 1.0
+
+    def test_nothing_advances_past_the_last_record_time(self):
+        sc = free_streaming_1d()
+        # born after the last record time: one flight of length zero, no deposit
+        acc, counts = fly(sc, [[0.0]], [[1.0, 0.0, 0.0]], [0.5], [0.2, 0.4])
+        assert not any(a.any() for a in acc) and counts == (1, 0)
+        # a scatterer whose first collision lies at or after the last record time never
+        # scatters: the stand-in generator has no deflection draws to give
+        sc = scattering_1d({"kind": "isotropic", "sigma_s": 1.0})
+        for s_coll in (0.5, 0.4):
+            acc, counts = fly(sc, [[-0.5]], [[1.0, 0.0, 0.0]], [0.0], [0.2, 0.4], Distances(s_coll))
+            assert acc[0][bin_of(sc, -0.3)] == 1.0 and acc[1][bin_of(sc, -0.1)] == 1.0
+            assert counts == (1, 2)
+
+    def test_pure_absorber_stops_at_its_first_collision(self):
+        sc = scattering_1d({"kind": "isotropic", "sigma_s": 0.0, "sigma_t": 2.0})
+        # collides at t = 0.3 (exactly on a record time, where it is still tallied)
+        acc, counts = fly(sc, [[0.0]], [[1.0, 0.0, 0.0]], [0.0], [0.2, 0.3, 0.4], Distances(0.3))
+        assert [a.sum() for a in acc] == [1.0, 1.0, 0.0]
+        assert counts == (1, 2)
+
+    def test_pure_absorber_matches_a_direct_computation(self):
+        sc = scattering_1d({"kind": "isotropic", "sigma_s": 0.0, "sigma_t": 2.0})
+        record = mc_module._record_times(sc, 0.02, 4)
+        child = np.random.SeedSequence(9).spawn(1)[0]
+        rng = np.random.default_rng(child)
+        pos, dirs, birth, weight = mc_module._sample_initial(sc, 20_000, rng)
+        t_coll = birth + rng.exponential(0.5, birth.size)
+        want, deposits = direct_tally(sc, pos, dirs, birth, weight, record, absorbed=t_coll)
+        grid = TallyGrid.from_scenario(sc)
+        got, flights, got_deposits = mc_module._run_batch(sc, grid, False, record, (child, 20_000))
+        assert np.array_equal(got, want)
+        assert (flights, got_deposits) == (20_000, deposits)
+
+    @pytest.mark.parametrize("case", ["free_1d", "tc3", "tc4"])
+    def test_vacuum_tally_matches_a_direct_computation(self, case):
+        if case == "free_1d":
+            sc = free_streaming_1d()
+        else:
+            doc = bundled_doc({"tc3": "tc3_vacuum", "tc4": "tc4_beam"}[case])
+            doc["model"]["scattering"] = {"kind": "none"}
+            sc = scenario_from_dict(doc)
+        has_beam = case == "tc4"
+        record = mc_module._record_times(sc, 0.02, 4)
+        child = np.random.SeedSequence(21).spawn(3)[2]
+        sample = mc_module._sample_beam_source if has_beam else mc_module._sample_initial
+        pos, dirs, birth, weight = sample(sc, 20_000, np.random.default_rng(child))
+        want, deposits = direct_tally(sc, pos, dirs, birth, weight, record)
+        grid = TallyGrid.from_scenario(sc)
+        got, flights, got_deposits = mc_module._run_batch(sc, grid, has_beam, record, (child, 20_000))
+        assert want.any() and np.array_equal(got, want)
+        assert (flights, got_deposits) == (20_000, deposits)
 
 
 class TestAgainstKineticSolution:
