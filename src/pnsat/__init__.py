@@ -43,6 +43,7 @@ from .solver import (
     energy,
     energy_bound_check,
     initial_state,
+    inner,
     mass_u00,
     rhs,
     run,

@@ -360,7 +360,7 @@ def check_semidiscrete_dissipativity(tol=1e-12, seed=5, n_samples=100) -> CheckR
     basis; the check fails if it is not.
     """
     from .config import scenario_from_dict
-    from .solver import build_setup, rhs
+    from .solver import build_setup, energy, inner, rhs
 
     sc = scenario_from_dict({
         "name": "dissipativity-probe",
@@ -389,18 +389,8 @@ def check_semidiscrete_dissipativity(tol=1e-12, seed=5, n_samples=100) -> CheckR
     rng = np.random.default_rng(seed)
     worst = -np.inf
     for _ in range(n_samples):
-        st = {
-            a: rng.standard_normal(setup.tensor.family_shape(a) + (setup.comps[a].size,))
-            for a in setup.families
-        }
-        inc = rhs(setup, st)
-        val = 0.0
-        e_tot = 0.0
-        for a in setup.families:
-            w = setup.tensor.axis_weights(0, a[0])
-            val += float(np.sum(w[:, None] * st[a] * inc[a]))
-            e_tot += setup.tensor.norm_sq(a, st[a])
-        worst = max(worst, val / e_tot)
+        st = {a: rng.standard_normal(shape) for a, shape in setup.shapes.items()}
+        worst = max(worst, inner(setup, st, rhs(setup, st)) / energy(setup, st))
     n, dim = setup.n_components, setup.basis.dim
     return CheckResult("solver.semidiscrete_dissipativity", worst <= tol and n == dim, tol - worst,
                        f"max <u, P rhs>/E = {worst:.2e} over {n}/{dim} components")

@@ -119,6 +119,8 @@ class InflowSpec:
         if kind == "beam":
             allowed = {"kind", "amplitude", "sigma_x", "sigma_omega", "eps_center", "sigma_eps"}
             _require_keys(d, allowed, {"kind", "amplitude", "sigma_omega"}, where)
+            if ("eps_center" in d) != ("sigma_eps" in d):
+                raise ValidationError(f"{where}: eps_center and sigma_eps must be given together")
             return cls(
                 "beam",
                 amplitude=_number(d, "amplitude", where),
@@ -145,8 +147,6 @@ class InflowSpec:
 
     def time_factor(self, tau: float, energy_map) -> float:
         if self.kind == "beam" and self.eps_center is not None:
-            if energy_map is None:
-                raise ValidationError("beam with eps_center requires an energy-mode scenario")
             eps = energy_map(tau)
             return math.exp(-(((eps - self.eps_center) / (math.sqrt(2.0) * self.sigma_eps)) ** 2))
         return 1.0
@@ -470,14 +470,15 @@ def scenario_from_dict(doc: dict, base: Path | None = None) -> Scenario:
     axes = tuple(AXIS_NAMES[a] for a in axis_names)
     if len(set(axes)) != len(axes):
         raise ValidationError("domain.axes must not repeat")
-    for e in dom["extents"]:
-        if not (
-            isinstance(e, list)
-            and len(e) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in e)
-        ):
-            raise ValidationError(f"domain.extents entries must be [lo, hi] number pairs, got {e!r}")
-    extents = tuple(tuple(map(float, e)) for e in dom["extents"])
+    extents = []
+    for i, e in enumerate(dom["extents"]):
+        try:
+            extents.append(_numbers(dom["extents"], i, "domain.extents", count=2))
+        except ValidationError:
+            raise ValidationError(
+                f"domain.extents entries must be [lo, hi] finite number pairs, got {e!r}"
+            ) from None
+    extents = tuple(extents)
     cells = tuple(dom["cells"])
     if len(extents) != len(axes) or len(cells) != len(axes):
         raise ValidationError("domain.extents and domain.cells must match the number of axes")
@@ -527,6 +528,12 @@ def scenario_from_dict(doc: dict, base: Path | None = None) -> Scenario:
                 raise ValidationError("snapshot energies must lie inside [eps_end, eps_max]")
     else:
         raise ValidationError("model.stopping.mode must be 'time' or 'energy'")
+    for (d_, side), spec in faces.items():
+        if mode != "energy" and spec.inflow.eps_center is not None:
+            raise ValidationError(
+                f"boundaries.{axis_names[d_]}_{side}.psi_in: a beam with eps_center needs "
+                "an energy-mode scenario"
+            )
     cfl = _number(integ, "cfl", "integration", lo=0.0, hi=1.0)
     if cfl == 0.0:
         raise ValidationError("integration.cfl must lie in (0, 1]")

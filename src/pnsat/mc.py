@@ -43,6 +43,10 @@ from .errors import NumericalError, ValidationError
 FOUR_PI = 4.0 * math.pi
 SQRT_FOUR_PI = math.sqrt(4.0 * math.pi)
 
+N_BATCHES = 16  # independent batches; their spread gives the per-bin standard error
+WINDOW_FRAC = 0.02  # track-length window of a snapshot, as a fraction of the time horizon
+SUBSAMPLES = 4  # deposit points along each particle's in-window track
+
 log = logging.getLogger(__name__)
 
 
@@ -459,13 +463,19 @@ def _run_batch(sc: Scenario, grid: TallyGrid, has_beam: bool, record, task):
     """Sample and advance one (seed, count) batch.
 
     ``record`` is (times, snapshot indices, scales) of the deposits, in time
-    order.  Returns the batch's (n_snapshots, *bins) tally with its flight
-    and deposit counts.
+    order.  Particles sampled outside the closed domain box (the tails of a
+    bulk Gaussian or of a beam's transverse profile) are dropped, each kept
+    particle with its weight: the solver's data live only on the grid.
+    Returns the batch's (n_snapshots, *bins) tally with its flight and
+    deposit counts.
     """
     child, n_b = task
     rng = np.random.default_rng(child)
     sample = _sample_beam_source if has_beam else _sample_initial
     pos, dirs, birth, weight = sample(sc, n_b, rng)
+    box = np.array(sc.extents)
+    inside = np.all((pos >= box[:, 0]) & (pos <= box[:, 1]), axis=1)
+    pos, dirs, birth = pos[inside], dirs[inside], birth[inside]
     tally = np.zeros((len(sc.snapshot_times),) + grid.shape)
     flights, deposits = _advance_batch(
         sc, grid, pos, dirs, birth, weight, rng, (*record, list(tally)))
@@ -488,27 +498,21 @@ def _run_batches(batch, tasks: list, workers: int) -> list:
     return results
 
 
-def simulate(
-    scenario: Scenario,
-    n_particles: int,
-    seed: int,
-    n_batches: int = 16,
-    window_frac: float = 0.02,
-    subsamples: int = 4,
-) -> McResult:
+def simulate(scenario: Scenario, n_particles: int, seed: int) -> McResult:
     """Monte Carlo estimate of the u00 snapshots of a scenario.
 
-    Deterministic for a fixed seed.  Particles are processed in independent
-    batches, each with its own spawned random stream and its own tally; the
-    batch spread yields the per-bin standard error.  The batches run on a
-    pool of forked worker processes, one per usable core (at most one per
-    batch), or in this process when one core is usable.  The tallies are
+    Deterministic for a fixed seed.  Particles are processed in
+    ``N_BATCHES`` independent batches, each with its own spawned random
+    stream and its own tally; the batch spread yields the per-bin standard
+    error.  The batches run on a pool of forked worker processes, one per
+    usable core (at most one per batch), or in this process when one core
+    is usable.  The tallies are
     stacked in batch order before they are reduced, so the result is
     bit-identical for every worker count.  An unsupported source (see
     :func:`_check_supported`) raises ValidationError before any particle is
-    sampled or any worker starts.  ``window_frac`` sets the
-    track-length window as a fraction of the time horizon; ``subsamples``
-    is the number of deposit points along the in-window track.
+    sampled or any worker starts.  Each snapshot's track-length window is
+    ``WINDOW_FRAC`` of the time horizon, with ``SUBSAMPLES`` deposit points
+    along the in-window track.
 
     Each batch advances its particles flight by flight (see
     :func:`_advance_batch`); the tallies at a fixed seed are a different
@@ -519,7 +523,7 @@ def simulate(
     """
     t0 = time.perf_counter()
     _check_supported(scenario)
-    if n_particles < n_batches:
+    if n_particles < N_BATCHES:
         raise ValidationError("need at least one particle per batch")
     sc = scenario
     grid = TallyGrid.from_scenario(sc)
@@ -527,16 +531,16 @@ def simulate(
     snap_times = list(sc.snapshot_times)
     if not snap_times:
         raise ValidationError("scenario defines no snapshots to tally")
-    record = _record_times(sc, window_frac, subsamples)
+    record = _record_times(sc, WINDOW_FRAC, SUBSAMPLES)
 
     seq = np.random.SeedSequence(seed)
-    counts = [n_particles // n_batches] * n_batches
-    for i in range(n_particles % n_batches):
+    counts = [n_particles // N_BATCHES] * N_BATCHES
+    for i in range(n_particles % N_BATCHES):
         counts[i] += 1
     batch = functools.partial(_run_batch, sc, grid, has_beam, record)
-    workers = _workers(n_batches)
+    workers = _workers(N_BATCHES)
     tallies, flights, deposits = zip(
-        *_run_batches(batch, list(zip(seq.spawn(n_batches), counts)), workers))
+        *_run_batches(batch, list(zip(seq.spawn(N_BATCHES), counts)), workers))
     batch_tallies = np.stack(tallies)
     flights, deposits = sum(flights), sum(deposits)
     # number density -> u00 convention, per bin volume; each batch is an
@@ -545,14 +549,14 @@ def simulate(
     norm = 1.0 / (grid.bin_volume * SQRT_FOUR_PI)
     batch_tallies *= norm
     mean = batch_tallies.mean(axis=0)
-    stderr = batch_tallies.std(axis=0, ddof=1) / math.sqrt(n_batches)
+    stderr = batch_tallies.std(axis=0, ddof=1) / math.sqrt(N_BATCHES)
     snapshots = [
         TallySnapshot(ts, sc.energy_of(ts), mean[i], stderr[i])
         for i, ts in enumerate(snap_times)
     ]
     log.debug(
         "simulate: %d batches on %d workers in %.3f s, %d flights, %d deposits",
-        n_batches, workers, time.perf_counter() - t0, flights, deposits,
+        N_BATCHES, workers, time.perf_counter() - t0, flights, deposits,
     )
     return McResult(
         scenario=sc,
@@ -561,10 +565,10 @@ def simulate(
         n_particles=n_particles,
         seed=seed,
         meta={
-            "n_batches": n_batches,
+            "n_batches": N_BATCHES,
             "workers": workers,
-            "window": window_frac * sc.t_end,
-            "subsamples": subsamples,
+            "window": WINDOW_FRAC * sc.t_end,
+            "subsamples": SUBSAMPLES,
             "flights": flights,
             "deposits": deposits,
             "source": "beam" if has_beam else "initial",

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -447,10 +447,9 @@ def sat_penalties(l_matrix: np.ndarray, a_hat: np.ndarray, alpha: float, side: s
 PARITIES = ("o", "e")
 
 
-def _complement(a: tuple[str, ...], d: int) -> tuple[str, ...]:
-    out = list(a)
-    out[d] = "e" if a[d] == "o" else "o"
-    return tuple(out)
+def outer(vectors) -> np.ndarray:
+    """Tensor product of 1-D arrays: axis j runs over ``vectors[j]``; the 0-d 1.0 for none."""
+    return reduce(np.multiply.outer, vectors, np.ones(()))
 
 
 @dataclass(frozen=True)
@@ -482,7 +481,8 @@ class TensorGrid:
         return keys
 
     def complement(self, family: tuple[str, ...], d: int) -> tuple[str, ...]:
-        return _complement(family, d)
+        """``family`` with the parity of storage axis ``d`` flipped: the grid its axis-d differences read."""
+        return family[:d] + ("e" if family[d] == "o" else "o",) + family[d + 1:]
 
     def axis_nodes(self, d: int, parity: str) -> np.ndarray:
         g = self.grids[d]
@@ -497,8 +497,9 @@ class TensorGrid:
     def axis_weights(self, d: int, parity: str) -> np.ndarray:
         return self.pairs[d].p_odd if parity == "o" else self.pairs[d].p_even
 
-    def family_weights(self, family) -> tuple[np.ndarray, ...]:
-        return tuple(self.axis_weights(d, p) for d, p in enumerate(family))
+    def weights(self, family) -> np.ndarray:
+        """The family's SBP norm table: the outer product of its axis P entries, shaped like its grid."""
+        return outer([self.axis_weights(d, p) for d, p in enumerate(family)])
 
     def deriv(self, family, d: int, field_c: np.ndarray) -> np.ndarray:
         """Derivative along storage axis ``d`` mapping family c_d(a) -> a.
@@ -512,26 +513,10 @@ class TensorGrid:
         out = op @ flat
         return np.moveaxis(out.reshape((out.shape[0],) + moved.shape[1:]), 0, d)
 
-    def norm_sq(self, family, field: np.ndarray) -> float:
-        """Squared discrete norm; ``field`` shape = family shape + (components,)."""
-        acc = field * field
-        for d in range(self.ndim):
-            w = self.axis_weights(d, family[d])
-            shape = [1] * acc.ndim
-            shape[d] = w.size
-            acc = acc * w.reshape(shape)
-        return float(acc.sum())
-
     def boundary_weight(self, family, d: int) -> np.ndarray:
         """Transverse norm-weight table for a face with normal along axis ``d``.
 
         Outer product of the other axes' P entries, shaped like the family
         grid with axis ``d`` removed; scalar 1.0 in 1D.
         """
-        ws = [self.axis_weights(j, family[j]) for j in range(self.ndim) if j != d]
-        if not ws:
-            return np.ones(())
-        out = ws[0]
-        for w in ws[1:]:
-            out = np.multiply.outer(out, w)
-        return out
+        return outer([self.axis_weights(j, family[j]) for j in range(self.ndim) if j != d])

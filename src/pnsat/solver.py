@@ -39,14 +39,21 @@ fresh buffers.  Families and face blocks without components are skipped.
 Kernel layout.  The state u and the RK4 quantities k, stage and acc are
 each one flat contiguous array holding the families in order; the family
 arrays are reshaped views of it, so every RK4 update is one array
-operation on the whole state.  The first RHS call for an (input, output)
-buffer pair binds a plan that later calls reuse: the hi/lo slices of each
-staggered difference and its target, the coupling blocks with -1/h folded
-in, and every face block's boundary slabs with m_eff^T and the penalties
-already divided by the boundary norm entries.  Each SBP closure is one
-small dense product per grid end (:class:`pnsat.sbp.ClosureCorner`) along
-the differenced axis.  An RHS call is then a fixed list of subtractions,
-``matmul`` calls and in-place additions.
+operation on the whole state.  RK4 reads two buffers and writes two, so
+the kernel binds two plans at construction, u -> acc and stage -> k: the
+hi/lo slices of each staggered difference and its target, the coupling
+blocks with -1/h folded in, and every face block's boundary slabs with
+m_eff^T and the penalties already divided by the boundary norm entries.
+Each SBP closure is one small dense product per grid end
+(:class:`pnsat.sbp.ClosureCorner`) along the differenced axis.  An RHS
+call is then a fixed list of subtractions, ``matmul`` calls and in-place
+additions.
+
+Norms.  :attr:`SolverSetup.shapes` and :attr:`SolverSetup.weights` hold
+each family's state shape and its SBP norm table (the outer product of
+its axis P entries, :meth:`pnsat.sbp.TensorGrid.weights`); :func:`inner`
+is the one discrete inner product, and :func:`energy` and
+:func:`mass_u00` read the same tables.
 """
 
 from __future__ import annotations
@@ -63,7 +70,7 @@ from . import boundary as bnd
 from .config import Scenario, face_key_to_dim_side
 from .errors import NumericalError, ValidationError
 from .moments import MomentBasis, PnSystem, assemble_transport, scattering_diagonal
-from .sbp import SatPenalty, StaggeredGrid1d, TensorGrid, sat_penalties
+from .sbp import SatPenalty, StaggeredGrid1d, TensorGrid, outer, sat_penalties
 
 logger = logging.getLogger(__name__)
 
@@ -127,16 +134,14 @@ class SolverSetup:
         return sum(c.size for c in self.comps.values())
 
     @functools.cached_property
-    def energy_weights(self) -> dict:
-        """Per family with components: the flattened outer product of its axis norm entries."""
-        out = {}
-        for a in self.families:
-            if self.comps[a].size:
-                w = np.ones(())
-                for p in self.tensor.family_weights(a):
-                    w = np.multiply.outer(w, p)
-                out[a] = w.ravel()
-        return out
+    def shapes(self) -> dict:
+        """Per family: the shape of its state array, its grid shape + (components,)."""
+        return {a: self.tensor.family_shape(a) + (self.comps[a].size,) for a in self.families}
+
+    @functools.cached_property
+    def weights(self) -> dict:
+        """Per family with components: its SBP norm table, flattened over the grid."""
+        return {a: self.tensor.weights(a).ravel() for a in self.families if self.comps[a].size}
 
     def dt_stable(self) -> float:
         h_min = min(g.h for g in self.tensor.grids)
@@ -221,13 +226,10 @@ def build_setup(scenario: Scenario) -> SolverSetup:
                     quad=q_in,
                     rows=rows[even_off_axis],
                 )
-            transverse = [tensor.axis_nodes(j, a[j]) for j in range(tensor.ndim) if j != d]
-            if transverse:
-                g_space = spec.inflow.spatial_profile(transverse[0])
-                for tr in transverse[1:]:
-                    g_space = np.multiply.outer(g_space, spec.inflow.spatial_profile(tr))
-            else:
-                g_space = np.ones(())
+            g_space = outer([
+                spec.inflow.spatial_profile(tensor.axis_nodes(j, a[j]))
+                for j in range(tensor.ndim) if j != d
+            ])
             blocks.append(
                 FaceBlock(a, ae, rows, cols, m_eff, bc.l_matrix, pen, g_dir, g_space, has_source)
             )
@@ -260,10 +262,7 @@ def build_setup(scenario: Scenario) -> SolverSetup:
 
 
 def zero_state(setup: SolverSetup) -> dict:
-    return {
-        a: np.zeros(setup.tensor.family_shape(a) + (setup.comps[a].size,))
-        for a in setup.families
-    }
+    return {a: np.zeros(shape) for a, shape in setup.shapes.items()}
 
 
 def initial_state(setup: SolverSetup, out: dict | None = None) -> dict:
@@ -304,25 +303,24 @@ def initial_state(setup: SolverSetup, out: dict | None = None) -> dict:
     return state
 
 
-def energy(setup: SolverSetup, state: dict) -> float:
-    """Total discrete energy: sum of squared family SBP norms."""
+def inner(setup: SolverSetup, u: dict, v: dict) -> float:
+    """The discrete SBP inner product <u, v>: per family, the P-weighted sum over nodes of u . v."""
     total = 0.0
-    for a, w in setup.energy_weights.items():
-        u = state[a].reshape(w.size, -1)
-        total += float(np.dot(np.einsum("ij,ij->i", u, u), w))
+    for a, w in setup.weights.items():
+        uf, vf = u[a].reshape(w.size, -1), v[a].reshape(w.size, -1)
+        total += float(np.dot(np.einsum("ij,ij->i", uf, vf), w))
     return total
+
+
+def energy(setup: SolverSetup, state: dict) -> float:
+    """Total discrete energy <u, u>: sum of squared family SBP norms."""
+    return inner(setup, state, state)
 
 
 def mass_u00(setup: SolverSetup, state: dict) -> float:
     """Discrete integral of the mean component (all-even family, position 0)."""
     a = ("e",) * setup.tensor.ndim
-    acc = state[a][..., 0].copy()
-    for d in range(setup.tensor.ndim):
-        w = setup.tensor.axis_weights(d, "e")
-        shape = [1] * acc.ndim
-        shape[d] = w.size
-        acc = acc * w.reshape(shape)
-    return float(acc.sum())
+    return float(np.dot(state[a][..., 0].ravel(), setup.weights[a]))
 
 
 def _slab(arr: np.ndarray, dim: int, idx: int) -> np.ndarray:
@@ -360,16 +358,16 @@ class _Stepper:
 
     u, k, stage and acc are each one contiguous array that holds every
     family in ``setup.families`` order; :meth:`views` gives the per-family
-    arrays, and ``state`` is the dict of views of u.  The first
-    :meth:`rhs_into` call for an (input, output) buffer pair binds a plan of
-    views and operands that later calls on that pair reuse.
+    arrays, and ``state`` is the dict of views of u.  The two plans that
+    RK4 needs are bound at construction: ``plan_u`` reads u and writes acc
+    (k1 goes straight into the accumulator), ``plan_stage`` reads stage and
+    writes k.  :meth:`rhs` runs one of them.
     """
 
     def __init__(self, setup: SolverSetup):
         self.setup = setup
         tensor = setup.tensor
-        self.shapes = {a: tensor.family_shape(a) + (setup.comps[a].size,) for a in setup.families}
-        sizes = [math.prod(shape) for shape in self.shapes.values()]
+        sizes = [math.prod(shape) for shape in setup.shapes.values()]
         self.offsets = np.cumsum([0] + sizes)
         self.u, self.k, self.stage, self.acc = (np.empty(self.offsets[-1]) for _ in range(4))
         self.state = self.views(self.u)
@@ -387,32 +385,18 @@ class _Stepper:
                     shape = tensor.family_shape(a) + (setup.comps[c].size,)
                     block = setup.a_blocks[(a, d)] / -tensor.grids[d].h
                     self.terms[a].append((d, c, block, np.empty(shape)))
-        # per face: the inflow when a block carries a source, and per block the
-        # operands m_eff^T, g's space-direction product, tau^o^T / p^o and,
-        # unless alpha = 1 makes tau^e vanish, tau^e^T / p^e
-        self.sats = []
-        for face in setup.faces:
-            d, bidx = face.dim, face.boundary_index
-            p_odd = tensor.axis_weights(d, "o")[bidx]
-            p_even = tensor.axis_weights(d, "e")[bidx]
-            blocks = []
-            for blk in face.blocks:
-                g = np.multiply.outer(blk.g_space, blk.g_dir) if blk.has_source else None
-                tau_even = blk.penalty.tau_even.T / p_even if blk.penalty.alpha != 1.0 else None
-                blocks.append((blk, blk.m_eff.T.copy(), g, blk.penalty.tau_odd.T / p_odd, tau_even))
-            inflow = face.inflow if any(blk.has_source for blk in face.blocks) else None
-            self.sats.append((face, inflow, blocks))
         q = {a: setup.q_relax[setup.comps[a]] for a in setup.families if setup.comps[a].size}
         self.q_relax = q if any(np.any(v) for v in q.values()) else None
         self._relax_cache: tuple[float, dict] | None = None
-        self._plans: dict = {}
         self.rhs_calls = 0
+        self.plan_u = self._bind(self.u, self.acc)
+        self.plan_stage = self._bind(self.stage, self.k)
 
     def views(self, flat: np.ndarray) -> dict:
         """Per-family arrays viewing one flat buffer."""
         return {
             a: flat[lo:hi].reshape(shape)
-            for (a, shape), lo, hi in zip(self.shapes.items(), self.offsets[:-1], self.offsets[1:])
+            for (a, shape), lo, hi in zip(self.setup.shapes.items(), self.offsets[:-1], self.offsets[1:])
         }
 
     def load(self, state: dict) -> None:
@@ -421,7 +405,12 @@ class _Stepper:
             v[...] = state[a]
 
     def _bind(self, x: np.ndarray, out: np.ndarray) -> tuple:
-        """The plan of one (input, output) buffer pair: views and operands bound once."""
+        """The plan that reads buffer ``x`` and writes buffer ``out``: views and operands bound once.
+
+        Per face, the plan holds the inflow when a block carries a source, and
+        per block the slabs with m_eff^T, g's space-direction product,
+        tau^o^T / p^o and, unless alpha = 1 makes tau^e vanish, tau^e^T / p^e.
+        """
         tensor = self.setup.tensor
         src_of, dst_of = self.views(x), self.views(out)
         diffs, corners, coupling = [], [], []
@@ -441,25 +430,26 @@ class _Stepper:
                 else:
                     coupling.append((lhs, block, self.scratch[: dst.size].reshape(dst.shape), dst))
         sats = []
-        for face, inflow, blocks in self.sats:
+        for face in self.setup.faces:
             d, bidx = face.dim, face.boundary_index
+            p_odd = tensor.axis_weights(d, "o")[bidx]
+            p_even = tensor.axis_weights(d, "e")[bidx]
             bound = []
-            for blk, m_t, g, tau_odd, tau_even in blocks:
+            for blk in face.blocks:
                 u_o = _slab(src_of[blk.family_odd], d, bidx)
-                out_e = _slab(dst_of[blk.family_even], d, bidx)
+                tau_even = blk.penalty.tau_even.T / p_even if blk.penalty.alpha != 1.0 else None
                 bound.append((
-                    u_o, _slab(src_of[blk.family_even], d, bidx), m_t, np.empty_like(u_o), g,
-                    _slab(dst_of[blk.family_odd], d, bidx), tau_odd,
-                    out_e if tau_even is not None else None, tau_even,
+                    u_o, _slab(src_of[blk.family_even], d, bidx), blk.m_eff.T.copy(), np.empty_like(u_o),
+                    np.multiply.outer(blk.g_space, blk.g_dir) if blk.has_source else None,
+                    _slab(dst_of[blk.family_odd], d, bidx), blk.penalty.tau_odd.T / p_odd,
+                    _slab(dst_of[blk.family_even], d, bidx) if tau_even is not None else None, tau_even,
                 ))
+            inflow = face.inflow if any(blk.has_source for blk in face.blocks) else None
             sats.append((inflow, bound))
         return diffs, corners, coupling, sats
 
-    def rhs_into(self, x: np.ndarray, t: float, out: np.ndarray) -> None:
-        """Transport + SAT increment of the flat state ``x`` at time t, written to ``out``."""
-        plan = self._plans.get((id(x), id(out)))
-        if plan is None:  # the plan's views keep x and out alive, so their ids stay theirs
-            plan = self._plans[id(x), id(out)] = self._bind(x, out)
+    def rhs(self, plan: tuple, t: float) -> None:
+        """Transport + SAT increment at time t of the plan's input buffer, written to its output."""
         self.rhs_calls += 1
         diffs, corners, coupling, sats = plan
         for hi, lo, target in diffs:
@@ -496,13 +486,13 @@ class _Stepper:
         if self.q_relax is not None:
             self._relax(0.5 * dt)
         u, k, stage, acc = self.u, self.k, self.stage, self.acc
-        self.rhs_into(u, t, acc)  # k1 goes straight into the accumulator
+        self.rhs(self.plan_u, t)  # k1 into acc
         for prev, c, twice, t_off in (
             (acc, 0.5 * dt, True, 0.5 * dt), (k, 0.5 * dt, True, 0.5 * dt), (k, dt, False, dt)
         ):
             np.multiply(prev, c, out=stage)
             stage += u
-            self.rhs_into(stage, t + t_off, k)
+            self.rhs(self.plan_stage, t + t_off)  # into k
             acc += k
             if twice:
                 acc += k
@@ -516,8 +506,8 @@ def rhs(setup: SolverSetup, state: dict, t: float = 0.0) -> dict:
     """Transport + SAT increment (no relaxation); pure in ``state``."""
     stepper = _Stepper(setup)
     stepper.load(state)
-    stepper.rhs_into(stepper.u, t, stepper.k)
-    return stepper.views(stepper.k)
+    stepper.rhs(stepper.plan_u, t)
+    return stepper.views(stepper.acc)
 
 
 def step_strang(setup: SolverSetup, state: dict, dt: float, t: float = 0.0) -> dict:

@@ -75,7 +75,7 @@ class AssembledOperator:
         self.setup = setup
         tensor = setup.tensor
         fams = setup.families
-        self.shapes = {a: tensor.family_shape(a) + (setup.comps[a].size,) for a in fams}
+        self.shapes = setup.shapes
         sizes = {a: int(np.prod(s)) for a, s in self.shapes.items()}
         starts = np.cumsum([0] + list(sizes.values()))
         self.slices = {a: slice(starts[i], starts[i + 1]) for i, a in enumerate(fams)}

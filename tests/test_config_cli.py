@@ -48,6 +48,14 @@ BAD_VALUES = [
     ("tc1", ("integration", "t_end"), math.nan),
     ("tc1", ("integration", "t_end"), math.inf),
     ("tc4_beam", ("outputs", "snapshot_energies"), [math.nan]),
+    ("tc1", ("domain", "extents"), [[0.0, math.inf]]),
+    # eps_center and sigma_eps come together, and only in energy mode
+    ("tc4_beam", ("boundaries", "z_high"), {"type": "onsager", "alpha": 1.0, "psi_in": {
+        "kind": "beam", "amplitude": 1.0, "sigma_x": 25.0, "sigma_omega": 0.1, "eps_center": 14.0}}),
+    ("tc4_beam", ("boundaries", "z_high"), {"type": "onsager", "alpha": 1.0, "psi_in": {
+        "kind": "beam", "amplitude": 1.0, "sigma_x": 25.0, "sigma_omega": 0.1, "sigma_eps": 0.14}}),
+    ("tc_inflow_1d", ("boundaries", "x_low"), {"type": "onsager", "alpha": 1.0, "psi_in": {
+        "kind": "beam", "amplitude": 1.0, "sigma_omega": 0.3, "eps_center": 1.0, "sigma_eps": 0.1}}),
 ]
 
 # every part of a document that must be a JSON object, as a key path into tc_inflow_1d

@@ -326,6 +326,24 @@ class TestAgainstKineticSolution:
             z = np.abs(snap.u00 - exact) / np.maximum(snap.stderr, 1e-300)
             assert z.max() <= 3.0
 
+    def test_bulk_tail_outside_the_domain_is_not_sampled(self):
+        # a Gaussian centred near x_high: its tail beyond the box is no initial data, so
+        # u00 is the moving-window average of the pdf restricted to [-1, 1]
+        doc = free_streaming_1d(snaps=(0.5,), t_end=0.5).to_dict()
+        doc["initial"].update(mu=[0.9], sigma=[0.3])
+        mc = simulate(scenario_from_dict(doc), 400_000, seed=7)
+        snap = mc.snapshots[0]
+
+        def cdf(y):
+            return 0.5 * math.erf((min(max(y, -1.0), 1.0) - 0.9) / (0.3 * math.sqrt(2)))
+
+        exact = np.array([(cdf(x + 0.5) - cdf(x - 0.5)) / (2 * 0.5) for x in mc.centers[0]])
+        # 16-batch standard errors are t-distributed with 15 degrees of freedom: 5 of them
+        # bound all 50 bins at about 1% family-wise.  The 1e-4 floor covers the far-left
+        # bins, where the exact value is below 1e-4 and no particle arrives.  Sampling the
+        # whole Gaussian puts the bins near x = 1 about 40 standard errors too high.
+        assert np.all(np.abs(snap.u00 - exact) <= 5.0 * snap.stderr + 1e-4)
+
     def test_variance_scales_inversely_with_n(self):
         sc = free_streaming_1d()
         ns = [20_000, 40_000, 80_000, 160_000, 320_000]

@@ -19,6 +19,7 @@ from pnsat.solver import (
     energy_bound_check,
     face_source_norm_sq,
     initial_state,
+    inner,
     mass_u00,
     rhs,
     run,
@@ -149,6 +150,33 @@ class TestRhs:
                 for a in setup.families
             )
             assert val <= 1e-12 * energy(setup, st)
+
+
+class TestNorms:
+    @pytest.mark.parametrize("axes, cells", [("x", (5,)), ("xz", (5, 6)), ("xyz", (4, 5, 6))])
+    def test_inner_energy_mass_match_kronecker_sums(self, axes, cells):
+        # reference: per family, the Kronecker product of the axis P tables (p_odd on an
+        # 'o' axis, p_even on an 'e' axis) weights the node sums of u . v
+        setup = build_setup(small_nd(axes, cells, f"{axes[0]}_high", ISOTROPIC))
+        rng = np.random.default_rng(11)
+        u = {a: rng.random(s) for a, s in setup.shapes.items()}
+        v = {a: rng.random(s) for a, s in setup.shapes.items()}
+
+        def kron_weights(a):
+            w = np.ones(1)
+            for pair, parity in zip(setup.tensor.pairs, a):
+                w = np.kron(w, pair.p_odd if parity == "o" else pair.p_even)
+            return w
+
+        def reference(x, y):
+            return sum(float(kron_weights(a) @ (x[a] * y[a]).reshape(-1, s[-1]).sum(axis=1))
+                       for a, s in setup.shapes.items())
+
+        assert inner(setup, u, v) == pytest.approx(reference(u, v), rel=1e-13)
+        assert energy(setup, u) == pytest.approx(reference(u, u), rel=1e-13)
+        even = ("e",) * len(axes)
+        mass = float(kron_weights(even) @ u[even][..., 0].ravel())
+        assert mass_u00(setup, u) == pytest.approx(mass, rel=1e-13)
 
 
 class TestStepping:
