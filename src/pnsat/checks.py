@@ -355,9 +355,10 @@ def check_penalty_admissibility(tol=1e-12, seed=4) -> CheckResult:
 def check_semidiscrete_dissipativity(tol=1e-12, seed=5, n_samples=100) -> CheckResult:
     """<u, P rhs(u)> <= 0 for random states over the full basis (g = 0).
 
-    The probe's initial moments fill all four (y, z) parity classes, so its
-    sector, and hence the probed state space, is the whole 16-component
-    basis; the check fails if it is not.
+    The probe holds a degree-3 initial moment in each of the four (y, z)
+    parity classes, so every azimuthal mode about x up to N = 3 is kept and
+    the probed state space is the whole 16-component basis; the check fails
+    if it is not.
     """
     from .config import scenario_from_dict
     from .solver import build_setup, energy, inner, rhs
@@ -376,10 +377,10 @@ def check_semidiscrete_dissipativity(tol=1e-12, seed=5, n_samples=100) -> CheckR
             "width": [0.2],
             # (y, z) parity classes: (e, e), (o, e), (e, o), (o, o)
             "moments": [
-                {"l": 0, "k": 0, "amp": 1.0},
-                {"l": 1, "k": -1, "amp": 1.0},
-                {"l": 1, "k": 0, "amp": 1.0},
-                {"l": 2, "k": -1, "amp": 1.0},
+                {"l": 3, "k": 1, "amp": 1.0},
+                {"l": 3, "k": -1, "amp": 1.0},
+                {"l": 3, "k": 0, "amp": 1.0},
+                {"l": 3, "k": -2, "amp": 1.0},
             ],
         },
         "integration": {"cfl": 0.5, "t_end": 1.0},

@@ -115,17 +115,23 @@ class PnSystem:
         return max(float(np.linalg.svd(self.a_hat[a - 1], compute_uv=False)[0]) for a in axes)
 
 
-def assemble_transport(basis: MomentBasis, quad: SphereQuadrature | None = None) -> PnSystem:
+def assemble_transport(
+    basis: MomentBasis, quad: SphereQuadrature | None = None, values: np.ndarray | None = None
+) -> PnSystem:
     """Build A^(i) for all three axes by full-sphere quadrature.
 
     The quadrature must be exact for basis products times omega_i, i.e. to
-    degree 2*n_max + 1; the default rule covers 2*n_max + 2.  Raises
+    degree 2*n_max + 1; the default rule covers 2*n_max + 2.  ``values``,
+    the basis on the rule's nodes (``eval_basis(n_max, quad.nodes)``), is
+    evaluated here unless the caller passes it with ``quad``.  Raises
     :class:`NumericalError` if any same-parity block exceeds 1e-12, which
     would indicate a broken quadrature or parity table.
     """
     if quad is None:
+        if values is not None:
+            raise ValidationError("basis values need the quadrature they were evaluated on")
         quad = build_quadrature(basis.n_max)
-    y = eval_basis(basis.n_max, quad.nodes)  # (n_nodes, m)
+    y = eval_basis(basis.n_max, quad.nodes) if values is None else values  # (n_nodes, m)
     wy = quad.weights[:, None] * y
     a_full, a_hat = [], []
     for axis in _AXES:

@@ -2,15 +2,20 @@
 
 State layout: one array per parity family (2^d families over the active
 axes), shaped (family grid shape) + (number of family components,).  Each
-family holds only the components of the reachable sector: the volume,
-boundary, penalty and relaxation terms conserve the parity of every
-inactive axis, and every inflow depends only on the direction component
-along its face normal, so the data reach just the inactive-axis parity
-classes of the initial moments plus the all-even class (see
-:func:`sector_mask`).  A 1-D run at N = 13 integrates 56 of 196
-components, an x-z run with y-even data 105; a 3-axis run has no inactive
-axis and integrates the full basis.  The transport increment for family a
-is
+family holds only the components of the reachable sector (see
+:func:`sector`): the volume, boundary, penalty and relaxation terms
+conserve the parity of every inactive axis, and every inflow depends only
+on the direction component along its face normal, so the data reach just
+the inactive-axis parity classes of the initial moments plus the all-even
+class.  In 1-D every term also commutes with rotations about the active
+axis, so each azimuthal mode about it evolves on its own, and a run keeps
+only the modes its data reach.  A family's components are the orthonormal
+columns of its :class:`Frame`: basis functions, or the harmonics of the
+kept modes projected onto the basis, through which every operator, the
+inflow moments and the initial data are projected.  tc1 (isotropic data,
+N = 13) integrates the 14 P_l(omega_x) of the 196 components, an x-z run
+with y-even data 105; a 3-axis run has no inactive axis and integrates the
+full basis.  The transport increment for family a is
 
     du^a = - sum_d A^a_d (D_d u^{c_d(a)})  +  boundary SATs,
 
@@ -71,24 +76,56 @@ from .config import Scenario, face_key_to_dim_side
 from .errors import NumericalError, ValidationError
 from .moments import MomentBasis, PnSystem, assemble_transport, scattering_diagonal
 from .sbp import SatPenalty, StaggeredGrid1d, TensorGrid, outer, sat_penalties
+from .sphharm import SphereQuadrature, axis_mode_signs, build_quadrature, eval_axis_modes, eval_basis
 
 logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
+class Frame:
+    """One family's integrated components: orthonormal columns over basis functions.
+
+    ``rows`` are the flat basis positions the columns live on (the family's
+    part of the reachable parity classes) and ``matrix`` (rows x columns)
+    holds the columns.  A column is a basis function (an identity column,
+    order -1) or, in a 1-D run, the degree-l harmonic of an azimuthal mode
+    of order m about the active axis, projected onto the basis functions of
+    its own degree and parity class.  ``degrees``, ``orders`` and ``signs``
+    (3 x columns, per Cartesian axis) describe the columns; :attr:`size`
+    is their number.
+    """
+
+    rows: np.ndarray
+    matrix: np.ndarray
+    degrees: np.ndarray
+    orders: np.ndarray
+    signs: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return self.matrix.shape[1]
+
+    def project(self, mat: np.ndarray, right: "Frame") -> np.ndarray:
+        """V^T mat W for a matrix over (self.rows, right.rows), W the right frame."""
+        return self.matrix.T @ mat @ right.matrix
+
+    def coefficients(self, flat: np.ndarray) -> np.ndarray:
+        """Column coefficients of a flat-basis vector that lies in the span of the columns."""
+        return self.matrix.T @ flat[self.rows]
+
+
+@dataclass(frozen=True)
 class FaceBlock:
-    """BC data restricted to one transverse-parity class of one face."""
+    """BC data restricted to one odd family of one face, in the families' frames."""
 
     family_odd: tuple[str, ...]
     family_even: tuple[str, ...]
-    rows: np.ndarray
-    cols: np.ndarray
     m_eff: np.ndarray
     l_matrix: np.ndarray
     penalty: SatPenalty
     g_dir: np.ndarray
     g_space: np.ndarray  # transverse profile on the slab, shape = transverse grid
-    has_source: bool  # by symmetry: an inflow, and rows even off the face axis
+    has_source: bool  # by symmetry: an inflow, and a column even off the face axis and not a mode m > 0
 
 
 @dataclass(frozen=True)
@@ -114,9 +151,10 @@ class SolverSetup:
     basis: MomentBasis
     system: PnSystem
     tensor: TensorGrid
-    comps: dict
+    comps: dict  # per family: its Frame; comps[a].size components are integrated
+    modes: tuple | None  # 1-D: the kept azimuthal modes (m, "cos" | "sin") about the active axis
     a_blocks: dict
-    q_relax: np.ndarray
+    q_relax: dict  # per family: the relaxation rate of each column, sigma_l - sigma_t at its degree
     faces: tuple[FaceData, ...]
     speeds: dict  # per active axis: the largest singular value of its Ahat
 
@@ -130,7 +168,7 @@ class SolverSetup:
 
     @property
     def n_components(self) -> int:
-        """Number of basis components integrated, summed over the families."""
+        """Number of components integrated, summed over the families."""
         return sum(c.size for c in self.comps.values())
 
     @functools.cached_property
@@ -148,41 +186,152 @@ class SolverSetup:
         return self.scenario.cfl * h_min / sum(self.speeds.values())
 
 
-def sector_mask(scenario: Scenario, basis: MomentBasis) -> np.ndarray:
-    """Flat-basis mask of the components the scenario's data can reach.
+def _mode_classes(axis: int, n_max: int) -> dict:
+    """The parity class of each azimuthal mode (m, trig) about ``axis``, m <= n_max.
 
-    A component is reachable when its parity class over the inactive axes
-    is the all-even class (which holds u00 and every inflow) or the class
-    of a non-zero initial moment amplitude.
+    A class is the mode's parity signs on the two other axes, in axis
+    order; they depend only on the parity of m and the trig kind, not on
+    the degree.  Modes come in order of m, cos before sin.
+    """
+    kinds, classes = {}, {}
+    for m, trig in [(0, "cos")] + [(m, trig) for m in range(1, n_max + 1) for trig in ("cos", "sin")]:
+        if (m % 2, trig) not in kinds:
+            signs = axis_mode_signs(axis, m, m, trig)
+            kinds[(m % 2, trig)] = tuple(signs[ax - 1] for ax in (1, 2, 3) if ax != axis)
+        classes[(m, trig)] = kinds[(m % 2, trig)]
+    return classes
+
+
+def sector(scenario: Scenario, basis: MomentBasis) -> tuple[np.ndarray, tuple | None]:
+    """The part of the basis the scenario's data can reach: (flat mask, modes).
+
+    The mask holds the components whose parity class over the inactive axes
+    is the all-even class (which holds u00 and every inflow) or the class of
+    a non-zero initial moment amplitude.  In a 1-D run every term also
+    commutes with rotations about the active axis, so each azimuthal mode
+    (m, "cos" | "sin") about it evolves on its own: the run keeps (0, cos),
+    which holds u00 and every inflow, and for each non-zero initial moment
+    of degree l every mode m <= l of that moment's class.  In 2-D and 3-D
+    the modes are None.
     """
     inactive = [ax for ax in (1, 2, 3) if ax not in scenario.axes]
     if not inactive:
-        return np.ones(basis.dim, dtype=bool)
+        return np.ones(basis.dim, dtype=bool), None
     classes = np.stack([basis.parity.signs[ax - 1] for ax in inactive], axis=-1)
     amps = scenario.initial.moment_amplitudes(scenario.n_max)
-    reached = [np.ones(len(inactive), dtype=int)]
-    reached += [classes[flat] for flat, amp in amps.items() if amp != 0.0]
-    return np.any([np.all(classes == c, axis=-1) for c in reached], axis=0)
+    nonzero = [flat for flat, amp in amps.items() if amp != 0.0]
+    reached = [np.ones(len(inactive), dtype=int)] + [classes[flat] for flat in nonzero]
+    mask = np.any([np.all(classes == c, axis=-1) for c in reached], axis=0)
+    if len(inactive) == 1:
+        return mask, None
+    (axis,) = scenario.axes
+    top = {(1, 1): 0}  # per class: the highest degree the data hold
+    for flat in nonzero:
+        c = tuple(int(s) for s in classes[flat])
+        top[c] = max(top.get(c, 0), basis.indices[flat].l)
+    modes = tuple(mode for mode, c in _mode_classes(axis, basis.n_max).items() if mode[0] <= top.get(c, -1))
+    return mask, modes
+
+
+def component_frames(
+    scenario: Scenario,
+    basis: MomentBasis,
+    quad: SphereQuadrature,
+    values: np.ndarray,
+    mask: np.ndarray,
+    modes: tuple | None,
+) -> dict:
+    """Per family: the Frame of its integrated components.
+
+    The columns are the basis functions in ``mask``, except in a 1-D parity
+    class of which some modes up to N are not kept: there they are the
+    degree-l harmonics of the class's kept modes, degrees m..N.  These are
+    projected onto the basis with the full-sphere rule ``quad`` of the
+    transport assembly and the basis ``values`` on its nodes (exact, as the
+    products have degree 2l <= 2N), set to exact
+    zero outside their own degree and parity class, which rotation about
+    the axis preserves, and scaled to unit norm.  Columns are ordered by degree, basis functions
+    before modes, so the l = 0 column comes first in the all-even family.
+    """
+    parity = np.stack(basis.parity.signs)  # (3, m)
+    degrees = np.repeat(np.arange(basis.n_max + 1), 2 * np.arange(basis.n_max + 1) + 1)
+    basis_cols = mask.copy()
+    mode_cols = []
+    if modes is not None:
+        (axis,) = scenario.axes
+        inactive = [ax - 1 for ax in (1, 2, 3) if ax != axis]
+        kept, every = {}, {}
+        for mode, c in _mode_classes(axis, basis.n_max).items():
+            every.setdefault(c, []).append(mode)
+            if mode in modes:
+                kept.setdefault(c, []).append(mode)
+        for c, ms in kept.items():
+            if ms != every[c]:
+                basis_cols &= ~np.all(parity[inactive].T == c, axis=-1)
+                mode_cols += [(l, m, trig) for m, trig in ms for l in range(m, basis.n_max + 1)]
+    # every column over the whole basis, with its degree, order and parity signs
+    flats = np.nonzero(basis_cols)[0]
+    columns = np.zeros((basis.dim, flats.size + len(mode_cols)))
+    columns[flats, np.arange(flats.size)] = 1.0
+    col_degrees = np.concatenate([degrees[flats], [l for l, _, _ in mode_cols]]).astype(int)
+    col_orders = np.concatenate([np.full(flats.size, -1), [m for _, m, _ in mode_cols]]).astype(int)
+    col_signs = parity[:, flats]
+    if mode_cols:
+        mode_signs = np.array([axis_mode_signs(axis, *col) for col in mode_cols]).T
+        col_signs = np.concatenate([col_signs, mode_signs], axis=1)
+        need = np.nonzero(mask & ~basis_cols)[0]  # the basis functions of the mode classes
+        modes_at_nodes = eval_axis_modes(basis.n_max, axis, mode_cols, quad.nodes)
+        proj = values[:, need].T @ (quad.weights[:, None] * modes_at_nodes)
+        own = (degrees[need, None] == col_degrees[flats.size:]) & np.all(
+            parity[:, need, None] == mode_signs[:, None, :], axis=0)
+        proj[~own] = 0.0
+        columns[need, flats.size:] = proj / np.linalg.norm(proj, axis=0)
+    # by degree, then basis functions (in flat order) before modes (in mode_cols order)
+    order = np.lexsort((np.arange(columns.shape[1]), col_orders >= 0, col_degrees))
+    frames = {}
+    for a, idx in basis.family_indices(scenario.axes).items():
+        rows = idx[mask[idx]]
+        mine = np.all([(col_signs[ax - 1] < 0) == (p == "o") for ax, p in zip(scenario.axes, a)], axis=0)
+        sel = order[mine[order]]
+        frames[a] = Frame(
+            rows, columns[np.ix_(rows, sel)], col_degrees[sel], col_orders[sel], col_signs[:, sel]
+        )
+    return frames
 
 
 def build_setup(scenario: Scenario) -> SolverSetup:
+    """Assemble a scenario's operators in the frames of its reachable components.
+
+    The transport blocks, L, Ahat, M, the penalties, the inflow moments and
+    (in :func:`initial_state`) the initial data are projected through each
+    family's :class:`Frame`; relaxation stays diagonal.  The CFL step, the
+    axis speeds and the constant C of the energy bound come from the
+    unreduced operators (the full Ahat and the parity-sector L), so they do
+    not depend on the reduction.
+    """
     basis = MomentBasis.build(scenario.n_max)
-    system = assemble_transport(basis)
+    # one full-sphere rule and one basis evaluation serve the assembly and the frames
+    quad = build_quadrature(basis.n_max)
+    values = eval_basis(basis.n_max, quad.nodes)
+    system = assemble_transport(basis, quad, values)
     grids = tuple(
         StaggeredGrid1d(lo, hi, c) for (lo, hi), c in zip(scenario.extents, scenario.cells)
     )
     tensor = TensorGrid.build(scenario.axes, grids)
-    sector = sector_mask(scenario, basis)
-    comps = {a: idx[sector[idx]] for a, idx in basis.family_indices(scenario.axes).items()}
+    mask, modes = sector(scenario, basis)
+    comps = component_frames(scenario, basis, quad, values, mask, modes)
+    del values  # free the (nodes x basis) table before the boundary rules add their own
+    parity = np.stack(basis.parity.signs)
     a_blocks = {}
     for a in tensor.families:
         for d, axis in enumerate(scenario.axes):
-            c = tensor.complement(a, d)
+            fa, fc = comps[a], comps[tensor.complement(a, d)]
+            block = fa.project(system.a_full[axis - 1][np.ix_(fa.rows, fc.rows)], fc)
             # transposed dense block: BLAS-friendly as (nodes, m_c) @ (m_c, m_a)
-            a_blocks[(a, d)] = np.ascontiguousarray(
-                system.a_full[axis - 1][np.ix_(comps[a], comps[c])].T
-            )
-    q_relax = scattering_diagonal(scenario.scattering, basis)
+            a_blocks[(a, d)] = np.ascontiguousarray(block.T)
+    # sigma_l - sigma_t depends on the degree only: read it at (l, 0)
+    q_flat = scattering_diagonal(scenario.scattering, basis)
+    q_relax = {a: q_flat[f.degrees * (f.degrees + 1)] for a, f in comps.items()}
 
     faces = []
     shared = {}  # per axis: its half-sphere rule and, per odd family, the high face's Onsager blocks
@@ -192,55 +341,58 @@ def build_setup(scenario: Scenario) -> SolverSetup:
         if axis not in shared:
             high = bnd.Face(axis, "high")
             q_out = bnd.outgoing_quadrature(basis, high)
-            pairs = {a: tensor.complement(a, d) for a in tensor.families if a[d] == "o"}
-            shared[axis] = q_out, {
-                a: bnd.onsager_bc(basis, high, system, quad=q_out, rows=comps[a], cols=comps[ae])
-                for a, ae in pairs.items()
-                if comps[a].size and comps[ae].size
-            }
+            onsager = {}
+            for a in tensor.families:
+                fo, fe = comps[a], comps[tensor.complement(a, d)]
+                if a[d] == "o" and fo.size and fe.size:
+                    bc = bnd.onsager_bc(basis, high, system, quad=q_out, rows=fo.rows, cols=fe.rows)
+                    onsager[a] = (
+                        bc, fo.project(bc.l_matrix, fo), fo.project(bc.a_hat, fe), fo.project(bc.m_matrix, fe)
+                    )
+            shared[axis] = q_out, onsager
         q_out, onsager = shared[axis]
         q_in = bnd.inflow_quadrature(basis, face) if spec.inflow.kind != "none" else None
+        off_axis = [ax - 1 for ax in (1, 2, 3) if ax != axis]
         blocks = []
         source_norm_sq = 0.0
-        for a, bc in onsager.items():
+        for a, (bc, l_mat, a_hat, m_mat) in onsager.items():
             ae = tensor.complement(a, d)
-            rows, cols = comps[a], comps[ae]
+            fo, fe = comps[a], comps[ae]
             if spec.kind == "unstable_marshak":
-                m_eff = bnd.marshak_matrix(basis, face, quad=q_out, rows=rows, cols=cols)
+                marshak = bnd.marshak_matrix(basis, face, quad=q_out, rows=fo.rows, cols=fe.rows)
+                m_eff = fo.project(marshak, fe)
             else:
-                m_eff = face.sign * bc.m_matrix  # M = sign * L Ahat: L and Ahat are side-independent
-            pen = sat_penalties(bc.l_matrix, bc.a_hat, spec.alpha, side)
-            # an inflow depends on omega only through omega_axis, so its
-            # moments vanish on rows odd in any other axis
-            even_off_axis = np.all(
-                [basis.parity.signs[ax - 1][rows] > 0 for ax in (1, 2, 3) if ax != axis], axis=0
-            )
-            has_source = spec.inflow.kind != "none" and bool(even_off_axis.any())
-            g_dir = np.zeros(rows.size)
+                m_eff = face.sign * m_mat  # M = sign * L Ahat: L and Ahat are side-independent
+            pen = sat_penalties(l_mat, a_hat, spec.alpha, side)
+            # an inflow depends on omega only through omega_axis, so its moments
+            # vanish on columns odd in any other axis and on modes about the axis
+            # of order m > 0
+            sourced = np.all(fo.signs[off_axis] > 0, axis=0) & (fo.orders <= 0)
+            has_source = spec.inflow.kind != "none" and bool(sourced.any())
+            g_dir = np.zeros(fo.size)
             if has_source:
-                g_dir[even_off_axis] = bnd.boundary_source(
+                even_rows = np.all(parity[np.ix_(off_axis, fo.rows)] > 0, axis=0)
+                g_dir[sourced] = fo.matrix[np.ix_(even_rows, sourced)].T @ bnd.boundary_source(
                     face,
                     lambda om: spec.inflow.amplitude
                     * spec.inflow.direction_profile(om, axis, face.sign),
                     basis,
                     quad=q_in,
-                    rows=rows[even_off_axis],
+                    rows=fo.rows[even_rows],
                 )
             g_space = outer([
                 spec.inflow.spatial_profile(tensor.axis_nodes(j, a[j]))
                 for j in range(tensor.ndim) if j != d
             ])
-            blocks.append(
-                FaceBlock(a, ae, rows, cols, m_eff, bc.l_matrix, pen, g_dir, g_space, has_source)
-            )
+            blocks.append(FaceBlock(a, ae, m_eff, l_mat, pen, g_dir, g_space, has_source))
             if has_source:
                 w = tensor.boundary_weight(a, d)
                 source_norm_sq += float(np.sum(w * g_space * g_space)) * float(g_dir @ g_dir)
         c_const = None
         if spec.kind == "onsager" and onsager:
             # tau^o = -alpha L^-1, so per block ||tau^o|| = alpha / l_min and
-            # ||L^-1 + tau^o^T|| = (1 - alpha) / l_min
-            c_const = max(spec.alpha, 1.0 - spec.alpha) / min(bc.l_min for bc in onsager.values())
+            # ||L^-1 + tau^o^T|| = (1 - alpha) / l_min; l_min of the parity-sector L
+            c_const = max(spec.alpha, 1.0 - spec.alpha) / min(bc.l_min for bc, *_ in onsager.values())
         faces.append(FaceData(
             d, side, axis, spec.kind, spec.alpha, spec.inflow, tuple(blocks), source_norm_sq, c_const
         ))
@@ -250,6 +402,7 @@ def build_setup(scenario: Scenario) -> SolverSetup:
         system=system,
         tensor=tensor,
         comps=comps,
+        modes=modes,
         a_blocks=a_blocks,
         q_relax=q_relax,
         faces=tuple(faces),
@@ -268,8 +421,9 @@ def zero_state(setup: SolverSetup) -> dict:
 def initial_state(setup: SolverSetup, out: dict | None = None) -> dict:
     """Populate the family arrays from the scenario's initial spec.
 
-    Writes into ``out`` (a dict of family arrays, zeroed first) when given,
-    so a run fills its stepper's own buffer; otherwise into a new zero state.
+    The initial moments are projected through each family's frame.  Writes
+    into ``out`` (a dict of family arrays, zeroed first) when given, so a
+    run fills its stepper's own buffer; otherwise into a new zero state.
     """
     sc = setup.scenario
     if out is None:
@@ -278,28 +432,22 @@ def initial_state(setup: SolverSetup, out: dict | None = None) -> dict:
         state = out
         for v in state.values():
             v.fill(0.0)
-    amps = sc.initial.moment_amplitudes(sc.n_max)
-    flat_to_family = {}
-    for a in setup.families:
-        for pos, flat in enumerate(setup.comps[a]):
-            flat_to_family[int(flat)] = (a, pos)
-    for flat, amp in amps.items():
-        if amp == 0.0:  # a zero moment does not widen the sector
-            continue
-        a, pos = flat_to_family[flat]
-        profile = sc.initial.spatial_profile(setup.tensor.family_nodes(a))
-        state[a][..., pos] += amp * profile
+    amps = np.zeros(setup.basis.dim)
+    for flat, amp in sc.initial.moment_amplitudes(sc.n_max).items():
+        amps[flat] = amp
+    for a, frame in setup.comps.items():
+        coef = frame.coefficients(amps)
+        cols = np.flatnonzero(coef)
+        if cols.size:
+            profile = sc.initial.spatial_profile(setup.tensor.family_nodes(a))
+            state[a][..., cols] += np.multiply.outer(profile, coef[cols])
     if sc.initial.odd_from_bc is not None:
         d, side = face_key_to_dim_side(sc, sc.initial.odd_from_bc)
         face = next(f for f in setup.faces if f.dim == d and f.side == side)
         for blk in face.blocks:
             ao, ae = blk.family_odd, blk.family_even
             profile = sc.initial.spatial_profile(setup.tensor.family_nodes(ao))
-            amp_e = np.zeros(blk.cols.size)
-            for pos, flat in enumerate(setup.comps[ae]):
-                if int(flat) in amps:
-                    amp_e[pos] = amps[int(flat)]
-            state[ao][...] += np.multiply.outer(profile, blk.m_eff @ amp_e)
+            state[ao][...] += np.multiply.outer(profile, blk.m_eff @ setup.comps[ae].coefficients(amps))
     return state
 
 
@@ -385,7 +533,7 @@ class _Stepper:
                     shape = tensor.family_shape(a) + (setup.comps[c].size,)
                     block = setup.a_blocks[(a, d)] / -tensor.grids[d].h
                     self.terms[a].append((d, c, block, np.empty(shape)))
-        q = {a: setup.q_relax[setup.comps[a]] for a in setup.families if setup.comps[a].size}
+        q = {a: v for a, v in setup.q_relax.items() if v.size}
         self.q_relax = q if any(np.any(v) for v in q.values()) else None
         self._relax_cache: tuple[float, dict] | None = None
         self.rhs_calls = 0
@@ -621,9 +769,10 @@ def run(scenario: Scenario) -> RunResult:
             raise NumericalError("step budget exceeded")
 
     stepping_s = _time.perf_counter() - wall0 - setup_s
+    modes = None if setup.modes is None else [list(mode) for mode in setup.modes]
     logger.debug(
-        "run %s: %d steps of dt = %.6g on %d components, set-up %.3f s, stepping %.3f s",
-        scenario.name, step_count, dt_base, setup.n_components, setup_s, stepping_s,
+        "run %s: %d steps of dt = %.6g on %d components (modes %s), set-up %.3f s, stepping %.3f s",
+        scenario.name, step_count, dt_base, setup.n_components, modes, setup_s, stepping_s,
     )
     c_vals = [f.c_constant for f in setup.faces if f.c_constant is not None]
     all_onsager = all(f.kind == "onsager" for f in setup.faces)
@@ -640,6 +789,7 @@ def run(scenario: Scenario) -> RunResult:
         "components": {
             "integrated": setup.n_components,
             "basis": setup.basis.dim,
+            "modes": modes,
         },
         "length_unit": scenario.length_unit,
         "seconds": {"setup": setup_s, "stepping": stepping_s},

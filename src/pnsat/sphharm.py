@@ -17,6 +17,9 @@ and azimuth ``phi = atan2(omega[1], omega[0])``.
 
 Each basis function is either even or odd under the reflection of a single
 Cartesian component; see :func:`classify_parity` for the closed-form rules.
+The same harmonics taken about the x or y axis instead of z
+(:func:`eval_axis_modes`, parities by :func:`axis_mode_signs`) span each
+degree too; a 1-D run uses those about its axis.
 """
 
 from __future__ import annotations
@@ -216,6 +219,56 @@ def eval_basis(n_max: int, omega) -> np.ndarray:
             for l in range(m, n_max + 1):
                 out[..., l * l + l + m] = sqrt2 * nlm[l] * cos_m
                 out[..., l * l + l - m] = sqrt2 * nlm[l] * sin_m
+    return out
+
+
+def _azimuth_axes(axis: int) -> tuple[int, int]:
+    """The axes (p, q) after ``axis`` in cyclic order: the azimuth about ``axis`` runs from p toward q."""
+    return axis % 3 + 1, (axis + 1) % 3 + 1
+
+
+def axis_mode_signs(axis: int, l: int, m: int, trig: str) -> tuple[int, int, int]:
+    """Parity signs, per Cartesian axis 1..3, of the degree-l harmonic of mode (m, trig) about ``axis``.
+
+    The polar factor gives (-1)^(l+m) along ``axis``.  Reflecting p maps
+    phi to pi - phi, so cos(m phi) picks up (-1)^m and sin(m phi) -(-1)^m;
+    reflecting q maps phi to -phi, so cos is even and sin odd.  About axis
+    3 these are the signs of :func:`classify_parity` for Y_l^{+-m}.
+    """
+    _check_axis(axis)
+    p, q = _azimuth_axes(axis)
+    signs = [0, 0, 0]
+    signs[axis - 1] = (-1) ** (l + m)
+    signs[p - 1] = (-1) ** m if trig == "cos" else -((-1) ** m)
+    signs[q - 1] = 1 if trig == "cos" else -1
+    return tuple(signs)
+
+
+def eval_axis_modes(n_max: int, axis: int, columns, omega) -> np.ndarray:
+    """Real harmonics about a Cartesian axis, one per column (l, m, trig), at one or many directions.
+
+    The column (l, m, trig) is C_{l,m} P_l^m(omega_axis) times cos(m phi)
+    or sin(m phi) (m = 0: cos only), with the normalization of
+    :func:`eval_basis` and the azimuth phi measured from axis p toward
+    axis q (:func:`axis_mode_signs`).  About axis 3 the column (l, m, cos)
+    is Y_l^m and (l, m, sin) is Y_l^-m.  Returns shape (..., len(columns)).
+    """
+    arr = _as_omega(omega)
+    _check_axis(axis)
+    p, q = _azimuth_axes(axis)
+    mu = arr[..., axis - 1]
+    phi = np.arctan2(arr[..., q - 1], arr[..., p - 1])
+    legendre, waves = {}, {}
+    out = np.empty(mu.shape + (len(columns),))
+    for j, (l, m, trig) in enumerate(columns):
+        if m not in legendre:
+            legendre[m] = _normalized_assoc_legendre(n_max, m, mu)
+        if m == 0:
+            out[..., j] = legendre[m][l]
+            continue
+        if (m, trig) not in waves:
+            waves[(m, trig)] = math.sqrt(2.0) * (np.cos(m * phi) if trig == "cos" else np.sin(m * phi))
+        out[..., j] = legendre[m][l] * waves[(m, trig)]
     return out
 
 

@@ -1,5 +1,6 @@
 import json
 from importlib.resources import files
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import scipy.sparse as sp
 
 from pnsat.config import load_scenario, scenario_from_dict
 from pnsat.moments import MomentBasis, assemble_transport
+from pnsat.solver import build_setup
 
 
 def scenario_path(name: str) -> str:
@@ -52,6 +54,30 @@ def every_moment_initial(n_max: int, ndim: int) -> dict:
     }
 
 
+def full_basis(scenario, basis):
+    """Stand-in for ``solver.sector`` that keeps every basis function and no modes."""
+    return np.ones(basis.dim, dtype=bool), None
+
+
+def build_full_setup(scenario):
+    """The scenario's setup on the full basis: identity frames over every family."""
+    with mock.patch("pnsat.solver.sector", full_basis):
+        return build_setup(scenario)
+
+
+def lift(setup, state, full) -> dict:
+    """A state of ``setup`` in the layout of the full-basis setup ``full``.
+
+    Each family's columns are mapped to basis functions through its frame.
+    """
+    out = {}
+    for a, frame in setup.comps.items():
+        vals = np.zeros(full.shapes[a])
+        vals[..., np.searchsorted(full.comps[a].rows, frame.rows)] = state[a] @ frame.matrix.T
+        out[a] = vals
+    return out
+
+
 def sector_test2(basis):
     """Transversally even sector of the order-2 system: one odd row, three even columns."""
     odd_set = set(basis.odd_positions(1).tolist())
@@ -68,7 +94,8 @@ class AssembledOperator:
     Kronecker products of the SBP derivative matrices D^o / D^e with the
     moment blocks, plus the SAT rows of every face block; s(t) carries the
     boundary source g.  States are packed by concatenating the flattened
-    family arrays.
+    family arrays.  Build it on a full-basis setup (:func:`build_full_setup`)
+    and compare reduced runs through :func:`lift`.
     """
 
     def __init__(self, setup):
@@ -98,7 +125,7 @@ class AssembledOperator:
                 sel_e = self._on_axis(ae, d, self._unit_row(tensor.family_shape(ae)[d], b))
                 lift = {ao: sp.kron(sel_o.T, blk.penalty.tau_odd / p_o),
                         ae: sp.kron(sel_e.T, blk.penalty.tau_even / p_e)}
-                residual = {ao: sp.kron(sel_o, np.eye(blk.rows.size)), ae: -sp.kron(sel_e, blk.m_eff)}
+                residual = {ao: sp.kron(sel_o, np.eye(blk.m_eff.shape[0])), ae: -sp.kron(sel_e, blk.m_eff)}
                 for x in (ao, ae):
                     for y in (ao, ae):
                         blocks[x, y] += lift[x] @ residual[y]
@@ -140,7 +167,7 @@ class AssembledOperator:
     def step_strang(self, state, dt: float, t: float) -> dict:
         """Relaxation half-step, classical RK4 on L u + s(t), relaxation half-step."""
         relax = np.concatenate([
-            np.broadcast_to(np.exp(self.setup.q_relax[self.setup.comps[a]] * 0.5 * dt), s).ravel()
+            np.broadcast_to(np.exp(self.setup.q_relax[a] * 0.5 * dt), s).ravel()
             for a, s in self.shapes.items()
         ])
         u = relax * self.pack(state)

@@ -280,8 +280,9 @@ class TestCli:
         assert log_lines[0] == "t,E,bound"
         meta = json.loads((out / "metadata.json").read_text())
         assert meta["c_constant"] is not None
-        # N = 5 in 1-D: only the (y, z)-even class, 1 + 1 + 2 + 2 + 3 + 3 of 36
-        assert meta["components"] == {"integrated": 12, "basis": 36}
+        # N = 5 in 1-D with zero initial data and an isotropic inflow: only the
+        # azimuthal mode m = 0 about x, one component per degree, 6 of 36
+        assert meta["components"] == {"integrated": 6, "basis": 36, "modes": [[0, "cos"]]}
         assert set(meta["seconds"]) == {"setup", "stepping"}
         assert all(v >= 0.0 for v in meta["seconds"].values())
         assert meta["rhs_calls"] == 4 * meta["steps"]  # four RK4 stages per step
@@ -289,7 +290,8 @@ class TestCli:
         scenario_from_dict(meta["scenario"])
 
     def test_run_records_component_counts(self, tmp_path, capsys):
-        # tc1 integrates the 56 (y, z)-even components of the 196 at N = 13
+        # tc1's isotropic data reach only the azimuthal mode m = 0 about x: the
+        # 14 P_l(omega_x) of the 196 components at N = 13
         cfg = tmp_path / "tc1.json"
         doc = bundled_doc("tc1")
         doc["domain"]["cells"] = [20]
@@ -298,7 +300,7 @@ class TestCli:
         cfg.write_text(json.dumps(doc))
         assert main(["run", str(cfg), "-o", str(tmp_path / "out")]) == 0
         meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
-        assert meta["components"] == {"integrated": 56, "basis": 196}
+        assert meta["components"] == {"integrated": 14, "basis": 196, "modes": [[0, "cos"]]}
 
     def test_run_2d_snapshot_header(self, tmp_path):
         cfg = tmp_path / "probe2d.json"
@@ -312,6 +314,9 @@ class TestCli:
         assert main(["run", str(cfg), "-o", str(out)]) == 0
         header = (out / "snapshot_000.csv").read_text().splitlines()[0]
         assert header == "x,z,u00"
+        # azimuthal modes are a 1-D reduction: a 2-D run records none
+        meta = json.loads((out / "metadata.json").read_text())
+        assert meta["components"] == {"integrated": 10, "basis": 16, "modes": None}
 
     def test_empty_parity_families_and_p0(self, tmp_path, capsys):
         # N = 1 and 2 leave some parity families without components; P_0 has no transport

@@ -15,6 +15,7 @@ from pnsat.moments import (
     recursion_check,
     scattering_diagonal,
 )
+from pnsat.sphharm import build_quadrature, eval_basis
 
 
 def random_directions(n, seed=0):
@@ -92,6 +93,16 @@ class TestTransportAssembly:
         bad_full2[0][i, j] += 1e-3
         tampered2 = type(system)(basis2, bad_full2, system.a_hat)
         assert not check_golden_coupling(system=tampered2).passed
+
+    def test_precomputed_basis_values(self, basis2):
+        # a caller that already holds the basis on the rule gets the same system
+        quad = build_quadrature(2)
+        given = assemble_transport(basis2, quad, eval_basis(2, quad.nodes))
+        own = assemble_transport(basis2)
+        for a, b in zip(given.a_full, own.a_full, strict=True):
+            assert np.array_equal(a, b)
+        with pytest.raises(ValidationError, match="quadrature"):
+            assemble_transport(basis2, values=eval_basis(2, quad.nodes))
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_spectrum_symmetric_with_kernel(self, n):

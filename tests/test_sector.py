@@ -1,23 +1,22 @@
 """The reachable-sector reduction changes no result.
 
-Each run integrates only the inactive-axis parity classes its data can
-reach (``solver.sector_mask``).  These tests rerun scaled-down bundled
-scenarios on the full basis, by patching the mask, and require the same
-time grid and the same energy, bound and snapshots to 1e-12 relative.
+Each run integrates only the components its data can reach
+(``solver.sector``): the inactive-axis parity classes of its data and, in
+1-D, the azimuthal modes about the active axis, each family in its own
+orthonormal frame (``solver.Frame``).  These tests rerun scaled-down
+bundled scenarios and 1-D probes on the full basis, by patching the sector
+function, and require the same time grid and the same energy, bound and
+snapshots to 1e-12 relative.
 """
-
-from unittest import mock
 
 import numpy as np
 import pytest
 
-from conftest import bundled_doc, load_bundled
+from conftest import build_full_setup, bundled_doc, full_basis, load_bundled
 from pnsat.config import scenario_from_dict
 from pnsat.solver import build_setup, run
 
-
-def full_basis(scenario, basis):
-    return np.ones(basis.dim, dtype=bool)
+ONSAGER = {"type": "onsager", "alpha": 1.0, "psi_in": {"kind": "none"}}
 
 
 def scaled(name: str) -> dict:
@@ -35,7 +34,7 @@ def scaled(name: str) -> dict:
 
 
 def two_class_1d() -> dict:
-    """1-D moments in the (y, z) classes (e, e) and (o, e): the sector is their union."""
+    """1-D moments in the (y, z) classes (e, e) and (o, e): the modes cos 0, cos 1 and cos 2 about x."""
     doc = bundled_doc("tc2_stable")
     doc["model"]["N"] = 4
     doc["domain"]["cells"] = [60]
@@ -47,11 +46,64 @@ def two_class_1d() -> dict:
     return doc
 
 
+# moments in all four classes of either inactive pair, none of degree N = 5
+MIXED_MOMENTS = [
+    {"l": 0, "k": 0, "amp": 1.0},
+    {"l": 1, "k": 1, "amp": 0.5},
+    {"l": 2, "k": -2, "amp": -1.0},
+    {"l": 2, "k": 1, "amp": 0.7},
+    {"l": 3, "k": -1, "amp": 0.3},
+]
+
+
+def along(axis: str) -> dict:
+    """A 1-D run along ``axis`` with moments of every class: modes of both trig kinds and m up to 3."""
+    return {
+        "name": f"along_{axis}",
+        "model": {"N": 5, "scattering": {"kind": "none"}, "stopping": {"mode": "time"}},
+        "domain": {"axes": [axis], "extents": [[-1.0, 1.0]], "cells": [50]},
+        "boundaries": {f"{axis}_low": ONSAGER, f"{axis}_high": ONSAGER},
+        "initial": {"kind": "gaussian_envelope_moments", "center": [0.1], "width": [0.3],
+                    "moments": MIXED_MOMENTS},
+        "integration": {"cfl": 0.5, "t_end": 0.6},
+        "outputs": {"snapshot_times": [0.3, 0.6]},
+    }
+
+
+def beam_1d() -> dict:
+    """An alpha = 0.5 face, isotropic scattering and a time-dependent beam: tau^e, the source and relaxation."""
+    beam = {"kind": "beam", "amplitude": 1.0, "sigma_x": 0.5, "sigma_omega": 0.3,
+            "eps_center": 1.9, "sigma_eps": 0.1}
+    return {
+        "name": "beam_1d",
+        "model": {"N": 5, "scattering": {"kind": "isotropic", "sigma_s": 1.5},
+                  "stopping": {"mode": "energy", "s_rho": 1.0, "eps_max": 2.0, "eps_end": 1.5}},
+        "domain": {"axes": ["x"], "extents": [[-1.0, 1.0]], "cells": [40]},
+        "boundaries": {"x_low": {**ONSAGER, "alpha": 0.5}, "x_high": {**ONSAGER, "psi_in": beam}},
+        "initial": {"kind": "gaussian_envelope_moments", "center": [0.0], "width": [0.3],
+                    "moments": MIXED_MOMENTS},
+        "integration": {"cfl": 0.5},
+        "outputs": {"snapshot_energies": [1.7, 1.5]},
+    }
+
+
+def marshak_1d() -> dict:
+    """tc2_unstable at N = 4: the Marshak face acts on mode frames (cos 0 and cos 2 of cos 0, 2, 4)."""
+    doc = bundled_doc("tc2_unstable")
+    doc["model"]["N"] = 4
+    doc["domain"]["cells"] = [60]
+    return doc
+
+
 CASES = {
     name: scaled(name)
     for name in ("tc1", "tc2_stable", "tc2_unstable", "tc3_vacuum", "tc4_beam", "tc_inflow_1d")
 }
 CASES["two_class_1d"] = two_class_1d()
+CASES["along_y"] = along("y")
+CASES["along_z"] = along("z")
+CASES["beam_1d"] = beam_1d()
+CASES["marshak_1d"] = marshak_1d()
 
 
 def assert_close(got, want, what):
@@ -60,13 +112,13 @@ def assert_close(got, want, what):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_sector_run_matches_full_basis(name):
+def test_sector_run_matches_full_basis(name, monkeypatch):
     sc = scenario_from_dict(CASES[name])
     reduced = run(sc)
-    with mock.patch("pnsat.solver.sector_mask", full_basis):
-        full = run(sc)
+    monkeypatch.setattr("pnsat.solver.sector", full_basis)
+    full = run(sc)
     basis = reduced.setup.basis.dim
-    assert full.metadata["components"] == {"integrated": basis, "basis": basis}
+    assert full.metadata["components"] == {"integrated": basis, "basis": basis, "modes": None}
     assert reduced.metadata["components"]["integrated"] < basis
     assert reduced.metadata["dt"] == full.metadata["dt"]
     assert np.array_equal(reduced.log.times, full.log.times)
@@ -79,35 +131,33 @@ def test_sector_run_matches_full_basis(name):
 
 @pytest.mark.parametrize(
     "name, integrated",
-    [("tc2_stable", 4), ("tc3_vacuum", 105), ("tc4_beam", 105)],
+    [("tc1", 14), ("tc_inflow_1d", 6), ("tc2_stable", 4), ("tc3_vacuum", 105), ("tc4_beam", 105)],
 )
 def test_bundled_sector_sizes(name, integrated):
-    # tc1 (56) and tc_inflow_1d (12) are pinned through metadata.json in test_config_cli
     setup = build_setup(load_bundled(name))
     assert setup.n_components == integrated
 
 
 def test_union_of_initial_classes():
-    # N = 4 in 1-D: (2, 0) is (y, z)-even, (2, -2) is y-odd and z-even, so the
-    # sector is every z-even component: l + 1 of them per degree
+    # N = 4 in 1-D: (2, 0) is (y, z)-even and reaches cos 0 and cos 2 about x;
+    # (2, -2) is y-odd and z-even and reaches cos 1.  Each mode m keeps its
+    # degrees m..4: 5 + 4 + 3 components
     setup = build_setup(scenario_from_dict(two_class_1d()))
-    assert setup.n_components == sum(l + 1 for l in range(5))
-    signs = setup.basis.parity.signs
-    flats = np.concatenate(list(setup.comps.values()))
-    assert np.all(signs[2][flats] > 0)
-    assert np.any(signs[1][flats] < 0)
+    assert setup.modes == ((0, "cos"), (1, "cos"), (2, "cos"))
+    assert setup.n_components == 12
+    orders = np.concatenate([f.orders for f in setup.comps.values()])
+    assert sorted(np.bincount(orders)) == [3, 4, 5]
+    assert all(np.all(f.signs[2] > 0) for f in setup.comps.values())  # all z-even
 
 
 def test_three_axis_setup_keeps_full_basis():
     doc = scaled("tc1")
     doc["domain"] = {"axes": ["x", "y", "z"], "extents": [[-1.0, 1.0]] * 3, "cells": [4] * 3}
-    doc["boundaries"] = {
-        f"{ax}_{side}": {"type": "onsager", "alpha": 1.0, "psi_in": {"kind": "none"}}
-        for ax in "xyz" for side in ("low", "high")
-    }
+    doc["boundaries"] = {f"{ax}_{side}": ONSAGER for ax in "xyz" for side in ("low", "high")}
     doc["model"]["N"] = 3
     doc["initial"] = {"kind": "gaussian_bulk", "mu": [0.0] * 3, "sigma": [0.3] * 3}
-    assert build_setup(scenario_from_dict(doc)).n_components == 16
+    setup = build_setup(scenario_from_dict(doc))
+    assert setup.n_components == 16 and setup.modes is None
 
 
 def test_face_sources_follow_symmetry():
@@ -121,3 +171,71 @@ def test_face_sources_follow_symmetry():
     assert blocks[("e", "o")].has_source
     assert np.abs(blocks[("e", "o")].g_dir).max() > 0.1
     assert all(not blk.has_source for f in setup.faces if f.inflow.kind == "none" for blk in f.blocks)
+
+
+def test_inflow_reaches_only_mode_zero():
+    # beam_1d keeps modes m > 0 from its initial data; the beam's moments sit on m = 0 only
+    setup = build_setup(scenario_from_dict(beam_1d()))
+    blk = next(blk for f in setup.faces if f.inflow.kind != "none" for blk in f.blocks)
+    frame = setup.comps[blk.family_odd]
+    assert np.any(frame.orders > 0)
+    assert np.all(blk.g_dir[frame.orders != 0] == 0.0)
+    assert np.all(blk.g_dir[frame.orders == 0] != 0.0)
+
+
+FRAME_CASES = ("tc1", "tc_inflow_1d", "two_class_1d", "along_y", "along_z", "beam_1d", "marshak_1d")
+
+
+@pytest.mark.parametrize("name", FRAME_CASES)
+def test_frames_orthonormal_and_zero_outside_degree_and_class(name):
+    setup = build_setup(scenario_from_dict(CASES[name]))
+    basis = setup.basis
+    degrees = np.array([i.l for i in basis.indices])
+    parity = np.stack(basis.parity.signs)
+    assert any(np.any(f.orders >= 0) for f in setup.comps.values())  # mode columns present
+    for a, frame in setup.comps.items():
+        gram = frame.matrix.T @ frame.matrix
+        np.testing.assert_allclose(gram, np.eye(frame.size), rtol=0.0, atol=1e-14)
+        for j in range(frame.size):
+            own = (degrees[frame.rows] == frame.degrees[j]) & np.all(
+                parity[:, frame.rows] == frame.signs[:, [j]], axis=0)
+            assert np.all(frame.matrix[~own, j] == 0.0)
+        # the l = 0 column, u00, leads the all-even family
+        if a == ("e",):
+            assert frame.degrees[0] == 0
+            assert frame.matrix[0, 0] == 1.0
+
+
+def test_frame_reduces_span_of_transport():
+    # A maps the span of the even columns into that of the odd ones, so the
+    # projected blocks lose nothing (what makes the reduction exact)
+    setup = build_setup(scenario_from_dict(along("y")))
+    fo, fe = setup.comps[("o",)], setup.comps[("e",)]
+    a = setup.system.a_full[1][np.ix_(fo.rows, fe.rows)]
+    image = a @ fe.matrix
+    np.testing.assert_allclose(fo.matrix @ (fo.matrix.T @ image), image, rtol=0.0, atol=1e-14)
+
+
+def test_complete_class_gets_identity_columns():
+    # N = 3 along x: (3, 1) holds the (y, z)-even class up to m = 3, so that class is
+    # complete and its columns are basis functions; (1, -1) reaches only cos 1 of the
+    # (o, e) class's cos 1 and cos 3, which stays a mode frame
+    doc = along("x")
+    doc["model"]["N"] = 3
+    doc["initial"]["moments"] = [{"l": 3, "k": 1, "amp": 1.0}, {"l": 1, "k": -1, "amp": 1.0}]
+    setup = build_setup(scenario_from_dict(doc))
+    assert setup.modes == ((0, "cos"), (1, "cos"), (2, "cos"))
+    for frame in setup.comps.values():
+        even_even = np.all(frame.signs[1:] > 0, axis=0)
+        assert np.all(frame.orders[even_even] == -1)
+        assert np.all(frame.orders[~even_even] == 1)
+        unit = frame.matrix[:, even_even]
+        assert np.all((unit == 0.0) | (unit == 1.0)) and np.all(unit.sum(axis=0) == 1.0)
+    # a 1-D run whose every class is complete is the identity on the whole basis
+    full = build_full_setup(scenario_from_dict(doc))
+    doc["initial"]["moments"] = [{"l": 3, "k": k, "amp": 1.0} for k in (1, -1, 0, -2)]
+    setup = build_setup(scenario_from_dict(doc))
+    assert setup.n_components == 16
+    for a, frame in setup.comps.items():
+        assert np.array_equal(frame.rows, full.comps[a].rows)
+        assert np.array_equal(frame.matrix, np.eye(frame.size))

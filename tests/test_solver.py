@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 from scipy.interpolate import interp1d
 
-from conftest import AssembledOperator, bundled_doc, every_moment_initial, load_bundled
+from conftest import (
+    AssembledOperator,
+    build_full_setup,
+    bundled_doc,
+    every_moment_initial,
+    lift,
+    load_bundled,
+)
 from pnsat import boundary as bnd
 from pnsat.config import scenario_from_dict
 from pnsat.errors import ValidationError
@@ -129,8 +136,9 @@ class TestRhs:
         x_o = setup.tensor.axis_nodes(0, "o")
         sig = 0.25
         du00 = -(x_o / sig**2) * np.exp(-x_o**2 / (2 * sig**2)) / (sig * math.sqrt(2 * math.pi))
-        a_blk = setup.system.a_hat_block(1, setup.comps[o_fam], setup.comps[e_fam])
-        expected = -np.outer(du00, a_blk[:, 0])
+        fo, fe = setup.comps[o_fam], setup.comps[e_fam]
+        a_blk = fo.project(setup.system.a_hat_block(1, fo.rows, fe.rows), fe)
+        expected = -np.outer(du00, a_blk[:, 0])  # even column 0 is u00
         interior = slice(5, -5)
         err = np.abs(inc[o_fam][interior] - expected[interior]).max()
         assert err < 5e-3  # O(h^2) at h = 0.01 with |f'''| ~ 1e2 scale
@@ -192,9 +200,7 @@ class TestStepping:
         new = step_strang(setup, state, dt, 0.0)
         # keep clear of the boundary SAT influence (a few stencil widths per stage)
         interior = slice(14, -14)
-        comps = setup.comps[e_fam]
-        for pos, flat in enumerate(comps):
-            l = setup.basis.indices[flat].l
+        for pos, l in enumerate(setup.comps[e_fam].degrees):
             want = 1.0 if l == 0 else math.exp(-2.0 * dt)
             got = new[e_fam][interior, pos]
             np.testing.assert_allclose(got, want, atol=1e-12)
@@ -232,26 +238,32 @@ class TestStepping:
         cases = [vacuum_1d(n_max=4, cells=30, scattering=s)
                  for s in (None, {"kind": "isotropic", "sigma_s": 1.5})]
         cases += [small_nd("xz", (8, 5), "z_high", BEAM), small_nd("xyz", (4, 5, 6), "y_low", ISOTROPIC)]
+        # the 1-D cases integrate only the mode m = 0 about x: their states are
+        # lifted through the frames onto the full-basis reference
         for sc in cases:
             setup = build_setup(sc)
+            full = build_full_setup(sc)
             state = initial_state(setup)
             dt = setup.dt_stable()
-            op = AssembledOperator(setup)
-            ref = state
+            assert full.dt_stable() == dt
+            op = AssembledOperator(full)
+            ref = lift(setup, state, full)
             for i in range(3):
                 ref = op.step_strang(ref, dt, i * dt)
             stepper = _Stepper(setup)
             stepper.load(state)
             for i in range(3):
                 stepper.step(dt, i * dt)
+            got = lift(setup, stepper.state, full)
             for a in state:
-                np.testing.assert_allclose(stepper.state[a], ref[a], atol=1e-13)
+                np.testing.assert_allclose(got[a], ref[a], atol=1e-13)
+        assert build_setup(cases[0]).n_components < build_full_setup(cases[0]).n_components
 
     def test_n_dimensional_cases_exercise_every_term(self):
         for sc in (small_nd("xz", (8, 5), "z_high", BEAM), small_nd("xyz", (4, 5, 6), "y_low", ISOTROPIC)):
             setup = build_setup(sc)
             assert setup.n_components == setup.basis.dim
-            assert any(np.any(setup.q_relax[c]) for c in setup.comps.values())
+            assert any(np.any(q) for q in setup.q_relax.values())
             blocks = [blk for f in setup.faces for blk in f.blocks]
             assert any(blk.penalty.alpha == 0.5 for blk in blocks)
             assert any(blk.has_source for blk in blocks)
@@ -308,25 +320,29 @@ class TestSetup:
             for f in setup.faces:
                 face = bnd.Face(f.axis, f.side)
                 for blk in f.blocks:
-                    l_blk = bnd.onsager_L(basis, face, rows=blk.rows)
-                    a_blk = setup.system.a_hat_block(f.axis, blk.rows, blk.cols)
+                    fo, fe = setup.comps[blk.family_odd], setup.comps[blk.family_even]
+                    l_rows = bnd.onsager_L(basis, face, rows=fo.rows)
+                    a_rows = setup.system.a_hat_block(f.axis, fo.rows, fe.rows)
+                    l_blk, a_blk = fo.project(l_rows, fo), fo.project(a_rows, fe)
                     if f.kind == "unstable_marshak":
-                        m_eff = bnd.marshak_matrix(basis, face, rows=blk.rows, cols=blk.cols)
+                        m_eff = fo.project(bnd.marshak_matrix(basis, face, rows=fo.rows, cols=fe.rows), fe)
                     else:
-                        m_eff = face.sign * (l_blk @ a_blk)
+                        m_eff = face.sign * fo.project(l_rows @ a_rows, fe)
                     pen = sat_penalties(l_blk, a_blk, f.alpha, f.side)
                     assert np.array_equal(blk.l_matrix, l_blk)
                     assert np.array_equal(blk.m_eff, m_eff)
                     assert np.array_equal(blk.penalty.tau_odd, pen.tau_odd)
                     assert np.array_equal(blk.penalty.tau_even, pen.tau_even)
-                    g_dir = np.zeros(blk.rows.size)
+                    g_dir = np.zeros(fo.size)
                     if blk.has_source:
-                        even = np.all([basis.parity.signs[ax - 1][blk.rows] > 0
-                                       for ax in (1, 2, 3) if ax != f.axis], axis=0)
-                        g_dir[even] = bnd.boundary_source(
+                        off = [ax - 1 for ax in (1, 2, 3) if ax != f.axis]
+                        even = np.all([basis.parity.signs[ax][fo.rows] > 0 for ax in off], axis=0)
+                        # the inflow reaches the columns even off the face axis, modes m > 0 excepted
+                        sourced = np.all(fo.signs[off] > 0, axis=0) & (fo.orders <= 0)
+                        g_dir[sourced] = fo.matrix[np.ix_(even, sourced)].T @ bnd.boundary_source(
                             face,
                             lambda om: f.inflow.amplitude * f.inflow.direction_profile(om, f.axis, face.sign),
-                            basis, rows=blk.rows[even],
+                            basis, rows=fo.rows[even],
                         )
                     assert np.array_equal(blk.g_dir, g_dir)
 
@@ -423,8 +439,10 @@ class TestRun:
         assert len(records) == 1 and records[0].levelno == logging.DEBUG
         meta = res.metadata
         assert meta["rhs_calls"] == 4 * meta["steps"]
-        n_comp = meta["components"]["integrated"]
-        assert f"{meta['steps']} steps of dt = {meta['dt']:.6g} on {n_comp} components" in records[0].getMessage()
+        n_comp, modes = meta["components"]["integrated"], meta["components"]["modes"]
+        assert modes == [[0, "cos"]]
+        assert (f"{meta['steps']} steps of dt = {meta['dt']:.6g} on {n_comp} components (modes {modes})"
+                in records[0].getMessage())
 
     def test_pseudo_one_dim_reduction(self):
         # z-invariant 2-d run against the 1-d run, matched time step

@@ -10,9 +10,11 @@ from pnsat.sphharm import (
     Direction,
     ParityTable,
     ShIndex,
+    axis_mode_signs,
     basis_indices,
     build_quadrature,
     classify_parity,
+    eval_axis_modes,
     eval_basis,
     eval_sh,
     parity_sign,
@@ -115,6 +117,45 @@ class TestParity:
             lhs = eval_sh(idx, reflect(d, axis))
             rhs = parity_sign(axis, idx) * eval_sh(idx, d)
             assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+def mode_columns(n_max):
+    modes = [(0, "cos")] + [(m, trig) for m in range(1, n_max + 1) for trig in ("cos", "sin")]
+    return [(l, m, trig) for m, trig in modes for l in range(m, n_max + 1)]
+
+
+class TestAxisModes:
+    def test_modes_about_z_are_the_basis(self):
+        dirs = random_directions(40, seed=3)
+        cols = mode_columns(5)
+        flat = [ShIndex(l, m if trig == "cos" else -m).flat for l, m, trig in cols]
+        np.testing.assert_allclose(eval_axis_modes(5, 3, cols, dirs), eval_basis(5, dirs)[:, flat],
+                                   rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("axis", [1, 2, 3])
+    def test_orthonormal_and_within_degree(self, axis):
+        # each harmonic about an axis is a combination of the basis functions of its degree
+        n = 6
+        quad = build_quadrature(n)
+        cols = mode_columns(n)
+        vals = eval_axis_modes(n, axis, cols, quad.nodes)
+        gram = vals.T @ (quad.weights[:, None] * vals)
+        np.testing.assert_allclose(gram, np.eye(len(cols)), rtol=0.0, atol=1e-13)
+        coef = eval_basis(n, quad.nodes).T @ (quad.weights[:, None] * vals)
+        degrees = np.array([i.l for i in basis_indices(n)])
+        for j, (l, _, _) in enumerate(cols):
+            assert np.abs(coef[degrees != l, j]).max() < 1e-13
+            assert np.sum(coef[:, j] ** 2) == pytest.approx(1.0, abs=1e-13)
+
+    @pytest.mark.parametrize("axis", [1, 2, 3])
+    def test_signs_match_reflections(self, axis):
+        dirs = random_directions(30, seed=axis)
+        cols = mode_columns(4)
+        vals = eval_axis_modes(4, axis, cols, dirs)
+        for refl in (1, 2, 3):
+            mirrored = eval_axis_modes(4, axis, cols, reflect(dirs, refl))
+            signs = np.array([axis_mode_signs(axis, *col)[refl - 1] for col in cols])
+            np.testing.assert_allclose(mirrored, signs * vals, rtol=0.0, atol=1e-13)
 
 
 class TestReflect:
