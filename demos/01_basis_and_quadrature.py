@@ -5,7 +5,8 @@ Real spherical harmonics, per-axis parity, and sphere quadrature
 The direction dependence of the transport solution is expanded in real
 spherical harmonics. This walk-through shows the basis conventions, the
 even/odd classification per Cartesian axis, and the product quadrature
-that makes every matrix assembly in the package exact.
+that makes the boundary matrices exact (the transport matrices come in
+closed form).
 """
 
 import numpy as np

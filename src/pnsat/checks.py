@@ -15,7 +15,7 @@ import numpy as np
 from . import boundary as bnd
 from .moments import MomentBasis, ScatteringSpectrum, assemble_transport, recursion_check, scattering_diagonal
 from .sbp import StaggeredGrid1d, build_sbp_pair, sat_penalties
-from .sphharm import build_quadrature, eval_basis, parity_sign, reflect
+from .sphharm import build_quadrature, eval_basis, reflect
 
 
 @dataclass(frozen=True)
@@ -57,13 +57,12 @@ def check_orthonormality(n_list=(3, 8, 13), tol=1e-11) -> CheckResult:
 def check_parity(n_max=9, n_dirs=1000, tol=1e-12, seed=0) -> CheckResult:
     rng = np.random.default_rng(seed)
     dirs = _random_directions(n_dirs, rng)
-    basis = MomentBasis.build(n_max)
+    signs = MomentBasis.build(n_max).parity.signs  # the table the solver reads
     y = eval_basis(n_max, dirs)
     worst = 0.0
     for axis in (1, 2, 3):
         y_ref = eval_basis(n_max, reflect(dirs, axis))
-        signs = np.array([parity_sign(axis, i) for i in basis.indices])
-        worst = max(worst, float(np.abs(y_ref - signs[None, :] * y).max()))
+        worst = max(worst, float(np.abs(y_ref - signs[axis - 1][None, :] * y).max()))
     return CheckResult("sphharm.parity", worst < tol, tol - worst, f"max reflection dev {worst:.2e}")
 
 
@@ -166,24 +165,21 @@ def check_recursion(n_max=5, n_dirs=100, tol=1e-12, seed=1) -> CheckResult:
     return CheckResult("assembly.recursion", worst < tol, tol - worst, f"max residual {worst:.2e}")
 
 
-def check_recursion_z_closed_form(n_max=7, tol=1e-12) -> CheckResult:
-    """Axis-3 coupling entries against the analytic z-recursion coefficients.
+def check_quadrature_agreement(n_max=13, tol=1e-12) -> CheckResult:
+    """Closed-form A^(i) against full-sphere quadrature of < omega_i Y, Y^T > for every axis.
 
-    For the polar axis the coupling preserves the order k and the only
-    nonzero entries are a(l, k) = sqrt(((l+1)^2 - k^2) / ((2l+1)(2l+3)))
-    linking degree l to l+1 at fixed k.
+    The product rule of :func:`build_quadrature` is exact to degree
+    2 n_max + 2, so the two agree to roundoff.
     """
-    basis = MomentBasis.build(n_max)
-    system = assemble_transport(basis)
-    a3 = system.a_full[2]
+    system = assemble_transport(MomentBasis.build(n_max))
+    quad = build_quadrature(n_max)
+    y = eval_basis(n_max, quad.nodes)
     worst = 0.0
-    for l in range(n_max):
-        for k in range(-l, l + 1):
-            a_lk = math.sqrt(((l + 1.0) ** 2 - k * k) / ((2.0 * l + 1.0) * (2.0 * l + 3.0)))
-            i, j = basis.pos(l, k), basis.pos(l + 1, k)
-            worst = max(worst, abs(a3[i, j] - a_lk))
-    return CheckResult("assembly.recursion_z_closed_form", worst < tol, tol - worst,
-                       f"max coefficient dev {worst:.2e}")
+    for axis in (1, 2, 3):
+        ref = y.T @ ((quad.weights * quad.nodes[:, axis - 1])[:, None] * y)
+        worst = max(worst, float(np.abs(system.a_full[axis - 1] - ref).max()))
+    return CheckResult("assembly.quadrature_agreement", worst < tol, tol - worst,
+                       f"max entry dev {worst:.2e}")
 
 
 def check_scattering(tol=1e-13) -> CheckResult:
@@ -407,7 +403,7 @@ ALL_CHECKS = (
     check_spectrum,
     check_rank,
     check_recursion,
-    check_recursion_z_closed_form,
+    check_quadrature_agreement,
     check_scattering,
     check_golden_marshak,
     check_l_analytic,

@@ -3,12 +3,18 @@
 Testing the transport equation with the basis and integrating over the
 sphere yields, per spatial axis i, the symmetric transport matrix
 
-    A^(i) = < omega_i Y, Y^T >,
+    A^(i) = < omega_i Y, Y^T >.
 
-whose entries couple only basis functions of opposite axis-i parity (the
-product omega_i * Y flips that parity and nothing else).  Sorting odd
-components first puts A^(i) in the off-diagonal block form with coupling
-block Ahat^(i) of shape r x s, r = N(N+1)/2, s = (N+1)(N+2)/2.
+The three-term recursions of the spherical harmonics give every entry in
+closed form, so :func:`assemble_transport` fills A^(i) without quadrature
+and every other entry is exactly zero.  Multiplying by omega_i changes the
+degree by one, so A^(i) couples only degrees l and l +- 1.  omega_z keeps
+the order k.  omega_x and omega_y move the azimuthal order m = |k| by one
+and keep (x) or swap (y) the cos/sin kind.  The product omega_i * Y flips
+the axis-i parity and nothing else, so A^(i) couples only basis functions
+of opposite axis-i parity.  Sorting odd components first puts A^(i) in the
+off-diagonal block form with coupling block Ahat^(i) of shape r x s,
+r = N(N+1)/2, s = (N+1)(N+2)/2.
 
 Scattering kernels that depend only on the deflection cosine act
 diagonally on the basis: the entry for degree l is sigma_l - sigma_t with
@@ -22,17 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import Legendre, leggauss
 
-from .errors import NumericalError, ValidationError
-from .sphharm import (
-    ParityTable,
-    ShIndex,
-    SphereQuadrature,
-    basis_indices,
-    build_quadrature,
-    eval_basis,
-)
+from .errors import ValidationError
+from .sphharm import ParityTable, ShIndex, basis_indices, eval_basis
 
 _AXES = (1, 2, 3)
+_SQRT2 = np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -115,39 +115,43 @@ class PnSystem:
         return max(float(np.linalg.svd(self.a_hat[a - 1], compute_uv=False)[0]) for a in axes)
 
 
-def assemble_transport(
-    basis: MomentBasis, quad: SphereQuadrature | None = None, values: np.ndarray | None = None
-) -> PnSystem:
-    """Build A^(i) for all three axes by full-sphere quadrature.
+def assemble_transport(basis: MomentBasis) -> PnSystem:
+    """Build A^(i) for all three axes from the closed-form recursion coefficients.
 
-    The quadrature must be exact for basis products times omega_i, i.e. to
-    degree 2*n_max + 1; the default rule covers 2*n_max + 2.  ``values``,
-    the basis on the rule's nodes (``eval_basis(n_max, quad.nodes)``), is
-    evaluated here unless the caller passes it with ``quad``.  Raises
-    :class:`NumericalError` if any same-parity block exceeds 1e-12, which
-    would indicate a broken quadrature or parity table.
+    Each degree l < n_max couples upward to l + 1; symmetry gives the rest.
+    With m = |k| and den = (2l+1)(2l+3):
+
+    * z: (l, k) to (l+1, k) with sqrt(((l+1)^2 - m^2) / den);
+    * x: (l, +-m) to (l+1, +-(m+1)) with up = sqrt((l+m+1)(l+m+2) / den) / 2,
+      and to (l+1, +-(m-1)) with -down, down = sqrt((l-m+1)(l-m+2) / den) / 2;
+    * y: the same moves with the cos/sin kind swapped; cos to sin takes
+      +up and +down, sin to cos -up and -down.
+
+    up carries a factor sqrt(2) where an m = 0 function enters (m = 0),
+    down where it leaves toward one (m = 1).  The sine of order 0 does not
+    exist, so x drops sin 1 -> sin 0 and y drops cos 1 -> sin 0.
     """
-    if quad is None:
-        if values is not None:
-            raise ValidationError("basis values need the quadrature they were evaluated on")
-        quad = build_quadrature(basis.n_max)
-    y = eval_basis(basis.n_max, quad.nodes) if values is None else values  # (n_nodes, m)
-    wy = quad.weights[:, None] * y
-    a_full, a_hat = [], []
-    for axis in _AXES:
-        a = y.T @ (quad.nodes[:, axis - 1: axis] * wy)
-        a = 0.5 * (a + a.T)
-        odd = basis.odd_positions(axis)
-        even = basis.even_positions(axis)
-        for blk in (a[np.ix_(odd, odd)], a[np.ix_(even, even)]):
-            if blk.size and np.abs(blk).max() > 1e-12:
-                raise NumericalError(
-                    f"same-parity block of A^({axis}) is not zero "
-                    f"(max {np.abs(blk).max():.3e}); quadrature or parity table is wrong"
-                )
-        a_full.append(a)
-        a_hat.append(a[np.ix_(odd, even)])
-    return PnSystem(basis, tuple(a_full), tuple(a_hat))
+    n = basis.n_max
+    l = np.repeat(np.arange(n), 2 * np.arange(n) + 1)  # every (l, k) with l < n_max, flat order
+    k = np.arange(l.size) - l * l - l
+    m = np.abs(k)
+    trig = np.where(k < 0, -1, 1)  # -1 for sin, +1 for cos: k = trig * m
+    src = np.arange(l.size)
+    up_zero = (l + 1) * (l + 2)  # flat position of (l+1, 0)
+    den = (2 * l + 1.0) * (2 * l + 3.0)
+    up = 0.5 * np.sqrt((l + m + 1.0) * (l + m + 2.0) / den) * np.where(m == 0, _SQRT2, 1.0)
+    down = 0.5 * np.sqrt((l - m + 1.0) * (l - m + 2.0) / den) * np.where(m == 1, _SQRT2, 1.0)
+    a = np.zeros((3, basis.dim, basis.dim))
+    a[2, src, up_zero + k] = np.sqrt(((l + 1.0) ** 2 - m * m) / den)
+    a[0, src, up_zero + trig * (m + 1)] = up
+    a[1, src, up_zero - trig * (m + 1)] = trig * up
+    x_down = (m > 0) & (k != -1)
+    a[0, src[x_down], (up_zero + trig * (m - 1))[x_down]] = -down[x_down]
+    y_down = (m > 0) & (k != 1)
+    a[1, src[y_down], (up_zero - trig * (m - 1))[y_down]] = (trig * down)[y_down]
+    a = a + a.transpose(0, 2, 1)
+    a_hat = [a[axis - 1][np.ix_(basis.odd_positions(axis), basis.even_positions(axis))] for axis in _AXES]
+    return PnSystem(basis, tuple(a), tuple(a_hat))
 
 
 def recursion_check(system: PnSystem, axis: int, omega) -> float:

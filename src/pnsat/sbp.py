@@ -501,18 +501,6 @@ class TensorGrid:
         """The family's SBP norm table: the outer product of its axis P entries, shaped like its grid."""
         return outer([self.axis_weights(d, p) for d, p in enumerate(family)])
 
-    def deriv(self, family, d: int, field_c: np.ndarray) -> np.ndarray:
-        """Derivative along storage axis ``d`` mapping family c_d(a) -> a.
-
-        ``field_c`` lives on the complementary family's grid and may carry a
-        trailing component dimension; applying to a constant field returns 0.
-        """
-        op = self.pairs[d].d_odd if family[d] == "o" else self.pairs[d].d_even
-        moved = np.moveaxis(field_c, d, 0)
-        flat = moved.reshape(moved.shape[0], -1)
-        out = op @ flat
-        return np.moveaxis(out.reshape((out.shape[0],) + moved.shape[1:]), 0, d)
-
     def boundary_weight(self, family, d: int) -> np.ndarray:
         """Transverse norm-weight table for a face with normal along axis ``d``.
 

@@ -25,8 +25,9 @@ u^o = +/- (L Ahat) u^e + g (or the half-moment matrix for unstable faces),
 scaled by the inverse boundary norm entry.
 
 Boundary set-up.  L and Ahat do not depend on the side, so each axis
-assembles them once per odd family with :func:`pnsat.boundary.onsager_bc`
-on its high face, and both faces share them (the low face negates M).
+assembles them once over all its odd and even positions with
+:func:`pnsat.boundary.onsager_bc` on its high face; each odd family takes
+its slice, and both faces share them (the low face negates M).
 With the penalty tau^o = -alpha L^-1 the constant of the energy bound is
 C = max(alpha, 1 - alpha) / lambda_min(L) per block, and since
 g(t) = time_factor(t) (g_space (x) g_dir), the face norm of g is
@@ -76,7 +77,7 @@ from .config import Scenario, face_key_to_dim_side
 from .errors import NumericalError, ValidationError
 from .moments import MomentBasis, PnSystem, assemble_transport, scattering_diagonal
 from .sbp import SatPenalty, StaggeredGrid1d, TensorGrid, outer, sat_penalties
-from .sphharm import SphereQuadrature, axis_mode_signs, build_quadrature, eval_axis_modes, eval_basis
+from .sphharm import axis_mode_signs, build_quadrature, eval_axis_modes, eval_basis
 
 logger = logging.getLogger(__name__)
 
@@ -233,25 +234,18 @@ def sector(scenario: Scenario, basis: MomentBasis) -> tuple[np.ndarray, tuple | 
     return mask, modes
 
 
-def component_frames(
-    scenario: Scenario,
-    basis: MomentBasis,
-    quad: SphereQuadrature,
-    values: np.ndarray,
-    mask: np.ndarray,
-    modes: tuple | None,
-) -> dict:
+def component_frames(scenario: Scenario, basis: MomentBasis, mask: np.ndarray, modes: tuple | None) -> dict:
     """Per family: the Frame of its integrated components.
 
     The columns are the basis functions in ``mask``, except in a 1-D parity
     class of which some modes up to N are not kept: there they are the
-    degree-l harmonics of the class's kept modes, degrees m..N.  These are
-    projected onto the basis with the full-sphere rule ``quad`` of the
-    transport assembly and the basis ``values`` on its nodes (exact, as the
-    products have degree 2l <= 2N), set to exact
-    zero outside their own degree and parity class, which rotation about
-    the axis preserves, and scaled to unit norm.  Columns are ordered by degree, basis functions
-    before modes, so the l = 0 column comes first in the all-even family.
+    degree-l harmonics of the class's kept modes, degrees m..N.  Only then is
+    a full-sphere rule built: the harmonics are projected onto the basis on
+    it (exact, as the products have degree 2l <= 2N), set to exact zero
+    outside their own degree and parity class, which rotation about the axis
+    preserves, and scaled to unit norm.  Columns are ordered by degree, basis
+    functions before modes, so the l = 0 column comes first in the all-even
+    family.
     """
     parity = np.stack(basis.parity.signs)  # (3, m)
     degrees = np.repeat(np.arange(basis.n_max + 1), 2 * np.arange(basis.n_max + 1) + 1)
@@ -280,8 +274,9 @@ def component_frames(
         mode_signs = np.array([axis_mode_signs(axis, *col) for col in mode_cols]).T
         col_signs = np.concatenate([col_signs, mode_signs], axis=1)
         need = np.nonzero(mask & ~basis_cols)[0]  # the basis functions of the mode classes
+        quad = build_quadrature(basis.n_max)
         modes_at_nodes = eval_axis_modes(basis.n_max, axis, mode_cols, quad.nodes)
-        proj = values[:, need].T @ (quad.weights[:, None] * modes_at_nodes)
+        proj = eval_basis(basis.n_max, quad.nodes)[:, need].T @ (quad.weights[:, None] * modes_at_nodes)
         own = (degrees[need, None] == col_degrees[flats.size:]) & np.all(
             parity[:, need, None] == mode_signs[:, None, :], axis=0)
         proj[~own] = 0.0
@@ -310,17 +305,13 @@ def build_setup(scenario: Scenario) -> SolverSetup:
     not depend on the reduction.
     """
     basis = MomentBasis.build(scenario.n_max)
-    # one full-sphere rule and one basis evaluation serve the assembly and the frames
-    quad = build_quadrature(basis.n_max)
-    values = eval_basis(basis.n_max, quad.nodes)
-    system = assemble_transport(basis, quad, values)
+    system = assemble_transport(basis)
     grids = tuple(
         StaggeredGrid1d(lo, hi, c) for (lo, hi), c in zip(scenario.extents, scenario.cells)
     )
     tensor = TensorGrid.build(scenario.axes, grids)
     mask, modes = sector(scenario, basis)
-    comps = component_frames(scenario, basis, quad, values, mask, modes)
-    del values  # free the (nodes x basis) table before the boundary rules add their own
+    comps = component_frames(scenario, basis, mask, modes)
     parity = np.stack(basis.parity.signs)
     a_blocks = {}
     for a in tensor.families:
@@ -334,33 +325,39 @@ def build_setup(scenario: Scenario) -> SolverSetup:
     q_relax = {a: q_flat[f.degrees * (f.degrees + 1)] for a, f in comps.items()}
 
     faces = []
-    shared = {}  # per axis: its half-sphere rule and, per odd family, the high face's Onsager blocks
+    shared = {}  # per axis: its half-sphere rule and, per odd family, its slice of the high face's Onsager blocks
     for (d, side), spec in scenario.faces.items():
         axis = scenario.axes[d]
         face = bnd.Face(axis, side)
         if axis not in shared:
             high = bnd.Face(axis, "high")
             q_out = bnd.outgoing_quadrature(basis, high)
+            full = bnd.onsager_bc(basis, high, system, quad=q_out)  # every odd row, every even column
+            odd, even = basis.odd_positions(axis), basis.even_positions(axis)
             onsager = {}
             for a in tensor.families:
                 fo, fe = comps[a], comps[tensor.complement(a, d)]
                 if a[d] == "o" and fo.size and fe.size:
-                    bc = bnd.onsager_bc(basis, high, system, quad=q_out, rows=fo.rows, cols=fe.rows)
+                    ro, re = np.searchsorted(odd, fo.rows), np.searchsorted(even, fe.rows)
+                    oe = np.ix_(ro, re)
+                    bc = bnd.OnsagerBoundary(
+                        high, full.l_matrix[np.ix_(ro, ro)], full.a_hat[oe], full.m_matrix[oe]
+                    )
                     onsager[a] = (
-                        bc, fo.project(bc.l_matrix, fo), fo.project(bc.a_hat, fe), fo.project(bc.m_matrix, fe)
+                        bc, oe, fo.project(bc.l_matrix, fo), fo.project(bc.a_hat, fe), fo.project(bc.m_matrix, fe)
                     )
             shared[axis] = q_out, onsager
         q_out, onsager = shared[axis]
         q_in = bnd.inflow_quadrature(basis, face) if spec.inflow.kind != "none" else None
+        marshak = bnd.marshak_matrix(basis, face, quad=q_out) if spec.kind == "unstable_marshak" else None
         off_axis = [ax - 1 for ax in (1, 2, 3) if ax != axis]
         blocks = []
         source_norm_sq = 0.0
-        for a, (bc, l_mat, a_hat, m_mat) in onsager.items():
+        for a, (bc, oe, l_mat, a_hat, m_mat) in onsager.items():
             ae = tensor.complement(a, d)
             fo, fe = comps[a], comps[ae]
-            if spec.kind == "unstable_marshak":
-                marshak = bnd.marshak_matrix(basis, face, quad=q_out, rows=fo.rows, cols=fe.rows)
-                m_eff = fo.project(marshak, fe)
+            if marshak is not None:
+                m_eff = fo.project(marshak[oe], fe)
             else:
                 m_eff = face.sign * m_mat  # M = sign * L Ahat: L and Ahat are side-independent
             pen = sat_penalties(l_mat, a_hat, spec.alpha, side)

@@ -16,7 +16,7 @@ sphere.  Directions are unit 3-vectors with polar cosine ``mu = omega[2]``
 and azimuth ``phi = atan2(omega[1], omega[0])``.
 
 Each basis function is either even or odd under the reflection of a single
-Cartesian component; see :func:`classify_parity` for the closed-form rules.
+Cartesian component; see :func:`parity_signs` for the closed-form rules.
 The same harmonics taken about the x or y axis instead of z
 (:func:`eval_axis_modes`, parities by :func:`axis_mode_signs`) span each
 degree too; a 1-D run uses those about its axis.
@@ -109,26 +109,28 @@ def _check_axis(axis: int) -> None:
         raise ValidationError(f"axis must be 1, 2 or 3, got {axis}")
 
 
-def classify_parity(axis: int, idx: ShIndex) -> str:
-    """Parity ('even' or 'odd') of Y_l^k under reflection of one Cartesian axis.
+def parity_signs(l, k) -> np.ndarray:
+    """Parity signs (+1 even, -1 odd) of Y_l^k under reflection of each Cartesian axis.
 
-    Closed forms: axis 3 is even iff (l+k) is even; axis 2 is even iff
-    k >= 0; axis 1 is even iff (k < 0 and k odd) or (k >= 0 and k even).
+    Closed forms over arrays of degrees and orders, shape (3,) + broadcast
+    shape: axis 3 is even iff (l+k) is even; axis 2 is even iff k >= 0;
+    axis 1 is even iff (k < 0 and k odd) or (k >= 0 and k even).
     """
-    _check_axis(axis)
-    l, k = idx.l, idx.k
-    if axis == 3:
-        even = (l + k) % 2 == 0
-    elif axis == 2:
-        even = k >= 0
-    else:
-        even = (k < 0 and k % 2 != 0) or (k >= 0 and k % 2 == 0)
-    return "even" if even else "odd"
+    l, k = np.broadcast_arrays(l, k)
+    y = np.where(k >= 0, 1, -1)  # the sine harmonics (k < 0) are the y-odd ones
+    alt = 1 - 2 * (np.abs(k) % 2)  # (-1)^k
+    return np.stack([y * alt, y, alt * (1 - 2 * (l % 2))])
 
 
 def parity_sign(axis: int, idx: ShIndex) -> int:
     """+1 for even, -1 for odd."""
-    return 1 if classify_parity(axis, idx) == "even" else -1
+    _check_axis(axis)
+    return int(parity_signs(idx.l, idx.k)[axis - 1])
+
+
+def classify_parity(axis: int, idx: ShIndex) -> str:
+    """Parity ('even' or 'odd') of Y_l^k under reflection of one Cartesian axis (:func:`parity_signs`)."""
+    return "even" if parity_sign(axis, idx) > 0 else "odd"
 
 
 @dataclass(frozen=True)
@@ -144,11 +146,9 @@ class ParityTable:
 
     @classmethod
     def build(cls, n_max: int) -> "ParityTable":
-        idx = basis_indices(n_max)
-        signs = tuple(
-            np.array([parity_sign(axis, i) for i in idx], dtype=int) for axis in (1, 2, 3)
-        )
-        return cls(n_max, signs)
+        l = np.repeat(np.arange(n_max + 1), 2 * np.arange(n_max + 1) + 1)
+        k = np.arange(l.size) - l * l - l
+        return cls(n_max, tuple(parity_signs(l, k)))
 
     def odd_positions(self, axis: int) -> np.ndarray:
         _check_axis(axis)
@@ -323,13 +323,14 @@ def build_quadrature(n_max: int, restriction=None, polar_nodes: int | None = Non
     polar_nodes : int, optional
         Override for the Gauss-Legendre node count (useful for projecting
         non-polynomial inflow profiles); never below the exactness minimum.
+        The azimuth grid keeps its ``2*n_max + 3`` points, which integrate a
+        basis function, or a product of two, times any function of the polar
+        cosine (such as an inflow profile) exactly in the azimuth.
     """
     if n_max < 0:
         raise ValidationError(f"quadrature degree must be >= 0, got {n_max}")
     n_mu = max(n_max + 2, polar_nodes or 0)
     n_phi = 2 * n_max + 3
-    if polar_nodes:
-        n_phi = max(n_phi, 2 * polar_nodes + 1)
     if restriction is None:
         axis, sign = 3, 0
         c, w = np.polynomial.legendre.leggauss(n_mu)

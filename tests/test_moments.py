@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import sector_test2
-from pnsat.errors import NumericalError, ValidationError
+from pnsat.errors import ValidationError
 from pnsat.moments import (
     MomentBasis,
     ScatteringSpectrum,
@@ -94,15 +94,17 @@ class TestTransportAssembly:
         tampered2 = type(system)(basis2, bad_full2, system.a_hat)
         assert not check_golden_coupling(system=tampered2).passed
 
-    def test_precomputed_basis_values(self, basis2):
-        # a caller that already holds the basis on the rule gets the same system
-        quad = build_quadrature(2)
-        given = assemble_transport(basis2, quad, eval_basis(2, quad.nodes))
-        own = assemble_transport(basis2)
-        for a, b in zip(given.a_full, own.a_full, strict=True):
-            assert np.array_equal(a, b)
-        with pytest.raises(ValidationError, match="quadrature"):
-            assemble_transport(basis2, values=eval_basis(2, quad.nodes))
+    def test_structural_zeros_exact(self):
+        # omega_i Y_l couples only degrees l +- 1 and opposite axis-i parity: every other entry is 0.0
+        basis = MomentBasis.build(13)
+        system = assemble_transport(basis)
+        degrees = np.array([i.l for i in basis.indices])
+        far = np.abs(np.subtract.outer(degrees, degrees)) != 1
+        for axis in (1, 2, 3):
+            a = system.a_full[axis - 1]
+            assert np.all(a[far] == 0.0)
+            for pos in (basis.odd_positions(axis), basis.even_positions(axis)):
+                assert np.all(a[np.ix_(pos, pos)] == 0.0)
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_spectrum_symmetric_with_kernel(self, n):
@@ -137,15 +139,14 @@ class TestRecursion:
         assert recursion_check(system, 3, np.array([0.0, 0.0, 1.0])) == 0.0
 
     def test_z_axis_closed_form(self):
-        # a(l, k) = sqrt(((l+1)^2 - k^2)/((2l+1)(2l+3))) couples (l, k) <-> (l+1, k)
-        n = 7
-        basis = MomentBasis.build(n)
-        system = assemble_transport(basis)
-        a3 = system.a_full[2]
-        for l in range(n):
-            for k in range(-l, l + 1):
-                want = math.sqrt(((l + 1.0) ** 2 - k * k) / ((2 * l + 1.0) * (2 * l + 3.0)))
-                assert a3[basis.pos(l, k), basis.pos(l + 1, k)] == pytest.approx(want, abs=1e-13)
+        # the closed-form A^(i) of every axis against full-sphere quadrature of <omega_i Y, Y^T>
+        for n in (1, 2, 5, 13):
+            system = assemble_transport(MomentBasis.build(n))
+            quad = build_quadrature(n)
+            y = eval_basis(n, quad.nodes)
+            for axis in (1, 2, 3):
+                want = y.T @ ((quad.weights * quad.nodes[:, axis - 1])[:, None] * y)
+                np.testing.assert_allclose(system.a_full[axis - 1], want, rtol=0.0, atol=1e-13)
 
 
 class TestScattering:

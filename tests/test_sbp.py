@@ -161,34 +161,6 @@ class TestSatPenalties:
 
 
 class TestTensorGrid:
-    def test_one_dim_reduces_to_pair(self):
-        g = StaggeredGrid1d(0.0, 1.0, 8)
-        tg = TensorGrid.build((1,), (g,))
-        pair = build_sbp_pair(g)
-        f = np.sin(g.x_even)[:, None]
-        np.testing.assert_allclose(
-            tg.deriv(("o",), 0, f).ravel(), pair.d_odd @ np.sin(g.x_even), atol=1e-15
-        )
-
-    def test_constant_field_annihilated_2d(self):
-        tg = TensorGrid.build((1, 3), (StaggeredGrid1d(0, 1, 8), StaggeredGrid1d(0, 2, 10)))
-        for a in tg.families:
-            for d in range(2):
-                c = tg.complement(a, d)
-                f = np.ones(tg.family_shape(c) + (3,))
-                assert np.abs(tg.deriv(a, d, f)).max() < 1e-14
-
-    def test_separable_exactness_2d(self):
-        # f(x, z) = x * z: the x-derivative samples z exactly
-        tg = TensorGrid.build((1, 3), (StaggeredGrid1d(0, 1, 12), StaggeredGrid1d(-1, 1, 9)))
-        a = ("o", "e")
-        c = tg.complement(a, 0)  # ('e', 'e')
-        xe, ze = tg.family_nodes(c)
-        f = np.multiply.outer(xe, ze)[..., None]
-        df = tg.deriv(a, 0, f)[..., 0]
-        _, z_a = tg.family_nodes(a)
-        np.testing.assert_allclose(df, np.broadcast_to(z_a, df.shape), atol=1e-12)
-
     def test_norm_matches_integral(self):
         tg = TensorGrid.build((1, 3), (StaggeredGrid1d(0, 1, 16), StaggeredGrid1d(0, 2, 16)))
         w = tg.weights(("e", "o"))
