@@ -87,17 +87,34 @@ def _rows_cols(basis: MomentBasis, face: Face, rows, cols):
     return np.asarray(rows, dtype=int), np.asarray(cols, dtype=int)
 
 
+def _coupled(basis: MomentBasis, face: Face, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Where a face matrix over (rows, cols) can be non-zero: the same parity on both axes off the normal.
+
+    Reflecting either axis maps the half-sphere omega_axis > 0 onto itself;
+    about the polar axis 3 so does every rotation, so there k must agree too.
+    """
+    if face.axis == 3:
+        key = basis.orders  # the parities on axes 1 and 2 are functions of k
+    else:
+        p, q = (basis.parity.signs[ax - 1] for ax in (1, 2, 3) if ax != face.axis)
+        key = p + 3 * q  # one code per parity class
+    return key[rows, None] == key[None, cols]
+
+
 def marshak_matrix(basis: MomentBasis, face: Face, quad=None, rows=None, cols=None) -> np.ndarray:
     """Half-moment matrix Mtilde of the face; rows odd, cols even components.
 
     Computed on the outgoing hemisphere omega . n > 0.  By reflection
     antisymmetry of the integrand, Mtilde(low) = -Mtilde(high), which is
     realized here by evaluating on omega_axis > 0 and applying the face sign.
+    Entries that vanish by symmetry (:func:`_coupled`) are exact zeros.
     """
     rows, cols = _rows_cols(basis, face, rows, cols)
     q = _face_quad(basis, face, quad)
     y = eval_basis(basis.n_max, q.nodes)
-    return face.sign * 2.0 * (y[:, rows].T @ (q.weights[:, None] * y[:, cols]))
+    mt = face.sign * 2.0 * (y[:, rows].T @ (q.weights[:, None] * y[:, cols]))
+    mt[~_coupled(basis, face, rows, cols)] = 0.0
+    return mt
 
 
 def onsager_L(basis: MomentBasis, face: Face, quad=None, rows=None) -> np.ndarray:
@@ -105,8 +122,10 @@ def onsager_L(basis: MomentBasis, face: Face, quad=None, rows=None) -> np.ndarra
 
     The integrand is finite as omega_i -> 0 (odd functions carry at least
     one factor omega_i) but must not be sampled on the equator; the
-    half-sphere rules guarantee that.  Raises if an eigenvalue falls below
-    1e-10, which would signal a quadrature breakdown.
+    half-sphere rules guarantee that.  Entries that vanish by symmetry
+    (:func:`_coupled`) are exact zeros, so M = sign * L Ahat has them too.
+    Raises if an eigenvalue falls below 1e-10, which would signal a
+    quadrature breakdown.
     """
     rows, _ = _rows_cols(basis, face, rows, None)
     q = _face_quad(basis, face, quad)
@@ -114,6 +133,7 @@ def onsager_L(basis: MomentBasis, face: Face, quad=None, rows=None) -> np.ndarra
     w = q.weights / q.nodes[:, face.axis - 1]
     lmat = 2.0 * (y.T @ (w[:, None] * y))
     lmat = 0.5 * (lmat + lmat.T)
+    lmat[~_coupled(basis, face, rows, rows)] = 0.0
     if rows.size and float(np.linalg.eigvalsh(lmat)[0]) < 1e-10:
         raise NumericalError(
             f"computed L for axis {face.axis} has an eigenvalue below 1e-10; "

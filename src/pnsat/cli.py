@@ -17,7 +17,7 @@ from . import boundary as bnd
 from .checks import run_all
 from .config import load_scenario
 from .errors import NumericalError, ValidationError
-from .io import diff_against_run, write_mc, write_run
+from .io import diff_against_run, run_metadata, write_mc, write_run
 from .mc import simulate
 from .moments import MomentBasis, assemble_transport
 from .solver import energy_bound_check, run
@@ -51,6 +51,8 @@ def cmd_run(args) -> int:
 
 def cmd_oracle(args) -> int:
     scenario = load_scenario(args.config)
+    if args.diff:
+        run_metadata(args.diff, scenario)  # a run on another grid fails before the simulation
     result = simulate(scenario, n_particles=args.n, seed=args.seed)
     outdir = Path(args.output) if args.output else Path(f"{scenario.name}_mc")
     write_mc(result, outdir)

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import Scenario
+from .errors import ValidationError
 from .mc import McResult
 from .solver import RunResult
 
@@ -87,16 +89,31 @@ def write_mc(result: McResult, outdir) -> dict:
     return meta
 
 
+def run_metadata(run_dir, scenario: Scenario) -> dict:
+    """A solver run's metadata.json; ValidationError unless its domain has the scenario's axes, extents, cells."""
+    with open(Path(run_dir) / "metadata.json") as fh:
+        meta = json.load(fh)
+    keys = ("axes", "extents", "cells")
+    want = {key: scenario.to_dict()["domain"][key] for key in keys}
+    try:
+        got = {key: meta["scenario"]["domain"][key] for key in keys}
+    except (KeyError, TypeError):
+        got = None
+    if got != want:
+        raise ValidationError(f"run {run_dir} is not on the scenario's grid: its domain is {got}, not {want}")
+    return meta
+
+
 def diff_against_run(mc_result: McResult, run_dir) -> dict:
     """Compare tallies with a solver run's snapshots on the shared cell centers.
 
     Solver snapshots live on the even grid (boundaries + midpoints); the
     tally bins are centred on the interior even nodes, so the comparison is
-    node-exact after stripping the two boundary entries.
+    node-exact after stripping the two boundary entries.  The run must have
+    the tallies' grid (:func:`run_metadata`).
     """
     run_dir = Path(run_dir)
-    with open(run_dir / "metadata.json") as fh:
-        meta = json.load(fh)
+    meta = run_metadata(run_dir, mc_result.scenario)
     entries = []
     for i, snap in enumerate(mc_result.snapshots):
         match = None

@@ -23,6 +23,7 @@ sigma_l = 2 pi * integral of sigma_s(c) P_l(c) dc, independent of the order k.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,11 @@ class MomentBasis:
     @property
     def dim(self) -> int:
         return (self.n_max + 1) ** 2
+
+    @functools.cached_property
+    def orders(self) -> np.ndarray:
+        """The order k of each flat position."""
+        return np.array([i.k for i in self.indices])
 
     @property
     def n_odd(self) -> int:

@@ -2,20 +2,21 @@
 
 State layout: one array per parity family (2^d families over the active
 axes), shaped (family grid shape) + (number of family components,).  Each
-family holds only the components of the reachable sector (see
-:func:`sector`): the volume, boundary, penalty and relaxation terms
-conserve the parity of every inactive axis, and every inflow depends only
-on the direction component along its face normal, so the data reach just
-the inactive-axis parity classes of the initial moments plus the all-even
-class.  In 1-D every term also commutes with rotations about the active
-axis, so each azimuthal mode about it evolves on its own, and a run keeps
-only the modes its data reach.  A family's components are the orthonormal
-columns of its :class:`Frame`: basis functions, or the harmonics of the
-kept modes projected onto the basis, through which every operator, the
-inflow moments and the initial data are projected.  tc1 (isotropic data,
-N = 13) integrates the 14 P_l(omega_x) of the 196 components, an x-z run
-with y-even data 105; a 3-axis run has no inactive axis and integrates the
-full basis.  The transport increment for family a is
+family integrates only the basis functions of the reachable sector (see
+:func:`sector`), listed by their flat positions in ``SolverSetup.comps``:
+the volume, boundary, penalty and relaxation terms conserve the parity of
+every inactive axis, and every inflow depends only on the direction
+component along its face normal, so the data reach just the inactive-axis
+parity classes of the initial moments plus the all-even class.  A 1-D run
+works in the basis about its own axis (:func:`pnsat.sphharm.cyclic_axes`):
+its operators are those of the basis's polar axis 3, and only the initial
+moment amplitudes are rotated onto that basis.  Every term then commutes
+with rotations about the polar axis, so each azimuthal mode (m, cos | sin),
+the basis functions of order k = +m | -m, evolves on its own, and a run
+keeps only the modes its data reach.  tc1 (isotropic data, N = 13)
+integrates the 14 P_l(omega_x) of the 196 components, an x-z run with
+y-even data 105; a 3-axis run has no inactive axis and integrates the full
+basis.  The transport increment for family a is
 
     du^a = - sum_d A^a_d (D_d u^{c_d(a)})  +  boundary SATs,
 
@@ -32,8 +33,8 @@ With the penalty tau^o = -alpha L^-1 the constant of the energy bound is
 C = max(alpha, 1 - alpha) / lambda_min(L) per block, and since
 g(t) = time_factor(t) (g_space (x) g_dir), the face norm of g is
 time_factor(t)^2 times a sum fixed at set-up.  Each axis speed (the
-largest singular value of its Ahat) is computed once and serves the CFL
-step and the run metadata.
+largest singular value of the Ahat of the physical axis) is computed once
+and serves the CFL step and the run metadata.
 
 Time integration is Strang-split: exact half-step relaxation (the
 scattering matrix is diagonal on the basis), a full transport step with
@@ -57,8 +58,10 @@ additions.
 
 Norms.  :attr:`SolverSetup.shapes` and :attr:`SolverSetup.weights` hold
 each family's state shape and its SBP norm table (the outer product of
-its axis P entries, :meth:`pnsat.sbp.TensorGrid.weights`); :func:`inner`
-is the one discrete inner product, and :func:`energy` and
+its axis P entries, :meth:`pnsat.sbp.TensorGrid.weights`), and
+:attr:`SolverSetup.entry_weights` the norm weight of every entry of the
+flat state; :func:`inner` is the one discrete inner product, one
+weighted contraction against those weights, and :func:`energy` and
 :func:`mass_u00` read the same tables.
 """
 
@@ -68,7 +71,7 @@ import functools
 import logging
 import math
 import time as _time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -77,47 +80,14 @@ from .config import Scenario, face_key_to_dim_side
 from .errors import NumericalError, ValidationError
 from .moments import MomentBasis, PnSystem, assemble_transport, scattering_diagonal
 from .sbp import SatPenalty, StaggeredGrid1d, TensorGrid, outer, sat_penalties
-from .sphharm import axis_mode_signs, build_quadrature, eval_axis_modes, eval_basis
+from .sphharm import cyclic_axes, rotation_about
 
 logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
-class Frame:
-    """One family's integrated components: orthonormal columns over basis functions.
-
-    ``rows`` are the flat basis positions the columns live on (the family's
-    part of the reachable parity classes) and ``matrix`` (rows x columns)
-    holds the columns.  A column is a basis function (an identity column,
-    order -1) or, in a 1-D run, the degree-l harmonic of an azimuthal mode
-    of order m about the active axis, projected onto the basis functions of
-    its own degree and parity class.  ``degrees``, ``orders`` and ``signs``
-    (3 x columns, per Cartesian axis) describe the columns; :attr:`size`
-    is their number.
-    """
-
-    rows: np.ndarray
-    matrix: np.ndarray
-    degrees: np.ndarray
-    orders: np.ndarray
-    signs: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[1]
-
-    def project(self, mat: np.ndarray, right: "Frame") -> np.ndarray:
-        """V^T mat W for a matrix over (self.rows, right.rows), W the right frame."""
-        return self.matrix.T @ mat @ right.matrix
-
-    def coefficients(self, flat: np.ndarray) -> np.ndarray:
-        """Column coefficients of a flat-basis vector that lies in the span of the columns."""
-        return self.matrix.T @ flat[self.rows]
-
-
-@dataclass(frozen=True)
 class FaceBlock:
-    """BC data restricted to one odd family of one face, in the families' frames."""
+    """BC data restricted to one odd family of one face, over the two families' components."""
 
     family_odd: tuple[str, ...]
     family_even: tuple[str, ...]
@@ -126,14 +96,14 @@ class FaceBlock:
     penalty: SatPenalty
     g_dir: np.ndarray
     g_space: np.ndarray  # transverse profile on the slab, shape = transverse grid
-    has_source: bool  # by symmetry: an inflow, and a column even off the face axis and not a mode m > 0
+    has_source: bool  # by symmetry: an inflow, and a component even off the face axis (k = 0 about axis 3)
 
 
 @dataclass(frozen=True)
 class FaceData:
     dim: int
     side: str
-    axis: int
+    axis: int  # the basis axis of the face normal: 3 in a 1-D run
     kind: str
     alpha: float
     inflow: object
@@ -152,12 +122,19 @@ class SolverSetup:
     basis: MomentBasis
     system: PnSystem
     tensor: TensorGrid
-    comps: dict  # per family: its Frame; comps[a].size components are integrated
+    axes: tuple[int, ...]  # per active axis, the basis axis its operators use: (3,) in 1-D
+    comps: dict  # per family: the flat basis positions it integrates, an int array
     modes: tuple | None  # 1-D: the kept azimuthal modes (m, "cos" | "sin") about the active axis
     a_blocks: dict
-    q_relax: dict  # per family: the relaxation rate of each column, sigma_l - sigma_t at its degree
+    q_relax: dict  # per family: the relaxation rate of each component, sigma_l - sigma_t at its degree
     faces: tuple[FaceData, ...]
-    speeds: dict  # per active axis: the largest singular value of its Ahat
+    speeds: dict  # per active physical axis: the largest singular value of its Ahat
+    entry_weights: np.ndarray = field(init=False)  # the SBP norm weight of every entry of the flat state
+
+    def __post_init__(self):
+        # each node's weight repeated over its components, families in order
+        per_node = [np.broadcast_to(w[:, None], (w.size, self.comps[a].size)) for a, w in self.weights.items()]
+        self.entry_weights = np.concatenate(per_node, axis=None)
 
     @property
     def families(self):
@@ -187,121 +164,52 @@ class SolverSetup:
         return self.scenario.cfl * h_min / sum(self.speeds.values())
 
 
-def _mode_classes(axis: int, n_max: int) -> dict:
-    """The parity class of each azimuthal mode (m, trig) about ``axis``, m <= n_max.
-
-    A class is the mode's parity signs on the two other axes, in axis
-    order; they depend only on the parity of m and the trig kind, not on
-    the degree.  Modes come in order of m, cos before sin.
-    """
-    kinds, classes = {}, {}
-    for m, trig in [(0, "cos")] + [(m, trig) for m in range(1, n_max + 1) for trig in ("cos", "sin")]:
-        if (m % 2, trig) not in kinds:
-            signs = axis_mode_signs(axis, m, m, trig)
-            kinds[(m % 2, trig)] = tuple(signs[ax - 1] for ax in (1, 2, 3) if ax != axis)
-        classes[(m, trig)] = kinds[(m % 2, trig)]
-    return classes
-
-
 def sector(scenario: Scenario, basis: MomentBasis) -> tuple[np.ndarray, tuple | None]:
     """The part of the basis the scenario's data can reach: (flat mask, modes).
 
     The mask holds the components whose parity class over the inactive axes
     is the all-even class (which holds u00 and every inflow) or the class of
-    a non-zero initial moment amplitude.  In a 1-D run every term also
-    commutes with rotations about the active axis, so each azimuthal mode
-    (m, "cos" | "sin") about it evolves on its own: the run keeps (0, cos),
-    which holds u00 and every inflow, and for each non-zero initial moment
-    of degree l every mode m <= l of that moment's class.  In 2-D and 3-D
+    a non-zero initial moment amplitude.  In a 1-D run the mask is over the
+    basis about the active axis (:func:`pnsat.sphharm.cyclic_axes`), where
+    every term also commutes with rotations about the polar axis, so each
+    azimuthal mode (m, "cos" | "sin"), the basis functions of order
+    k = +m | -m, evolves on its own: the run keeps (0, cos), which holds u00
+    and every inflow, and for each non-zero initial moment of degree l every
+    mode m <= l of that moment's class.  The classes and degrees are read
+    from the amplitudes on the basis, before any rotation.  In 2-D and 3-D
     the modes are None.
     """
     inactive = [ax for ax in (1, 2, 3) if ax not in scenario.axes]
     if not inactive:
         return np.ones(basis.dim, dtype=bool), None
-    classes = np.stack([basis.parity.signs[ax - 1] for ax in inactive], axis=-1)
-    amps = scenario.initial.moment_amplitudes(scenario.n_max)
-    nonzero = [flat for flat, amp in amps.items() if amp != 0.0]
-    reached = [np.ones(len(inactive), dtype=int)] + [classes[flat] for flat in nonzero]
-    mask = np.any([np.all(classes == c, axis=-1) for c in reached], axis=0)
+    signs = np.stack(basis.parity.signs)
+    classes = signs[[ax - 1 for ax in inactive]].T  # per flat position: its signs on the inactive axes
+    top = {(1,) * len(inactive): 0}  # per reached class: the highest degree the data hold
+    for flat, amp in scenario.initial.moment_amplitudes(scenario.n_max).items():
+        if amp != 0.0:
+            c = tuple(int(s) for s in classes[flat])
+            top[c] = max(top.get(c, 0), basis.indices[flat].l)
     if len(inactive) == 1:
-        return mask, None
-    (axis,) = scenario.axes
-    top = {(1, 1): 0}  # per class: the highest degree the data hold
-    for flat in nonzero:
-        c = tuple(int(s) for s in classes[flat])
-        top[c] = max(top.get(c, 0), basis.indices[flat].l)
-    modes = tuple(mode for mode, c in _mode_classes(axis, basis.n_max).items() if mode[0] <= top.get(c, -1))
-    return mask, modes
-
-
-def component_frames(scenario: Scenario, basis: MomentBasis, mask: np.ndarray, modes: tuple | None) -> dict:
-    """Per family: the Frame of its integrated components.
-
-    The columns are the basis functions in ``mask``, except in a 1-D parity
-    class of which some modes up to N are not kept: there they are the
-    degree-l harmonics of the class's kept modes, degrees m..N.  Only then is
-    a full-sphere rule built: the harmonics are projected onto the basis on
-    it (exact, as the products have degree 2l <= 2N), set to exact zero
-    outside their own degree and parity class, which rotation about the axis
-    preserves, and scaled to unit norm.  Columns are ordered by degree, basis
-    functions before modes, so the l = 0 column comes first in the all-even
-    family.
-    """
-    parity = np.stack(basis.parity.signs)  # (3, m)
-    degrees = np.repeat(np.arange(basis.n_max + 1), 2 * np.arange(basis.n_max + 1) + 1)
-    basis_cols = mask.copy()
-    mode_cols = []
-    if modes is not None:
-        (axis,) = scenario.axes
-        inactive = [ax - 1 for ax in (1, 2, 3) if ax != axis]
-        kept, every = {}, {}
-        for mode, c in _mode_classes(axis, basis.n_max).items():
-            every.setdefault(c, []).append(mode)
-            if mode in modes:
-                kept.setdefault(c, []).append(mode)
-        for c, ms in kept.items():
-            if ms != every[c]:
-                basis_cols &= ~np.all(parity[inactive].T == c, axis=-1)
-                mode_cols += [(l, m, trig) for m, trig in ms for l in range(m, basis.n_max + 1)]
-    # every column over the whole basis, with its degree, order and parity signs
-    flats = np.nonzero(basis_cols)[0]
-    columns = np.zeros((basis.dim, flats.size + len(mode_cols)))
-    columns[flats, np.arange(flats.size)] = 1.0
-    col_degrees = np.concatenate([degrees[flats], [l for l, _, _ in mode_cols]]).astype(int)
-    col_orders = np.concatenate([np.full(flats.size, -1), [m for _, m, _ in mode_cols]]).astype(int)
-    col_signs = parity[:, flats]
-    if mode_cols:
-        mode_signs = np.array([axis_mode_signs(axis, *col) for col in mode_cols]).T
-        col_signs = np.concatenate([col_signs, mode_signs], axis=1)
-        need = np.nonzero(mask & ~basis_cols)[0]  # the basis functions of the mode classes
-        quad = build_quadrature(basis.n_max)
-        modes_at_nodes = eval_axis_modes(basis.n_max, axis, mode_cols, quad.nodes)
-        proj = eval_basis(basis.n_max, quad.nodes)[:, need].T @ (quad.weights[:, None] * modes_at_nodes)
-        own = (degrees[need, None] == col_degrees[flats.size:]) & np.all(
-            parity[:, need, None] == mode_signs[:, None, :], axis=0)
-        proj[~own] = 0.0
-        columns[need, flats.size:] = proj / np.linalg.norm(proj, axis=0)
-    # by degree, then basis functions (in flat order) before modes (in mode_cols order)
-    order = np.lexsort((np.arange(columns.shape[1]), col_orders >= 0, col_degrees))
-    frames = {}
-    for a, idx in basis.family_indices(scenario.axes).items():
-        rows = idx[mask[idx]]
-        mine = np.all([(col_signs[ax - 1] < 0) == (p == "o") for ax, p in zip(scenario.axes, a)], axis=0)
-        sel = order[mine[order]]
-        frames[a] = Frame(
-            rows, columns[np.ix_(rows, sel)], col_degrees[sel], col_orders[sel], col_signs[:, sel]
-        )
-    return frames
+        return np.any([np.all(classes == c, axis=-1) for c in top], axis=0), None
+    # in the basis about the axis, Cartesian axis cyclic_axes(axis)[j] carries basis axis j + 1's parity
+    about = cyclic_axes(scenario.axes[0])
+    classes = signs[[about.index(ax) for ax in inactive]].T
+    reach = np.full(basis.dim, -1)
+    for c, deg in top.items():
+        reach[np.all(classes == c, axis=-1)] = deg
+    mask = np.abs(basis.orders) <= reach
+    kept = sorted(set(basis.orders[mask].tolist()), key=lambda k: (abs(k), k < 0))
+    return mask, tuple((abs(k), "cos" if k >= 0 else "sin") for k in kept)
 
 
 def build_setup(scenario: Scenario) -> SolverSetup:
-    """Assemble a scenario's operators in the frames of its reachable components.
+    """Assemble a scenario's operators over the basis functions of its reachable components.
 
-    The transport blocks, L, Ahat, M, the penalties, the inflow moments and
-    (in :func:`initial_state`) the initial data are projected through each
-    family's :class:`Frame`; relaxation stays diagonal.  The CFL step, the
-    axis speeds and the constant C of the energy bound come from the
-    unreduced operators (the full Ahat and the parity-sector L), so they do
+    A 1-D run assembles about its active axis, with the operators of the
+    basis's polar axis 3.  The transport blocks, L, Ahat, M, the penalties
+    and the inflow moments are slices over each family's flat positions
+    ``comps[a]``; relaxation stays diagonal.  The CFL step and the axis
+    speeds come from the unreduced Ahat of each physical axis, so they do
     not depend on the reduction.
     """
     basis = MomentBasis.build(scenario.n_max)
@@ -311,23 +219,22 @@ def build_setup(scenario: Scenario) -> SolverSetup:
     )
     tensor = TensorGrid.build(scenario.axes, grids)
     mask, modes = sector(scenario, basis)
-    comps = component_frames(scenario, basis, mask, modes)
+    axes = scenario.axes if modes is None else (3,)
+    comps = {a: idx[mask[idx]] for a, idx in basis.family_indices(axes).items()}
     parity = np.stack(basis.parity.signs)
     a_blocks = {}
     for a in tensor.families:
-        for d, axis in enumerate(scenario.axes):
-            fa, fc = comps[a], comps[tensor.complement(a, d)]
-            block = fa.project(system.a_full[axis - 1][np.ix_(fa.rows, fc.rows)], fc)
+        for d, axis in enumerate(axes):
+            block = system.a_full[axis - 1][np.ix_(comps[a], comps[tensor.complement(a, d)])]
             # transposed dense block: BLAS-friendly as (nodes, m_c) @ (m_c, m_a)
             a_blocks[(a, d)] = np.ascontiguousarray(block.T)
-    # sigma_l - sigma_t depends on the degree only: read it at (l, 0)
     q_flat = scattering_diagonal(scenario.scattering, basis)
-    q_relax = {a: q_flat[f.degrees * (f.degrees + 1)] for a, f in comps.items()}
+    q_relax = {a: q_flat[idx] for a, idx in comps.items()}
 
     faces = []
     shared = {}  # per axis: its half-sphere rule and, per odd family, its slice of the high face's Onsager blocks
     for (d, side), spec in scenario.faces.items():
-        axis = scenario.axes[d]
+        axis = axes[d]
         face = bnd.Face(axis, side)
         if axis not in shared:
             high = bnd.Face(axis, "high")
@@ -336,16 +243,14 @@ def build_setup(scenario: Scenario) -> SolverSetup:
             odd, even = basis.odd_positions(axis), basis.even_positions(axis)
             onsager = {}
             for a in tensor.families:
-                fo, fe = comps[a], comps[tensor.complement(a, d)]
-                if a[d] == "o" and fo.size and fe.size:
-                    ro, re = np.searchsorted(odd, fo.rows), np.searchsorted(even, fe.rows)
+                rows, cols = comps[a], comps[tensor.complement(a, d)]
+                if a[d] == "o" and rows.size and cols.size:
+                    ro, re = np.searchsorted(odd, rows), np.searchsorted(even, cols)
                     oe = np.ix_(ro, re)
                     bc = bnd.OnsagerBoundary(
                         high, full.l_matrix[np.ix_(ro, ro)], full.a_hat[oe], full.m_matrix[oe]
                     )
-                    onsager[a] = (
-                        bc, oe, fo.project(bc.l_matrix, fo), fo.project(bc.a_hat, fe), fo.project(bc.m_matrix, fe)
-                    )
+                    onsager[a] = bc, oe
             shared[axis] = q_out, onsager
         q_out, onsager = shared[axis]
         q_in = bnd.inflow_quadrature(basis, face) if spec.inflow.kind != "none" else None
@@ -353,43 +258,44 @@ def build_setup(scenario: Scenario) -> SolverSetup:
         off_axis = [ax - 1 for ax in (1, 2, 3) if ax != axis]
         blocks = []
         source_norm_sq = 0.0
-        for a, (bc, oe, l_mat, a_hat, m_mat) in onsager.items():
-            ae = tensor.complement(a, d)
-            fo, fe = comps[a], comps[ae]
-            if marshak is not None:
-                m_eff = fo.project(marshak[oe], fe)
+        for a, (bc, oe) in onsager.items():
+            rows = comps[a]
+            # M = sign * L Ahat: L and Ahat are side-independent
+            m_eff = marshak[oe] if marshak is not None else face.sign * bc.m_matrix
+            pen = sat_penalties(bc.l_matrix, bc.a_hat, spec.alpha, side)
+            # an inflow depends on omega only through omega_axis, so its moments vanish
+            # on components odd in another axis and, about the polar axis, of order k != 0
+            if axis == 3:
+                sourced = basis.orders[rows] == 0
             else:
-                m_eff = face.sign * m_mat  # M = sign * L Ahat: L and Ahat are side-independent
-            pen = sat_penalties(l_mat, a_hat, spec.alpha, side)
-            # an inflow depends on omega only through omega_axis, so its moments
-            # vanish on columns odd in any other axis and on modes about the axis
-            # of order m > 0
-            sourced = np.all(fo.signs[off_axis] > 0, axis=0) & (fo.orders <= 0)
+                sourced = np.all(parity[np.ix_(off_axis, rows)] > 0, axis=0)
             has_source = spec.inflow.kind != "none" and bool(sourced.any())
-            g_dir = np.zeros(fo.size)
+            g_dir = np.zeros(rows.size)
             if has_source:
-                even_rows = np.all(parity[np.ix_(off_axis, fo.rows)] > 0, axis=0)
-                g_dir[sourced] = fo.matrix[np.ix_(even_rows, sourced)].T @ bnd.boundary_source(
+                # the rule's nodes are directions in the basis's coordinates: omega_axis is component `axis`
+                g_dir[sourced] = bnd.boundary_source(
                     face,
                     lambda om: spec.inflow.amplitude
                     * spec.inflow.direction_profile(om, axis, face.sign),
                     basis,
                     quad=q_in,
-                    rows=fo.rows[even_rows],
+                    rows=rows[sourced],
                 )
             g_space = outer([
                 spec.inflow.spatial_profile(tensor.axis_nodes(j, a[j]))
                 for j in range(tensor.ndim) if j != d
             ])
-            blocks.append(FaceBlock(a, ae, m_eff, l_mat, pen, g_dir, g_space, has_source))
+            blocks.append(FaceBlock(
+                a, tensor.complement(a, d), m_eff, bc.l_matrix, pen, g_dir, g_space, has_source
+            ))
             if has_source:
                 w = tensor.boundary_weight(a, d)
                 source_norm_sq += float(np.sum(w * g_space * g_space)) * float(g_dir @ g_dir)
         c_const = None
         if spec.kind == "onsager" and onsager:
             # tau^o = -alpha L^-1, so per block ||tau^o|| = alpha / l_min and
-            # ||L^-1 + tau^o^T|| = (1 - alpha) / l_min; l_min of the parity-sector L
-            c_const = max(spec.alpha, 1.0 - spec.alpha) / min(bc.l_min for bc, *_ in onsager.values())
+            # ||L^-1 + tau^o^T|| = (1 - alpha) / l_min
+            c_const = max(spec.alpha, 1.0 - spec.alpha) / min(bc.l_min for bc, _ in onsager.values())
         faces.append(FaceData(
             d, side, axis, spec.kind, spec.alpha, spec.inflow, tuple(blocks), source_norm_sq, c_const
         ))
@@ -398,6 +304,7 @@ def build_setup(scenario: Scenario) -> SolverSetup:
         basis=basis,
         system=system,
         tensor=tensor,
+        axes=axes,
         comps=comps,
         modes=modes,
         a_blocks=a_blocks,
@@ -418,9 +325,11 @@ def zero_state(setup: SolverSetup) -> dict:
 def initial_state(setup: SolverSetup, out: dict | None = None) -> dict:
     """Populate the family arrays from the scenario's initial spec.
 
-    The initial moments are projected through each family's frame.  Writes
-    into ``out`` (a dict of family arrays, zeroed first) when given, so a
-    run fills its stepper's own buffer; otherwise into a new zero state.
+    A 1-D run off the z axis first rotates the initial moment amplitudes
+    onto the basis about its axis (:func:`pnsat.sphharm.rotation_about`, up
+    to the highest degree they hold); each family then takes its positions.
+    Writes into ``out`` (a dict of family arrays, zeroed first) when given,
+    so a run fills its stepper's own buffer; otherwise into a new zero state.
     """
     sc = setup.scenario
     if out is None:
@@ -432,8 +341,12 @@ def initial_state(setup: SolverSetup, out: dict | None = None) -> dict:
     amps = np.zeros(setup.basis.dim)
     for flat, amp in sc.initial.moment_amplitudes(sc.n_max).items():
         amps[flat] = amp
-    for a, frame in setup.comps.items():
-        coef = frame.coefficients(amps)
+    if setup.axes != sc.axes and np.any(amps):
+        n = max(setup.basis.indices[flat].l for flat in np.flatnonzero(amps))
+        held = slice((n + 1) ** 2)
+        amps[held] = rotation_about(n, sc.axes[0]) @ amps[held]
+    for a, idx in setup.comps.items():
+        coef = amps[idx]
         cols = np.flatnonzero(coef)
         if cols.size:
             profile = sc.initial.spatial_profile(setup.tensor.family_nodes(a))
@@ -444,22 +357,31 @@ def initial_state(setup: SolverSetup, out: dict | None = None) -> dict:
         for blk in face.blocks:
             ao, ae = blk.family_odd, blk.family_even
             profile = sc.initial.spatial_profile(setup.tensor.family_nodes(ao))
-            state[ao][...] += np.multiply.outer(profile, blk.m_eff @ setup.comps[ae].coefficients(amps))
+            state[ao][...] += np.multiply.outer(profile, blk.m_eff @ amps[setup.comps[ae]])
     return state
 
 
-def inner(setup: SolverSetup, u: dict, v: dict) -> float:
-    """The discrete SBP inner product <u, v>: per family, the P-weighted sum over nodes of u . v."""
-    total = 0.0
-    for a, w in setup.weights.items():
-        uf, vf = u[a].reshape(w.size, -1), v[a].reshape(w.size, -1)
-        total += float(np.dot(np.einsum("ij,ij->i", uf, vf), w))
-    return total
+def _flat(setup: SolverSetup, u) -> np.ndarray:
+    """``u`` as a flat state buffer: as it is if it is one, else its family arrays in order."""
+    if isinstance(u, np.ndarray):
+        return u
+    return np.concatenate([u[a].ravel() for a in setup.families])
 
 
-def energy(setup: SolverSetup, state: dict) -> float:
+def inner(setup: SolverSetup, u, v) -> float:
+    """The discrete SBP inner product <u, v>: one weighted dot, sum of w u v over the per-entry weights w.
+
+    ``u`` and ``v`` are flat state buffers (the layout of the stepper's
+    buffers) or dicts of family arrays.  The contraction allocates no
+    state-sized temporary.
+    """
+    return float(np.einsum("i,i,i->", _flat(setup, u), _flat(setup, v), setup.entry_weights))
+
+
+def energy(setup: SolverSetup, state) -> float:
     """Total discrete energy <u, u>: sum of squared family SBP norms."""
-    return inner(setup, state, state)
+    u = _flat(setup, state)
+    return inner(setup, u, u)
 
 
 def mass_u00(setup: SolverSetup, state: dict) -> float:
@@ -719,7 +641,7 @@ def run(scenario: Scenario) -> RunResult:
     t = 0.0
     times = [0.0]
     setup_s = _time.perf_counter() - wall0
-    energies = [energy(setup, state)]
+    energies = [energy(setup, stepper.u)]
     gsq = [0.0]
     gnorm_prev = sum(face_source_norm_sq(setup, f, 0.0) for f in setup.faces)
     snap_iter = iter(sorted(scenario.snapshot_times))
@@ -749,7 +671,7 @@ def run(scenario: Scenario) -> RunResult:
         stepper.step(dt, t)
         t += dt
         step_count += 1
-        e_now = energy(setup, state)
+        e_now = energy(setup, stepper.u)
         if not math.isfinite(e_now):
             raise NumericalError(
                 f"non-finite energy at t = {t:.6g}; last good state at t = {times[-1]:.6g}"

@@ -17,9 +17,9 @@ and azimuth ``phi = atan2(omega[1], omega[0])``.
 
 Each basis function is either even or odd under the reflection of a single
 Cartesian component; see :func:`parity_signs` for the closed-form rules.
-The same harmonics taken about the x or y axis instead of z
-(:func:`eval_axis_modes`, parities by :func:`axis_mode_signs`) span each
-degree too; a 1-D run uses those about its axis.
+The basis about another Cartesian axis is the same functions at cyclically
+permuted coordinates (:func:`cyclic_axes`), and :func:`rotation_about`
+carries coefficients onto it; a 1-D run works in the basis about its axis.
 """
 
 from __future__ import annotations
@@ -222,54 +222,33 @@ def eval_basis(n_max: int, omega) -> np.ndarray:
     return out
 
 
-def _azimuth_axes(axis: int) -> tuple[int, int]:
-    """The axes (p, q) after ``axis`` in cyclic order: the azimuth about ``axis`` runs from p toward q."""
-    return axis % 3 + 1, (axis + 1) % 3 + 1
+def cyclic_axes(axis: int) -> tuple[int, int, int]:
+    """The Cartesian axes (p, q, axis) that play the basis's axes 1, 2, 3 in the basis about ``axis``.
 
-
-def axis_mode_signs(axis: int, l: int, m: int, trig: str) -> tuple[int, int, int]:
-    """Parity signs, per Cartesian axis 1..3, of the degree-l harmonic of mode (m, trig) about ``axis``.
-
-    The polar factor gives (-1)^(l+m) along ``axis``.  Reflecting p maps
-    phi to pi - phi, so cos(m phi) picks up (-1)^m and sin(m phi) -(-1)^m;
-    reflecting q maps phi to -phi, so cos is even and sin odd.  About axis
-    3 these are the signs of :func:`classify_parity` for Y_l^{+-m}.
+    p and q follow ``axis`` in cyclic order, so omega -> (omega_p, omega_q,
+    omega_axis) is a rotation.  The basis about ``axis`` is :func:`eval_basis`
+    at those coordinates: its polar axis is ``axis``, its azimuth runs from
+    p toward q, and its parity on axis j of the basis is the parity under
+    reflection of the Cartesian axis ``cyclic_axes(axis)[j - 1]``.
     """
     _check_axis(axis)
-    p, q = _azimuth_axes(axis)
-    signs = [0, 0, 0]
-    signs[axis - 1] = (-1) ** (l + m)
-    signs[p - 1] = (-1) ** m if trig == "cos" else -((-1) ** m)
-    signs[q - 1] = 1 if trig == "cos" else -1
-    return tuple(signs)
+    return axis % 3 + 1, (axis + 1) % 3 + 1, axis
 
 
-def eval_axis_modes(n_max: int, axis: int, columns, omega) -> np.ndarray:
-    """Real harmonics about a Cartesian axis, one per column (l, m, trig), at one or many directions.
+def rotation_about(n_max: int, axis: int) -> np.ndarray:
+    """R with R[i, j] = < Y_i about ``axis``, Y_j >, over the basis up to degree ``n_max``.
 
-    The column (l, m, trig) is C_{l,m} P_l^m(omega_axis) times cos(m phi)
-    or sin(m phi) (m = 0: cos only), with the normalization of
-    :func:`eval_basis` and the azimuth phi measured from axis p toward
-    axis q (:func:`axis_mode_signs`).  About axis 3 the column (l, m, cos)
-    is Y_l^m and (l, m, sin) is Y_l^-m.  Returns shape (..., len(columns)).
+    Coefficients c on the basis are R c on the basis about ``axis``
+    (:func:`cyclic_axes`).  R is orthogonal and keeps each degree; the
+    full-sphere rule of degree ``n_max`` integrates every product exactly,
+    and the entries between different degrees are exact zeros.
     """
-    arr = _as_omega(omega)
-    _check_axis(axis)
-    p, q = _azimuth_axes(axis)
-    mu = arr[..., axis - 1]
-    phi = np.arctan2(arr[..., q - 1], arr[..., p - 1])
-    legendre, waves = {}, {}
-    out = np.empty(mu.shape + (len(columns),))
-    for j, (l, m, trig) in enumerate(columns):
-        if m not in legendre:
-            legendre[m] = _normalized_assoc_legendre(n_max, m, mu)
-        if m == 0:
-            out[..., j] = legendre[m][l]
-            continue
-        if (m, trig) not in waves:
-            waves[(m, trig)] = math.sqrt(2.0) * (np.cos(m * phi) if trig == "cos" else np.sin(m * phi))
-        out[..., j] = legendre[m][l] * waves[(m, trig)]
-    return out
+    quad = build_quadrature(n_max)
+    about = eval_basis(n_max, quad.nodes[:, [ax - 1 for ax in cyclic_axes(axis)]])
+    rot = about.T @ (quad.weights[:, None] * eval_basis(n_max, quad.nodes))
+    l = np.array([i.l for i in basis_indices(n_max)])
+    rot[l[:, None] != l[None, :]] = 0.0
+    return rot
 
 
 def eval_sh(idx: ShIndex, omega) -> float:

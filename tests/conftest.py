@@ -9,6 +9,7 @@ import scipy.sparse as sp
 from pnsat.config import load_scenario, scenario_from_dict
 from pnsat.moments import MomentBasis, assemble_transport
 from pnsat.solver import build_setup
+from pnsat.sphharm import rotation_about
 
 
 def scenario_path(name: str) -> str:
@@ -60,7 +61,7 @@ def full_basis(scenario, basis):
 
 
 def build_full_setup(scenario):
-    """The scenario's setup on the full basis: identity frames over every family."""
+    """The scenario's setup on the full basis about the physical axes: each family keeps all its positions."""
     with mock.patch("pnsat.solver.sector", full_basis):
         return build_setup(scenario)
 
@@ -68,13 +69,19 @@ def build_full_setup(scenario):
 def lift(setup, state, full) -> dict:
     """A state of ``setup`` in the layout of the full-basis setup ``full``.
 
-    Each family's columns are mapped to basis functions through its frame.
+    Each family's components go to their flat positions; a 1-D run's
+    coefficients, on the basis about its axis, are rotated back onto the
+    basis (c = R^T c' with R from ``rotation_about``).
     """
+    basis = setup.basis
+    back = np.eye(basis.dim)
+    if setup.axes != full.axes:
+        back = rotation_about(basis.n_max, setup.scenario.axes[0])
     out = {}
-    for a, frame in setup.comps.items():
-        vals = np.zeros(full.shapes[a])
-        vals[..., np.searchsorted(full.comps[a].rows, frame.rows)] = state[a] @ frame.matrix.T
-        out[a] = vals
+    for a, idx in setup.comps.items():
+        vals = np.zeros(setup.tensor.family_shape(a) + (basis.dim,))
+        vals[..., idx] = state[a]
+        out[a] = (vals @ back)[..., full.comps[a]]
     return out
 
 

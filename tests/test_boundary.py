@@ -101,6 +101,28 @@ class TestOnsagerBc:
                 low_degree = np.array([basis.indices[j].l < n for j in basis.even_positions(axis)])
                 assert np.abs((mt - bc.m_matrix)[:, low_degree]).max() < 1e-11
 
+    @pytest.mark.parametrize("axis", [1, 2, 3])
+    def test_cross_class_entries_exact_zero(self, axis):
+        # entries between different parity classes of the two axes other than the normal vanish
+        # by symmetry; at N = 13 nearly all of them used to hold roundoff up to 8e-15
+        basis = MomentBasis.build(13)
+        bc = onsager_bc(basis, Face(axis, "high"), assemble_transport(basis))
+        mt = marshak_matrix(basis, Face(axis, "low"))
+        signs = np.stack(basis.parity.signs)[[ax - 1 for ax in (1, 2, 3) if ax != axis]]
+        odd, even = basis.odd_positions(axis), basis.even_positions(axis)
+        cross_l = np.any(signs[:, odd, None] != signs[:, None, odd], axis=0)
+        cross_m = np.any(signs[:, odd, None] != signs[:, None, even], axis=0)
+        assert (cross_l.sum(), cross_m.sum()) == (6174, 7154)
+        assert np.count_nonzero(bc.l_matrix[cross_l]) == 0
+        assert np.count_nonzero(bc.m_matrix[cross_m]) == 0
+        assert np.count_nonzero(mt[cross_m]) == 0
+        assert np.count_nonzero(bc.l_matrix[~cross_l]) > 0 and np.count_nonzero(mt[~cross_m]) > 0
+        if axis == 3:
+            # about the polar axis the half-sphere is rotation invariant: L and M keep the order k
+            k = basis.orders
+            assert np.count_nonzero(bc.l_matrix[k[odd, None] != k[None, odd]]) == 0
+            assert np.count_nonzero(bc.m_matrix[k[odd, None] != k[None, even]]) == 0
+
     def test_sign_per_side(self, basis5, system5):
         for axis in (1, 2, 3):
             lo = onsager_bc(basis5, Face(axis, "low"), system5)

@@ -1,6 +1,7 @@
 import json
 import math
 import multiprocessing
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from pnsat import mc as mc_module
 from pnsat.cli import main
 from pnsat.config import load_scenario, scenario_from_dict
 from pnsat.errors import ValidationError
+from pnsat.io import diff_against_run
 from pnsat.solver import run
 
 
@@ -370,6 +372,29 @@ class TestCli:
         assert (mc1 / "tally_000.csv").read_text() == (mc2 / "tally_000.csv").read_text()
         diff = json.loads((mc1 / "diff.json").read_text())
         assert diff["snapshots"][0]["max_abs_diff"] < 0.1
+
+    @pytest.mark.parametrize("change", ["cells", "extents"])
+    def test_oracle_diff_against_run_of_another_grid_exits_1(self, tmp_path, capsys, monkeypatch, change):
+        # a run with twice the cells used to raise a reshape ValueError, one with the same
+        # cells on other extents was compared silently; both now fail before the simulation
+        monkeypatch.setattr("pnsat.cli.simulate", lambda *a, **k: pytest.fail("simulated"))
+        run_doc = small_doc("x", 2, cells=12)
+        if change == "extents":
+            run_doc["domain"]["extents"] = [[-2.0, 2.0]]
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(run_doc))
+        assert main(["run", str(cfg), "-o", str(tmp_path / "run")]) == 0
+        oracle = tmp_path / "oracle.json"
+        oracle.write_text(json.dumps(small_doc("x", 2, cells=6 if change == "cells" else 12)))
+        capsys.readouterr()
+        code = main(["oracle", str(oracle), "--n", "4000", "-o", str(tmp_path / "mc"),
+                     "--diff", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert code == 1 and "is not on the scenario's grid" in err and "Traceback" not in err
+        assert not (tmp_path / "mc").exists()
+        tallies = SimpleNamespace(scenario=load_scenario(oracle), snapshots=[])
+        with pytest.raises(ValidationError, match="not on the scenario's grid"):
+            diff_against_run(tallies, tmp_path / "run")
 
     def test_oracle_worker_error_exits_2(self, tmp_path, capsys, monkeypatch):
         # the Legendre reconstruction 1 + 5 P2(c) is negative near c = 0: a NumericalError

@@ -2,19 +2,22 @@
 
 Each run integrates only the components its data can reach
 (``solver.sector``): the inactive-axis parity classes of its data and, in
-1-D, the azimuthal modes about the active axis, each family in its own
-orthonormal frame (``solver.Frame``).  These tests rerun scaled-down
-bundled scenarios and 1-D probes on the full basis, by patching the sector
-function, and require the same time grid and the same energy, bound and
-snapshots to 1e-12 relative.
+1-D, the azimuthal modes about the active axis.  A 1-D run works in the
+basis about its axis, where those modes are the basis functions of order
+k = +-m, so every family integrates basis functions.  These tests rerun
+scaled-down bundled scenarios and 1-D probes on the full basis about the
+physical axes, by patching the sector function, and require the same time
+grid and the same energy, bound and snapshots to 1e-12 relative.
 """
 
 import numpy as np
 import pytest
 
-from conftest import build_full_setup, bundled_doc, full_basis, load_bundled
+from conftest import bundled_doc, full_basis, load_bundled
+from pnsat import boundary as bnd
 from pnsat.config import scenario_from_dict
 from pnsat.solver import build_setup, run
+from pnsat.sphharm import rotation_about
 
 ONSAGER = {"type": "onsager", "alpha": 1.0, "psi_in": {"kind": "none"}}
 
@@ -95,6 +98,20 @@ def marshak_1d() -> dict:
     return doc
 
 
+def affine_1d() -> dict:
+    """gaussian_bulk with an affine_mu direction along x: the omega_z moment, degree 1 and z-odd, is the mode sin 1 about x."""
+    return {
+        "name": "affine_1d",
+        "model": {"N": 5, "scattering": {"kind": "isotropic", "sigma_s": 0.5}, "stopping": {"mode": "time"}},
+        "domain": {"axes": ["x"], "extents": [[-1.0, 1.0]], "cells": [50]},
+        "boundaries": {"x_low": ONSAGER, "x_high": {**ONSAGER, "alpha": 0.5}},
+        "initial": {"kind": "gaussian_bulk", "mu": [0.1], "sigma": [0.3],
+                    "direction": {"kind": "affine_mu", "a": 1.0, "b": 0.8}},
+        "integration": {"cfl": 0.5, "t_end": 0.6},
+        "outputs": {"snapshot_times": [0.3, 0.6]},
+    }
+
+
 CASES = {
     name: scaled(name)
     for name in ("tc1", "tc2_stable", "tc2_unstable", "tc3_vacuum", "tc4_beam", "tc_inflow_1d")
@@ -104,6 +121,7 @@ CASES["along_y"] = along("y")
 CASES["along_z"] = along("z")
 CASES["beam_1d"] = beam_1d()
 CASES["marshak_1d"] = marshak_1d()
+CASES["affine_1d"] = affine_1d()
 
 
 def assert_close(got, want, what):
@@ -119,6 +137,7 @@ def test_sector_run_matches_full_basis(name, monkeypatch):
     full = run(sc)
     basis = reduced.setup.basis.dim
     assert full.metadata["components"] == {"integrated": basis, "basis": basis, "modes": None}
+    assert full.setup.axes == sc.axes  # the reference works about the physical axes: no rotation
     assert reduced.metadata["components"]["integrated"] < basis
     assert reduced.metadata["dt"] == full.metadata["dt"]
     assert np.array_equal(reduced.log.times, full.log.times)
@@ -145,9 +164,17 @@ def test_union_of_initial_classes():
     setup = build_setup(scenario_from_dict(two_class_1d()))
     assert setup.modes == ((0, "cos"), (1, "cos"), (2, "cos"))
     assert setup.n_components == 12
-    orders = np.concatenate([f.orders for f in setup.comps.values()])
+    orders = setup.basis.orders[np.concatenate(list(setup.comps.values()))]
     assert sorted(np.bincount(orders)) == [3, 4, 5]
-    assert all(np.all(f.signs[2] > 0) for f in setup.comps.values())  # all z-even
+    # about x, z is the basis's axis 2: every component is z-even
+    assert all(np.all(setup.basis.parity.signs[1][idx] > 0) for idx in setup.comps.values())
+
+
+def test_affine_direction_reaches_sine_mode():
+    # omega_z = Y_1^0 up to a factor is degree 1 and odd in z only: about x it is the mode sin 1
+    setup = build_setup(scenario_from_dict(affine_1d()))
+    assert setup.modes == ((0, "cos"), (1, "sin"))
+    assert setup.n_components == 6 + 5
 
 
 def test_three_axis_setup_keeps_full_basis():
@@ -174,13 +201,13 @@ def test_face_sources_follow_symmetry():
 
 
 def test_inflow_reaches_only_mode_zero():
-    # beam_1d keeps modes m > 0 from its initial data; the beam's moments sit on m = 0 only
+    # beam_1d keeps modes m > 0 from its initial data; the beam's moments sit on m = 0 (k = 0) only
     setup = build_setup(scenario_from_dict(beam_1d()))
     blk = next(blk for f in setup.faces if f.inflow.kind != "none" for blk in f.blocks)
-    frame = setup.comps[blk.family_odd]
-    assert np.any(frame.orders > 0)
-    assert np.all(blk.g_dir[frame.orders != 0] == 0.0)
-    assert np.all(blk.g_dir[frame.orders == 0] != 0.0)
+    orders = setup.basis.orders[setup.comps[blk.family_odd]]
+    assert np.any(orders != 0)
+    assert np.all(blk.g_dir[orders != 0] == 0.0)
+    assert np.all(blk.g_dir[orders == 0] != 0.0)
 
 
 FRAME_CASES = ("tc1", "tc_inflow_1d", "two_class_1d", "along_y", "along_z", "beam_1d", "marshak_1d")
@@ -188,54 +215,55 @@ FRAME_CASES = ("tc1", "tc_inflow_1d", "two_class_1d", "along_y", "along_z", "bea
 
 @pytest.mark.parametrize("name", FRAME_CASES)
 def test_frames_orthonormal_and_zero_outside_degree_and_class(name):
-    setup = build_setup(scenario_from_dict(CASES[name]))
+    # the change of frame is the rotation onto the basis about the axis: orthogonal, zero
+    # between degrees, and to roundoff between classes; each family then integrates the
+    # basis functions of the kept modes' orders within its own parity
+    sc = scenario_from_dict(CASES[name])
+    setup = build_setup(sc)
     basis = setup.basis
+    assert setup.axes == (3,)
+    rot = rotation_about(basis.n_max, sc.axes[0])
+    np.testing.assert_allclose(rot @ rot.T, np.eye(basis.dim), rtol=0.0, atol=1e-14)
     degrees = np.array([i.l for i in basis.indices])
-    parity = np.stack(basis.parity.signs)
-    assert any(np.any(f.orders >= 0) for f in setup.comps.values())  # mode columns present
-    for a, frame in setup.comps.items():
-        gram = frame.matrix.T @ frame.matrix
-        np.testing.assert_allclose(gram, np.eye(frame.size), rtol=0.0, atol=1e-14)
-        for j in range(frame.size):
-            own = (degrees[frame.rows] == frame.degrees[j]) & np.all(
-                parity[:, frame.rows] == frame.signs[:, [j]], axis=0)
-            assert np.all(frame.matrix[~own, j] == 0.0)
-        # the l = 0 column, u00, leads the all-even family
-        if a == ("e",):
-            assert frame.degrees[0] == 0
-            assert frame.matrix[0, 0] == 1.0
+    assert np.all(rot[degrees[:, None] != degrees[None, :]] == 0.0)
+    orders = [m if trig == "cos" else -m for m, trig in setup.modes]
+    for (parity,), idx in basis.family_indices((3,)).items():
+        want = idx[np.isin(basis.orders[idx], orders)]
+        assert np.array_equal(setup.comps[(parity,)], want)
+    # u00 leads the all-even family
+    assert setup.comps[("e",)][0] == 0
 
 
 def test_frame_reduces_span_of_transport():
-    # A maps the span of the even columns into that of the odd ones, so the
-    # projected blocks lose nothing (what makes the reduction exact)
+    # A and the face matrices map the kept components only onto kept components, so
+    # slicing them loses nothing (what makes the reduction exact)
     setup = build_setup(scenario_from_dict(along("y")))
-    fo, fe = setup.comps[("o",)], setup.comps[("e",)]
-    a = setup.system.a_full[1][np.ix_(fo.rows, fe.rows)]
-    image = a @ fe.matrix
-    np.testing.assert_allclose(fo.matrix @ (fo.matrix.T @ image), image, rtol=0.0, atol=1e-14)
+    basis = setup.basis
+    kept = np.zeros(basis.dim, dtype=bool)
+    kept[np.concatenate(list(setup.comps.values()))] = True
+    assert 0 < kept.sum() < basis.dim
+    a = setup.system.a_full[2]
+    assert np.all(a[np.ix_(~kept, kept)] == 0.0)
+    bc = bnd.onsager_bc(basis, bnd.Face(3, "high"), setup.system)
+    odd, even = basis.odd_positions(3), basis.even_positions(3)
+    assert np.all(bc.l_matrix[np.ix_(~kept[odd], kept[odd])] == 0.0)
+    assert np.all(bc.m_matrix[np.ix_(~kept[odd], kept[even])] == 0.0)
+    assert np.all(bnd.marshak_matrix(basis, bnd.Face(3, "low"))[np.ix_(~kept[odd], kept[even])] == 0.0)
 
 
 def test_complete_class_gets_identity_columns():
-    # N = 3 along x: (3, 1) holds the (y, z)-even class up to m = 3, so that class is
-    # complete and its columns are basis functions; (1, -1) reaches only cos 1 of the
-    # (o, e) class's cos 1 and cos 3, which stays a mode frame
+    # N = 3 along x: (3, 1) holds the (y, z)-even class up to m = 3, so every basis function
+    # of that class is kept; (1, -1) reaches only cos 1 of the (o, e) class's cos 1 and cos 3
     doc = along("x")
     doc["model"]["N"] = 3
     doc["initial"]["moments"] = [{"l": 3, "k": 1, "amp": 1.0}, {"l": 1, "k": -1, "amp": 1.0}]
     setup = build_setup(scenario_from_dict(doc))
     assert setup.modes == ((0, "cos"), (1, "cos"), (2, "cos"))
-    for frame in setup.comps.values():
-        even_even = np.all(frame.signs[1:] > 0, axis=0)
-        assert np.all(frame.orders[even_even] == -1)
-        assert np.all(frame.orders[~even_even] == 1)
-        unit = frame.matrix[:, even_even]
-        assert np.all((unit == 0.0) | (unit == 1.0)) and np.all(unit.sum(axis=0) == 1.0)
-    # a 1-D run whose every class is complete is the identity on the whole basis
-    full = build_full_setup(scenario_from_dict(doc))
+    orders = setup.basis.orders[np.concatenate(list(setup.comps.values()))]
+    assert sorted(set(orders)) == [0, 1, 2]
+    # a 1-D run whose every class is complete integrates the whole basis about its axis
     doc["initial"]["moments"] = [{"l": 3, "k": k, "amp": 1.0} for k in (1, -1, 0, -2)]
     setup = build_setup(scenario_from_dict(doc))
     assert setup.n_components == 16
-    for a, frame in setup.comps.items():
-        assert np.array_equal(frame.rows, full.comps[a].rows)
-        assert np.array_equal(frame.matrix, np.eye(frame.size))
+    for a, idx in setup.basis.family_indices((3,)).items():
+        assert np.array_equal(setup.comps[a], idx)

@@ -138,9 +138,9 @@ class TestRhs:
         x_o = setup.tensor.axis_nodes(0, "o")
         sig = 0.25
         du00 = -(x_o / sig**2) * np.exp(-x_o**2 / (2 * sig**2)) / (sig * math.sqrt(2 * math.pi))
-        fo, fe = setup.comps[o_fam], setup.comps[e_fam]
-        a_blk = fo.project(setup.system.a_hat_block(1, fo.rows, fe.rows), fe)
-        expected = -np.outer(du00, a_blk[:, 0])  # even column 0 is u00
+        # the run works about x, the basis's polar axis: its coupling is that of A^(3)
+        a_blk = setup.system.a_hat_block(3, setup.comps[o_fam], setup.comps[e_fam])
+        expected = -np.outer(du00, a_blk[:, 0])  # even component 0 is u00
         interior = slice(5, -5)
         err = np.abs(inc[o_fam][interior] - expected[interior]).max()
         assert err < 5e-3  # O(h^2) at h = 0.01 with |f'''| ~ 1e2 scale
@@ -202,7 +202,8 @@ class TestStepping:
         new = step_strang(setup, state, dt, 0.0)
         # keep clear of the boundary SAT influence (a few stencil widths per stage)
         interior = slice(14, -14)
-        for pos, l in enumerate(setup.comps[e_fam].degrees):
+        for pos, flat in enumerate(setup.comps[e_fam]):
+            l = setup.basis.indices[flat].l
             want = 1.0 if l == 0 else math.exp(-2.0 * dt)
             got = new[e_fam][interior, pos]
             np.testing.assert_allclose(got, want, atol=1e-12)
@@ -241,7 +242,7 @@ class TestStepping:
                  for s in (None, {"kind": "isotropic", "sigma_s": 1.5})]
         cases += [small_nd("xz", (8, 5), "z_high", BEAM), small_nd("xyz", (4, 5, 6), "y_low", ISOTROPIC)]
         # the 1-D cases integrate only the mode m = 0 about x: their states are
-        # lifted through the frames onto the full-basis reference
+        # rotated back onto the full basis about the physical axes for the reference
         for sc in cases:
             setup = build_setup(sc)
             full = build_full_setup(sc)
@@ -312,6 +313,21 @@ class TestStepping:
 BUNDLED = ("tc1", "tc2_stable", "tc2_unstable", "tc3_vacuum", "tc4_beam", "tc_inflow_1d")
 
 
+def count_sphere_rules(monkeypatch) -> list:
+    """Record (n_max, restriction) of every sphere rule the package builds from now on."""
+    calls = []
+    build = sphharm.build_quadrature
+
+    def counted(n_max, restriction=None, polar_nodes=None):
+        calls.append((n_max, restriction))
+        return build(n_max, restriction, polar_nodes)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("pnsat.") and getattr(mod, "build_quadrature", None) is build:
+            monkeypatch.setattr(mod, "build_quadrature", counted)
+    return calls
+
+
 class TestSetup:
     def test_shared_rules_match_per_block_build(self):
         # each block rebuilt with its own default half-sphere rules and rows; the setup slices
@@ -327,13 +343,12 @@ class TestSetup:
                 face = bnd.Face(f.axis, f.side)
                 for blk in f.blocks:
                     fo, fe = setup.comps[blk.family_odd], setup.comps[blk.family_even]
-                    l_rows = bnd.onsager_L(basis, face, rows=fo.rows)
-                    a_rows = setup.system.a_hat_block(f.axis, fo.rows, fe.rows)
-                    l_blk, a_blk = fo.project(l_rows, fo), fo.project(a_rows, fe)
+                    l_blk = bnd.onsager_L(basis, face, rows=fo)
+                    a_blk = setup.system.a_hat_block(f.axis, fo, fe)
                     if f.kind == "unstable_marshak":
-                        m_eff = fo.project(bnd.marshak_matrix(basis, face, rows=fo.rows, cols=fe.rows), fe)
+                        m_eff = bnd.marshak_matrix(basis, face, rows=fo, cols=fe)
                     else:
-                        m_eff = face.sign * fo.project(l_rows @ a_rows, fe)
+                        m_eff = face.sign * (l_blk @ a_blk)
                     pen = sat_penalties(l_blk, a_blk, f.alpha, f.side)
                     close(blk.l_matrix, l_blk)
                     close(blk.m_eff, m_eff)
@@ -342,13 +357,15 @@ class TestSetup:
                     g_dir = np.zeros(fo.size)
                     if blk.has_source:
                         off = [ax - 1 for ax in (1, 2, 3) if ax != f.axis]
-                        even = np.all([basis.parity.signs[ax][fo.rows] > 0 for ax in off], axis=0)
-                        # the inflow reaches the columns even off the face axis, modes m > 0 excepted
-                        sourced = np.all(fo.signs[off] > 0, axis=0) & (fo.orders <= 0)
-                        g_dir[sourced] = fo.matrix[np.ix_(even, sourced)].T @ bnd.boundary_source(
+                        # the inflow reaches the components even off the face axis, and about
+                        # the polar axis only those of order k = 0
+                        sourced = np.all([basis.parity.signs[ax][fo] > 0 for ax in off], axis=0)
+                        if f.axis == 3:
+                            sourced &= basis.orders[fo] == 0
+                        g_dir[sourced] = bnd.boundary_source(
                             face,
                             lambda om: f.inflow.amplitude * f.inflow.direction_profile(om, f.axis, face.sign),
-                            basis, rows=fo.rows[even],
+                            basis, rows=fo[sourced],
                         )
                     assert np.array_equal(blk.g_dir, g_dir)
 
@@ -374,28 +391,31 @@ class TestSetup:
         assert sum(len(f.blocks) for f in setup.faces) // 2 == blocks
 
     def test_no_full_sphere_rule_in_2d(self, monkeypatch):
-        # A comes in closed form and the frames of a 2-D run are basis functions
-        calls = []
-        build = sphharm.build_quadrature
-
-        def counted(n_max, restriction=None, polar_nodes=None):
-            calls.append(restriction)
-            return build(n_max, restriction, polar_nodes)
-
-        for name, mod in list(sys.modules.items()):
-            if name.startswith("pnsat.") and getattr(mod, "build_quadrature", None) is build:
-                monkeypatch.setattr(mod, "build_quadrature", counted)
+        # A comes in closed form and every component of a 2-D run is a basis function
+        calls = count_sphere_rules(monkeypatch)
         build_setup(load_bundled("tc3_vacuum"))
-        assert calls and None not in calls  # the half-sphere rules of the faces only
+        assert calls and all(restriction is not None for _, restriction in calls)  # the faces' half-spheres
+
+    @pytest.mark.parametrize("name, rotation", [("tc1", [(0, None)]), ("tc_inflow_1d", [])])
+    def test_no_full_sphere_rule_in_1d_setups(self, monkeypatch, name, rotation):
+        # a 1-D run assembles about its axis, so only its initial amplitudes are rotated, on
+        # one full-sphere rule of the degree the data hold: tc1's u00 (0), tc_inflow_1d none
+        calls = count_sphere_rules(monkeypatch)
+        setup = build_setup(load_bundled(name))
+        assert calls and all(restriction is not None for _, restriction in calls)
+        calls.clear()
+        initial_state(setup)
+        assert calls == rotation
 
     @pytest.mark.parametrize("name", ["tc1", "tc_inflow_1d", "tc3_vacuum"])
     def test_transport_blocks_exact_outside_neighbouring_degrees(self, name):
-        # frame columns live on a single degree, and A^(i) couples only l and l +- 1
+        # every component is a basis function, and A^(i) couples only l and l +- 1
         setup = build_setup(load_bundled(name))
+        degrees = np.array([i.l for i in setup.basis.indices])
         stored = 0
         for (a, d), block in setup.a_blocks.items():
             fa, fc = setup.comps[a], setup.comps[setup.tensor.complement(a, d)]
-            near = np.abs(np.subtract.outer(fc.degrees, fa.degrees)) == 1  # block is (c, a)
+            near = np.abs(np.subtract.outer(degrees[fc], degrees[fa])) == 1  # block is (c, a)
             assert np.all(block[~near] == 0.0)
             stored += np.count_nonzero(block)
         assert stored == {"tc1": 26, "tc_inflow_1d": 10, "tc3_vacuum": 520}[name]

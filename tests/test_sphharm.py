@@ -10,15 +10,16 @@ from pnsat.sphharm import (
     Direction,
     ParityTable,
     ShIndex,
-    axis_mode_signs,
     basis_indices,
     build_quadrature,
     classify_parity,
-    eval_axis_modes,
+    cyclic_axes,
     eval_basis,
     eval_sh,
     parity_sign,
+    parity_signs,
     reflect,
+    rotation_about,
 )
 
 FOUR_PI = 4.0 * math.pi
@@ -119,43 +120,45 @@ class TestParity:
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
-def mode_columns(n_max):
-    modes = [(0, "cos")] + [(m, trig) for m in range(1, n_max + 1) for trig in ("cos", "sin")]
-    return [(l, m, trig) for m, trig in modes for l in range(m, n_max + 1)]
+def eval_about(n_max, axis, omega):
+    """The basis about ``axis``: eval_basis at the cyclically permuted coordinates."""
+    return eval_basis(n_max, np.asarray(omega)[..., [ax - 1 for ax in cyclic_axes(axis)]])
 
 
 class TestAxisModes:
     def test_modes_about_z_are_the_basis(self):
-        dirs = random_directions(40, seed=3)
-        cols = mode_columns(5)
-        flat = [ShIndex(l, m if trig == "cos" else -m).flat for l, m, trig in cols]
-        np.testing.assert_allclose(eval_axis_modes(5, 3, cols, dirs), eval_basis(5, dirs)[:, flat],
-                                   rtol=0.0, atol=1e-13)
+        assert cyclic_axes(3) == (1, 2, 3)
+        assert cyclic_axes(1) == (2, 3, 1) and cyclic_axes(2) == (3, 1, 2)
+        np.testing.assert_allclose(rotation_about(5, 3), np.eye(36), rtol=0.0, atol=1e-14)
 
     @pytest.mark.parametrize("axis", [1, 2, 3])
     def test_orthonormal_and_within_degree(self, axis):
-        # each harmonic about an axis is a combination of the basis functions of its degree
+        # each harmonic about an axis is a combination of the basis functions of its degree,
+        # with the coefficients of rotation_about
         n = 6
         quad = build_quadrature(n)
-        cols = mode_columns(n)
-        vals = eval_axis_modes(n, axis, cols, quad.nodes)
+        vals = eval_about(n, axis, quad.nodes)
         gram = vals.T @ (quad.weights[:, None] * vals)
-        np.testing.assert_allclose(gram, np.eye(len(cols)), rtol=0.0, atol=1e-13)
-        coef = eval_basis(n, quad.nodes).T @ (quad.weights[:, None] * vals)
+        np.testing.assert_allclose(gram, np.eye(vals.shape[1]), rtol=0.0, atol=1e-13)
+        rot = rotation_about(n, axis)
         degrees = np.array([i.l for i in basis_indices(n)])
-        for j, (l, _, _) in enumerate(cols):
-            assert np.abs(coef[degrees != l, j]).max() < 1e-13
-            assert np.sum(coef[:, j] ** 2) == pytest.approx(1.0, abs=1e-13)
+        assert np.all(rot[degrees[:, None] != degrees[None, :]] == 0.0)
+        np.testing.assert_allclose(rot @ rot.T, np.eye(rot.shape[0]), rtol=0.0, atol=1e-13)
+        dirs = random_directions(40, seed=axis)
+        np.testing.assert_allclose(eval_about(n, axis, dirs), eval_basis(n, dirs) @ rot.T,
+                                   rtol=0.0, atol=1e-13)
 
     @pytest.mark.parametrize("axis", [1, 2, 3])
     def test_signs_match_reflections(self, axis):
+        # reflecting Cartesian axis cyclic_axes(axis)[j] flips the basis about axis by the
+        # parity of the basis's own axis j + 1
         dirs = random_directions(30, seed=axis)
-        cols = mode_columns(4)
-        vals = eval_axis_modes(4, axis, cols, dirs)
-        for refl in (1, 2, 3):
-            mirrored = eval_axis_modes(4, axis, cols, reflect(dirs, refl))
-            signs = np.array([axis_mode_signs(axis, *col)[refl - 1] for col in cols])
-            np.testing.assert_allclose(mirrored, signs * vals, rtol=0.0, atol=1e-13)
+        vals = eval_about(4, axis, dirs)
+        l = np.array([i.l for i in basis_indices(4)])
+        k = np.array([i.k for i in basis_indices(4)])
+        for j, refl in enumerate(cyclic_axes(axis)):
+            mirrored = eval_about(4, axis, reflect(dirs, refl))
+            np.testing.assert_allclose(mirrored, parity_signs(l, k)[j] * vals, rtol=0.0, atol=1e-13)
 
 
 class TestReflect:
