@@ -393,6 +393,55 @@ def check_semidiscrete_dissipativity(tol=1e-12, seed=5, n_samples=100) -> CheckR
                        f"max <u, P rhs>/E = {worst:.2e} over {n}/{dim} components")
 
 
+def check_mirror_agreement(tol=1e-12) -> CheckResult:
+    """A small symmetric x-z run on x >= 0 against the same run on the whole domain.
+
+    The probe has alpha = 0.5 x faces (so tau^e acts), a time-dependent
+    beam on z_high, anisotropic scattering and x-even data in several
+    parity classes, so it exercises the half pair's plane corner, the
+    dropped low face and the 2x scaling of energy, bound and source
+    integral.  The reference patches :func:`pnsat.solver.mirror_symmetry`
+    to mirror no axis.  Passes when both runs share dt and time grid, the
+    probe is mirrored on x only, and energy, bound and the full-grid
+    snapshots agree to ``tol`` of each column's maximum.
+    """
+    from unittest import mock
+
+    from . import solver
+    from .config import scenario_from_dict
+
+    face = {"type": "onsager", "alpha": 0.5, "psi_in": {"kind": "none"}}
+    beam = {"kind": "beam", "amplitude": 1.0, "sigma_x": 0.5, "sigma_omega": 0.3,
+            "eps_center": 1.9, "sigma_eps": 0.1}
+    sc = scenario_from_dict({
+        "name": "mirror-probe",
+        "model": {"N": 3, "scattering": {"kind": "henyey_greenstein", "sigma_s": 1.0, "g": 0.5},
+                  "stopping": {"mode": "energy", "s_rho": 1.0, "eps_max": 2.0, "eps_end": 1.5}},
+        "domain": {"axes": ["x", "z"], "extents": [[-1.0, 1.0], [-1.5, 0.0]], "cells": [16, 10]},
+        "boundaries": {"x_low": face, "x_high": face, "z_low": {**face, "alpha": 1.0},
+                       "z_high": {**face, "alpha": 1.0, "psi_in": beam}},
+        "initial": {"kind": "gaussian_envelope_moments", "center": [0.0, -0.7], "width": [0.4, 0.4],
+                    "moments": [{"l": 0, "k": 0, "amp": 1.0}, {"l": 1, "k": 0, "amp": 0.4},
+                                {"l": 1, "k": -1, "amp": 0.3}, {"l": 2, "k": 2, "amp": -0.5}]},
+        "integration": {"cfl": 0.5},
+        "outputs": {"snapshot_energies": [1.8, 1.5]},
+    })
+    half = solver.run(sc)
+    with mock.patch.object(solver, "mirror_symmetry", lambda scenario, basis: ()):
+        full = solver.run(sc)
+    same = (
+        half.metadata["mirror"] == ["x"] and full.metadata["mirror"] == []
+        and half.metadata["dt"] == full.metadata["dt"]
+        and np.array_equal(half.log.times, full.log.times)
+        and len(half.snapshots) == len(full.snapshots)
+    )
+    pairs = [(half.log.energies, full.log.energies), (half.log.bound, full.log.bound)]
+    pairs += [(a.u00, b.u00) for a, b in zip(half.snapshots, full.snapshots)]
+    dev = max(float(np.abs(a - b).max() / np.abs(b).max()) if a.shape == b.shape else math.inf for a, b in pairs)
+    return CheckResult("solver.mirror_agreement", same and dev < tol, tol - dev,
+                       f"max dev {dev:.2e} of each column's max over E, bound and {len(pairs) - 2} snapshots")
+
+
 ALL_CHECKS = (
     check_orthonormality,
     check_parity,
@@ -416,6 +465,7 @@ ALL_CHECKS = (
     check_sbp_convergence,
     check_penalty_admissibility,
     check_semidiscrete_dissipativity,
+    check_mirror_agreement,
 )
 
 

@@ -15,6 +15,21 @@ are sparse (CSR), assembled from the interior stencil and the exact 3x4
 closure corner, so building a pair costs time and memory linear in the
 number of cells.
 
+Mirror plane.  A grid built with ``mirror=True`` stores only x >= 0 of a
+symmetric interval [-X, X] with an even number n >= 8 of cells; h is the
+full grid's.  Then x = 0 is an integer node where every odd (Omega-odd,
+hence x-odd) variable vanishes, so the half grid stores no node there: the
+odd grid is x = h, ..., X (n/2 nodes) and the even grid x = h/2, ..., X
+(n/2 + 1 nodes).  The first even row reads u_o(h) / h, one 1 x 1 closure
+corner; every other low-end row is the plain stencil and the high end keeps
+the full grid's closure.  The half pair satisfies
+
+    Q^o + (Q^e)^T = e_last e_last^T
+
+exactly, with no term at the plane, so the semi-discrete energy estimate
+carries over unchanged and the half norm is exactly half the full norm of
+the mirror-symmetric extension.
+
 SAT penalties for the boundary condition u^o = +/- L Ahat u^e + g follow
 the one-parameter family tau^o = -alpha L^{-1}, alpha in [0, 1], with
 tau^e tied to tau^o so the mixed boundary terms in the discrete energy
@@ -35,30 +50,53 @@ from .errors import NumericalError, ValidationError
 
 @dataclass(frozen=True)
 class StaggeredGrid1d:
-    """Interval with its odd (integer) and even (midpoint + endpoint) grids."""
+    """Interval with its odd (integer) and even (midpoint + endpoint) grids.
+
+    With ``mirror`` the grid holds only the nodes x > 0 of the symmetric
+    interval [x_left, x_right] = [-X, X]; ``n_cells`` and ``h`` stay those
+    of the full interval, and :attr:`full` is the full grid.
+    """
 
     x_left: float
     x_right: float
     n_cells: int
+    mirror: bool = False
 
     def __post_init__(self):
         if self.n_cells < 4:
             raise ValidationError(f"staggered grid needs at least 4 cells, got {self.n_cells}")
         if not self.x_right > self.x_left:
             raise ValidationError("grid interval must have positive length")
+        if self.mirror and not (
+            self.x_left == -self.x_right and self.n_cells % 2 == 0 and self.n_cells >= 8
+        ):
+            raise ValidationError(
+                "a mirrored grid needs extents [-X, X] and an even cell count of at least 8, "
+                f"got [{self.x_left}, {self.x_right}] with {self.n_cells} cells"
+            )
 
     @property
     def h(self) -> float:
         return (self.x_right - self.x_left) / self.n_cells
 
     @property
+    def full(self) -> "StaggeredGrid1d":
+        """The grid over the whole interval (the grid itself unless mirrored)."""
+        return StaggeredGrid1d(self.x_left, self.x_right, self.n_cells) if self.mirror else self
+
+    @property
+    def kept(self) -> slice:
+        """The full grid's nodes this grid stores, on both grids: those with x > 0 when mirrored."""
+        return slice(self.n_cells // 2 + 1, None) if self.mirror else slice(None)
+
+    @property
     def x_odd(self) -> np.ndarray:
-        return self.x_left + self.h * np.arange(self.n_cells + 1)
+        return (self.x_left + self.h * np.arange(self.n_cells + 1))[self.kept]
 
     @property
     def x_even(self) -> np.ndarray:
         mids = self.x_left + self.h * (np.arange(self.n_cells) + 0.5)
-        return np.concatenate(([self.x_left], mids, [self.x_right]))
+        return np.concatenate(([self.x_left], mids, [self.x_right]))[self.kept]
 
 
 @dataclass(frozen=True)
@@ -84,8 +122,10 @@ class SbpPair:
     ``p_even`` are the diagonal norm entries (already scaled by h).
     ``d_odd`` maps even-grid functions to odd-grid derivative values and
     vice versa for ``d_even``.  ``corners_odd`` / ``corners_even`` hold the
-    low-end and high-end closure corners of D^o / D^e: every row outside
-    them is the staggered central stencil.
+    closure corners of D^o / D^e, low end first: every row outside them is
+    the staggered central stencil.  A full grid has a corner at each end;
+    on a mirrored grid D^o has only its high-end corner and D^e adds the
+    1 x 1 corner of its first row.
     """
 
     grid: StaggeredGrid1d
@@ -95,13 +135,17 @@ class SbpPair:
     q_even: sp.csr_matrix
     d_odd: sp.csr_matrix
     d_even: sp.csr_matrix
-    corners_odd: tuple[ClosureCorner, ClosureCorner]
-    corners_even: tuple[ClosureCorner, ClosureCorner]
+    corners_odd: tuple[ClosureCorner, ...]
+    corners_even: tuple[ClosureCorner, ...]
 
     def boundary_matrix(self) -> sp.csr_matrix:
-        """The exact corner matrix B = Q^o + (Q^e)^T."""
-        n = self.grid.n_cells
-        return sp.csr_matrix(([-1.0, 1.0], ([0, n], [0, n + 1])), shape=(n + 1, n + 2))
+        """The exact corner matrix B = Q^o + (Q^e)^T: e_last e_last^T, less e_first e_first^T unless mirrored."""
+        shape = self.q_odd.shape
+        ends = [(shape[0] - 1, shape[1] - 1, 1.0)]
+        if not self.grid.mirror:
+            ends.insert(0, (0, 0, -1.0))
+        rows, cols, vals = zip(*ends)
+        return sp.csr_matrix((vals, (rows, cols)), shape=shape)
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +278,26 @@ def _overlay(n: int):
     return qo, qe, po, pe
 
 
+def _mirror_overlay(n: int):
+    """Exact (h = 1) closure entries of the half pair on x > 0 of an even n >= 8 cell grid.
+
+    The full grid's high-end entries, shifted so that its node n/2 + 1
+    (x = h on the odd grid, h/2 on the even grid) becomes row 0, plus the
+    first even row's single entry +1 at odd column 0: its stencil partner
+    is the node x = 0, where every odd variable of a mirror-symmetric state
+    vanishes.
+    """
+    qo_f, qe_f, po_f, pe_f = _overlay(n)
+    o = n // 2 + 1
+    qo = {(i - o, j - o): v for (i, j), v in qo_f.items() if i >= o}
+    qe = {(j - o, i - o): v for (j, i), v in qe_f.items() if j >= o}
+    qe[0, 0] = Fraction(1)
+    po = {i - o: v for i, v in po_f.items() if i >= o}
+    pe = {j - o: v for j, v in pe_f.items() if j >= o}
+    pe[0] = Fraction(1)
+    return qo, qe, po, pe
+
+
 @lru_cache(maxsize=8)
 def _small_exact(n: int):
     """Exact operators for n = 4, 5 where the closure corners overlap.
@@ -321,14 +385,15 @@ def _small_exact(n: int):
     return qo, qe, po, pe
 
 
-def _assemble(q: dict, p: dict, shape: tuple[int, int], shift: int, h: float):
+def _assemble(q: dict, p: dict, shape: tuple[int, int], shift: int, h: float, split: int):
     """Sparse Q and D = P^{-1} Q, scaled norm P and closure corners of one operator.
 
     ``q`` and ``p`` hold the exact (h = 1) entries of the rows they cover;
     every other row i is the staggered stencil -1, +1 at columns
     i + shift, i + shift + 1 with unit norm.  A covered row is a closure
     row when its exact D entries differ from that stencil; the closure rows
-    in each half of the operator make up one :class:`ClosureCorner`.
+    below ``split`` make up the low-end :class:`ClosureCorner`, the others
+    the high-end one, and an end without closure rows has no corner.
     """
     rows: dict[int, dict[int, Fraction]] = {}
     for (i, j), v in sorted(q.items()):
@@ -359,10 +424,12 @@ def _assemble(q: dict, p: dict, shape: tuple[int, int], shift: int, h: float):
         return {j: w / p[i] for j, w in rows[i].items()} if i in rows else stencil(i)
 
     closure = [i for i in rows if h_d(i) != stencil(i)]
-    low = [i for i in closure if 2 * i < shape[0]]
-    high = [i for i in closure if 2 * i >= shape[0]]
+    low = [i for i in closure if i < split]
+    high = [i for i in closure if i >= split]
     corners = []
-    for lo, hi in ((0, max(low) + 1), (min(high), shape[0])):
+    for lo, hi in ((0, max(low, default=-1) + 1), (min(high, default=shape[0]), shape[0])):
+        if lo == hi:
+            continue
         entries = [h_d(i) for i in range(lo, hi)]
         c0 = min(min(e) for e in entries)
         weights = np.zeros((hi - lo, max(max(e) for e in entries) + 1 - c0))
@@ -380,12 +447,18 @@ def build_sbp_pair(grid: StaggeredGrid1d) -> SbpPair:
     arithmetic, then converted to float); P entries are positive; D^o is
     exact through quadratics at every node.  The matrices are assembled
     sparse from the interior stencil and the exact closure entries, so the
-    cost grows linearly with the number of cells.
+    cost grows linearly with the number of cells.  On a mirrored grid the
+    pair is the half pair of the module docstring.
     """
     n = grid.n_cells
-    qo, qe, po, pe = _overlay(n) if n >= 6 else _small_exact(n)
-    q_odd, d_odd, p_odd, corners_odd = _assemble(qo, po, (n + 1, n + 2), 0, grid.h)
-    q_even, d_even, p_even, corners_even = _assemble(qe, pe, (n + 2, n + 1), -1, grid.h)
+    n_odd, n_even = grid.x_odd.size, grid.x_even.size
+    if grid.mirror:
+        (qo, qe, po, pe), split_odd, split_even = _mirror_overlay(n), 1, 1
+    else:
+        qo, qe, po, pe = _overlay(n) if n >= 6 else _small_exact(n)
+        split_odd, split_even = (n_odd + 1) // 2, (n_even + 1) // 2
+    q_odd, d_odd, p_odd, corners_odd = _assemble(qo, po, (n_odd, n_even), 0, grid.h, split_odd)
+    q_even, d_even, p_even, corners_even = _assemble(qe, pe, (n_even, n_odd), -1, grid.h, split_even)
     return SbpPair(grid, p_odd, p_even, q_odd, q_even, d_odd, d_even, corners_odd, corners_even)
 
 

@@ -56,13 +56,25 @@ Each SBP closure is one small dense product per grid end
 call is then a fixed list of subtractions, ``matmul`` calls and in-place
 additions.
 
+Mirror planes.  A scenario that is invariant under x_d -> -x_d with
+Omega_d -> -Omega_d (symmetric extents with an even cell count of at least
+8, equal faces on that axis, data centred at 0 and even in Omega_d, no
+``odd_from_bc``) is integrated on x_d >= 0 only: :func:`mirror_symmetry`
+reads this from the scenario, the same way :func:`sector` reads parity,
+and the axis gets the half SBP pair of :mod:`pnsat.sbp` and loses its low
+face.  The kernel is the same; h, and so dt, is the full grid's.  Every
+reported quantity is full-domain: :func:`inner` (hence :func:`energy`) and
+:func:`mass_u00` are 2x the half-domain sums per mirrored axis, ``run``
+scales the source norm the same way, and snapshots are reflected onto the
+full grid's nodes.
+
 Norms.  :attr:`SolverSetup.shapes` and :attr:`SolverSetup.weights` hold
 each family's state shape and its SBP norm table (the outer product of
-its axis P entries, :meth:`pnsat.sbp.TensorGrid.weights`), and
-:attr:`SolverSetup.entry_weights` the norm weight of every entry of the
-flat state; :func:`inner` is the one discrete inner product, one
-weighted contraction against those weights, and :func:`energy` and
-:func:`mass_u00` read the same tables.
+its axis P entries, :meth:`pnsat.sbp.TensorGrid.weights`), flattened over
+its nodes; :func:`inner` is the one discrete inner product, contracting
+each family's (nodes, components) table against its node weights without
+a state-sized temporary, and :func:`energy` and :func:`mass_u00` read the
+same tables.
 """
 
 from __future__ import annotations
@@ -71,7 +83,7 @@ import functools
 import logging
 import math
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,12 +141,12 @@ class SolverSetup:
     q_relax: dict  # per family: the relaxation rate of each component, sigma_l - sigma_t at its degree
     faces: tuple[FaceData, ...]
     speeds: dict  # per active physical axis: the largest singular value of its Ahat
-    entry_weights: np.ndarray = field(init=False)  # the SBP norm weight of every entry of the flat state
+    mirror: tuple[int, ...] = ()  # storage axes integrated on x >= 0 only (see mirror_symmetry)
 
-    def __post_init__(self):
-        # each node's weight repeated over its components, families in order
-        per_node = [np.broadcast_to(w[:, None], (w.size, self.comps[a].size)) for a, w in self.weights.items()]
-        self.entry_weights = np.concatenate(per_node, axis=None)
+    @property
+    def mirror_scale(self) -> float:
+        """Full-domain over half-domain sums: 2 per mirrored axis."""
+        return 2.0 ** len(self.mirror)
 
     @property
     def families(self):
@@ -153,6 +165,17 @@ class SolverSetup:
     def shapes(self) -> dict:
         """Per family: the shape of its state array, its grid shape + (components,)."""
         return {a: self.tensor.family_shape(a) + (self.comps[a].size,) for a in self.families}
+
+    @functools.cached_property
+    def spans(self) -> dict:
+        """Per family: its slice of a flat state buffer, which holds the families in order."""
+        ends = np.cumsum([0] + [math.prod(shape) for shape in self.shapes.values()]).tolist()
+        return {a: slice(lo, hi) for a, lo, hi in zip(self.shapes, ends[:-1], ends[1:])}
+
+    @functools.cached_property
+    def norm_tables(self) -> tuple:
+        """Per family with components: (family, its span, its component count, its node weights)."""
+        return tuple((a, self.spans[a], self.shapes[a][-1], w) for a, w in self.weights.items())
 
     @functools.cached_property
     def weights(self) -> dict:
@@ -202,6 +225,59 @@ def sector(scenario: Scenario, basis: MomentBasis) -> tuple[np.ndarray, tuple | 
     return mask, tuple((abs(k), "cos" if k >= 0 else "sin") for k in kept)
 
 
+def _mirror_obstacle(scenario: Scenario, basis: MomentBasis, d: int) -> str | None:
+    """The first condition that keeps storage axis ``d`` from a mirror plane at 0, or None."""
+    name = scenario.axis_names[d]
+    (lo, hi), cells = scenario.extents[d], scenario.cells[d]
+    if lo != -hi:
+        return f"extents [{lo:g}, {hi:g}] are not symmetric about 0"
+    if cells % 2:
+        return f"odd cell count {cells}"
+    if cells < 8:
+        return f"{cells} cells, fewer than 8"
+    low, high = scenario.faces[(d, "low")], scenario.faces[(d, "high")]
+    for key, a, b in (("type", low.kind, high.kind), ("alpha", low.alpha, high.alpha),
+                      ("psi_in", low.inflow, high.inflow)):
+        if a != b:
+            return f"{name}_low.{key} != {name}_high.{key}"
+    init = scenario.initial
+    for key, centre in (("mu", init.mu), ("center", init.center)):
+        if centre and centre[d] != 0.0:
+            return f"initial {key} = {centre[d]:g} on {name}"
+    signs = basis.parity.signs[scenario.axes[d] - 1]
+    for flat, amp in init.moment_amplitudes(scenario.n_max).items():
+        if amp != 0.0 and signs[flat] < 0:
+            idx = basis.indices[flat]
+            return f"initial moment (l={idx.l}, k={idx.k}) is odd in omega_{name}"
+    if init.odd_from_bc is not None:
+        return "initial odd_from_bc is set"
+    return None
+
+
+def mirror_symmetry(scenario: Scenario, basis: MomentBasis) -> tuple[int, ...]:
+    """The storage axes on which the run integrates x >= 0 only, read from the scenario alone.
+
+    Axis d qualifies when the scenario is invariant under x_d -> -x_d with
+    Omega_d -> -Omega_d and the half grid can hold it: extents [-X, X] with
+    an even cell count of at least 8, the same spec (type, alpha, psi_in) on
+    both faces, initial ``mu`` / ``center`` 0 on the axis, every non-zero
+    initial moment even in Omega_d (``basis.parity`` on the unrotated
+    amplitudes) and no ``odd_from_bc``.  Inflows on the other axes' faces
+    are even in x_d by construction: centred profiles, directions through
+    the normal component only.  One ``pnsat.solver`` debug event per axis
+    names the decision or the first condition that ruled it out.
+    """
+    mirrored = []
+    for d, name in enumerate(scenario.axis_names):
+        obstacle = _mirror_obstacle(scenario, basis, d)
+        if obstacle is None:
+            mirrored.append(d)
+            logger.debug("%s: mirrored (integrating %s >= 0)", name, name)
+        else:
+            logger.debug("%s: not mirrored (%s)", name, obstacle)
+    return tuple(mirrored)
+
+
 def build_setup(scenario: Scenario) -> SolverSetup:
     """Assemble a scenario's operators over the basis functions of its reachable components.
 
@@ -210,12 +286,15 @@ def build_setup(scenario: Scenario) -> SolverSetup:
     and the inflow moments are slices over each family's flat positions
     ``comps[a]``; relaxation stays diagonal.  The CFL step and the axis
     speeds come from the unreduced Ahat of each physical axis, so they do
-    not depend on the reduction.
+    not depend on the reduction.  A mirrored axis (:func:`mirror_symmetry`)
+    gets the half grid and keeps only its high face.
     """
     basis = MomentBasis.build(scenario.n_max)
     system = assemble_transport(basis)
+    mirror = mirror_symmetry(scenario, basis)
     grids = tuple(
-        StaggeredGrid1d(lo, hi, c) for (lo, hi), c in zip(scenario.extents, scenario.cells)
+        StaggeredGrid1d(lo, hi, c, mirror=d in mirror)
+        for d, ((lo, hi), c) in enumerate(zip(scenario.extents, scenario.cells))
     )
     tensor = TensorGrid.build(scenario.axes, grids)
     mask, modes = sector(scenario, basis)
@@ -232,29 +311,39 @@ def build_setup(scenario: Scenario) -> SolverSetup:
     q_relax = {a: q_flat[idx] for a, idx in comps.items()}
 
     faces = []
-    shared = {}  # per axis: its half-sphere rule and, per odd family, its slice of the high face's Onsager blocks
+    shared = {}  # per axis: its half-sphere rule, the kept odd rows and even columns, and per odd family its block
     for (d, side), spec in scenario.faces.items():
+        if side == "low" and d in mirror:
+            continue
         axis = axes[d]
         face = bnd.Face(axis, side)
         if axis not in shared:
             high = bnd.Face(axis, "high")
             q_out = bnd.outgoing_quadrature(basis, high)
-            full = bnd.onsager_bc(basis, high, system, quad=q_out)  # every odd row, every even column
-            odd, even = basis.odd_positions(axis), basis.even_positions(axis)
-            onsager = {}
-            for a in tensor.families:
-                rows, cols = comps[a], comps[tensor.complement(a, d)]
-                if a[d] == "o" and rows.size and cols.size:
-                    ro, re = np.searchsorted(odd, rows), np.searchsorted(even, cols)
+            kept = {
+                a: (comps[a], comps[tensor.complement(a, d)])
+                for a in tensor.families
+                if a[d] == "o" and comps[a].size and comps[tensor.complement(a, d)].size
+            }
+            onsager, union = {}, None
+            if kept:
+                # one assembly over every odd row and even column a block keeps: the exact zeros
+                # between parity classes (and orders k about axis 3) make each block a slice of it
+                union = tuple(np.unique(np.concatenate([rc[i] for rc in kept.values()])) for i in (0, 1))
+                full = bnd.onsager_bc(basis, high, system, quad=q_out, rows=union[0], cols=union[1])
+                for a, (rows, cols) in kept.items():
+                    ro, re = np.searchsorted(union[0], rows), np.searchsorted(union[1], cols)
                     oe = np.ix_(ro, re)
                     bc = bnd.OnsagerBoundary(
                         high, full.l_matrix[np.ix_(ro, ro)], full.a_hat[oe], full.m_matrix[oe]
                     )
                     onsager[a] = bc, oe
-            shared[axis] = q_out, onsager
-        q_out, onsager = shared[axis]
+            shared[axis] = q_out, union, onsager
+        q_out, union, onsager = shared[axis]
         q_in = bnd.inflow_quadrature(basis, face) if spec.inflow.kind != "none" else None
-        marshak = bnd.marshak_matrix(basis, face, quad=q_out) if spec.kind == "unstable_marshak" else None
+        marshak = None
+        if spec.kind == "unstable_marshak" and onsager:
+            marshak = bnd.marshak_matrix(basis, face, quad=q_out, rows=union[0], cols=union[1])
         off_axis = [ax - 1 for ax in (1, 2, 3) if ax != axis]
         blocks = []
         source_norm_sq = 0.0
@@ -311,6 +400,7 @@ def build_setup(scenario: Scenario) -> SolverSetup:
         q_relax=q_relax,
         faces=tuple(faces),
         speeds={ax: system.max_speed(ax) for ax in scenario.axes},
+        mirror=mirror,
     )
 
 
@@ -361,33 +451,42 @@ def initial_state(setup: SolverSetup, out: dict | None = None) -> dict:
     return state
 
 
-def _flat(setup: SolverSetup, u) -> np.ndarray:
-    """``u`` as a flat state buffer: as it is if it is one, else its family arrays in order."""
-    if isinstance(u, np.ndarray):
-        return u
-    return np.concatenate([u[a].ravel() for a in setup.families])
-
-
 def inner(setup: SolverSetup, u, v) -> float:
-    """The discrete SBP inner product <u, v>: one weighted dot, sum of w u v over the per-entry weights w.
+    """The discrete SBP inner product <u, v> of the full domain.
 
     ``u`` and ``v`` are flat state buffers (the layout of the stepper's
-    buffers) or dicts of family arrays.  The contraction allocates no
-    state-sized temporary.
+    buffers) or dicts of family arrays.  Per family, one pass sums u v over
+    the components of each node and one dot applies the node weights, so
+    no state-sized temporary is made.  A mirrored run's states stand for
+    their mirror-symmetric extensions, whose sums are exactly
+    ``mirror_scale`` times the stored half's.
     """
-    return float(np.einsum("i,i,i->", _flat(setup, u), _flat(setup, v), setup.entry_weights))
+    flat_u, flat_v = isinstance(u, np.ndarray), isinstance(v, np.ndarray)
+    total = 0.0
+    for a, span, m, w in setup.norm_tables:
+        x = (u[span] if flat_u else u[a]).reshape(-1, m)
+        y = (v[span] if flat_v else v[a]).reshape(-1, m)
+        total += np.dot(w, np.einsum("ij,ij->i", x, y))
+    return setup.mirror_scale * float(total)
 
 
 def energy(setup: SolverSetup, state) -> float:
-    """Total discrete energy <u, u>: sum of squared family SBP norms."""
-    u = _flat(setup, state)
-    return inner(setup, u, u)
+    """Total discrete energy <u, u>: sum of squared family SBP norms, full domain."""
+    return inner(setup, state, state)
 
 
 def mass_u00(setup: SolverSetup, state: dict) -> float:
-    """Discrete integral of the mean component (all-even family, position 0)."""
+    """Discrete integral of the mean component (all-even family, position 0) over the full domain."""
     a = ("e",) * setup.tensor.ndim
-    return float(np.dot(state[a][..., 0].ravel(), setup.weights[a]))
+    return setup.mirror_scale * float(np.dot(state[a][..., 0].ravel(), setup.weights[a]))
+
+
+def unfold(setup: SolverSetup, values: np.ndarray) -> np.ndarray:
+    """A new array of all-even-family node values on the full grid: reflected evenly across every mirror plane."""
+    out = np.array(values)
+    for d in setup.mirror:
+        out = np.concatenate([np.flip(out, d), out], axis=d)
+    return out
 
 
 def _slab(arr: np.ndarray, dim: int, idx: int) -> np.ndarray:
@@ -395,7 +494,11 @@ def _slab(arr: np.ndarray, dim: int, idx: int) -> np.ndarray:
 
 
 def face_source_norm_sq(setup: SolverSetup, face: FaceData, t: float) -> float:
-    """Squared face norm of g at time t, transverse-weighted: time_factor(t)^2 ||g||^2 at factor 1."""
+    """Squared face norm of g at time t, transverse-weighted: time_factor(t)^2 ||g||^2 at factor 1.
+
+    The norm is over the face's stored nodes; summed over the faces of a
+    mirrored run, ``mirror_scale`` times it is the full domain's.
+    """
     if face.inflow.kind == "none":
         return 0.0
     tf = face.inflow.time_factor(t, setup.scenario.energy_map)
@@ -434,11 +537,10 @@ class _Stepper:
     def __init__(self, setup: SolverSetup):
         self.setup = setup
         tensor = setup.tensor
-        sizes = [math.prod(shape) for shape in setup.shapes.values()]
-        self.offsets = np.cumsum([0] + sizes)
-        self.u, self.k, self.stage, self.acc = (np.empty(self.offsets[-1]) for _ in range(4))
+        size = max(span.stop for span in setup.spans.values())
+        self.u, self.k, self.stage, self.acc = (np.empty(size) for _ in range(4))
         self.state = self.views(self.u)
-        self.scratch = np.empty(max(sizes))
+        self.scratch = np.empty(max(span.stop - span.start for span in setup.spans.values()))
         # per family with components: (axis, complement, -(moment block)/h so
         # the difference buffer holds raw differences, difference buffer)
         self.terms = {}
@@ -461,10 +563,7 @@ class _Stepper:
 
     def views(self, flat: np.ndarray) -> dict:
         """Per-family arrays viewing one flat buffer."""
-        return {
-            a: flat[lo:hi].reshape(shape)
-            for (a, shape), lo, hi in zip(self.setup.shapes.items(), self.offsets[:-1], self.offsets[1:])
-        }
+        return {a: flat[span].reshape(self.setup.shapes[a]) for a, span in self.setup.spans.items()}
 
     def load(self, state: dict) -> None:
         """Copy a dict of family arrays into u."""
@@ -632,7 +731,11 @@ class RunResult:
 
 
 def run(scenario: Scenario) -> RunResult:
-    """Integrate a scenario to its end time, recording energy and snapshots."""
+    """Integrate a scenario to its end time, recording energy and snapshots.
+
+    Energies, the bound and the snapshots are full-domain also for a
+    mirrored run; ``final_state`` is the stored state of ``setup``.
+    """
     wall0 = _time.perf_counter()
     setup = build_setup(scenario)
     stepper = _Stepper(setup)
@@ -643,19 +746,24 @@ def run(scenario: Scenario) -> RunResult:
     setup_s = _time.perf_counter() - wall0
     energies = [energy(setup, stepper.u)]
     gsq = [0.0]
-    gnorm_prev = sum(face_source_norm_sq(setup, f, 0.0) for f in setup.faces)
+
+    def source_norm_sq(at_t: float) -> float:
+        return setup.mirror_scale * sum(face_source_norm_sq(setup, f, at_t) for f in setup.faces)
+
+    gnorm_prev = source_norm_sq(0.0)
     snap_iter = iter(sorted(scenario.snapshot_times))
     next_snap = next(snap_iter, None)
     snapshots: list[Snapshot] = []
     e_family = ("e",) * setup.tensor.ndim
+    snap_nodes = tuple(g.full.x_even for g in setup.tensor.grids)
 
     def take_snapshot(at_t: float) -> None:
         snapshots.append(
             Snapshot(
                 time=at_t,
                 energy=scenario.energy_of(at_t),
-                nodes=setup.tensor.family_nodes(e_family),
-                u00=state[e_family][..., 0].copy(),
+                nodes=snap_nodes,
+                u00=unfold(setup, state[e_family][..., 0]),
             )
         )
 
@@ -676,7 +784,7 @@ def run(scenario: Scenario) -> RunResult:
             raise NumericalError(
                 f"non-finite energy at t = {t:.6g}; last good state at t = {times[-1]:.6g}"
             )
-        gnorm_now = sum(face_source_norm_sq(setup, f, t) for f in setup.faces)
+        gnorm_now = source_norm_sq(t)
         gsq.append(gsq[-1] + 0.5 * dt * (gnorm_prev + gnorm_now))
         gnorm_prev = gnorm_now
         times.append(t)
@@ -710,6 +818,7 @@ def run(scenario: Scenario) -> RunResult:
             "basis": setup.basis.dim,
             "modes": modes,
         },
+        "mirror": [scenario.axis_names[d] for d in setup.mirror],
         "length_unit": scenario.length_unit,
         "seconds": {"setup": setup_s, "stepping": stepping_s},
         "rhs_calls": stepper.rhs_calls,

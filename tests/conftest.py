@@ -60,6 +60,11 @@ def full_basis(scenario, basis):
     return np.ones(basis.dim, dtype=bool), None
 
 
+def full_domain(scenario, basis):
+    """Stand-in for ``solver.mirror_symmetry`` that mirrors no axis: every run integrates its whole domain."""
+    return ()
+
+
 def build_full_setup(scenario):
     """The scenario's setup on the full basis about the physical axes: each family keeps all its positions."""
     with mock.patch("pnsat.solver.sector", full_basis):

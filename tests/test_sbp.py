@@ -109,6 +109,78 @@ class TestSbpPair:
         assert min(orders) >= 1.8
 
 
+class TestMirrorPair:
+    """The half pair on x > 0 of a symmetric grid with an even cell count of at least 8."""
+
+    @pytest.mark.parametrize("n", [8, 10, 16, 48])
+    def test_identity_is_the_high_corner_only(self, n):
+        pair = build_sbp_pair(StaggeredGrid1d(-1.5, 1.5, n, mirror=True))
+        b = (pair.q_odd + pair.q_even.T).toarray()
+        want = np.zeros(b.shape)
+        want[-1, -1] = 1.0  # e_last e_last^T: no term at the mirror plane
+        assert np.array_equal(b, want)
+        assert np.array_equal(b, pair.boundary_matrix().toarray())
+
+    @pytest.mark.parametrize("n", [8, 10, 16, 48])
+    def test_norms_positive_and_half_the_full_norm(self, n):
+        grid = StaggeredGrid1d(-2.0, 2.0, n, mirror=True)
+        pair, full = build_sbp_pair(grid), build_sbp_pair(grid.full)
+        assert pair.p_odd.min() > 0 and pair.p_even.min() > 0
+        # an even function on the even grid, an odd one (0 at x = 0) on the odd grid
+        even, odd = np.cos(grid.full.x_even), np.sin(grid.full.x_odd)
+        assert full.p_even @ even**2 == pytest.approx(2.0 * (pair.p_even @ even[grid.kept] ** 2), rel=1e-14)
+        assert full.p_odd @ odd**2 == pytest.approx(2.0 * (pair.p_odd @ odd[grid.kept] ** 2), rel=1e-14)
+
+    @pytest.mark.parametrize("n", [8, 10, 16, 48])
+    def test_exact_on_even_and_odd_polynomials(self, n):
+        grid = StaggeredGrid1d(-0.9, 0.9, n, mirror=True)
+        pair, full = build_sbp_pair(grid), build_sbp_pair(grid.full)
+        x_o, x_e = grid.x_odd, grid.x_even
+        # D^o reads the even grid: exact on the even 1 and x^2
+        assert np.abs(pair.d_odd @ np.ones(x_e.size)).max() < 1e-12
+        assert np.abs(pair.d_odd @ x_e**2 - 2.0 * x_o).max() < 1e-12
+        # D^e reads the odd grid: exact on the odd x; on x^3 the second-order stencil is not
+        # exact, and the half pair reproduces the full pair's rows on the kept nodes
+        assert np.abs(pair.d_even @ x_o - 1.0).max() < 1e-12
+        for f in (lambda x: x, lambda x: x**3):
+            np.testing.assert_allclose(pair.d_even @ f(x_o), (full.d_even @ f(grid.full.x_odd))[grid.kept],
+                                       rtol=0.0, atol=1e-13)
+        for f in (np.ones_like, lambda x: x**2):
+            np.testing.assert_allclose(pair.d_odd @ f(x_e), (full.d_odd @ f(grid.full.x_even))[grid.kept],
+                                       rtol=0.0, atol=1e-13)
+
+    def test_grid_keeps_the_full_nodes_and_h(self):
+        grid = StaggeredGrid1d(-120.0, 120.0, 48, mirror=True)
+        assert grid.h == grid.full.h
+        assert grid.x_odd.size == 24 and grid.x_even.size == 25
+        assert np.array_equal(grid.x_odd, grid.full.x_odd[25:])
+        assert np.array_equal(grid.x_even, grid.full.x_even[25:])
+        assert grid.x_odd[0] == grid.h and grid.x_even[0] == 0.5 * grid.h
+
+    def test_corners(self):
+        pair = build_sbp_pair(StaggeredGrid1d(-1.0, 1.0, 16, mirror=True))
+        (high_o,) = pair.corners_odd
+        low_e, high_e = pair.corners_even
+        assert high_o.rows.stop == pair.d_odd.shape[0] and high_e.rows.stop == pair.d_even.shape[0]
+        # the first even row reads u_o(h) / h
+        assert (low_e.rows, low_e.cols) == (slice(0, 1), slice(0, 1))
+        assert np.array_equal(low_e.weights, [[1.0]])
+
+    def test_integration_by_parts_has_no_plane_term(self):
+        rng = np.random.default_rng(7)
+        pair = build_sbp_pair(StaggeredGrid1d(-1.0, 1.0, 20, mirror=True))
+        for _ in range(50):
+            f_e = rng.standard_normal(pair.d_odd.shape[1])
+            g_o = rng.standard_normal(pair.d_odd.shape[0])
+            lhs = (pair.d_odd @ f_e) @ (pair.p_odd * g_o) + (pair.d_even @ g_o) @ (pair.p_even * f_e)
+            assert lhs == pytest.approx(f_e[-1] * g_o[-1], abs=1e-12)
+
+    @pytest.mark.parametrize("lo, hi, n", [(-1.0, 1.2, 16), (-1.0, 1.0, 15), (-1.0, 1.0, 6)])
+    def test_rejects_grids_without_a_mirror_node(self, lo, hi, n):
+        with pytest.raises(ValidationError, match="mirrored grid"):
+            StaggeredGrid1d(lo, hi, n, mirror=True)
+
+
 class TestSatPenalties:
     def test_alpha_zero(self):
         a_hat = np.array([[0.577, -0.258, 0.447]])

@@ -108,11 +108,11 @@ class TestRhs:
         for a in state:
             state[a][...] = 1.0
         inc = rhs(setup, state)
-        face = setup.faces[0]
-        blk = face.blocks[0]
-        res = state[blk.family_odd][0] - blk.m_eff @ state[blk.family_even][0]
-        p_o = setup.tensor.axis_weights(0, "o")[0]
-        np.testing.assert_allclose(inc[blk.family_odd][0], (blk.penalty.tau_odd @ res) / p_o,
+        face = setup.faces[0]  # the high face when the run is mirrored
+        blk, b = face.blocks[0], face.boundary_index
+        res = state[blk.family_odd][b] - blk.m_eff @ state[blk.family_even][b]
+        p_o = setup.tensor.axis_weights(0, "o")[b]
+        np.testing.assert_allclose(inc[blk.family_odd][b], (blk.penalty.tau_odd @ res) / p_o,
                                    atol=1e-13)
 
     def test_locality_of_delta(self):
@@ -381,14 +381,15 @@ class TestSetup:
 
     @pytest.mark.parametrize("name, blocks", [("tc1", 1), ("tc3_vacuum", 4), ("tc4_beam", 4)])
     def test_one_onsager_assembly_per_axis_block(self, monkeypatch, name, blocks):
-        # one L per axis over all its odd positions serves the odd-family blocks of both faces
+        # one L per axis over its kept odd positions serves the odd-family blocks of its faces
+        # (only the high face on a mirrored axis)
         calls = []
         build = bnd.onsager_L
         monkeypatch.setattr(bnd, "onsager_L", lambda *a, **k: calls.append(k) or build(*a, **k))
         sc = load_bundled(name)
         setup = build_setup(sc)
         assert len(calls) == len(sc.axes)
-        assert sum(len(f.blocks) for f in setup.faces) // 2 == blocks
+        assert sum({f.dim: len(f.blocks) for f in setup.faces}.values()) == blocks
 
     def test_no_full_sphere_rule_in_2d(self, monkeypatch):
         # A comes in closed form and every component of a 2-D run is a basis function
@@ -491,7 +492,10 @@ class TestRun:
         with caplog.at_level(logging.DEBUG, logger="pnsat.solver"):
             res = run(sc)
         records = [r for r in caplog.records if r.name == "pnsat.solver"]
-        assert len(records) == 1 and records[0].levelno == logging.DEBUG
+        assert all(r.levelno == logging.DEBUG for r in records)
+        # the set-up's mirror decision for the one axis, then the run's own event
+        assert [r.getMessage() for r in records[:-1]] == ["x: mirrored (integrating x >= 0)"]
+        records = records[-1:]
         meta = res.metadata
         assert meta["rhs_calls"] == 4 * meta["steps"]
         n_comp, modes = meta["components"]["integrated"], meta["components"]["modes"]
