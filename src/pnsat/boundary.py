@@ -107,12 +107,14 @@ def marshak_matrix(basis: MomentBasis, face: Face, quad=None, rows=None, cols=No
     Computed on the outgoing hemisphere omega . n > 0.  By reflection
     antisymmetry of the integrand, Mtilde(low) = -Mtilde(high), which is
     realized here by evaluating on omega_axis > 0 and applying the face sign.
+    Only the basis functions of ``rows`` and ``cols`` are evaluated
+    (default: every odd and every even component of the face axis).
     Entries that vanish by symmetry (:func:`_coupled`) are exact zeros.
     """
     rows, cols = _rows_cols(basis, face, rows, cols)
     q = _face_quad(basis, face, quad)
-    y = eval_basis(basis.n_max, q.nodes)
-    mt = face.sign * 2.0 * (y[:, rows].T @ (q.weights[:, None] * y[:, cols]))
+    y_odd, y_even = eval_basis(basis.n_max, q.nodes, rows), eval_basis(basis.n_max, q.nodes, cols)
+    mt = face.sign * 2.0 * (y_odd.T @ (q.weights[:, None] * y_even))
     mt[~_coupled(basis, face, rows, cols)] = 0.0
     return mt
 
@@ -122,14 +124,15 @@ def onsager_L(basis: MomentBasis, face: Face, quad=None, rows=None) -> np.ndarra
 
     The integrand is finite as omega_i -> 0 (odd functions carry at least
     one factor omega_i) but must not be sampled on the equator; the
-    half-sphere rules guarantee that.  Entries that vanish by symmetry
-    (:func:`_coupled`) are exact zeros, so M = sign * L Ahat has them too.
-    Raises if an eigenvalue falls below 1e-10, which would signal a
-    quadrature breakdown.
+    half-sphere rules guarantee that.  Only the basis functions of ``rows``
+    are evaluated (default: every odd component of the face axis).  Entries
+    that vanish by symmetry (:func:`_coupled`) are exact zeros, so
+    M = sign * L Ahat has them too.  Raises if an eigenvalue falls below
+    1e-10, which would signal a quadrature breakdown.
     """
     rows, _ = _rows_cols(basis, face, rows, None)
     q = _face_quad(basis, face, quad)
-    y = eval_basis(basis.n_max, q.nodes)[:, rows]
+    y = eval_basis(basis.n_max, q.nodes, rows)
     w = q.weights / q.nodes[:, face.axis - 1]
     lmat = 2.0 * (y.T @ (w[:, None] * y))
     lmat = 0.5 * (lmat + lmat.T)
@@ -172,15 +175,16 @@ def boundary_source(face: Face, psi_in, basis: MomentBasis, quad=None, rows=None
 
     ``psi_in`` is a callable taking direction arrays of shape (n, 3).  The
     default rule is :func:`inflow_quadrature`; pass ``quad`` to control
-    it.  Since L is invertible, g automatically satisfies the
-    admissibility requirement g in Im(L).
+    it.  Only the basis functions of ``rows`` are evaluated (default: every
+    odd component of the face axis).  Since L is invertible, g
+    automatically satisfies the admissibility requirement g in Im(L).
     """
     rows, _ = _rows_cols(basis, face, rows, None)
     if quad is None:
         quad = inflow_quadrature(basis, face)
     elif quad.restriction != (face.axis, -face.sign):
         raise ValidationError("boundary_source needs a quadrature on the incoming hemisphere")
-    y = eval_basis(basis.n_max, quad.nodes)[:, rows]
+    y = eval_basis(basis.n_max, quad.nodes, rows)
     vals = np.asarray(psi_in(quad.nodes), dtype=float)
     return 2.0 * (y.T @ (quad.weights * vals))
 

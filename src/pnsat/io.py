@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -13,16 +14,26 @@ from .mc import McResult
 from .solver import RunResult
 
 
-def _write_snapshot_csv(path: Path, names, nodes, values: np.ndarray, extra=None) -> None:
-    """One row per tensor-grid node in ij order: the axis coordinates, u00[, extra]."""
-    header = ",".join([*names, "u00"] + ([extra[0]] if extra else []))
-    cols = [m.ravel() for m in np.meshgrid(*nodes, indexing="ij")] + [np.asarray(values).ravel()]
-    if extra:
-        cols.append(np.asarray(extra[1]).ravel())
+def _fmt(values) -> list[str]:
+    """Each value as the repr of a Python float: the shortest text that reads back to the same double."""
+    return list(map(repr, np.asarray(values, dtype=float).ravel().tolist()))
+
+
+def _snapshot_rows(nodes, values):
+    """One row per tensor-grid node in ij order, made as it is read: the axis coordinates, then the value.
+
+    Each axis coordinate is formatted once and shared by the rows at it.
+    """
+    values = np.asarray(values, dtype=float).ravel().tolist()
+    for coords, v in zip(product(*map(_fmt, nodes)), values, strict=True):
+        yield f"{','.join(coords)},{v!r}"
+
+
+def _write_csv(path: Path, columns, rows) -> None:
+    """A header of ``columns``, then one line per string of ``rows``, handed over in one call."""
     with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in zip(*cols, strict=True):
-            fh.write(",".join(f"{float(v)!r}" for v in row) + "\n")
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(f"{row}\n" for row in rows)
 
 
 def read_snapshot_csv(path):
@@ -42,14 +53,14 @@ def write_run(result: RunResult, outdir) -> dict:
     outdir.mkdir(parents=True, exist_ok=True)
     log = result.log
     bound = log.bound
-    with open(outdir / "energy.csv", "w") as fh:
-        fh.write("t,E,bound\n")
-        for t, e, b in zip(log.times, log.energies, bound):
-            fh.write(f"{float(t)!r},{float(e)!r},{float(b)!r}\n")
+    # streamed from the arrays: float repr dominates the cost, so text for every row at once
+    # would only hold memory
+    rows = (f"{float(t)!r},{float(e)!r},{float(b)!r}" for t, e, b in zip(log.times, log.energies, bound))
+    _write_csv(outdir / "energy.csv", ("t", "E", "bound"), rows)
     snap_files = []
     for i, snap in enumerate(result.snapshots):
         name = f"snapshot_{i:03d}.csv"
-        _write_snapshot_csv(outdir / name, result.scenario.axis_names, snap.nodes, snap.u00)
+        _write_csv(outdir / name, [*result.scenario.axis_names, "u00"], _snapshot_rows(snap.nodes, snap.u00))
         snap_files.append(
             {"file": name, "time": snap.time, "energy": snap.energy, "label": snapshot_label(snap)}
         )
@@ -66,14 +77,19 @@ def write_mc(result: McResult, outdir) -> dict:
     """Write tally CSVs (solver snapshot format) plus stderr companions."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    names = result.scenario.axis_names
+    header = ",".join([*result.scenario.axis_names, "u00"])
     snap_files = []
     for i, snap in enumerate(result.snapshots):
         name = f"tally_{i:03d}.csv"
-        _write_snapshot_csv(outdir / name, names, result.centers, snap.u00)
-        _write_snapshot_csv(
-            outdir / f"tally_{i:03d}_stderr.csv", names, result.centers, snap.u00, ("stderr", snap.stderr)
-        )
+        rows = _snapshot_rows(result.centers, snap.u00)
+        stderr = np.asarray(snap.stderr, dtype=float).ravel().tolist()
+        # each tally row also starts its row of the stderr companion
+        with open(outdir / name, "w") as fh, open(outdir / f"tally_{i:03d}_stderr.csv", "w") as fe:
+            fh.write(header + "\n")
+            fe.write(header + ",stderr\n")
+            for row, e in zip(rows, stderr, strict=True):
+                fh.write(f"{row}\n")
+                fe.write(f"{row},{e!r}\n")
         snap_files.append(
             {"file": name, "time": snap.time, "energy": snap.energy}
         )

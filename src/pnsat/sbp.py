@@ -10,10 +10,11 @@ with diagonal positive P, interior stencils that are plain staggered
 central differences, and boundary closures solved here in exact rational
 arithmetic from the accuracy constraints plus the SBP identity.  The
 resulting D^o = (P^o)^{-1} Q^o is second-order accurate at every node; D^e
-is second-order except first-order in its two boundary rows.  All matrices
-are sparse (CSR), assembled from the interior stencil and the exact 3x4
-closure corner, so building a pair costs time and memory linear in the
-number of cells.
+is second-order except first-order in its two boundary rows.  A pair keeps
+what the transport kernel reads, the norm vectors and the dense closure
+corners, plus the exact closure entries; the sparse (CSR) matrices Q and D
+are assembled from those and the interior stencil on first access.  Both
+cost time and memory linear in the number of cells.
 
 Mirror plane.  A grid built with ``mirror=True`` stores only x >= 0 of a
 symmetric interval [-X, X] with an even number n >= 8 of cells; h is the
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -89,14 +90,21 @@ class StaggeredGrid1d:
         """The full grid's nodes this grid stores, on both grids: those with x > 0 when mirrored."""
         return slice(self.n_cells // 2 + 1, None) if self.mirror else slice(None)
 
-    @property
+    @cached_property
     def x_odd(self) -> np.ndarray:
-        return (self.x_left + self.h * np.arange(self.n_cells + 1))[self.kept]
+        """The odd-grid nodes, computed once per grid; read-only."""
+        return _read_only((self.x_left + self.h * np.arange(self.n_cells + 1))[self.kept])
 
-    @property
+    @cached_property
     def x_even(self) -> np.ndarray:
+        """The even-grid nodes, computed once per grid; read-only."""
         mids = self.x_left + self.h * (np.arange(self.n_cells) + 0.5)
-        return np.concatenate(([self.x_left], mids, [self.x_right]))[self.kept]
+        return _read_only(np.concatenate(([self.x_left], mids, [self.x_right]))[self.kept])
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
@@ -116,27 +124,54 @@ class ClosureCorner:
 
 @dataclass(frozen=True)
 class SbpPair:
-    """Operator pair on one staggered grid, stored sparse (CSR).
+    """Operator pair on one staggered grid: norms, closure corners, exact closure entries.
 
-    ``q_odd`` is (n+1) x (n+2), ``q_even`` is (n+2) x (n+1); ``p_odd`` /
-    ``p_even`` are the diagonal norm entries (already scaled by h).
-    ``d_odd`` maps even-grid functions to odd-grid derivative values and
-    vice versa for ``d_even``.  ``corners_odd`` / ``corners_even`` hold the
-    closure corners of D^o / D^e, low end first: every row outside them is
-    the staggered central stencil.  A full grid has a corner at each end;
-    on a mirrored grid D^o has only its high-end corner and D^e adds the
-    1 x 1 corner of its first row.
+    ``p_odd`` / ``p_even`` are the diagonal norm entries (already scaled by
+    h).  ``corners_odd`` / ``corners_even`` hold the closure corners of
+    D^o / D^e, low end first: every row outside them is the staggered
+    central stencil.  A full grid has a corner at each end; on a mirrored
+    grid D^o has only its high-end corner and D^e adds the 1 x 1 corner of
+    its first row.  These are all the transport kernel reads.
+    ``closure_odd`` / ``closure_even`` hold the exact (h = 1) entries of Q^o
+    / Q^e per row they cover; every other row is the stencil -1, +1.
+
+    The sparse (CSR) operators are built together on first access of any
+    of them: ``q_odd`` is (n+1) x (n+2), ``q_even`` is (n+2) x (n+1),
+    ``d_odd`` = (P^o)^{-1} Q^o maps even-grid functions to odd-grid
+    derivative values and ``d_even`` vice versa.
     """
 
     grid: StaggeredGrid1d
     p_odd: np.ndarray
     p_even: np.ndarray
-    q_odd: sp.csr_matrix
-    q_even: sp.csr_matrix
-    d_odd: sp.csr_matrix
-    d_even: sp.csr_matrix
     corners_odd: tuple[ClosureCorner, ...]
     corners_even: tuple[ClosureCorner, ...]
+    closure_odd: dict
+    closure_even: dict
+
+    @cached_property
+    def _operators(self) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
+        """(Q^o, Q^e, D^o, D^e), assembled once."""
+        n_odd, n_even = self.p_odd.size, self.p_even.size
+        q_odd, d_odd = _sparse(self.closure_odd, self.p_odd, (n_odd, n_even), 0)
+        q_even, d_even = _sparse(self.closure_even, self.p_even, (n_even, n_odd), -1)
+        return q_odd, q_even, d_odd, d_even
+
+    @property
+    def q_odd(self) -> sp.csr_matrix:
+        return self._operators[0]
+
+    @property
+    def q_even(self) -> sp.csr_matrix:
+        return self._operators[1]
+
+    @property
+    def d_odd(self) -> sp.csr_matrix:
+        return self._operators[2]
+
+    @property
+    def d_even(self) -> sp.csr_matrix:
+        return self._operators[3]
 
     def boundary_matrix(self) -> sp.csr_matrix:
         """The exact corner matrix B = Q^o + (Q^e)^T: e_last e_last^T, less e_first e_first^T unless mirrored."""
@@ -385,21 +420,54 @@ def _small_exact(n: int):
     return qo, qe, po, pe
 
 
-def _assemble(q: dict, p: dict, shape: tuple[int, int], shift: int, h: float, split: int):
-    """Sparse Q and D = P^{-1} Q, scaled norm P and closure corners of one operator.
-
-    ``q`` and ``p`` hold the exact (h = 1) entries of the rows they cover;
-    every other row i is the staggered stencil -1, +1 at columns
-    i + shift, i + shift + 1 with unit norm.  A covered row is a closure
-    row when its exact D entries differ from that stencil; the closure rows
-    below ``split`` make up the low-end :class:`ClosureCorner`, the others
-    the high-end one, and an end without closure rows has no corner.
-    """
+def _exact_rows(q: dict) -> dict[int, dict[int, Fraction]]:
+    """Exact (h = 1) entries per covered row, rows in order; a covered row may hold no entry."""
     rows: dict[int, dict[int, Fraction]] = {}
     for (i, j), v in sorted(q.items()):
         row = rows.setdefault(i, {})
         if v:
             row[j] = v
+    return rows
+
+
+def _closure(rows: dict, p: dict, n_rows: int, shift: int, h: float, split: int):
+    """Scaled norm P and closure corners of one operator.
+
+    ``rows`` (:func:`_exact_rows`) and ``p`` hold the exact (h = 1) entries
+    of the rows they cover; every other row i is the staggered stencil -1,
+    +1 at columns i + shift, i + shift + 1 with unit norm.  A covered row is
+    a closure row when its exact D entries differ from that stencil; the
+    closure rows below ``split`` make up the low-end :class:`ClosureCorner`,
+    the others the high-end one, and an end without closure rows has no
+    corner.
+    """
+    p_vec = np.ones(n_rows)
+    p_vec[list(p)] = [float(w) for w in p.values()]
+    p_vec *= h
+
+    def stencil(i):
+        return {i + shift: Fraction(-1), i + shift + 1: Fraction(1)}
+
+    h_d = {i: {j: w / p[i] for j, w in row.items()} for i, row in rows.items()}  # exact rows of h * D
+    closure = [i for i, e in h_d.items() if e != stencil(i)]
+    low = [i for i in closure if i < split]
+    high = [i for i in closure if i >= split]
+    corners = []
+    for lo, hi in ((0, max(low, default=-1) + 1), (min(high, default=n_rows), n_rows)):
+        if lo == hi:
+            continue
+        entries = [h_d[i] if i in h_d else stencil(i) for i in range(lo, hi)]
+        c0 = min(min(e) for e in entries)
+        weights = np.zeros((hi - lo, max(max(e) for e in entries) + 1 - c0))
+        for i, e in enumerate(entries):
+            for j, w in e.items():
+                weights[i, j - c0] = float(w)
+        corners.append(ClosureCorner(slice(lo, hi), slice(c0, c0 + weights.shape[1]), weights))
+    return p_vec, tuple(corners)
+
+
+def _sparse(rows: dict, p_vec: np.ndarray, shape: tuple[int, int], shift: int):
+    """Sparse Q and D = P^{-1} Q of one operator from its exact rows and the stencil elsewhere."""
     stencil = np.ones(shape[0], dtype=bool)
     stencil[list(rows)] = False
     stencil = np.flatnonzero(stencil)
@@ -411,33 +479,9 @@ def _assemble(q: dict, p: dict, shape: tuple[int, int], shift: int, h: float, sp
         ),
         shape=shape,
     )
-    p_vec = np.ones(shape[0])
-    p_vec[list(p)] = [float(w) for w in p.values()]
-    p_vec *= h
     d_mat = q_mat.copy()
     d_mat.data /= np.repeat(p_vec, np.diff(d_mat.indptr))  # entrywise Q / P, row by row
-
-    def stencil(i):
-        return {i + shift: Fraction(-1), i + shift + 1: Fraction(1)}
-
-    def h_d(i):  # exact entries of row i of h * D
-        return {j: w / p[i] for j, w in rows[i].items()} if i in rows else stencil(i)
-
-    closure = [i for i in rows if h_d(i) != stencil(i)]
-    low = [i for i in closure if i < split]
-    high = [i for i in closure if i >= split]
-    corners = []
-    for lo, hi in ((0, max(low, default=-1) + 1), (min(high, default=shape[0]), shape[0])):
-        if lo == hi:
-            continue
-        entries = [h_d(i) for i in range(lo, hi)]
-        c0 = min(min(e) for e in entries)
-        weights = np.zeros((hi - lo, max(max(e) for e in entries) + 1 - c0))
-        for i, e in enumerate(entries):
-            for j, w in e.items():
-                weights[i, j - c0] = float(w)
-        corners.append(ClosureCorner(slice(lo, hi), slice(c0, c0 + weights.shape[1]), weights))
-    return q_mat, d_mat, p_vec, tuple(corners)
+    return q_mat, d_mat
 
 
 def build_sbp_pair(grid: StaggeredGrid1d) -> SbpPair:
@@ -445,10 +489,11 @@ def build_sbp_pair(grid: StaggeredGrid1d) -> SbpPair:
 
     The SBP identity Q^o + (Q^e)^T = B holds entrywise exactly (rational
     arithmetic, then converted to float); P entries are positive; D^o is
-    exact through quadratics at every node.  The matrices are assembled
-    sparse from the interior stencil and the exact closure entries, so the
-    cost grows linearly with the number of cells.  On a mirrored grid the
-    pair is the half pair of the module docstring.
+    exact through quadratics at every node.  The build solves the closure
+    corners and the norms only; the sparse matrices are assembled from the
+    interior stencil and the exact closure entries on first access
+    (:class:`SbpPair`), and both cost time linear in the number of cells.
+    On a mirrored grid the pair is the half pair of the module docstring.
     """
     n = grid.n_cells
     n_odd, n_even = grid.x_odd.size, grid.x_even.size
@@ -457,9 +502,10 @@ def build_sbp_pair(grid: StaggeredGrid1d) -> SbpPair:
     else:
         qo, qe, po, pe = _overlay(n) if n >= 6 else _small_exact(n)
         split_odd, split_even = (n_odd + 1) // 2, (n_even + 1) // 2
-    q_odd, d_odd, p_odd, corners_odd = _assemble(qo, po, (n_odd, n_even), 0, grid.h, split_odd)
-    q_even, d_even, p_even, corners_even = _assemble(qe, pe, (n_even, n_odd), -1, grid.h, split_even)
-    return SbpPair(grid, p_odd, p_even, q_odd, q_even, d_odd, d_even, corners_odd, corners_even)
+    rows_odd, rows_even = _exact_rows(qo), _exact_rows(qe)
+    p_odd, corners_odd = _closure(rows_odd, po, n_odd, 0, grid.h, split_odd)
+    p_even, corners_even = _closure(rows_even, pe, n_even, -1, grid.h, split_even)
+    return SbpPair(grid, p_odd, p_even, corners_odd, corners_even, rows_odd, rows_even)
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +520,16 @@ class SatPenalty:
     alpha: float
     tau_odd: np.ndarray
     tau_even: np.ndarray
+
+    def on_side(self, side: str) -> "SatPenalty":
+        """The penalty of the face on ``side`` of the same axis, alpha and blocks.
+
+        tau^o = -alpha L^{-1} does not depend on the side and tau^e only
+        changes sign, so the other face's penalty is exact without a solve.
+        """
+        if side == self.side:
+            return self
+        return SatPenalty(side, self.alpha, self.tau_odd, -self.tau_even)
 
 
 def sat_penalties(l_matrix: np.ndarray, a_hat: np.ndarray, alpha: float, side: str) -> SatPenalty:

@@ -28,7 +28,9 @@ scaled by the inverse boundary norm entry.
 Boundary set-up.  L and Ahat do not depend on the side, so each axis
 assembles them once over all its odd and even positions with
 :func:`pnsat.boundary.onsager_bc` on its high face; each odd family takes
-its slice, and both faces share them (the low face negates M).
+its slice, and both faces share them (the low face negates M).  They
+also share one penalty per odd family and alpha: tau^o does not depend on
+the side and the other face negates tau^e (:meth:`pnsat.sbp.SatPenalty.on_side`).
 With the penalty tau^o = -alpha L^-1 the constant of the energy bound is
 C = max(alpha, 1 - alpha) / lambda_min(L) per block, and since
 g(t) = time_factor(t) (g_space (x) g_dir), the face norm of g is
@@ -311,7 +313,9 @@ def build_setup(scenario: Scenario) -> SolverSetup:
     q_relax = {a: q_flat[idx] for a, idx in comps.items()}
 
     faces = []
-    shared = {}  # per axis: its half-sphere rule, the kept odd rows and even columns, and per odd family its block
+    # per axis: its half-sphere rule, the kept odd rows and even columns, per odd family its block,
+    # and per (odd family, alpha) the penalty, which its other face takes with tau^e negated
+    shared = {}
     for (d, side), spec in scenario.faces.items():
         if side == "low" and d in mirror:
             continue
@@ -338,8 +342,8 @@ def build_setup(scenario: Scenario) -> SolverSetup:
                         high, full.l_matrix[np.ix_(ro, ro)], full.a_hat[oe], full.m_matrix[oe]
                     )
                     onsager[a] = bc, oe
-            shared[axis] = q_out, union, onsager
-        q_out, union, onsager = shared[axis]
+            shared[axis] = q_out, union, onsager, {}
+        q_out, union, onsager, penalties = shared[axis]
         q_in = bnd.inflow_quadrature(basis, face) if spec.inflow.kind != "none" else None
         marshak = None
         if spec.kind == "unstable_marshak" and onsager:
@@ -351,7 +355,9 @@ def build_setup(scenario: Scenario) -> SolverSetup:
             rows = comps[a]
             # M = sign * L Ahat: L and Ahat are side-independent
             m_eff = marshak[oe] if marshak is not None else face.sign * bc.m_matrix
-            pen = sat_penalties(bc.l_matrix, bc.a_hat, spec.alpha, side)
+            if (a, spec.alpha) not in penalties:
+                penalties[a, spec.alpha] = sat_penalties(bc.l_matrix, bc.a_hat, spec.alpha, side)
+            pen = penalties[a, spec.alpha].on_side(side)
             # an inflow depends on omega only through omega_axis, so its moments vanish
             # on components odd in another axis and, about the polar axis, of order k != 0
             if axis == 3:

@@ -163,32 +163,35 @@ class ParityTable:
 # evaluation
 
 
-def _normalized_assoc_legendre(l_max: int, m: int, mu: np.ndarray) -> np.ndarray:
-    """N_l^m = sqrt((2l+1)/(4 pi) (l-m)!/(l+m)!) * (-1)^m P_l^m(mu) for l = 0..l_max.
+def _recurrence(l_max: int, orders: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coefficients of the normalized associated-Legendre recurrence for ``orders`` up to degree ``l_max``.
 
-    Upward recurrence in l at fixed m, seeded by the closed-form diagonal
-    term; stable far beyond the degrees used here.  Rows l < m are zero.
+    Returns (seed, a, b): ``seed[j] = sqrt(prod_{i<=m} (2i+1)/(2i) / (4 pi))``
+    at m = orders[j] and, for l >= m + 2, ``a[l, j]`` and ``b[l, j]`` of
+    N_l^m = a mu N_{l-1}^m - b N_{l-2}^m (zero elsewhere).  Each entry takes
+    the floating-point operations of its scalar closed form in the same
+    order, so it has the same bits.
     """
-    mu = np.asarray(mu, dtype=float)
-    out = np.zeros((l_max + 1,) + mu.shape)
-    if m > l_max:
-        return out
-    amm = 1.0
-    for j in range(1, m + 1):
-        amm *= (2 * j + 1) / (2 * j)
-    seed = math.sqrt(amm / FOUR_PI) * (1.0 - mu * mu) ** (m / 2.0)
-    out[m] = seed
-    if m + 1 <= l_max:
-        out[m + 1] = math.sqrt(2 * m + 3.0) * mu * seed
-    for l in range(m + 2, l_max + 1):
-        a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-        b = math.sqrt((2.0 * l + 1.0) * ((l - 1.0) ** 2 - m * m) / ((2.0 * l - 3.0) * (l * l - m * m)))
-        out[l] = a * mu * out[l - 1] - b * out[l - 2]
-    return out
+    ratio = np.arange(3, 2 * l_max + 2, 2) / np.arange(2, 2 * l_max + 1, 2)  # (2i+1)/(2i), i = 1..l_max
+    seed = np.sqrt(np.concatenate(([1.0], np.cumprod(ratio)))[orders] / FOUR_PI)
+    l, m = np.broadcast_arrays(np.arange(l_max + 1.0)[:, None], orders.astype(float)[None, :])
+    active = l >= m + 2
+    l, m = l[active], m[active]
+    a, b = np.zeros(active.shape), np.zeros(active.shape)
+    a[active] = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+    b[active] = np.sqrt((2.0 * l + 1.0) * ((l - 1.0) ** 2 - m * m) / ((2.0 * l - 3.0) * (l * l - m * m)))
+    return seed, a, b
 
 
-def eval_basis(n_max: int, omega) -> np.ndarray:
-    """Evaluate all Y_l^k with l <= n_max at one or many directions.
+def eval_basis(n_max: int, omega, positions=None) -> np.ndarray:
+    """Evaluate the Y_l^k with l <= n_max at one or many directions.
+
+    N_l^m = sqrt((2l+1)/(4 pi) (l-m)!/(l+m)!) (-1)^m P_l^m(mu) comes from
+    the upward recurrence in l, seeded by the closed-form diagonal term and
+    run for every needed order m at once; it is stable far beyond the
+    degrees used here.  Only the orders and degrees that the requested
+    positions hold are evaluated, and each value is bit-identical to the
+    same column of the full evaluation.
 
     Parameters
     ----------
@@ -196,30 +199,58 @@ def eval_basis(n_max: int, omega) -> np.ndarray:
         Maximum degree.
     omega : array_like
         Direction(s); shape (..., 3).
+    positions : array_like of int, optional
+        Flat (l, k) positions to evaluate, in any order and with repeats;
+        all ``(n_max+1)^2`` of them by default.
 
     Returns
     -------
     np.ndarray
-        Values with shape (..., (n_max+1)^2), flat (l, k) ordering.
+        Values with shape (..., len(positions)): column j is Y at flat
+        position ``positions[j]``.  The full table is C-contiguous; a
+        restricted one has the memory layout of ``full[..., positions]``
+        (position-major), so products read it as they read that slice.
     """
     arr = _as_omega(omega)
+    # mu and phi keep the directions' shape until after the transcendental
+    # calls: a single direction takes numpy's scalar paths, as a full
+    # evaluation at it always has
     mu = arr[..., 2]
     phi = np.arctan2(arr[..., 1], arr[..., 0])
-    m_dim = (n_max + 1) ** 2
-    out = np.zeros(mu.shape + (m_dim,))
-    sqrt2 = math.sqrt(2.0)
-    for m in range(n_max + 1):
-        nlm = _normalized_assoc_legendre(n_max, m, mu)
-        if m == 0:
-            for l in range(n_max + 1):
-                out[..., l * l + l] = nlm[l]
-        else:
-            cos_m = np.cos(m * phi)
-            sin_m = np.sin(m * phi)
-            for l in range(m, n_max + 1):
-                out[..., l * l + l + m] = sqrt2 * nlm[l] * cos_m
-                out[..., l * l + l - m] = sqrt2 * nlm[l] * sin_m
-    return out
+    full = positions is None
+    if full:
+        positions = np.arange((n_max + 1) ** 2)
+    positions = np.asarray(positions, dtype=int).ravel()
+    if positions.size and (positions.min() < 0 or positions.max() >= (n_max + 1) ** 2):
+        raise ValidationError(f"basis positions must lie in [0, {(n_max + 1) ** 2})")
+    l = np.sqrt(positions).astype(int)
+    l += (l + 1) * (l + 1) <= positions  # exact floor(sqrt) for any int position
+    l -= l * l > positions
+    k = positions - l * l - l
+    orders, slot = np.unique(np.abs(k), return_inverse=True)  # ascending: the recurrence grows a prefix
+    l_top = int(l.max()) if l.size else 0
+    seed, a, b = _recurrence(l_top, orders)
+    one_minus, mu = 1.0 - mu * mu, mu.ravel()
+    nlm = np.zeros((l_top + 1, orders.size, mu.size))
+    for j, mj in enumerate(orders.tolist()):
+        nlm[mj, j] = np.ravel(seed[j] * one_minus ** (mj / 2.0))
+        if mj < l_top:
+            nlm[mj + 1, j] = math.sqrt(2 * mj + 3.0) * mu * nlm[mj, j]
+    for deg in range(2, l_top + 1):
+        n = np.searchsorted(orders, deg - 1)  # the orders m <= deg - 2
+        if n:
+            nlm[deg, :n] = a[deg, :n, None] * mu * nlm[deg - 1, :n] - b[deg, :n, None] * nlm[deg - 2, :n]
+    vals = nlm[l, slot]  # (positions, directions)
+    turned = np.flatnonzero(k)  # sqrt(2) N_l^|k| times cos (k > 0) or sin (k < 0) of |k| phi
+    if turned.size:
+        trig = np.empty((2, orders.size, mu.size))
+        for j, mj in enumerate(orders.tolist()):
+            if mj:
+                trig[0, j] = np.ravel(np.cos(mj * phi))
+                trig[1, j] = np.ravel(np.sin(mj * phi))
+        vals[turned] = math.sqrt(2.0) * vals[turned] * trig[(k[turned] < 0).astype(int), slot[turned]]
+    out = vals.T.reshape(arr.shape[:-1] + (positions.size,))
+    return np.ascontiguousarray(out) if full else out
 
 
 def cyclic_axes(axis: int) -> tuple[int, int, int]:

@@ -17,6 +17,7 @@ from pnsat.boundary import (
 )
 from pnsat.errors import NumericalError, ValidationError
 from pnsat.moments import MomentBasis, assemble_transport
+from pnsat.sphharm import build_quadrature, eval_basis
 
 
 class TestMarshak:
@@ -145,8 +146,6 @@ class TestBoundarySource:
 
     def test_beam_profile_matches_fine_quadrature(self):
         # width-0.1 Gaussian in the axis cosine against a 400-node polar oracle
-        from pnsat.sphharm import build_quadrature, eval_basis
-
         basis = MomentBasis.build(9)
         face = Face(3, "high")
         profile = lambda om: np.exp(-(((om[:, 2] + 1.0) / (math.sqrt(2.0) * 0.1)) ** 2))
@@ -157,8 +156,6 @@ class TestBoundarySource:
         np.testing.assert_allclose(g, g_oracle, atol=1e-10)
 
     def test_rejects_mismatched_quadrature(self):
-        from pnsat.sphharm import build_quadrature
-
         basis = MomentBasis.build(2)
         quad = build_quadrature(2, restriction=(3, 1))  # outgoing hemisphere
         with pytest.raises(ValidationError):
@@ -256,3 +253,53 @@ class TestFaceValidation:
             Face(4, "low")
         with pytest.raises(ValidationError):
             Face(1, "top")
+
+
+def close_per_block(got, want):
+    """Agreement to 1e-14 of the block's largest entry."""
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14 * np.abs(want).max(initial=0.0))
+
+
+class TestRestrictedRows:
+    """Face matrices evaluate only their rows' basis functions; the full table gives the same blocks."""
+
+    @pytest.fixture(scope="class")
+    def basis13(self):
+        return MomentBasis.build(13)
+
+    @staticmethod
+    def some_rows(basis, axis, seed):
+        odd = basis.odd_positions(axis)
+        rng = np.random.default_rng(seed)
+        return np.sort(rng.choice(odd, size=odd.size // 3, replace=False))
+
+    @pytest.mark.parametrize("axis", [1, 2, 3])
+    def test_onsager_l_and_marshak_against_the_full_table(self, basis13, axis):
+        face = Face(axis, "high")
+        quad = build_quadrature(basis13.n_max, restriction=(axis, +1))
+        y = eval_basis(basis13.n_max, quad.nodes)
+        w = quad.weights / quad.nodes[:, axis - 1]
+        for rows in (basis13.odd_positions(axis), self.some_rows(basis13, axis, axis)):
+            cols = basis13.even_positions(axis)
+            full_l = 2.0 * (y[:, rows].T @ (w[:, None] * y[:, rows]))
+            full_l = 0.5 * (full_l + full_l.T)
+            full_m = 2.0 * (y[:, rows].T @ (quad.weights[:, None] * y[:, cols]))
+            got_l = onsager_L(basis13, face, quad=quad, rows=rows)
+            got_m = marshak_matrix(basis13, face, quad=quad, rows=rows, cols=cols)
+            for got, want in ((got_l, full_l), (got_m, full_m)):
+                # the entries between parity classes are exact zeros here and roundoff there
+                zero = got == 0.0
+                assert np.abs(want[zero]).max(initial=0.0) < 1e-13 * np.abs(want).max()
+                close_per_block(got, np.where(zero, 0.0, want))
+
+    @pytest.mark.parametrize("axis, side", [(1, "low"), (3, "high"), (2, "high")])
+    def test_boundary_source_against_the_full_table(self, basis13, axis, side):
+        face = Face(axis, side)
+        quad = build_quadrature(basis13.n_max, restriction=(axis, -face.sign), polar_nodes=48)
+        profile = lambda om: np.exp(-(((om[:, axis - 1] + face.sign) / 0.2) ** 2))
+        y = eval_basis(basis13.n_max, quad.nodes)
+        for rows in (basis13.odd_positions(axis), self.some_rows(basis13, axis, 7)):
+            want = 2.0 * (y[:, rows].T @ (quad.weights * profile(quad.nodes)))
+            close_per_block(boundary_source(face, profile, basis13, quad=quad, rows=rows), want)
+            close_per_block(boundary_source(face, profile, basis13, rows=rows), want)

@@ -1,10 +1,16 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from conftest import bundled_doc, load_bundled
+from pnsat import sbp
+from pnsat.config import scenario_from_dict
 from pnsat.errors import NumericalError, ValidationError
 from pnsat.sbp import StaggeredGrid1d, TensorGrid, build_sbp_pair, sat_penalties
+from pnsat.solver import run
 
 
 class TestGrid:
@@ -181,6 +187,68 @@ class TestMirrorPair:
             StaggeredGrid1d(lo, hi, n, mirror=True)
 
 
+def counting_csr():
+    """Patch ``scipy.sparse.csr_matrix``, as the SBP module calls it, with a counting wrapper."""
+    return mock.patch.object(sbp.sp, "csr_matrix", wraps=sp.csr_matrix)
+
+
+class TestLazyPair:
+    def test_tc3_tensor_grid_builds_no_sparse_matrix(self):
+        sc = load_bundled("tc3_vacuum")
+        with counting_csr() as csr:
+            grids = [
+                StaggeredGrid1d(lo, hi, n, mirror=(d == 0))
+                for d, ((lo, hi), n) in enumerate(zip(sc.extents, sc.cells))
+            ]
+            tensor = TensorGrid.build(sc.axes, grids)
+            assert all(pair.corners_odd and pair.corners_even for pair in tensor.pairs)
+        assert csr.call_count == 0
+
+    @pytest.mark.parametrize("name, cells", [("tc1", [40]), ("tc3_vacuum", [8, 6])])
+    def test_a_run_builds_no_sparse_matrix(self, name, cells):
+        doc = bundled_doc(name)
+        doc["model"].update({"N": 3, "stopping": {"mode": "time"}})
+        doc["domain"]["cells"] = cells
+        doc["integration"] = {"cfl": 0.5, "t_end": 0.05}
+        doc["outputs"] = {"snapshot_times": [0.05]}
+        with counting_csr() as csr:
+            result = run(scenario_from_dict(doc))
+        assert result.metadata["steps"] > 0
+        assert csr.call_count == 0
+
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_first_read_builds_all_four_once(self, mirror):
+        pair = build_sbp_pair(StaggeredGrid1d(-1.0, 1.0, 16, mirror=mirror))
+        with counting_csr() as csr:
+            d_odd = pair.d_odd
+            assert csr.call_count == 2  # Q^o and Q^e; D^o and D^e are their row-scaled copies
+            mats = (pair.q_odd, pair.q_even, pair.d_odd, pair.d_even)
+            assert all(sp.issparse(m) and m.format == "csr" for m in mats)
+            assert mats[2] is d_odd and pair.q_odd is mats[0]
+        assert csr.call_count == 2
+        n_odd, n_even = pair.p_odd.size, pair.p_even.size
+        assert pair.q_odd.shape == pair.d_odd.shape == (n_odd, n_even)
+        assert pair.q_even.shape == pair.d_even.shape == (n_even, n_odd)
+        # D = P^-1 Q row by row, and every row outside the corners is the stencil
+        np.testing.assert_array_equal(pair.d_odd.toarray(), pair.q_odd.toarray() / pair.p_odd[:, None])
+        interior = np.ones(n_odd, dtype=bool)
+        for corner in pair.corners_odd:
+            interior[corner.rows] = False
+        stencil = pair.grid.h * pair.d_odd.toarray()[interior]
+        assert np.array_equal(np.sort(stencil, axis=1)[:, [0, -1]], np.tile([-1.0, 1.0], (interior.sum(), 1)))
+
+    def test_nodes_are_computed_once_and_read_only(self):
+        for grid in (StaggeredGrid1d(0.0, 1.0, 10), StaggeredGrid1d(-1.0, 1.0, 10, mirror=True)):
+            for name in ("x_odd", "x_even"):
+                nodes = getattr(grid, name)
+                assert getattr(grid, name) is nodes
+                assert not nodes.flags.writeable
+                with pytest.raises(ValueError):
+                    nodes[0] = 5.0
+                with pytest.raises(ValueError):
+                    nodes += 1.0
+
+
 class TestSatPenalties:
     def test_alpha_zero(self):
         a_hat = np.array([[0.577, -0.258, 0.447]])
@@ -230,6 +298,20 @@ class TestSatPenalties:
             np.testing.assert_array_equal(
                 sat_penalties(l_mat, a_hat, 0.5, side).tau_even, sign * 0.5 * a_hat.T
             )
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
+    def test_other_side_is_the_solved_penalty(self, alpha):
+        rng = np.random.default_rng(4)
+        m = rng.standard_normal((3, 3))
+        l_mat = m @ m.T + 0.2 * np.eye(3)
+        a_hat = rng.standard_normal((3, 5))
+        for side, other in (("low", "high"), ("high", "low")):
+            pen = sat_penalties(l_mat, a_hat, alpha, side)
+            assert pen.on_side(side) is pen
+            moved, solved = pen.on_side(other), sat_penalties(l_mat, a_hat, alpha, other)
+            assert (moved.side, moved.alpha) == (other, alpha)
+            assert np.array_equal(moved.tau_odd, solved.tau_odd)
+            assert np.array_equal(moved.tau_even, solved.tau_even)
 
 
 class TestTensorGrid:

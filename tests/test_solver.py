@@ -1,6 +1,7 @@
 import logging
 import math
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from conftest import (
     load_bundled,
 )
 from pnsat import boundary as bnd
+from pnsat import solver as solver_module
 from pnsat import sphharm
 from pnsat.config import scenario_from_dict
 from pnsat.errors import ValidationError
@@ -432,6 +434,50 @@ class TestSetup:
             assert calls == list(sc.axes) == list(speeds)
             assert result.metadata["matrix_norms"] == {f"ahat_axis_{ax}": v for ax, v in speeds.items()}
             assert result.metadata["max_speed"] == max(speeds.values())
+
+    @staticmethod
+    def beam_xz(alpha_low, alpha_high):
+        """A short tc4 beam at N = 3 (x mirrored, so one x face) with the given z-face alphas."""
+        doc = bundled_doc("tc4_beam")
+        doc["model"]["N"] = 3
+        doc["domain"]["cells"] = [8, 6]
+        doc["boundaries"]["z_low"]["alpha"] = alpha_low
+        doc["boundaries"]["z_high"]["alpha"] = alpha_high
+        return scenario_from_dict(doc)
+
+    @staticmethod
+    def counted_setup(sc):
+        with mock.patch.object(solver_module, "sat_penalties", wraps=sat_penalties) as pen:
+            setup = build_setup(sc)
+        return setup, pen.call_count
+
+    def test_one_penalty_per_axis_and_odd_family(self):
+        setup, calls = self.counted_setup(self.beam_xz(0.5, 0.5))
+        faces = {(f.dim, f.side): f for f in setup.faces}
+        assert sorted(faces) == [(0, "high"), (1, "high"), (1, "low")]
+        x_blocks, z_blocks = len(faces[0, "high"].blocks), len(faces[1, "low"].blocks)
+        assert x_blocks == z_blocks == 2
+        assert calls == x_blocks + z_blocks  # not one per face
+        for low, high in zip(faces[1, "low"].blocks, faces[1, "high"].blocks):
+            assert low.family_odd == high.family_odd
+            assert (low.penalty.side, high.penalty.side) == ("low", "high")
+            assert np.array_equal(low.penalty.tau_odd, high.penalty.tau_odd)
+            assert np.array_equal(low.penalty.tau_even, -high.penalty.tau_even)
+            assert np.any(high.penalty.tau_even != 0.0)
+            solved = sat_penalties(low.l_matrix, setup.system.a_hat_block(
+                3, setup.comps[low.family_odd], setup.comps[low.family_even]), 0.5, "low")
+            np.testing.assert_allclose(low.penalty.tau_odd, solved.tau_odd, rtol=0.0,
+                                       atol=1e-14 * np.abs(solved.tau_odd).max())
+            assert np.array_equal(low.penalty.tau_even, solved.tau_even)
+
+    def test_unequal_alphas_solve_a_penalty_per_face(self):
+        setup, calls = self.counted_setup(self.beam_xz(0.5, 1.0))
+        faces = {(f.dim, f.side): f for f in setup.faces}
+        assert calls == 2 + 2 * 2
+        for low, high in zip(faces[1, "low"].blocks, faces[1, "high"].blocks):
+            assert (low.penalty.alpha, high.penalty.alpha) == (0.5, 1.0)
+            np.testing.assert_allclose(low.penalty.tau_odd, 0.5 * high.penalty.tau_odd, rtol=1e-13)
+            assert np.all(high.penalty.tau_even == 0.0) and np.any(low.penalty.tau_even != 0.0)
 
     @pytest.mark.parametrize("name", BUNDLED)
     def test_closed_form_c_matches_penalty_norms(self, name):

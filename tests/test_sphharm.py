@@ -224,3 +224,80 @@ class TestQuadrature:
     def test_rejects_negative_degree(self):
         with pytest.raises(ValidationError):
             build_quadrature(-1)
+
+
+def reference_eval_basis(n_max, omega):
+    """The full table from a per-(l, m) loop of the normalized associated-Legendre recurrence."""
+    arr = np.asarray(omega, dtype=float)
+    mu, phi = arr[..., 2], np.arctan2(arr[..., 1], arr[..., 0])
+    out = np.zeros(mu.shape + ((n_max + 1) ** 2,))
+    for m in range(n_max + 1):
+        nlm = np.zeros((n_max + 1,) + mu.shape)
+        amm = 1.0
+        for j in range(1, m + 1):
+            amm *= (2 * j + 1) / (2 * j)
+        nlm[m] = math.sqrt(amm / FOUR_PI) * (1.0 - mu * mu) ** (m / 2.0)
+        if m + 1 <= n_max:
+            nlm[m + 1] = math.sqrt(2 * m + 3.0) * mu * nlm[m]
+        for l in range(m + 2, n_max + 1):
+            a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+            b = math.sqrt((2.0 * l + 1.0) * ((l - 1.0) ** 2 - m * m) / ((2.0 * l - 3.0) * (l * l - m * m)))
+            nlm[l] = a * mu * nlm[l - 1] - b * nlm[l - 2]
+        for l in range(m, n_max + 1):
+            if m == 0:
+                out[..., l * l + l] = nlm[l]
+            else:
+                out[..., l * l + l + m] = math.sqrt(2.0) * nlm[l] * np.cos(m * phi)
+                out[..., l * l + l - m] = math.sqrt(2.0) * nlm[l] * np.sin(m * phi)
+    return out
+
+
+DIRECTION_SETS = {
+    "random": random_directions(200, seed=11),
+    "poles": np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]]),
+    "single": np.array([0.48, -0.6, 0.64]),
+    "grid": random_directions(12, seed=12).reshape(3, 4, 3),
+}
+
+
+class TestRestrictedEvaluation:
+    @pytest.mark.parametrize("n", [0, 1, 5, 13])
+    @pytest.mark.parametrize("dirs", sorted(DIRECTION_SETS))
+    def test_columns_bit_identical_to_the_full_table(self, n, dirs):
+        omega = DIRECTION_SETS[dirs]
+        full = eval_basis(n, omega)
+        assert full.shape == omega.shape[:-1] + ((n + 1) ** 2,)
+        rng = np.random.default_rng(n)
+        dim = (n + 1) ** 2
+        for positions in (
+            rng.permutation(dim),  # unsorted
+            rng.integers(0, dim, size=2 * dim + 1),  # repeated
+            np.array([dim - 1, 0, dim - 1]),
+            np.array([], dtype=int),  # empty
+            [(n // 2) ** 2],  # a plain list
+        ):
+            got = eval_basis(n, omega, positions)
+            want = full[..., np.asarray(positions, dtype=int)]
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 13])
+    def test_full_table_matches_the_per_order_loop(self, n):
+        for omega in DIRECTION_SETS.values():
+            assert np.array_equal(eval_basis(n, omega), reference_eval_basis(n, omega))
+        nodes = build_quadrature(n, restriction=(3, -1), polar_nodes=48).nodes
+        assert np.array_equal(eval_basis(n, nodes), reference_eval_basis(n, nodes))
+
+    def test_restricted_layout_is_that_of_the_slice(self):
+        # products read a restricted table as they read the slice of the full one
+        nodes = build_quadrature(7, restriction=(1, 1)).nodes
+        rows = ParityTable.build(7).odd_positions(1)
+        got, want = eval_basis(7, nodes, rows), eval_basis(7, nodes)[:, rows]
+        assert got.strides == want.strides
+        w = nodes[:, 0]
+        assert np.array_equal(got.T @ (w[:, None] * got), want.T @ (w[:, None] * want))
+
+    @pytest.mark.parametrize("positions", [[-1], [16], [0, 3, 99]])
+    def test_rejects_positions_outside_the_basis(self, positions):
+        with pytest.raises(ValidationError):
+            eval_basis(3, random_directions(4), positions)
