@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .moments import MomentBasis, PnSystem
-from .sphharm import SphereQuadrature, build_quadrature, eval_basis
+from .sphharm import build_quadrature, eval_basis
 
 SQRT2 = np.sqrt(2.0)
 
@@ -47,36 +47,6 @@ class Face:
     def sign(self) -> int:
         """+1 on the high face, -1 on the low face (sign of the outward normal)."""
         return 1 if self.side == "high" else -1
-
-
-def outgoing_quadrature(basis: MomentBasis, face: Face) -> SphereQuadrature:
-    """Default rule of :func:`onsager_L` and :func:`marshak_matrix`: the half-sphere omega_axis > 0.
-
-    It depends only on the face axis, so both faces of an axis can share it.
-    """
-    return build_quadrature(basis.n_max, restriction=(face.axis, +1))
-
-
-def inflow_quadrature(basis: MomentBasis, face: Face) -> SphereQuadrature:
-    """Default rule of :func:`boundary_source`: the face's incoming half-sphere.
-
-    It oversamples the polar cosine (at least 48 Gauss nodes) because
-    inflow profiles are generally not polynomial.
-    """
-    return build_quadrature(
-        basis.n_max, restriction=(face.axis, -face.sign), polar_nodes=max(basis.n_max + 2, 48)
-    )
-
-
-def _face_quad(basis: MomentBasis, face: Face, quad) -> SphereQuadrature:
-    if quad is None:
-        return outgoing_quadrature(basis, face)
-    if quad.restriction != (face.axis, +1):
-        raise ValidationError(
-            f"quadrature restriction {quad.restriction} does not match face "
-            f"axis {face.axis} hemisphere sign +1"
-        )
-    return quad
 
 
 def _rows_cols(basis: MomentBasis, face: Face, rows, cols):
@@ -101,7 +71,7 @@ def _coupled(basis: MomentBasis, face: Face, rows: np.ndarray, cols: np.ndarray)
     return key[rows, None] == key[None, cols]
 
 
-def marshak_matrix(basis: MomentBasis, face: Face, quad=None, rows=None, cols=None) -> np.ndarray:
+def marshak_matrix(basis: MomentBasis, face: Face, rows=None, cols=None) -> np.ndarray:
     """Half-moment matrix Mtilde of the face; rows odd, cols even components.
 
     Computed on the outgoing hemisphere omega . n > 0.  By reflection
@@ -112,26 +82,26 @@ def marshak_matrix(basis: MomentBasis, face: Face, quad=None, rows=None, cols=No
     Entries that vanish by symmetry (:func:`_coupled`) are exact zeros.
     """
     rows, cols = _rows_cols(basis, face, rows, cols)
-    q = _face_quad(basis, face, quad)
+    q = build_quadrature(basis.n_max, restriction=(face.axis, +1))
     y_odd, y_even = eval_basis(basis.n_max, q.nodes, rows), eval_basis(basis.n_max, q.nodes, cols)
     mt = face.sign * 2.0 * (y_odd.T @ (q.weights[:, None] * y_even))
     mt[~_coupled(basis, face, rows, cols)] = 0.0
     return mt
 
 
-def onsager_L(basis: MomentBasis, face: Face, quad=None, rows=None) -> np.ndarray:
+def onsager_L(basis: MomentBasis, face: Face, rows=None) -> np.ndarray:
     """SPD matrix L = 2 * int_{omega_i > 0} (1/omega_i) Y^o (Y^o)^T; side-independent.
 
     The integrand is finite as omega_i -> 0 (odd functions carry at least
     one factor omega_i) but must not be sampled on the equator; the
-    half-sphere rules guarantee that.  Only the basis functions of ``rows``
+    half-sphere rule guarantees that.  Only the basis functions of ``rows``
     are evaluated (default: every odd component of the face axis).  Entries
     that vanish by symmetry (:func:`_coupled`) are exact zeros, so
     M = sign * L Ahat has them too.  Raises if an eigenvalue falls below
     1e-10, which would signal a quadrature breakdown.
     """
     rows, _ = _rows_cols(basis, face, rows, None)
-    q = _face_quad(basis, face, quad)
+    q = build_quadrature(basis.n_max, restriction=(face.axis, +1))
     y = eval_basis(basis.n_max, q.nodes, rows)
     w = q.weights / q.nodes[:, face.axis - 1]
     lmat = 2.0 * (y.T @ (w[:, None] * y))
@@ -160,30 +130,28 @@ class OnsagerBoundary:
         return float(np.linalg.eigvalsh(self.l_matrix)[0])
 
 
-def onsager_bc(
-    basis: MomentBasis, face: Face, system: PnSystem, quad=None, rows=None, cols=None
-) -> OnsagerBoundary:
+def onsager_bc(basis: MomentBasis, face: Face, system: PnSystem, rows=None, cols=None) -> OnsagerBoundary:
     """Assemble the stabilized boundary condition for one face."""
     rows, cols = _rows_cols(basis, face, rows, cols)
-    lmat = onsager_L(basis, face, quad=quad, rows=rows)
+    lmat = onsager_L(basis, face, rows=rows)
     a_hat = system.a_hat_block(face.axis, rows, cols)
     return OnsagerBoundary(face, lmat, a_hat, face.sign * (lmat @ a_hat))
 
 
-def boundary_source(face: Face, psi_in, basis: MomentBasis, quad=None, rows=None) -> np.ndarray:
+def boundary_source(face: Face, psi_in, basis: MomentBasis, rows=None) -> np.ndarray:
     """g = 2 < psi_in, Y^o >_{n-}: incoming-hemisphere moments of the inflow.
 
     ``psi_in`` is a callable taking direction arrays of shape (n, 3).  The
-    default rule is :func:`inflow_quadrature`; pass ``quad`` to control
-    it.  Only the basis functions of ``rows`` are evaluated (default: every
-    odd component of the face axis).  Since L is invertible, g
-    automatically satisfies the admissibility requirement g in Im(L).
+    rule is the face's incoming half-sphere with at least 48 Gauss nodes in
+    the polar cosine, because inflow profiles are generally not polynomial.
+    Only the basis functions of ``rows`` are evaluated (default: every odd
+    component of the face axis).  Since L is invertible, g automatically
+    satisfies the admissibility requirement g in Im(L).
     """
     rows, _ = _rows_cols(basis, face, rows, None)
-    if quad is None:
-        quad = inflow_quadrature(basis, face)
-    elif quad.restriction != (face.axis, -face.sign):
-        raise ValidationError("boundary_source needs a quadrature on the incoming hemisphere")
+    quad = build_quadrature(
+        basis.n_max, restriction=(face.axis, -face.sign), polar_nodes=max(basis.n_max + 2, 48)
+    )
     y = eval_basis(basis.n_max, quad.nodes, rows)
     vals = np.asarray(psi_in(quad.nodes), dtype=float)
     return 2.0 * (y.T @ (quad.weights * vals))

@@ -26,7 +26,7 @@ u^o = +/- (L Ahat) u^e + g (or the half-moment matrix for unstable faces),
 scaled by the inverse boundary norm entry.
 
 Boundary set-up.  L and Ahat do not depend on the side, so each axis
-assembles them once over all its odd and even positions with
+assembles them once over the odd and even positions its blocks keep with
 :func:`pnsat.boundary.onsager_bc` on its high face; each odd family takes
 its slice, and both faces share them (the low face negates M).  They
 also share one penalty per odd family and alpha: tau^o does not depend on
@@ -43,7 +43,9 @@ scattering matrix is diagonal on the basis), a full transport step with
 classical RK4, then the second relaxation half-step.  One buffered kernel
 computes the differences, the moment coupling and the SAT terms; ``run``
 steps in place with it, and :func:`rhs` and :func:`step_strang` run it on
-fresh buffers.  Families and face blocks without components are skipped.
+fresh buffers; :func:`step_strang`, the one entry point that takes a
+caller's dt, rejects a dt above the CFL bound.  Families and face blocks
+without components are skipped.
 
 Kernel layout.  The state u and the RK4 quantities k, stage and acc are
 each one flat contiguous array holding the families in order; the family
@@ -313,87 +315,81 @@ def build_setup(scenario: Scenario) -> SolverSetup:
     q_relax = {a: q_flat[idx] for a, idx in comps.items()}
 
     faces = []
-    # per axis: its half-sphere rule, the kept odd rows and even columns, per odd family its block,
-    # and per (odd family, alpha) the penalty, which its other face takes with tau^e negated
-    shared = {}
-    for (d, side), spec in scenario.faces.items():
-        if side == "low" and d in mirror:
-            continue
-        axis = axes[d]
-        face = bnd.Face(axis, side)
-        if axis not in shared:
-            high = bnd.Face(axis, "high")
-            q_out = bnd.outgoing_quadrature(basis, high)
-            kept = {
-                a: (comps[a], comps[tensor.complement(a, d)])
-                for a in tensor.families
-                if a[d] == "o" and comps[a].size and comps[tensor.complement(a, d)].size
-            }
-            onsager, union = {}, None
-            if kept:
-                # one assembly over every odd row and even column a block keeps: the exact zeros
-                # between parity classes (and orders k about axis 3) make each block a slice of it
-                union = tuple(np.unique(np.concatenate([rc[i] for rc in kept.values()])) for i in (0, 1))
-                full = bnd.onsager_bc(basis, high, system, quad=q_out, rows=union[0], cols=union[1])
-                for a, (rows, cols) in kept.items():
-                    ro, re = np.searchsorted(union[0], rows), np.searchsorted(union[1], cols)
-                    oe = np.ix_(ro, re)
-                    bc = bnd.OnsagerBoundary(
-                        high, full.l_matrix[np.ix_(ro, ro)], full.a_hat[oe], full.m_matrix[oe]
-                    )
-                    onsager[a] = bc, oe
-            shared[axis] = q_out, union, onsager, {}
-        q_out, union, onsager, penalties = shared[axis]
-        q_in = bnd.inflow_quadrature(basis, face) if spec.inflow.kind != "none" else None
-        marshak = None
-        if spec.kind == "unstable_marshak" and onsager:
-            marshak = bnd.marshak_matrix(basis, face, quad=q_out, rows=union[0], cols=union[1])
+    for d, axis in enumerate(axes):
+        high = bnd.Face(axis, "high")
         off_axis = [ax - 1 for ax in (1, 2, 3) if ax != axis]
-        blocks = []
-        source_norm_sq = 0.0
-        for a, (bc, oe) in onsager.items():
-            rows = comps[a]
-            # M = sign * L Ahat: L and Ahat are side-independent
-            m_eff = marshak[oe] if marshak is not None else face.sign * bc.m_matrix
-            if (a, spec.alpha) not in penalties:
-                penalties[a, spec.alpha] = sat_penalties(bc.l_matrix, bc.a_hat, spec.alpha, side)
-            pen = penalties[a, spec.alpha].on_side(side)
-            # an inflow depends on omega only through omega_axis, so its moments vanish
-            # on components odd in another axis and, about the polar axis, of order k != 0
-            if axis == 3:
-                sourced = basis.orders[rows] == 0
-            else:
-                sourced = np.all(parity[np.ix_(off_axis, rows)] > 0, axis=0)
-            has_source = spec.inflow.kind != "none" and bool(sourced.any())
-            g_dir = np.zeros(rows.size)
-            if has_source:
-                # the rule's nodes are directions in the basis's coordinates: omega_axis is component `axis`
-                g_dir[sourced] = bnd.boundary_source(
-                    face,
-                    lambda om: spec.inflow.amplitude
-                    * spec.inflow.direction_profile(om, axis, face.sign),
-                    basis,
-                    quad=q_in,
-                    rows=rows[sourced],
+        kept = {
+            a: (comps[a], comps[tensor.complement(a, d)])
+            for a in tensor.families
+            if a[d] == "o" and comps[a].size and comps[tensor.complement(a, d)].size
+        }
+        # per odd family: its Onsager block and where it sits in the axis assembly
+        onsager, union = {}, None
+        if kept:
+            # one assembly over every odd row and even column a block keeps: the exact zeros
+            # between parity classes (and orders k about axis 3) make each block a slice of it
+            union = tuple(np.unique(np.concatenate([rc[i] for rc in kept.values()])) for i in (0, 1))
+            full = bnd.onsager_bc(basis, high, system, rows=union[0], cols=union[1])
+            for a, (rows, cols) in kept.items():
+                ro, re = np.searchsorted(union[0], rows), np.searchsorted(union[1], cols)
+                oe = np.ix_(ro, re)
+                bc = bnd.OnsagerBoundary(
+                    high, full.l_matrix[np.ix_(ro, ro)], full.a_hat[oe], full.m_matrix[oe]
                 )
-            g_space = outer([
-                spec.inflow.spatial_profile(tensor.axis_nodes(j, a[j]))
-                for j in range(tensor.ndim) if j != d
-            ])
-            blocks.append(FaceBlock(
-                a, tensor.complement(a, d), m_eff, bc.l_matrix, pen, g_dir, g_space, has_source
+                onsager[a] = bc, oe
+        # per (odd family, alpha): the penalty, which the other face takes with tau^e negated
+        penalties = {}
+        for side in ("high",) if d in mirror else ("low", "high"):
+            spec = scenario.faces[d, side]
+            face = bnd.Face(axis, side)
+            marshak = None
+            if spec.kind == "unstable_marshak" and onsager:
+                marshak = bnd.marshak_matrix(basis, face, rows=union[0], cols=union[1])
+            blocks = []
+            source_norm_sq = 0.0
+            for a, (bc, oe) in onsager.items():
+                rows = comps[a]
+                # M = sign * L Ahat: L and Ahat are side-independent
+                m_eff = marshak[oe] if marshak is not None else face.sign * bc.m_matrix
+                if (a, spec.alpha) not in penalties:
+                    penalties[a, spec.alpha] = sat_penalties(bc.l_matrix, bc.a_hat, spec.alpha, side)
+                pen = penalties[a, spec.alpha].on_side(side)
+                # an inflow depends on omega only through omega_axis, so its moments vanish
+                # on components odd in another axis and, about the polar axis, of order k != 0
+                if axis == 3:
+                    sourced = basis.orders[rows] == 0
+                else:
+                    sourced = np.all(parity[np.ix_(off_axis, rows)] > 0, axis=0)
+                has_source = spec.inflow.kind != "none" and bool(sourced.any())
+                g_dir = np.zeros(rows.size)
+                if has_source:
+                    # the rule's nodes are directions in the basis's coordinates:
+                    # omega_axis is component `axis`
+                    g_dir[sourced] = bnd.boundary_source(
+                        face,
+                        lambda om: spec.inflow.amplitude
+                        * spec.inflow.direction_profile(om, axis, face.sign),
+                        basis,
+                        rows=rows[sourced],
+                    )
+                g_space = outer([
+                    spec.inflow.spatial_profile(tensor.axis_nodes(j, a[j]))
+                    for j in range(tensor.ndim) if j != d
+                ])
+                blocks.append(FaceBlock(
+                    a, tensor.complement(a, d), m_eff, bc.l_matrix, pen, g_dir, g_space, has_source
+                ))
+                if has_source:
+                    w = tensor.boundary_weight(a, d)
+                    source_norm_sq += float(np.sum(w * g_space * g_space)) * float(g_dir @ g_dir)
+            c_const = None
+            if spec.kind == "onsager" and onsager:
+                # tau^o = -alpha L^-1, so per block ||tau^o|| = alpha / l_min and
+                # ||L^-1 + tau^o^T|| = (1 - alpha) / l_min
+                c_const = max(spec.alpha, 1.0 - spec.alpha) / min(bc.l_min for bc, _ in onsager.values())
+            faces.append(FaceData(
+                d, side, axis, spec.kind, spec.alpha, spec.inflow, tuple(blocks), source_norm_sq, c_const
             ))
-            if has_source:
-                w = tensor.boundary_weight(a, d)
-                source_norm_sq += float(np.sum(w * g_space * g_space)) * float(g_dir @ g_dir)
-        c_const = None
-        if spec.kind == "onsager" and onsager:
-            # tau^o = -alpha L^-1, so per block ||tau^o|| = alpha / l_min and
-            # ||L^-1 + tau^o^T|| = (1 - alpha) / l_min
-            c_const = max(spec.alpha, 1.0 - spec.alpha) / min(bc.l_min for bc, _ in onsager.values())
-        faces.append(FaceData(
-            d, side, axis, spec.kind, spec.alpha, spec.inflow, tuple(blocks), source_norm_sq, c_const
-        ))
     return SolverSetup(
         scenario=scenario,
         basis=basis,
@@ -509,14 +505,6 @@ def face_source_norm_sq(setup: SolverSetup, face: FaceData, t: float) -> float:
         return 0.0
     tf = face.inflow.time_factor(t, setup.scenario.energy_map)
     return tf * tf * face.source_norm_sq
-
-
-def _check_cfl(setup: SolverSetup, dt: float) -> None:
-    limit = setup.dt_stable()
-    if dt > limit * (1.0 + 1e-12):
-        raise ValidationError(
-            f"dt = {dt} violates the CFL bound cfl * h_min / sum_i lambda_max,i = {limit}"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +642,6 @@ class _Stepper:
 
     def step(self, dt: float, t: float) -> None:
         """Advance u (and so ``self.state``) in place by one Strang step."""
-        _check_cfl(self.setup, dt)
         if self.q_relax is not None:
             self._relax(0.5 * dt)
         u, k, stage, acc = self.u, self.k, self.stage, self.acc
@@ -683,7 +670,12 @@ def rhs(setup: SolverSetup, state: dict, t: float = 0.0) -> dict:
 
 
 def step_strang(setup: SolverSetup, state: dict, dt: float, t: float = 0.0) -> dict:
-    """One Strang-split step (relax, RK4, relax) of a copy of ``state``."""
+    """One Strang-split step (relax, RK4, relax) of a copy of ``state``; dt must meet the CFL bound."""
+    limit = setup.dt_stable()
+    if dt > limit * (1.0 + 1e-12):
+        raise ValidationError(
+            f"dt = {dt} violates the CFL bound cfl * h_min / sum_i lambda_max,i = {limit}"
+        )
     stepper = _Stepper(setup)
     stepper.load(state)
     stepper.step(dt, t)

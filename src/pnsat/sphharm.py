@@ -24,6 +24,7 @@ carries coefficients onto it; a 1-D run works in the basis about its axis.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -297,23 +298,21 @@ class SphereQuadrature:
     """Product rule on the full sphere or on an axis half-sphere.
 
     ``nodes`` has shape (n, 3); ``weights`` are positive and sum to 4*pi
-    (full) or 2*pi (half).  ``restriction`` is ``None`` for the full sphere
-    or ``(axis, sign)`` for the half-sphere ``sign * omega_axis > 0``.  Half
-    rules never place a node on the equator ``omega_axis = 0``, so
-    integrands with a removable ``1/omega_axis`` singularity are safe.
+    (full) or 2*pi (half).  Half rules never place a node on the equator
+    ``omega_axis = 0``, so integrands with a removable ``1/omega_axis``
+    singularity are safe.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
-    restriction: tuple[int, int] | None = None
 
-    @property
-    def axis(self) -> int:
-        return 3 if self.restriction is None else self.restriction[0]
 
-    def integrate(self, values: np.ndarray) -> np.ndarray:
-        """Weighted sum over nodes; ``values`` shape (..., n_nodes)."""
-        return np.asarray(values) @ self.weights
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1]; solved once per node count."""
+    c, w = np.polynomial.legendre.leggauss(n)
+    c.flags.writeable = w.flags.writeable = False
+    return c, w
 
 
 def build_quadrature(n_max: int, restriction=None, polar_nodes: int | None = None) -> SphereQuadrature:
@@ -336,6 +335,9 @@ def build_quadrature(n_max: int, restriction=None, polar_nodes: int | None = Non
         The azimuth grid keeps its ``2*n_max + 3`` points, which integrate a
         basis function, or a product of two, times any function of the polar
         cosine (such as an inflow profile) exactly in the azimuth.
+
+    The Gauss-Legendre solve is cached per node count, so rules of the same
+    polar node count share it; the rest of a rule is cheap to rebuild.
     """
     if n_max < 0:
         raise ValidationError(f"quadrature degree must be >= 0, got {n_max}")
@@ -343,13 +345,13 @@ def build_quadrature(n_max: int, restriction=None, polar_nodes: int | None = Non
     n_phi = 2 * n_max + 3
     if restriction is None:
         axis, sign = 3, 0
-        c, w = np.polynomial.legendre.leggauss(n_mu)
+        c, w = _gauss_legendre(n_mu)
     else:
         axis, sign = restriction
         _check_axis(axis)
         if sign not in (-1, 1):
             raise ValidationError(f"half-sphere sign must be -1 or +1, got {sign}")
-        c0, w0 = np.polynomial.legendre.leggauss(n_mu)
+        c0, w0 = _gauss_legendre(n_mu)
         c = sign * 0.5 * (c0 + 1.0)  # strictly inside (0, 1): no equator node
         w = 0.5 * w0
     phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
@@ -364,4 +366,4 @@ def build_quadrature(n_max: int, restriction=None, polar_nodes: int | None = Non
         nodes = np.stack([cc, s * np.cos(pp), s * np.sin(pp)], axis=-1)
     else:
         nodes = np.stack([s * np.sin(pp), cc, s * np.cos(pp)], axis=-1)
-    return SphereQuadrature(nodes, ww, None if restriction is None else (axis, sign))
+    return SphereQuadrature(nodes, ww)

@@ -413,6 +413,28 @@ class TestCli:
         assert multiprocessing.active_children() == []
         assert not (tmp_path / "mc").exists()
 
+    @pytest.mark.parametrize("message, shown", [
+        ("Unable to allocate 36.5 GiB for an array with shape (3, 40401, 40401) and data type float64",
+         "Unable to allocate 36.5 GiB"),
+        ("", "allocation failed"),
+    ])
+    def test_run_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch, message, shown):
+        # a schema-valid N = 200 asks assemble_transport for 3 x 40401^2 floats; the patched
+        # call fails as that allocation would, without allocating anything
+        def no_memory(basis):
+            raise MemoryError(message)
+
+        monkeypatch.setattr("pnsat.solver.assemble_transport", no_memory)
+        doc = bundled_doc("tc_inflow_1d")
+        doc["model"]["N"] = 200
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", str(cfg), "-o", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: out of memory") and shown in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_oracle_too_few_particles_exits_1_before_workers(self, tmp_path, capsys, monkeypatch):
         def no_batches(*args):
             raise AssertionError("batches started")

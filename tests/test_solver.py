@@ -381,6 +381,21 @@ class TestSetup:
         # x and z outgoing rules, plus the incoming rule of the beam face
         assert len(calls) == 3 < per_block
 
+    def test_gauss_legendre_once_per_node_count(self, monkeypatch):
+        # tc4 (N = 13): the x and z outgoing rules share leggauss(15), the beam face's inflow
+        # rule takes 48 polar nodes
+        calls = {}
+        solve = np.polynomial.legendre.leggauss
+
+        def counted(n):
+            calls[n] = calls.get(n, 0) + 1
+            return solve(n)
+
+        sphharm._gauss_legendre.cache_clear()
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+        build_setup(load_bundled("tc4_beam"))
+        assert calls == {15: 1, 48: 1}
+
     @pytest.mark.parametrize("name, blocks", [("tc1", 1), ("tc3_vacuum", 4), ("tc4_beam", 4)])
     def test_one_onsager_assembly_per_axis_block(self, monkeypatch, name, blocks):
         # one L per axis over its kept odd positions serves the odd-family blocks of its faces

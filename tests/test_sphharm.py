@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pnsat import sphharm
 from pnsat.errors import ValidationError
 from pnsat.sphharm import (
     Direction,
@@ -224,6 +225,22 @@ class TestQuadrature:
     def test_rejects_negative_degree(self):
         with pytest.raises(ValidationError):
             build_quadrature(-1)
+
+    def test_gauss_legendre_cached_read_only(self):
+        c, w = sphharm._gauss_legendre(9)
+        again = sphharm._gauss_legendre(9)
+        assert again[0] is c and again[1] is w
+        want_c, want_w = np.polynomial.legendre.leggauss(9)
+        np.testing.assert_array_equal(c, want_c)
+        np.testing.assert_array_equal(w, want_w)
+        for arr in (c, w):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        # a rule built from the cached arrays owns its nodes and weights
+        h = build_quadrature(7, restriction=(3, 1))
+        h.weights[0] = h.nodes[0, 2] = -1.0
+        assert np.array_equal(c, want_c) and np.array_equal(w, want_w)
 
 
 def reference_eval_basis(n_max, omega):
