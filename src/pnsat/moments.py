@@ -30,7 +30,7 @@ import numpy as np
 from numpy.polynomial.legendre import Legendre, leggauss
 
 from .errors import ValidationError
-from .sphharm import ParityTable, ShIndex, basis_indices, eval_basis
+from .sphharm import ParityTable, ShIndex, _gauss_legendre, basis_indices, eval_basis
 
 _AXES = (1, 2, 3)
 _SQRT2 = np.sqrt(2.0)
@@ -116,9 +116,12 @@ class PnSystem:
         return self.a_full[axis - 1][np.ix_(rows, cols)]
 
     def max_speed(self, axis: int | None = None) -> float:
-        """Largest transport eigenvalue magnitude (max singular value of Ahat)."""
-        axes = _AXES if axis is None else (axis,)
-        return max(float(np.linalg.svd(self.a_hat[a - 1], compute_uv=False)[0]) for a in axes)
+        """Largest transport eigenvalue magnitude (max singular value of Ahat): the largest root of P_{N+1}.
+
+        A^(z) couples equal orders k only; its k = 0 block is the Legendre Jacobi matrix, whose eigenvalues
+        are the roots of P_{N+1} and exceed those of every |k| > 0 block, and A^(x), A^(y) are rotations of A^(z).
+        """
+        return float(_gauss_legendre(self.basis.n_max + 1)[0].max())
 
 
 def assemble_transport(basis: MomentBasis) -> PnSystem:

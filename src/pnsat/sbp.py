@@ -7,8 +7,8 @@ variables (n+2 nodes).  The operator pair (P^o, Q^o, P^e, Q^e) satisfies
     Q^o + (Q^e)^T = B,   B = -e_first e_first^T + e_last e_last^T pattern,
 
 with diagonal positive P, interior stencils that are plain staggered
-central differences, and boundary closures solved here in exact rational
-arithmetic from the accuracy constraints plus the SBP identity.  The
+central differences, and closures from a table of exact rationals, both
+ends superposed on every grid with n >= 4 cells (:func:`_overlay`).  The
 resulting D^o = (P^o)^{-1} Q^o is second-order accurate at every node; D^e
 is second-order except first-order in its two boundary rows.  A pair keeps
 what the transport kernel reads, the norm vectors and the dense closure
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -184,132 +184,62 @@ class SbpPair:
 
 
 # ---------------------------------------------------------------------------
-# exact closure solve
+# exact closure
 
-
-class _FractionSystem:
-    """Tiny dense linear solver over Fractions with free-variable pinning."""
-
-    def __init__(self, n_vars: int):
-        self.n = n_vars
-        self.rows: list[tuple[dict[int, Fraction], Fraction]] = []
-
-    def add(self, coeffs: dict[int, Fraction], rhs) -> None:
-        self.rows.append(({k: Fraction(v) for k, v in coeffs.items() if v != 0}, Fraction(rhs)))
-
-    def solve(self, defaults) -> list[Fraction]:
-        """Gaussian elimination; unpinned variables take their default value."""
-        rows = [dict(r) for r, _ in self.rows]
-        rhs = [b for _, b in self.rows]
-        pivot_of: dict[int, int] = {}
-        used: set[int] = set()
-        for var in range(self.n):
-            pr = next(
-                (i for i in range(len(rows)) if i not in used and rows[i].get(var)),
-                None,
-            )
-            if pr is None:
-                continue
-            used.add(pr)
-            pivot_of[var] = pr
-            pv = rows[pr][var]
-            for i in range(len(rows)):
-                if i == pr:
-                    continue
-                f = rows[i].get(var)
-                if f:
-                    scale = f / pv
-                    for k, v in rows[pr].items():
-                        nv = rows[i].get(k, Fraction(0)) - scale * v
-                        if nv:
-                            rows[i][k] = nv
-                        else:
-                            rows[i].pop(k, None)
-                    rhs[i] -= scale * rhs[pr]
-        sol = [Fraction(0)] * self.n
-        for var in range(self.n):
-            if var not in pivot_of:
-                sol[var] = Fraction(defaults[var])
-        for var, pr in pivot_of.items():
-            acc = rhs[pr]
-            for k, v in rows[pr].items():
-                if k != var:
-                    acc -= v * sol[k]
-            sol[var] = acc / rows[pr][var]
-        for (coeffs, b), red in zip(self.rows, rows):
-            if sum(c * sol[k] for k, c in coeffs.items()) != b:
-                raise NumericalError("SBP closure solve infeasible: inconsistent constraints")
-        return sol
-
-
-@lru_cache(maxsize=1)
-def _closure_corner():
-    """Left-boundary closure blocks in units h = 1, solved exactly.
-
-    Unknowns: Q^o rows 0..2 over even columns 0..3, Q^e rows 0..3 over odd
-    columns 0..2 (row 3 additionally carries the fixed interior entry +1 at
-    column 3), and the first norm entries.  Constraints: the SBP identity
-    on the corner, full second-order accuracy for the odd-grid rows, and
-    second-order for even rows 1..3 with first-order at the boundary row.
-    The system is square up to one redundancy and uniquely solvable.
-    """
-    xo = [Fraction(i) for i in range(4)]
-    xe = [Fraction(0), Fraction(1, 2), Fraction(3, 2), Fraction(5, 2)]
-    # variable layout: qo (3x4) -> 0..11, qe (4x3) -> 12..23, po 24..26, pe 27..30
-    qo = lambda i, j: 4 * i + j
-    qe = lambda j, i: 12 + 3 * j + i
-    po = lambda i: 24 + i
-    pe = lambda j: 27 + j
-    sysm = _FractionSystem(31)
-    for i in range(3):
-        for j in range(4):
-            sysm.add({qo(i, j): 1, qe(j, i): 1}, -1 if (i == 0 and j == 0) else 0)
-    for i in range(3):  # D^o rows: exact for 1, x, x^2
-        for p in range(3):
-            coeffs = {qo(i, j): xe[j] ** p for j in range(4)}
-            coeffs[po(i)] = -p * xo[i] ** (p - 1) if p >= 1 else 0
-            sysm.add(coeffs, 0)
-    for j in range(4):  # D^e rows: boundary row first order, others second
-        p_max = 1 if j == 0 else 2
-        for p in range(p_max + 1):
-            coeffs = {qe(j, i): xo[i] ** p for i in range(3)}
-            coeffs[pe(j)] = -p * xe[j] ** (p - 1) if p >= 1 else 0
-            rhs = -(xo[3] ** p) if j == 3 else 0  # fixed +1 entry at column 3
-            sysm.add(coeffs, rhs)
-    sol = sysm.solve([Fraction(0)] * 31)
-    qo_c = [[sol[qo(i, j)] for j in range(4)] for i in range(3)]
-    qe_c = [[sol[qe(j, i)] for i in range(3)] for j in range(4)]
-    po_c = [sol[po(i)] for i in range(3)]
-    pe_c = [sol[pe(j)] for j in range(4)]
-    if any(v <= 0 for v in po_c + pe_c):
-        raise NumericalError("SBP closure solve produced a non-positive norm entry")
-    return qo_c, qe_c, po_c, pe_c
+# The left-end closure in units h = 1: Q^o rows 0..2 over even columns 0..3,
+# Q^e rows 0..3 over odd columns 0..3 (column 3 holds only the stencil's +1 of
+# row 3) and the first norm entries.  They meet the SBP identity on the
+# corner, make D^o exact on 1, x, x^2 in every row and D^e exact on 1, x, x^2
+# in rows 1..3 and on 1, x in its boundary row; tests/test_sbp.py checks each
+# condition in exact arithmetic.
+_F = Fraction
+_CORNER_Q_ODD = (
+    (_F(-3, 4), _F(25, 32), _F(0), _F(-1, 32)),
+    (_F(-1, 4), _F(-25, 32), _F(15, 16), _F(3, 32)),
+    (_F(0), _F(0), _F(-15, 16), _F(15, 16)),
+)
+_CORNER_Q_EVEN = (
+    (_F(-1, 4), _F(1, 4), _F(0), _F(0)),
+    (_F(-25, 32), _F(25, 32), _F(0), _F(0)),
+    (_F(0), _F(-15, 16), _F(15, 16), _F(0)),
+    (_F(1, 32), _F(-3, 32), _F(-15, 16), _F(1)),
+)
+_CORNER_P_ODD = (_F(5, 16), _F(5, 4), _F(15, 16))
+_CORNER_P_EVEN = (_F(1, 4), _F(25, 32), _F(15, 16), _F(33, 32))
 
 
 def _overlay(n: int):
-    """Exact (h = 1) entries that the closure corner fixes at both ends.
+    """Exact (h = 1) entries of the full pair's closure rows on an n >= 4 cell grid.
 
     Returns dicts ``qo[i, j]``, ``qe[j, i]``, ``po[i]`` and ``pe[j]`` over
-    the closure region: the left corner, its antisymmetric mirror image at
-    the right end, and the fixed stencil entries next to the even corners.
-    Every row outside these dicts is the staggered stencil with unit norm.
-    For n >= 6 the two ends are disjoint; for n = 4, 5 they overlap, the
-    later write wins, and the result only pins the free parameters of
-    :func:`_small_exact`.
+    the rows the corners cover; every other row is the stencil -1, +1 at
+    columns i + shift, i + shift + 1 with unit norm.  Each entry is that
+    stencil plus the left corner's deviation from it plus the deviation's
+    antisymmetric mirror image (i, j) -> (last row - i, last column - j) at
+    the right end; the stencil is itself antisymmetric under that map.  For
+    n = 4, 5 the ends share rows and the two deviations are added there,
+    not overwritten.  The SBP identity and the accuracy conditions are
+    linear in (Q, P) and hold for the stencil alone on the shared (interior)
+    rows, so the sum meets them too; the shared norms are 7/8 and 31/32.
     """
-    qo_c, qe_c, po_c, pe_c = _closure_corner()
-    qo, po, pe = {}, {}, {}
-    qe = {(3, 3): Fraction(1), (n - 2, n - 3): Fraction(-1)}
-    for i in range(3):
-        po[i] = po[n - i] = po_c[i]
-        for j in range(4):
-            qo[i, j] = qo_c[i][j]
-            qo[n - i, n + 1 - j] = -qo_c[i][j]
-    for j in range(4):
-        pe[j] = pe[n + 1 - j] = pe_c[j]
-        for i in range(3):
-            qe[j, i] = qe_c[j][i]
-            qe[n + 1 - j, n - i] = -qe_c[j][i]
+    out = []
+    for table, norms, shift, n_rows in (
+        (_CORNER_Q_ODD, _CORNER_P_ODD, 0, n + 1),
+        (_CORNER_Q_EVEN, _CORNER_P_EVEN, -1, n + 2),
+    ):
+        n_cols = n_rows + 1 + 2 * shift
+        q, p = {}, {}
+        for r, (row, w) in enumerate(zip(table, norms)):
+            i = n_rows - 1 - r
+            p[r] = p.get(r, 1) + w - 1
+            p[i] = p.get(i, 1) + w - 1
+            for c, v in enumerate(row):
+                j = n_cols - 1 - c
+                st = (c == r + shift + 1) - (c == r + shift)  # the stencil entry; it is -st at (i, j)
+                q[r, c] = q.get((r, c), st) + v - st
+                q[i, j] = q.get((i, j), -st) - (v - st)
+        out.append((q, p))
+    (qo, po), (qe, pe) = out
     return qo, qe, po, pe
 
 
@@ -330,93 +260,6 @@ def _mirror_overlay(n: int):
     po = {i - o: v for i, v in po_f.items() if i >= o}
     pe = {j - o: v for j, v in pe_f.items() if j >= o}
     pe[0] = Fraction(1)
-    return qo, qe, po, pe
-
-
-@lru_cache(maxsize=8)
-def _small_exact(n: int):
-    """Exact operators for n = 4, 5 where the closure corners overlap.
-
-    Solves the full banded system (SBP identity, accuracy orders, mirror
-    symmetry); the leftover free parameters are pinned to the values the
-    corner overlay would give at those positions.
-    """
-    xo = [Fraction(i) for i in range(n + 1)]
-    xe = [Fraction(0)] + [Fraction(2 * j - 1, 2) for j in range(1, n + 1)] + [Fraction(n)]
-    band = Fraction(5, 2)
-    qo_pos = [(i, j) for i in range(n + 1) for j in range(n + 2) if abs(xo[i] - xe[j]) <= band]
-    qe_pos = [(j, i) for j in range(n + 2) for i in range(n + 1) if abs(xe[j] - xo[i]) <= band]
-    idx: dict = {}
-    for p_ in qo_pos:
-        idx[("qo", *p_)] = len(idx)
-    for p_ in qe_pos:
-        idx[("qe", *p_)] = len(idx)
-    for i in range(n + 1):
-        idx[("po", i)] = len(idx)
-    for j in range(n + 2):
-        idx[("pe", j)] = len(idx)
-    sysm = _FractionSystem(len(idx))
-
-    def qo_var(i, j):
-        return idx.get(("qo", i, j))
-
-    def qe_var(j, i):
-        return idx.get(("qe", j, i))
-
-    for i in range(n + 1):
-        for j in range(n + 2):
-            coeffs = {}
-            if qo_var(i, j) is not None:
-                coeffs[qo_var(i, j)] = 1
-            if qe_var(j, i) is not None:
-                coeffs[qe_var(j, i)] = coeffs.get(qe_var(j, i), 0) + 1
-            b = -1 if (i == 0 and j == 0) else (1 if (i == n and j == n + 1) else 0)
-            sysm.add(coeffs, b)
-            # mirror antisymmetry of both Q matrices
-            mi, mj = n - i, n + 1 - j
-            c2 = {}
-            if qo_var(i, j) is not None:
-                c2[qo_var(i, j)] = 1
-            if qo_var(mi, mj) is not None:
-                c2[qo_var(mi, mj)] = c2.get(qo_var(mi, mj), 0) + 1
-            sysm.add(c2, 0)
-            c3 = {}
-            if qe_var(j, i) is not None:
-                c3[qe_var(j, i)] = 1
-            if qe_var(mj, mi) is not None:
-                c3[qe_var(mj, mi)] = c3.get(qe_var(mj, mi), 0) + 1
-            sysm.add(c3, 0)
-    for i in range(n + 1):
-        sysm.add({idx[("po", i)]: 1, idx[("po", n - i)]: -1} if i != n - i else {}, 0)
-        for p in range(3):
-            coeffs = {qo_var(i, j): xe[j] ** p for j in range(n + 2) if qo_var(i, j) is not None}
-            if p >= 1:
-                coeffs[idx[("po", i)]] = -p * xo[i] ** (p - 1)
-            sysm.add(coeffs, 0)
-    for j in range(n + 2):
-        sysm.add({idx[("pe", j)]: 1, idx[("pe", n + 1 - j)]: -1} if j != n + 1 - j else {}, 0)
-        p_max = 1 if j in (0, n + 1) else 2
-        for p in range(p_max + 1):
-            coeffs = {qe_var(j, i): xo[i] ** p for i in range(n + 1) if qe_var(j, i) is not None}
-            if p >= 1:
-                coeffs[idx[("pe", j)]] = -p * xe[j] ** (p - 1)
-            sysm.add(coeffs, 0)
-
-    overlay = dict(zip(("qo", "qe", "po", "pe"), _overlay(n)))
-    defaults = [Fraction(0)] * len(idx)
-    for (kind, *pos), v in idx.items():
-        if kind in ("qo", "qe"):
-            defaults[v] = overlay[kind].get(tuple(pos), Fraction(0))
-        else:
-            defaults[v] = overlay[kind].get(pos[0], Fraction(1))
-    sol = sysm.solve(defaults)
-
-    qo = {(i, j): sol[idx[("qo", i, j)]] for (i, j) in qo_pos}
-    qe = {(j, i): sol[idx[("qe", j, i)]] for (j, i) in qe_pos}
-    po = {i: sol[idx[("po", i)]] for i in range(n + 1)}
-    pe = {j: sol[idx[("pe", j)]] for j in range(n + 2)}
-    if any(v <= 0 for v in (*po.values(), *pe.values())):
-        raise NumericalError("SBP closure solve produced a non-positive norm entry")
     return qo, qe, po, pe
 
 
@@ -485,11 +328,11 @@ def _sparse(rows: dict, p_vec: np.ndarray, shape: tuple[int, int], shift: int):
 
 
 def build_sbp_pair(grid: StaggeredGrid1d) -> SbpPair:
-    """Second-order staggered SBP pair on a grid; closures solved exactly.
+    """Second-order staggered SBP pair on a grid; closures from the exact rational table.
 
     The SBP identity Q^o + (Q^e)^T = B holds entrywise exactly (rational
     arithmetic, then converted to float); P entries are positive; D^o is
-    exact through quadratics at every node.  The build solves the closure
+    exact through quadratics at every node.  The build forms the closure
     corners and the norms only; the sparse matrices are assembled from the
     interior stencil and the exact closure entries on first access
     (:class:`SbpPair`), and both cost time linear in the number of cells.
@@ -500,7 +343,7 @@ def build_sbp_pair(grid: StaggeredGrid1d) -> SbpPair:
     if grid.mirror:
         (qo, qe, po, pe), split_odd, split_even = _mirror_overlay(n), 1, 1
     else:
-        qo, qe, po, pe = _overlay(n) if n >= 6 else _small_exact(n)
+        qo, qe, po, pe = _overlay(n)
         split_odd, split_even = (n_odd + 1) // 2, (n_even + 1) // 2
     rows_odd, rows_even = _exact_rows(qo), _exact_rows(qe)
     p_odd, corners_odd = _closure(rows_odd, po, n_odd, 0, grid.h, split_odd)

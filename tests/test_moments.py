@@ -123,6 +123,25 @@ class TestTransportAssembly:
     def test_max_speed_below_one(self, system5):
         assert system5.max_speed() < 1.0
 
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_max_speed_is_the_largest_singular_value(self, n):
+        # the closed form (largest root of P_{N+1}) against an SVD of each axis's Ahat; the
+        # SVD itself strays up to about 10 ulps from the root at these sizes
+        system = assemble_transport(MomentBasis.build(n))
+        speed = system.max_speed()
+        for axis in (1, 2, 3):
+            sv = np.linalg.svd(system.a_hat[axis - 1], compute_uv=False)[0]
+            assert system.max_speed(axis) == speed
+            assert abs(speed - sv) <= 1e-14 * sv
+
+    @pytest.mark.parametrize("n", [1, 3, 7, 13, 20])
+    def test_max_speed_is_the_legendre_root_to_an_ulp(self, n):
+        mpmath = pytest.importorskip("mpmath")
+        speed = assemble_transport(MomentBasis.build(n)).max_speed()
+        with mpmath.workdps(40):
+            root = mpmath.findroot(lambda x: mpmath.legendre(n + 1, x), speed)
+            assert abs(mpmath.mpf(speed) - root) <= np.spacing(speed)
+
 
 class TestRecursion:
     def test_residual_small_random(self, system5):

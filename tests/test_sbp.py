@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -40,7 +41,7 @@ class TestSbpPair:
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 16, 400])
     def test_closure_corners_reproduce_derivatives(self, n):
         # the staggered stencil on every row, then each stored corner over its rows;
-        # at n = 4, 5 the low-end and high-end corners of the small exact solve touch
+        # at n = 4, 5 the low-end and high-end corners share rows, where both ends' closures add
         grid = StaggeredGrid1d(-0.3, 1.1, n)
         pair = build_sbp_pair(grid)
         rng = np.random.default_rng(n)
@@ -74,7 +75,7 @@ class TestSbpPair:
         assert np.abs(pair.d_even @ np.ones(n + 1)).max() < 1e-12
         assert np.abs(pair.d_even @ grid.x_odd - 1.0).max() < 1e-12
 
-    @pytest.mark.parametrize("n", [6, 8, 16])
+    @pytest.mark.parametrize("n", [4, 5, 6, 8, 16])
     def test_odd_derivative_exact_on_quadratics(self, n):
         grid = StaggeredGrid1d(0.0, 2.0, n)
         pair = build_sbp_pair(grid)
@@ -113,6 +114,43 @@ class TestSbpPair:
             errs.append(math.sqrt(float(err @ (pair.p_odd * err))))
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
         assert min(orders) >= 1.8
+
+
+def exact_operator(q, p, n_rows, n_cols, shift):
+    """Dense Fraction Q and norm of one operator: the rows of ``q``, the unit-norm stencil -1, +1 elsewhere."""
+    mat = [[Fraction(0)] * n_cols for _ in range(n_rows)]
+    covered = {i for i, _ in q}
+    for i in set(range(n_rows)) - covered:
+        mat[i][i + shift], mat[i][i + shift + 1] = Fraction(-1), Fraction(1)
+    for (i, j), v in q.items():
+        mat[i][j] = v
+    return mat, [p.get(i, Fraction(1)) for i in range(n_rows)]
+
+
+class TestExactClosure:
+    """The superposed closure table, checked in exact arithmetic (h = 1, x_L = 0)."""
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9])
+    def test_overlay_is_an_exact_sbp_pair(self, n):
+        qo_d, qe_d, po_d, pe_d = sbp._overlay(n)
+        qo, po = exact_operator(qo_d, po_d, n + 1, n + 2, 0)
+        qe, pe = exact_operator(qe_d, pe_d, n + 2, n + 1, -1)
+        xo = [Fraction(i) for i in range(n + 1)]
+        xe = [Fraction(0)] + [Fraction(2 * j - 1, 2) for j in range(1, n + 1)] + [Fraction(n)]
+        # SBP identity, entrywise: B = -e_0 e_0^T + e_n e_{n+1}^T
+        for i in range(n + 1):
+            for j in range(n + 2):
+                b = -1 if (i, j) == (0, 0) else 1 if (i, j) == (n, n + 1) else 0
+                assert qo[i][j] + qe[j][i] == b, (i, j)
+        # D^o exact on 1, x, x^2 in every row
+        for i in range(n + 1):
+            for k in range(3):
+                assert sum(q * x**k for q, x in zip(qo[i], xe)) == (k * po[i] * xo[i] ** (k - 1) if k else 0)
+        # D^e exact on 1, x, x^2 except its two boundary rows, which are exact on 1, x
+        for j in range(n + 2):
+            for k in range(2 if j in (0, n + 1) else 3):
+                assert sum(q * x**k for q, x in zip(qe[j], xo)) == (k * pe[j] * xe[j] ** (k - 1) if k else 0)
+        assert min(po) > 0 and min(pe) > 0
 
 
 class TestMirrorPair:

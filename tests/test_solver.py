@@ -1,6 +1,7 @@
 import logging
 import math
 import sys
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -23,6 +24,7 @@ from pnsat.errors import ValidationError
 from pnsat.moments import PnSystem, ScatteringSpectrum
 from pnsat.sbp import sat_penalties
 from pnsat.solver import (
+    EnergyLog,
     _Stepper,
     build_setup,
     detect_plateaus,
@@ -39,7 +41,7 @@ from pnsat.solver import (
 )
 
 
-def vacuum_1d(n_max=5, cells=60, t_end=0.5, sigma=0.2, scattering=None, cfl=0.5, initial=None):
+def vacuum_1d(n_max=5, cells=60, t_end=0.5, sigma=0.2, scattering=None, cfl=0.5, initial=None, snapshots=None):
     return scenario_from_dict({
         "name": "probe",
         "model": {
@@ -55,7 +57,7 @@ def vacuum_1d(n_max=5, cells=60, t_end=0.5, sigma=0.2, scattering=None, cfl=0.5,
         "initial": initial or {"kind": "gaussian_bulk", "mu": [0.0], "sigma": [sigma],
                                "normalize": "pdf", "direction": {"kind": "isotropic"}},
         "integration": {"cfl": cfl, "t_end": t_end},
-        "outputs": {"snapshot_times": [t_end]},
+        "outputs": {"snapshot_times": snapshots or [t_end]},
     })
 
 
@@ -383,7 +385,7 @@ class TestSetup:
 
     def test_gauss_legendre_once_per_node_count(self, monkeypatch):
         # tc4 (N = 13): the x and z outgoing rules share leggauss(15), the beam face's inflow
-        # rule takes 48 polar nodes
+        # rule takes 48 polar nodes, and both axis speeds read the largest node of leggauss(14)
         calls = {}
         solve = np.polynomial.legendre.leggauss
 
@@ -394,7 +396,7 @@ class TestSetup:
         sphharm._gauss_legendre.cache_clear()
         monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
         build_setup(load_bundled("tc4_beam"))
-        assert calls == {15: 1, 48: 1}
+        assert calls == {14: 1, 15: 1, 48: 1}
 
     @pytest.mark.parametrize("name, blocks", [("tc1", 1), ("tc3_vacuum", 4), ("tc4_beam", 4)])
     def test_one_onsager_assembly_per_axis_block(self, monkeypatch, name, blocks):
@@ -630,6 +632,14 @@ class TestRun:
     def test_energy_log_strictly_increasing_times(self):
         res = run(vacuum_1d(t_end=0.3, cells=40))
         assert np.all(np.diff(res.log.times) > 0)
+        # a repeated snapshot time is taken at once, without a zero-length step
+        dup = run(vacuum_1d(t_end=0.3, cells=40, snapshots=[0.1, 0.1, 0.2]))
+        once = run(vacuum_1d(t_end=0.3, cells=40, snapshots=[0.1, 0.2]))
+        assert np.all(np.diff(dup.log.times) > 0)
+        assert np.array_equal(dup.log.times, once.log.times)
+        assert dup.metadata["steps"] == once.metadata["steps"]
+        assert [s.time for s in dup.snapshots] == pytest.approx([0.1, 0.1, 0.2], abs=1e-12)
+        assert np.array_equal(dup.snapshots[0].u00, dup.snapshots[1].u00)
 
 
 class TestEnergyBound:
@@ -649,6 +659,25 @@ class TestEnergyBound:
         res = run(load_bundled("tc2_unstable"))
         rep = energy_bound_check(res)
         assert not rep.applicable
+
+    def test_checks_every_logged_time(self):
+        # E(0) = 1, C = 1: the bound is 1 + S(t); E exceeds it at step 2 only
+        log = EnergyLog(
+            times=np.array([0.0, 0.1, 0.2, 0.3]),
+            energies=np.array([1.0, 1.05, 1.3, 1.1]),
+            source_integral=np.array([0.0, 0.1, 0.2, 0.3]),
+            c_constant=1.0,
+        )
+        rep = energy_bound_check(SimpleNamespace(log=log))
+        assert rep.applicable and not rep.ok
+        assert rep.e_final <= rep.bound_final
+        assert rep.first_violation == (0.2, 2)
+        assert rep.margin == pytest.approx(-0.1, abs=1e-7)
+        assert "VIOLATED" in rep.describe() and "t = 0.2 (step 2)" in rep.describe()
+        log.energies[2] = 1.15
+        rep = energy_bound_check(SimpleNamespace(log=log))
+        assert rep.ok and rep.first_violation is None
+        assert rep.margin == pytest.approx(0.05, abs=1e-7)  # t = 0 (slack 1e-8) is not counted
 
 
 class TestPlateauDetector:
