@@ -74,6 +74,11 @@ class TallyGrid:
     def bin_volume(self) -> float:
         return float(np.prod([e[1] - e[0] for e in self.edges]))
 
+    @functools.cached_property
+    def _tops(self) -> tuple[np.ndarray, ...]:
+        """Per axis, each bin's open upper edge: +inf for the last bin, which is closed."""
+        return tuple(np.append(e[1:-1], np.inf) for e in self.edges)
+
     def deposit(self, acc: np.ndarray, pos: np.ndarray, weights: np.ndarray) -> None:
         """Add the weights of points in ``pos`` to their bins of ``acc``.
 
@@ -81,23 +86,27 @@ class TallyGrid:
         bin i holds edges[i] <= x < edges[i+1], the last bin also x == edges[-1],
         other points are dropped, and each bin sums its weights in input order.
         The bin comes from arithmetic on the uniform edges, corrected by one
-        where roundoff puts a point on the wrong side of an edge.
+        where roundoff puts a point on the wrong side of an edge.  The cast
+        truncates toward zero, which differs from the floor only below the
+        first edge, where the clip gives bin 0 either way.
         """
         if pos.shape[0] == 0:
             return
         size = acc.size
-        flat = np.zeros(pos.shape[0], dtype=np.intp)
-        inside = np.ones(pos.shape[0], dtype=bool)
-        for d, e in enumerate(self.edges):
+        for d, (e, top) in enumerate(zip(self.edges, self._tops)):
             x = pos[:, d]
             n = e.size - 1
-            i = np.floor((x - e[0]) * (n / (e[-1] - e[0]))).astype(np.intp)
+            i = ((x - e[0]) * (n / (e[-1] - e[0]))).astype(np.intp)
             np.clip(i, 0, n - 1, out=i)
-            i -= x < e[i]
-            i += (x >= e[i + 1]) & (i < n - 1)
-            inside &= (x >= e[0]) & (x <= e[-1])
-            flat *= n
-            flat += i
+            i -= x < e.take(i)
+            i += x >= top.take(i)
+            if d == 0:
+                flat = i
+                inside = (x >= e[0]) & (x <= e[-1])
+            else:
+                flat *= n
+                flat += i
+                inside &= (x >= e[0]) & (x <= e[-1])
         # one bin past the grid collects the dropped points
         flat[~inside] = size
         acc += np.bincount(flat, weights, minlength=size + 1)[:size].reshape(acc.shape)
@@ -166,24 +175,38 @@ def _sample_deflection(kind_dict: dict, spectrum, n: int, rng) -> np.ndarray:
     raise NumericalError(f"scattering kind {kind!r} is not sampleable")
 
 
-def _rotate(dirs: np.ndarray, mu_s: np.ndarray, chi: np.ndarray) -> np.ndarray:
-    """Deflect unit vectors by polar cosine mu_s and azimuth chi; renormalize."""
-    w = dirs
-    # helper frame: avoid near-parallel reference axis
-    ref = np.zeros_like(w)
-    use_z = np.abs(w[:, 2]) < 0.9
-    ref[use_z, 2] = 1.0
-    ref[~use_z, 0] = 1.0
-    e1 = np.cross(ref, w)
-    e1 /= np.linalg.norm(e1, axis=1)[:, None]
-    e2 = np.cross(w, e1)
+def _rotate(u: list, mu_s: np.ndarray, chi: np.ndarray) -> list:
+    """Deflect unit vectors (components ``u``) by polar cosine mu_s and azimuth chi; renormalize.
+
+    The helper frame is e1 = ref x u / |ref x u|, e2 = u x e1, with ref = e_z,
+    or e_x where |u_z| >= 0.9 so that ref is never near-parallel to u.  The
+    e_x rows are rotated cyclically, (u_x, u_y, u_z) -> (u_y, u_z, u_x), which
+    maps e_x to e_z, so both frames share the e_z formulas written out per
+    component; the products and sums are those of the cross-product form.
+    """
+    ux, uy, uz = u
+    use_z = np.abs(uz) < 0.9
+    a = np.where(use_z, ux, uy)
+    b = np.where(use_z, uy, uz)
+    c = np.where(use_z, uz, ux)
+    # e1 = (-b, a, 0) / |(-b, a, 0)|, e2 = (-c e1_a, -c e1_b, a e1_a + b e1_b)
+    norm = np.sqrt(a * a + b * b)
+    e1_a = a / norm
+    e1_b = b / norm
     s = np.sqrt(np.maximum(0.0, 1.0 - mu_s * mu_s))
-    out = (
-        mu_s[:, None] * w
-        + (s * np.cos(chi))[:, None] * e1
-        + (s * np.sin(chi))[:, None] * e2
-    )
-    out /= np.linalg.norm(out, axis=1)[:, None]
+    s_cos = s * np.cos(chi)
+    s_sin = s * np.sin(chi)
+    o_a = mu_s * a - s_cos * e1_b - s_sin * (c * e1_a)
+    o_b = mu_s * b + s_cos * e1_a - s_sin * (c * e1_b)
+    o_c = mu_s * c + s_sin * (a * e1_a + b * e1_b)
+    out = [
+        np.where(use_z, o_a, o_c),
+        np.where(use_z, o_b, o_a),
+        np.where(use_z, o_c, o_b),
+    ]
+    norm = np.sqrt(out[0] * out[0] + out[1] * out[1] + out[2] * out[2])
+    for oc in out:
+        oc /= norm
     return out
 
 
@@ -226,11 +249,13 @@ def _check_supported(sc: Scenario) -> None:
 
 
 def _sample_initial(sc: Scenario, n: int, rng):
-    """Positions, directions, weight-per-particle for an initial-value run."""
+    """Positions, directions, weight-per-particle for an initial-value run.
+
+    Positions (n, ndim) and directions (n, 3) are column-contiguous, the
+    per-component layout :func:`_advance_batch` flies.
+    """
     init = sc.initial
-    pos = np.stack(
-        [rng.normal(m, s, n) for m, s in zip(init.mu, init.sigma)], axis=1
-    )
+    pos = np.stack([rng.normal(m, s, n) for m, s in zip(init.mu, init.sigma)]).T
     amp = init.amplitude
     mass_profile = amp
     for s in init.sigma:
@@ -249,13 +274,16 @@ def _sample_initial(sc: Scenario, n: int, rng):
         total_mass = FOUR_PI * a * mass_profile
     phi = rng.uniform(0.0, 2.0 * math.pi, n)
     s_t = np.sqrt(np.maximum(0.0, 1.0 - mu * mu))
-    dirs = np.stack([s_t * np.cos(phi), s_t * np.sin(phi), mu], axis=1)
+    dirs = np.stack([s_t * np.cos(phi), s_t * np.sin(phi), mu]).T
     birth = np.zeros(n)
     return pos, dirs, birth, total_mass / n
 
 
 def _sample_beam_source(sc: Scenario, n: int, rng):
-    """Positions, directions, birth times, weight for a boundary beam run."""
+    """Positions, directions, birth times, weight for a boundary beam run.
+
+    Laid out as by :func:`_sample_initial`.
+    """
     (d, side), spec = next(
         (key, spec) for key, spec in sc.faces.items() if spec.inflow.kind == "beam"
     )
@@ -280,7 +308,7 @@ def _sample_beam_source(sc: Scenario, n: int, rng):
         taus = rng.uniform(0.0, sc.t_end, n)
         time_integral = sc.t_end
     # transverse position(s)
-    pos = np.empty((n, sc.ndim))
+    pos = np.empty((sc.ndim, n)).T
     space_integral = 1.0
     for j in range(sc.ndim):
         if j == d:
@@ -303,7 +331,7 @@ def _sample_beam_source(sc: Scenario, n: int, rng):
     phi = rng.uniform(0.0, 2.0 * math.pi, n)
     s_t = np.sqrt(np.maximum(0.0, 1.0 - mu_axis * mu_axis))
     comp = axis - 1
-    dirs = np.empty((n, 3))
+    dirs = np.empty((3, n)).T
     others = [c for c in range(3) if c != comp]
     dirs[:, comp] = mu_axis
     dirs[:, others[0]] = s_t * np.cos(phi)
@@ -409,11 +437,13 @@ def _advance_batch(sc: Scenario, grid: TallyGrid, pos, dirs, birth, weight, rng,
         collided = ~exited & (s_coll < s_end)
         np.minimum(s, s_exit, out=s)
         t1 = t0 + s
-        r_hi = np.where(
-            exited,
-            np.searchsorted(rec, t1, side="left"),
-            np.where(collided, np.searchsorted(rec, t1, side="right"), rec.size),
-        )
+        # covered record times end before an exit, after a collision, and at
+        # the last record time for a flight that reaches it
+        r_hi = np.searchsorted(rec, t1, side="left")
+        r_hi[~(exited | collided)] = rec.size
+        ci = np.flatnonzero(collided)
+        tie = ci[rec[np.minimum(r_hi[ci], rec.size - 1)] == t1[ci]]
+        r_hi[tie] = np.searchsorted(rec, t1[tie], side="right")
         # deposit every flight that covers a record time, one record at a time
         cov = np.flatnonzero(r_hi > r_lo)
         if cov.size:
@@ -425,17 +455,16 @@ def _advance_batch(sc: Scenario, grid: TallyGrid, pos, dirs, birth, weight, rng,
                 j = np.flatnonzero((c_lo <= r) & (c_hi > r))
                 if not j.size:
                     continue
-                dt = rec[r] - c_t0[j]
+                dt = rec[r] - c_t0.take(j)
                 p = pts[: j.size]
                 for k in range(len(comp)):
-                    np.multiply(c_d[k][j], dt, out=p[:, k])
-                    p[:, k] += c_x[k][j]
-                grid.deposit(acc[snaps[r]], p, c_w[j] * scales[r])
+                    np.multiply(c_d[k].take(j), dt, out=p[:, k])
+                    p[:, k] += c_x[k].take(j)
+                grid.deposit(acc[snaps[r]], p, c_w.take(j) * scales[r])
                 deposits += j.size
         if sigma_0 <= 0.0:
             break
         # the collided particles scatter and fly again
-        ci = np.flatnonzero(collided)
         n_c = ci.size
         if not n_c:
             break
@@ -447,8 +476,7 @@ def _advance_batch(sc: Scenario, grid: TallyGrid, pos, dirs, birth, weight, rng,
             w *= sigma_0 / sigma_t
         mu_s = _sample_deflection(kernel, sc.scattering, n_c, rng)
         chi = rng.uniform(0.0, 2.0 * math.pi, n_c)
-        new = _rotate(np.stack([uc[ci] for uc in u], axis=1), mu_s, chi)
-        u = [np.ascontiguousarray(new[:, c]) for c in range(3)]
+        u = _rotate([uc[ci] for uc in u], mu_s, chi)
         s_coll = rng.exponential(1.0 / sigma_t, n_c)
         r_lo = np.searchsorted(rec, t0, side="right")
     return flights, deposits
@@ -473,13 +501,22 @@ def _run_batch(sc: Scenario, grid: TallyGrid, has_beam: bool, record, task):
     rng = np.random.default_rng(child)
     sample = _sample_beam_source if has_beam else _sample_initial
     pos, dirs, birth, weight = sample(sc, n_b, rng)
-    box = np.array(sc.extents)
-    inside = np.all((pos >= box[:, 0]) & (pos <= box[:, 1]), axis=1)
-    pos, dirs, birth = pos[inside], dirs[inside], birth[inside]
+    inside = np.ones(pos.shape[0], dtype=bool)
+    for x, (lo, hi) in zip(pos.T, sc.extents):
+        inside &= (x >= lo) & (x <= hi)
+    if not inside.all():
+        pos, dirs, birth = pos[inside], dirs[inside], birth[inside]
     tally = np.zeros((len(sc.snapshot_times),) + grid.shape)
     flights, deposits = _advance_batch(
         sc, grid, pos, dirs, birth, weight, rng, (*record, list(tally)))
     return tally, flights, deposits
+
+
+def _timed(fn, task):
+    """``fn(task)`` and its wall time in seconds."""
+    t0 = time.perf_counter()
+    out = fn(task)
+    return out, time.perf_counter() - t0
 
 
 def _run_batches(batch, tasks: list, workers: int) -> list:
@@ -519,7 +556,9 @@ def simulate(scenario: Scenario, n_particles: int, seed: int) -> McResult:
     realization from those of versions that stopped every particle at each
     record time, statistically equivalent to them.  ``meta`` records the
     total ``"flights"`` and ``"deposits"`` (particle positions handed to
-    the tally grid), summed in batch order.
+    the tally grid), summed in batch order, and ``"seconds"``: the sum of
+    the per-batch wall times in batch order (``"batches"``) and the wall
+    time of the whole pool (``"pool"``).
     """
     t0 = time.perf_counter()
     _check_supported(scenario)
@@ -537,10 +576,13 @@ def simulate(scenario: Scenario, n_particles: int, seed: int) -> McResult:
     counts = [n_particles // N_BATCHES] * N_BATCHES
     for i in range(n_particles % N_BATCHES):
         counts[i] += 1
-    batch = functools.partial(_run_batch, sc, grid, has_beam, record)
+    batch = functools.partial(_timed, functools.partial(_run_batch, sc, grid, has_beam, record))
     workers = _workers(N_BATCHES)
-    tallies, flights, deposits = zip(
+    t_pool = time.perf_counter()
+    results, batch_s = zip(
         *_run_batches(batch, list(zip(seq.spawn(N_BATCHES), counts)), workers))
+    seconds = {"batches": sum(batch_s), "pool": time.perf_counter() - t_pool}
+    tallies, flights, deposits = zip(*results)
     batch_tallies = np.stack(tallies)
     flights, deposits = sum(flights), sum(deposits)
     # number density -> u00 convention, per bin volume; each batch is an
@@ -555,8 +597,10 @@ def simulate(scenario: Scenario, n_particles: int, seed: int) -> McResult:
         for i, ts in enumerate(snap_times)
     ]
     log.debug(
-        "simulate: %d batches on %d workers in %.3f s, %d flights, %d deposits",
-        N_BATCHES, workers, time.perf_counter() - t0, flights, deposits,
+        "simulate: %d batches on %d workers in %.3f s (batches %.3f s, pool %.3f s), "
+        "%d flights, %d deposits",
+        N_BATCHES, workers, time.perf_counter() - t0, seconds["batches"], seconds["pool"],
+        flights, deposits,
     )
     return McResult(
         scenario=sc,
@@ -571,6 +615,7 @@ def simulate(scenario: Scenario, n_particles: int, seed: int) -> McResult:
             "subsamples": SUBSAMPLES,
             "flights": flights,
             "deposits": deposits,
+            "seconds": seconds,
             "source": "beam" if has_beam else "initial",
         },
     )

@@ -78,7 +78,8 @@ its axis P entries, :meth:`pnsat.sbp.TensorGrid.weights`), flattened over
 its nodes; :func:`inner` is the one discrete inner product, contracting
 each family's (nodes, components) table against its node weights without
 a state-sized temporary, and :func:`energy` and :func:`mass_u00` read the
-same tables.
+same tables.  On a 1-D flat buffer :func:`energy` is one dot against
+:attr:`SolverSetup.flat_weights`, the node weights repeated per component.
 """
 
 from __future__ import annotations
@@ -185,6 +186,20 @@ class SolverSetup:
     def weights(self) -> dict:
         """Per family with components: its SBP norm table, flattened over the grid."""
         return {a: self.tensor.weights(a).ravel() for a in self.families if self.comps[a].size}
+
+    @functools.cached_property
+    def flat_weights(self) -> np.ndarray | None:
+        """1-D runs: the norm weight of each entry of a flat state buffer; None on multi-axis set-ups.
+
+        A 1-D state is small enough to keep a table of its size; a multi-axis
+        one is not.
+        """
+        if self.tensor.ndim > 1:
+            return None
+        out = np.zeros(sum(math.prod(shape) for shape in self.shapes.values()))
+        for a, span, m, w in self.norm_tables:
+            out[span] = np.repeat(w, m)
+        return out
 
     def dt_stable(self) -> float:
         h_min = min(g.h for g in self.tensor.grids)
@@ -473,7 +488,14 @@ def inner(setup: SolverSetup, u, v) -> float:
 
 
 def energy(setup: SolverSetup, state) -> float:
-    """Total discrete energy <u, u>: sum of squared family SBP norms, full domain."""
+    """Total discrete energy <u, u>: sum of squared family SBP norms, full domain.
+
+    A 1-D flat buffer takes one dot against :attr:`SolverSetup.flat_weights`,
+    which costs a few numpy calls fewer per time step than :func:`inner`.
+    """
+    w = setup.flat_weights
+    if w is not None and isinstance(state, np.ndarray):
+        return setup.mirror_scale * float(np.dot(w * state, state))
     return inner(setup, state, state)
 
 

@@ -1,6 +1,10 @@
 import json
 import math
 import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -262,6 +266,14 @@ class TestCli:
         assert main(["verify"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+    def test_module_entry_point(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "pnsat", "--help"],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert "oracle" in proc.stdout
 
     def test_run_writes_artifacts(self, tmp_path, capsys):
         cfg = tmp_path / "probe.json"

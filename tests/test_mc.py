@@ -189,6 +189,18 @@ class TestParallelBatches:
         assert "16 batches on 2 workers" in records[0].getMessage()
         assert f"{meta['flights']} flights, {meta['deposits']} deposits" in records[0].getMessage()
 
+    def test_seconds_recorded_and_logged(self, tmp_path, caplog):
+        cfg = tmp_path / "free.json"
+        cfg.write_text(json.dumps(free_streaming_1d().to_dict()))
+        with caplog.at_level(logging.DEBUG, logger="pnsat.mc"):
+            assert main(["oracle", str(cfg), "--n", "5000", "-o", str(tmp_path / "mc")]) == 0
+        seconds = json.loads((tmp_path / "mc" / "mc_metadata.json").read_text())["seconds"]
+        assert set(seconds) == {"batches", "pool"}
+        assert seconds["batches"] > 0.0 and seconds["pool"] > 0.0
+        [record] = [r for r in caplog.records if r.name == "pnsat.mc"]
+        msg = record.getMessage()
+        assert f"batches {seconds['batches']:.3f} s, pool {seconds['pool']:.3f} s" in msg
+
     @pytest.mark.parametrize("case", ["tc4", "hg_1d"])
     def test_worker_count_does_not_change_counts(self, case, tmp_path, monkeypatch):
         sc = PARALLEL_CASES[case](tmp_path)
@@ -302,6 +314,13 @@ class TestEventSemantics:
         assert [a.sum() for a in acc] == [1.0, 1.0, 0.0]
         assert counts == (1, 2)
 
+    def test_collision_on_a_duplicated_record_time_is_tallied_at_both(self):
+        sc = scattering_1d({"kind": "isotropic", "sigma_s": 0.0, "sigma_t": 2.0})
+        acc, counts = fly(sc, [[0.0]], [[1.0, 0.0, 0.0]], [0.0], [0.2, 0.3, 0.3, 0.4], Distances(0.3))
+        assert [a.sum() for a in acc] == [1.0, 1.0, 1.0, 0.0]
+        assert acc[1][bin_of(sc, 0.3)] == acc[2][bin_of(sc, 0.3)] == 1.0
+        assert counts == (1, 3)
+
     def test_pure_absorber_matches_a_direct_computation(self):
         sc = scattering_1d({"kind": "isotropic", "sigma_s": 0.0, "sigma_t": 2.0})
         record = mc_module._record_times(sc, 0.02, 4)
@@ -333,6 +352,45 @@ class TestEventSemantics:
         got, flights, got_deposits = mc_module._run_batch(sc, grid, has_beam, record, (child, 20_000))
         assert want.any() and np.array_equal(got, want)
         assert (flights, got_deposits) == (20_000, deposits)
+
+
+def rotate_with_cross(u, mu_s, chi):
+    """Reference deflection on (n, 3) rows: helper frame e1 = ref x u, e2 = u x e1 by np.cross."""
+    w = np.stack(u, axis=1)
+    ref = np.zeros_like(w)
+    use_z = np.abs(w[:, 2]) < 0.9
+    ref[use_z, 2] = 1.0
+    ref[~use_z, 0] = 1.0
+    e1 = np.cross(ref, w)
+    e1 /= np.linalg.norm(e1, axis=1)[:, None]
+    e2 = np.cross(w, e1)
+    s = np.sqrt(np.maximum(0.0, 1.0 - mu_s * mu_s))
+    out = mu_s[:, None] * w + (s * np.cos(chi))[:, None] * e1 + (s * np.sin(chi))[:, None] * e2
+    out /= np.linalg.norm(out, axis=1)[:, None]
+    return out
+
+
+class TestRotate:
+    def test_bit_identical_to_the_cross_product_form(self):
+        rng = np.random.default_rng(4)
+        v = rng.normal(size=(40_000, 3))
+        v[::2, 2] *= 4.0  # more rows with |u_z| >= 0.9
+        v /= np.linalg.norm(v, axis=1)[:, None]
+        # the poles, the equator and the frame threshold |u_z| = 0.9 itself
+        v[:6] = [[0, 0, 1], [0, 0, -1], [1, 0, 0], [0, -1, 0],
+                 [math.sqrt(1 - 0.81), 0, 0.9], [0, math.sqrt(1 - 0.81), -0.9]]
+        mu_s = rng.uniform(-1.0, 1.0, v.shape[0])
+        mu_s[6:10] = [1.0, -1.0, 0.0, 1.0]
+        chi = rng.uniform(0.0, 2.0 * math.pi, v.shape[0])
+        u = [np.ascontiguousarray(v[:, c]) for c in range(3)]
+        use_z = np.abs(v[:, 2]) < 0.9
+        assert 0.2 < use_z.mean() < 0.8 and not use_z[4] and not use_z[5]
+        got = mc_module._rotate(u, mu_s, chi)
+        want = rotate_with_cross(u, mu_s, chi)
+        for c in range(3):
+            assert np.array_equal(got[c], want[:, c])
+        length = np.sqrt(got[0] * got[0] + got[1] * got[1] + got[2] * got[2])
+        assert np.max(np.abs(length - 1.0)) <= 2.0 * np.finfo(float).eps
 
 
 class TestAgainstKineticSolution:

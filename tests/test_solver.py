@@ -192,6 +192,17 @@ class TestNorms:
         mass = float(kron_weights(even) @ u[even][..., 0].ravel())
         assert mass_u00(setup, u) == pytest.approx(mass, rel=1e-13)
 
+    @pytest.mark.parametrize("name", ["tc1", "tc_inflow_1d"])
+    def test_energy_of_a_flat_1d_buffer_matches_inner(self, name):
+        # one dot against the flat weight table (tc1 is mirrored) against the per-family sums
+        setup = build_setup(load_bundled(name))
+        flat = np.random.default_rng(5).random(setup.flat_weights.size)
+        assert energy(setup, flat) == pytest.approx(inner(setup, flat, flat), rel=1e-14)
+
+    def test_no_flat_weight_table_on_multi_axis_setups(self):
+        setup = build_setup(small_nd("xz", (5, 6), "x_high", ISOTROPIC))
+        assert setup.flat_weights is None
+
 
 class TestStepping:
     def test_pure_relaxation_decay(self):
