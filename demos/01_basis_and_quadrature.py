@@ -11,36 +11,33 @@ closed form).
 
 import numpy as np
 
-from pnsat import (
-    Direction,
-    ShIndex,
-    basis_indices,
-    build_quadrature,
-    classify_parity,
-    eval_basis,
-    eval_sh,
-    reflect,
-)
+from pnsat import build_quadrature, degrees_orders, eval_basis, flat_position, parity_signs, reflect
 
 # The basis is ordered lexicographically in (degree l, order k); the flat
-# position of (l, k) is l^2 + k + l.
-for idx in basis_indices(2):
-    print(f"position {idx.flat}: (l={idx.l}, k={idx.k})")
+# position of (l, k) is l^2 + k + l. The degree and order of every position
+# are two integer arrays.
+degrees, orders = degrees_orders(2)
+for pos, (l, k) in enumerate(zip(degrees.tolist(), orders.tolist())):
+    print(f"position {pos}: (l={l}, k={k})")
 
 # The mean mode is the constant 1/sqrt(4 pi); degree one is proportional to
 # the direction components themselves.
-pole = Direction((0.0, 0.0, 1.0))
-print("\nY_0^0 =", eval_sh(ShIndex(0, 0), pole), "= 1/sqrt(4 pi)")
-print("Y_1^0 at the pole =", eval_sh(ShIndex(1, 0), pole), "= sqrt(3/(4 pi))")
+pole = np.array([0.0, 0.0, 1.0])
+y_pole = eval_basis(1, pole)
+print("\nY_0^0 =", y_pole[flat_position(0, 0)], "= 1/sqrt(4 pi)")
+print("Y_1^0 at the pole =", y_pole[flat_position(1, 0)], "= sqrt(3/(4 pi))")
 
 # Each basis function is even or odd under reflecting one Cartesian axis;
 # the classification follows closed-form rules in (l, k).
-omega = Direction.from_mu_phi(0.4, 1.1)
+mu, phi = 0.4, 1.1
+s = np.sqrt(1.0 - mu * mu)
+omega = np.array([s * np.cos(phi), s * np.sin(phi), mu])
+pos = flat_position(2, 1)
+signs = parity_signs(2, 1)
 for axis in (1, 2, 3):
-    idx = ShIndex(2, 1)
-    parity = classify_parity(axis, idx)
-    val = eval_sh(idx, omega)
-    val_reflected = eval_sh(idx, reflect(omega, axis))
+    parity = "even" if signs[axis - 1] > 0 else "odd"
+    val = eval_basis(2, omega)[pos]
+    val_reflected = eval_basis(2, reflect(omega, axis))[pos]
     print(f"axis {axis}: Y_2^1 is {parity:5s}  ({val:+.6f} -> {val_reflected:+.6f})")
 
 # A Gauss-Legendre (polar cosine) x trapezoid (azimuth) product rule

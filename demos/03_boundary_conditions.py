@@ -23,6 +23,7 @@ from pnsat import (
     onsager_L,
     onsager_bc,
 )
+from pnsat.checks import golden_sector
 
 basis = MomentBasis.build(2)
 system = assemble_transport(basis)
@@ -30,10 +31,7 @@ system = assemble_transport(basis)
 # Restrict to the transversally even sector of the order-2 system: one odd
 # component coupled to three even ones. These are the numbers quoted in
 # every golden test of the package.
-odd_set = set(basis.odd_positions(1).tolist())
-sector = [i.flat for i in basis.indices if i.k >= 0 and (i.l + i.k) % 2 == 0]
-rows = np.array([i for i in sector if i in odd_set])
-cols = np.array([i for i in sector if i not in odd_set])
+rows, cols = golden_sector(basis)
 
 face = Face(1, "high")
 a_hat = system.a_hat_block(1, rows, cols)

@@ -51,16 +51,12 @@ from .solver import (
     zero_state,
 )
 from .sphharm import (
-    Direction,
-    ParityTable,
-    ShIndex,
     SphereQuadrature,
-    basis_indices,
     build_quadrature,
-    classify_parity,
+    degrees_orders,
     eval_basis,
-    eval_sh,
-    parity_sign,
+    flat_position,
+    parity_signs,
     reflect,
 )
 

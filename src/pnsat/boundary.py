@@ -66,7 +66,7 @@ def _coupled(basis: MomentBasis, face: Face, rows: np.ndarray, cols: np.ndarray)
     if face.axis == 3:
         key = basis.orders  # the parities on axes 1 and 2 are functions of k
     else:
-        p, q = (basis.parity.signs[ax - 1] for ax in (1, 2, 3) if ax != face.axis)
+        p, q = (basis.parity[ax - 1] for ax in (1, 2, 3) if ax != face.axis)
         key = p + 3 * q  # one code per parity class
     return key[rows, None] == key[None, cols]
 

@@ -57,7 +57,7 @@ def check_orthonormality(n_list=(3, 8, 13), tol=1e-11) -> CheckResult:
 def check_parity(n_max=9, n_dirs=1000, tol=1e-12, seed=0) -> CheckResult:
     rng = np.random.default_rng(seed)
     dirs = _random_directions(n_dirs, rng)
-    signs = MomentBasis.build(n_max).parity.signs  # the table the solver reads
+    signs = MomentBasis.build(n_max).parity  # the table the solver reads
     y = eval_basis(n_max, dirs)
     worst = 0.0
     for axis in (1, 2, 3):
@@ -95,13 +95,15 @@ def check_half_plus_half(n_max=6, tol=1e-11) -> CheckResult:
 # --------------------------------------------------------------------------- assembly
 
 
-def _test2_subspace(basis: MomentBasis):
-    """Indices of the transversally even sector of the order-2 system."""
-    odd_set = set(basis.odd_positions(1).tolist())
-    sector = [i.flat for i in basis.indices if i.k >= 0 and (i.l + i.k) % 2 == 0]
-    rows = np.array([i for i in sector if i in odd_set])
-    cols = np.array([i for i in sector if i not in odd_set])
-    return rows, cols
+def golden_sector(basis: MomentBasis) -> tuple[np.ndarray, np.ndarray]:
+    """The transversally even sector (even in y and z) of the x-face: its x-odd rows and x-even columns.
+
+    At order 2 it is one odd row and three even columns, the sector of every
+    printed golden value.
+    """
+    sector = np.all(basis.parity[1:] > 0, axis=0)
+    odd = basis.parity[0] < 0
+    return np.flatnonzero(sector & odd), np.flatnonzero(sector & ~odd)
 
 
 def check_golden_coupling(system=None) -> CheckResult:
@@ -109,7 +111,7 @@ def check_golden_coupling(system=None) -> CheckResult:
     basis = MomentBasis.build(2) if system is None else system.basis
     if system is None:
         system = assemble_transport(basis)
-    rows, cols = _test2_subspace(basis)
+    rows, cols = golden_sector(basis)
     a_hat = system.a_hat_block(1, rows, cols).ravel()
     want = (0.5773, -0.2581, 0.4472)
     got = tuple(truncate4(v) for v in a_hat)
@@ -198,7 +200,7 @@ def check_golden_marshak(system=None) -> CheckResult:
     basis = MomentBasis.build(2) if system is None else system.basis
     if system is None:
         system = assemble_transport(basis)
-    rows, cols = _test2_subspace(basis)
+    rows, cols = golden_sector(basis)
     mt = bnd.marshak_matrix(basis, bnd.Face(1, "high"), rows=rows, cols=cols).ravel()
     got = tuple(truncate4(v) for v in mt)
     ok = got == (0.8660, -0.2420, 0.4192)
@@ -229,7 +231,7 @@ def check_truncation_locality(n_list=range(1, 8), tol=1e-11) -> CheckResult:
                 face = bnd.Face(axis, side)
                 mt = bnd.marshak_matrix(basis, face)
                 obc = bnd.onsager_bc(basis, face, system)
-                keep = np.array([basis.indices[j].l < n for j in basis.even_positions(axis)])
+                keep = basis.degrees[basis.even_positions(axis)] < n
                 diff = (mt - obc.m_matrix)[:, keep]
                 if diff.size:
                     worst = max(worst, float(np.abs(diff).max()))

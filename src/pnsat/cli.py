@@ -21,7 +21,6 @@ from .io import diff_against_run, run_metadata, write_mc, write_run
 from .mc import simulate
 from .moments import MomentBasis, assemble_transport
 from .solver import energy_bound_check, run
-from .sphharm import classify_parity
 
 EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL, EXIT_IO = 0, 1, 2, 3
 
@@ -76,8 +75,9 @@ def cmd_assemble(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / "basis.csv", "w") as fh:
         fh.write("position,l,k,parity_x,parity_y,parity_z\n")
-        for i in basis.indices:
-            fh.write(f"{i.flat},{i.l},{i.k}," + ",".join(classify_parity(ax, i) for ax in (1, 2, 3)) + "\n")
+        names = np.where(basis.parity > 0, "even", "odd").T
+        for flat, (l, k) in enumerate(zip(basis.degrees.tolist(), basis.orders.tolist())):
+            fh.write(f"{flat},{l},{k}," + ",".join(names[flat]) + "\n")
     for axis, name in ((1, "x"), (2, "y"), (3, "z")):
         np.savetxt(outdir / f"a_{name}.csv", system.a_full[axis - 1], delimiter=",")
         np.savetxt(outdir / f"ahat_{name}.csv", system.a_hat[axis - 1], delimiter=",")

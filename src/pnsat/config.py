@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .moments import ScatteringSpectrum, load_moment_table
-from .sphharm import ShIndex
+from .sphharm import FOUR_PI, flat_position
 
 AXIS_NAMES = {"x": 1, "y": 2, "z": 3}
 AXIS_LABELS = {1: "x", 2: "y", 3: "z"}
@@ -86,10 +86,10 @@ def _moment(m, where) -> tuple[int, int, float]:
     if not (_is_integer(m["l"]) and _is_integer(m["k"])):
         raise ValidationError(f"{where}: l and k must be integers, got l={m['l']!r}, k={m['k']!r}")
     try:
-        idx = ShIndex(m["l"], m["k"])
+        flat_position(m["l"], m["k"])
     except ValidationError as exc:
         raise ValidationError(f"{where}: {exc}") from None
-    return idx.l, idx.k, _number(m, "amp", where)
+    return m["l"], m["k"], _number(m, "amp", where)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +132,7 @@ class InflowSpec:
         raise ValidationError(f"{where}.kind must be 'none', 'isotropic' or 'beam', got {kind!r}")
 
     def direction_profile(self, omega: np.ndarray, axis: int, face_sign: int) -> np.ndarray:
-        """Direction-dependent factor at direction array (n, 3)."""
+        """The direction-dependent factor at direction array (n, 3)."""
         if self.kind == "isotropic":
             return np.ones(omega.shape[0])
         if self.kind == "beam":
@@ -293,21 +293,20 @@ class InitialSpec:
 
     def moment_amplitudes(self, n_max: int) -> dict[int, float]:
         """Flat-component multipliers applied to the spatial profile."""
-        four_pi = 4.0 * math.pi
         if self.kind == "gaussian_bulk":
             if self.direction == "isotropic":
                 return {0: 1.0}
             # psi = profile * (a + b*omega_z): project onto Y_0^0 and Y_1^0
-            out = {0: self.dir_a * math.sqrt(four_pi)}
+            out = {flat_position(0, 0): self.dir_a * math.sqrt(FOUR_PI)}
             if n_max >= 1:
-                out[2] = self.dir_b * math.sqrt(four_pi / 3.0)
+                out[flat_position(1, 0)] = self.dir_b * math.sqrt(FOUR_PI / 3.0)
             return out
         if self.kind == "gaussian_envelope_moments":
             out = {}
             for l, k, amp in self.moments:
                 if l > n_max:
                     raise ValidationError(f"initial moment (l={l}, k={k}) exceeds basis degree {n_max}")
-                out[l * l + l + k] = amp
+                out[flat_position(l, k)] = amp
             return out
         return {}
 

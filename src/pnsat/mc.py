@@ -39,9 +39,9 @@ import numpy as np
 
 from .config import Scenario
 from .errors import NumericalError, ValidationError
+from .sphharm import FOUR_PI
 
-FOUR_PI = 4.0 * math.pi
-SQRT_FOUR_PI = math.sqrt(4.0 * math.pi)
+SQRT_FOUR_PI = math.sqrt(FOUR_PI)
 
 N_BATCHES = 16  # independent batches; their spread gives the per-bin standard error
 WINDOW_FRAC = 0.02  # track-length window of a snapshot, as a fraction of the time horizon

@@ -23,14 +23,21 @@ sigma_l = 2 pi * integral of sigma_s(c) P_l(c) dc, independent of the order k.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import Legendre, leggauss
 
 from .errors import ValidationError
-from .sphharm import ParityTable, ShIndex, _gauss_legendre, basis_indices, eval_basis
+from .sphharm import (
+    FOUR_PI,
+    _check_axis,
+    _gauss_legendre,
+    degrees_orders,
+    eval_basis,
+    flat_position,
+    parity_signs,
+)
 
 _AXES = (1, 2, 3)
 _SQRT2 = np.sqrt(2.0)
@@ -38,24 +45,27 @@ _SQRT2 = np.sqrt(2.0)
 
 @dataclass(frozen=True)
 class MomentBasis:
-    """Ordering and parity bookkeeping for the basis up to degree ``n_max``."""
+    """The basis up to degree ``n_max`` as flat-ordered index arrays.
+
+    ``degrees`` and ``orders`` hold l and k of each flat position
+    (:func:`pnsat.sphharm.degrees_orders`); ``parity[axis - 1]`` holds its
+    sign under reflection of that Cartesian axis, +1 even or -1 odd
+    (:func:`pnsat.sphharm.parity_signs`), shape (3, dim).
+    """
 
     n_max: int
-    indices: tuple[ShIndex, ...]
-    parity: ParityTable
+    degrees: np.ndarray
+    orders: np.ndarray
+    parity: np.ndarray
 
     @classmethod
     def build(cls, n_max: int) -> "MomentBasis":
-        return cls(n_max, tuple(basis_indices(n_max)), ParityTable.build(n_max))
+        l, k = degrees_orders(n_max)
+        return cls(n_max, l, k, parity_signs(l, k))
 
     @property
     def dim(self) -> int:
         return (self.n_max + 1) ** 2
-
-    @functools.cached_property
-    def orders(self) -> np.ndarray:
-        """The order k of each flat position."""
-        return np.array([i.k for i in self.indices])
 
     @property
     def n_odd(self) -> int:
@@ -66,13 +76,15 @@ class MomentBasis:
         return (self.n_max + 1) * (self.n_max + 2) // 2
 
     def pos(self, l: int, k: int) -> int:
-        return ShIndex(l, k).flat
+        return flat_position(l, k)
 
     def odd_positions(self, axis: int) -> np.ndarray:
-        return self.parity.odd_positions(axis)
+        _check_axis(axis)
+        return np.flatnonzero(self.parity[axis - 1] < 0)
 
     def even_positions(self, axis: int) -> np.ndarray:
-        return self.parity.even_positions(axis)
+        _check_axis(axis)
+        return np.flatnonzero(self.parity[axis - 1] > 0)
 
     def permutation(self, axis: int) -> np.ndarray:
         """Odd-first permutation: flat position of the j-th reordered component."""
@@ -92,7 +104,7 @@ class MomentBasis:
         for key in keys:
             mask = np.ones(self.dim, dtype=bool)
             for ax, p in zip(axes, key):
-                sign = self.parity.signs[ax - 1]
+                sign = self.parity[ax - 1]
                 mask &= (sign < 0) if p == "o" else (sign > 0)
             out[key] = np.nonzero(mask)[0]
         return out
@@ -141,8 +153,7 @@ def assemble_transport(basis: MomentBasis) -> PnSystem:
     exist, so x drops sin 1 -> sin 0 and y drops cos 1 -> sin 0.
     """
     n = basis.n_max
-    l = np.repeat(np.arange(n), 2 * np.arange(n) + 1)  # every (l, k) with l < n_max, flat order
-    k = np.arange(l.size) - l * l - l
+    l, k = basis.degrees[: n * n], basis.orders[: n * n]  # every (l, k) with l < n_max
     m = np.abs(k)
     trig = np.where(k < 0, -1, 1)  # -1 for sin, +1 for cos: k = trig * m
     src = np.arange(l.size)
@@ -175,20 +186,11 @@ def recursion_check(system: PnSystem, axis: int, omega) -> float:
     basis = system.basis
     y = eval_basis(basis.n_max, omega)
     om_i = np.asarray(omega, dtype=float)[..., axis - 1]
-    a = system.a_full[axis - 1]
-    signs = basis.parity.signs[axis - 1]
-    res = 0.0
-    for parity in (-1, 1):
-        rows = [i for i in basis.indices if signs[i.flat] == parity and 1 <= i.l <= basis.n_max - 1]
-        for i in rows:
-            cols = [
-                j.flat
-                for j in basis.indices
-                if signs[j.flat] == -parity and abs(j.l - i.l) == 1
-            ]
-            approx = sum(a[i.flat, c] * y[..., c] for c in cols)
-            res = max(res, float(np.abs(om_i * y[..., i.flat] - approx).max()))
-    return res
+    l, signs = basis.degrees, basis.parity[axis - 1]
+    coupled = (signs[:, None] != signs[None, :]) & (np.abs(l[:, None] - l[None, :]) == 1)
+    rows = (l >= 1) & (l <= basis.n_max - 1)
+    approx = y @ np.where(coupled, system.a_full[axis - 1], 0.0)[rows].T
+    return float(np.abs(om_i[..., None] * y[..., rows] - approx).max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +250,8 @@ class ScatteringSpectrum:
 
     def phase_density(self, cos_theta: np.ndarray) -> np.ndarray:
         """sigma_s(c) reconstructed from the moments: sum (2l+1)/(4 pi) sigma_l P_l(c)."""
-        coef = (2 * np.arange(self.moments.size) + 1) / FOUR_PI_ * self.moments
+        coef = (2 * np.arange(self.moments.size) + 1) / FOUR_PI * self.moments
         return Legendre(coef)(np.asarray(cos_theta, dtype=float))
-
-
-FOUR_PI_ = 4.0 * np.pi
 
 
 def legendre_moments(phase, n_max: int, n_quad: int = 256) -> np.ndarray:
@@ -274,10 +273,7 @@ def legendre_moments(phase, n_max: int, n_quad: int = 256) -> np.ndarray:
 def scattering_diagonal(spec: ScatteringSpectrum, basis: MomentBasis) -> np.ndarray:
     """Relaxation eigenvalues per flat component: sigma_l - sigma_t (all <= 0)."""
     spec = spec.truncated(basis.n_max)
-    q = np.empty(basis.dim)
-    for i in basis.indices:
-        q[i.flat] = spec.moments[i.l] - spec.sigma_t
-    return q
+    return spec.moments[basis.degrees] - spec.sigma_t
 
 
 # ---------------------------------------------------------------------------

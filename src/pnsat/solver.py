@@ -224,18 +224,17 @@ def sector(scenario: Scenario, basis: MomentBasis) -> tuple[np.ndarray, tuple | 
     inactive = [ax for ax in (1, 2, 3) if ax not in scenario.axes]
     if not inactive:
         return np.ones(basis.dim, dtype=bool), None
-    signs = np.stack(basis.parity.signs)
-    classes = signs[[ax - 1 for ax in inactive]].T  # per flat position: its signs on the inactive axes
+    classes = basis.parity[[ax - 1 for ax in inactive]].T  # per flat position: its signs on the inactive axes
     top = {(1,) * len(inactive): 0}  # per reached class: the highest degree the data hold
     for flat, amp in scenario.initial.moment_amplitudes(scenario.n_max).items():
         if amp != 0.0:
             c = tuple(int(s) for s in classes[flat])
-            top[c] = max(top.get(c, 0), basis.indices[flat].l)
+            top[c] = max(top.get(c, 0), int(basis.degrees[flat]))
     if len(inactive) == 1:
         return np.any([np.all(classes == c, axis=-1) for c in top], axis=0), None
     # in the basis about the axis, Cartesian axis cyclic_axes(axis)[j] carries basis axis j + 1's parity
     about = cyclic_axes(scenario.axes[0])
-    classes = signs[[about.index(ax) for ax in inactive]].T
+    classes = basis.parity[[about.index(ax) for ax in inactive]].T
     reach = np.full(basis.dim, -1)
     for c, deg in top.items():
         reach[np.all(classes == c, axis=-1)] = deg
@@ -263,11 +262,10 @@ def _mirror_obstacle(scenario: Scenario, basis: MomentBasis, d: int) -> str | No
     for key, centre in (("mu", init.mu), ("center", init.center)):
         if centre and centre[d] != 0.0:
             return f"initial {key} = {centre[d]:g} on {name}"
-    signs = basis.parity.signs[scenario.axes[d] - 1]
+    signs = basis.parity[scenario.axes[d] - 1]
     for flat, amp in init.moment_amplitudes(scenario.n_max).items():
         if amp != 0.0 and signs[flat] < 0:
-            idx = basis.indices[flat]
-            return f"initial moment (l={idx.l}, k={idx.k}) is odd in omega_{name}"
+            return f"initial moment (l={basis.degrees[flat]}, k={basis.orders[flat]}) is odd in omega_{name}"
     if init.odd_from_bc is not None:
         return "initial odd_from_bc is set"
     return None
@@ -319,7 +317,6 @@ def build_setup(scenario: Scenario) -> SolverSetup:
     mask, modes = sector(scenario, basis)
     axes = scenario.axes if modes is None else (3,)
     comps = {a: idx[mask[idx]] for a, idx in basis.family_indices(axes).items()}
-    parity = np.stack(basis.parity.signs)
     a_blocks = {}
     for a in tensor.families:
         for d, axis in enumerate(axes):
@@ -374,7 +371,7 @@ def build_setup(scenario: Scenario) -> SolverSetup:
                 if axis == 3:
                     sourced = basis.orders[rows] == 0
                 else:
-                    sourced = np.all(parity[np.ix_(off_axis, rows)] > 0, axis=0)
+                    sourced = np.all(basis.parity[np.ix_(off_axis, rows)] > 0, axis=0)
                 has_source = spec.inflow.kind != "none" and bool(sourced.any())
                 g_dir = np.zeros(rows.size)
                 if has_source:
@@ -449,7 +446,7 @@ def initial_state(setup: SolverSetup, out: dict | None = None) -> dict:
     for flat, amp in sc.initial.moment_amplitudes(sc.n_max).items():
         amps[flat] = amp
     if setup.axes != sc.axes and np.any(amps):
-        n = max(setup.basis.indices[flat].l for flat in np.flatnonzero(amps))
+        n = int(setup.basis.degrees[np.flatnonzero(amps)].max())
         held = slice((n + 1) ** 2)
         amps[held] = rotation_about(n, sc.axes[0]) @ amps[held]
     for a, idx in setup.comps.items():

@@ -15,6 +15,9 @@ The set is orthonormal with respect to the unweighted measure on the unit
 sphere.  Directions are unit 3-vectors with polar cosine ``mu = omega[2]``
 and azimuth ``phi = atan2(omega[1], omega[0])``.
 
+The basis is ordered lexicographically in (l, k); :func:`degrees_orders`
+and :func:`flat_position` are the one home of that ordering.
+
 Each basis function is either even or odd under the reflection of a single
 Cartesian component; see :func:`parity_signs` for the closed-form rules.
 The basis about another Cartesian axis is the same functions at cyclically
@@ -35,71 +38,40 @@ from .errors import ValidationError
 FOUR_PI = 4.0 * math.pi
 
 
-@dataclass(frozen=True)
-class ShIndex:
-    """Degree/order pair identifying one real spherical harmonic."""
+@functools.lru_cache(maxsize=None)
+def degrees_orders(n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Degree l and order k of every flat position up to degree ``n_max``.
 
-    l: int
-    k: int
-
-    def __post_init__(self):
-        if self.l < 0 or abs(self.k) > self.l:
-            raise ValidationError(f"invalid spherical-harmonic index (l={self.l}, k={self.k})")
-
-    @property
-    def flat(self) -> int:
-        """Position in the (l, k)-lexicographic ordering: l^2 + k + l."""
-        return self.l * self.l + self.k + self.l
-
-
-def basis_indices(n_max: int) -> list[ShIndex]:
-    """All indices with ``l <= n_max`` in flat order; length ``(n_max+1)^2``."""
+    The basis is ordered lexicographically in (l, k): Y_l^k sits at flat
+    position l^2 + l + k (:func:`flat_position`), so there are
+    ``(n_max+1)^2`` positions.  The two int arrays are cached per degree
+    and read-only.
+    """
     if n_max < 0:
         raise ValidationError(f"basis degree must be >= 0, got {n_max}")
-    return [ShIndex(l, k) for l in range(n_max + 1) for k in range(-l, l + 1)]
+    l = np.repeat(np.arange(n_max + 1), 2 * np.arange(n_max + 1) + 1)
+    k = np.arange(l.size) - l * l - l
+    l.flags.writeable = k.flags.writeable = False
+    return l, k
 
 
-@dataclass(frozen=True)
-class Direction:
-    """Unit direction on the sphere; validates the norm on construction."""
-
-    omega: tuple[float, float, float]
-
-    def __post_init__(self):
-        nrm = math.sqrt(sum(c * c for c in self.omega))
-        if abs(nrm - 1.0) > 1e-14:
-            raise ValidationError(f"direction must be unit norm, |omega| = {nrm!r}")
-
-    @classmethod
-    def from_mu_phi(cls, mu: float, phi: float) -> "Direction":
-        s = math.sqrt(max(0.0, 1.0 - mu * mu))
-        return cls((s * math.cos(phi), s * math.sin(phi), mu))
-
-    @property
-    def mu(self) -> float:
-        return self.omega[2]
-
-    @property
-    def phi(self) -> float:
-        return math.atan2(self.omega[1], self.omega[0])
+def flat_position(l: int, k: int) -> int:
+    """Flat position l^2 + l + k of Y_l^k; requires 0 <= |k| <= l."""
+    if not 0 <= abs(k) <= l:
+        raise ValidationError(f"invalid spherical-harmonic index (l={l}, k={k})")
+    return l * l + l + k
 
 
 def _as_omega(omega) -> np.ndarray:
-    if isinstance(omega, Direction):
-        return np.asarray(omega.omega, dtype=float)
     arr = np.asarray(omega, dtype=float)
     if arr.shape[-1] != 3:
         raise ValidationError("direction arrays must have trailing dimension 3")
     return arr
 
 
-def reflect(omega, axis: int):
-    """Mirror a direction across the plane normal to a Cartesian axis (1, 2 or 3)."""
+def reflect(omega, axis: int) -> np.ndarray:
+    """Mirror directions across the plane normal to a Cartesian axis (1, 2 or 3)."""
     _check_axis(axis)
-    if isinstance(omega, Direction):
-        c = list(omega.omega)
-        c[axis - 1] = -c[axis - 1]
-        return Direction(tuple(c))
     arr = np.array(_as_omega(omega))
     arr[..., axis - 1] = -arr[..., axis - 1]
     return arr
@@ -121,43 +93,6 @@ def parity_signs(l, k) -> np.ndarray:
     y = np.where(k >= 0, 1, -1)  # the sine harmonics (k < 0) are the y-odd ones
     alt = 1 - 2 * (np.abs(k) % 2)  # (-1)^k
     return np.stack([y * alt, y, alt * (1 - 2 * (l % 2))])
-
-
-def parity_sign(axis: int, idx: ShIndex) -> int:
-    """+1 for even, -1 for odd."""
-    _check_axis(axis)
-    return int(parity_signs(idx.l, idx.k)[axis - 1])
-
-
-def classify_parity(axis: int, idx: ShIndex) -> str:
-    """Parity ('even' or 'odd') of Y_l^k under reflection of one Cartesian axis (:func:`parity_signs`)."""
-    return "even" if parity_sign(axis, idx) > 0 else "odd"
-
-
-@dataclass(frozen=True)
-class ParityTable:
-    """Per-axis parity flags for a full basis up to degree ``n_max``.
-
-    ``signs[axis-1]`` is an int array over the flat ordering with +1 (even)
-    or -1 (odd) entries.
-    """
-
-    n_max: int
-    signs: tuple[np.ndarray, np.ndarray, np.ndarray]
-
-    @classmethod
-    def build(cls, n_max: int) -> "ParityTable":
-        l = np.repeat(np.arange(n_max + 1), 2 * np.arange(n_max + 1) + 1)
-        k = np.arange(l.size) - l * l - l
-        return cls(n_max, tuple(parity_signs(l, k)))
-
-    def odd_positions(self, axis: int) -> np.ndarray:
-        _check_axis(axis)
-        return np.nonzero(self.signs[axis - 1] < 0)[0]
-
-    def even_positions(self, axis: int) -> np.ndarray:
-        _check_axis(axis)
-        return np.nonzero(self.signs[axis - 1] > 0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +134,7 @@ def eval_basis(n_max: int, omega, positions=None) -> np.ndarray:
     n_max : int
         Maximum degree.
     omega : array_like
-        Direction(s); shape (..., 3).
+        Unit direction(s); shape (..., 3).
     positions : array_like of int, optional
         Flat (l, k) positions to evaluate, in any order and with repeats;
         all ``(n_max+1)^2`` of them by default.
@@ -224,10 +159,7 @@ def eval_basis(n_max: int, omega, positions=None) -> np.ndarray:
     positions = np.asarray(positions, dtype=int).ravel()
     if positions.size and (positions.min() < 0 or positions.max() >= (n_max + 1) ** 2):
         raise ValidationError(f"basis positions must lie in [0, {(n_max + 1) ** 2})")
-    l = np.sqrt(positions).astype(int)
-    l += (l + 1) * (l + 1) <= positions  # exact floor(sqrt) for any int position
-    l -= l * l > positions
-    k = positions - l * l - l
+    l, k = (table[positions] for table in degrees_orders(n_max))
     orders, slot = np.unique(np.abs(k), return_inverse=True)  # ascending: the recurrence grows a prefix
     l_top = int(l.max()) if l.size else 0
     seed, a, b = _recurrence(l_top, orders)
@@ -278,15 +210,9 @@ def rotation_about(n_max: int, axis: int) -> np.ndarray:
     quad = build_quadrature(n_max)
     about = eval_basis(n_max, quad.nodes[:, [ax - 1 for ax in cyclic_axes(axis)]])
     rot = about.T @ (quad.weights[:, None] * eval_basis(n_max, quad.nodes))
-    l = np.array([i.l for i in basis_indices(n_max)])
+    l = degrees_orders(n_max)[0]
     rot[l[:, None] != l[None, :]] = 0.0
     return rot
-
-
-def eval_sh(idx: ShIndex, omega) -> float:
-    """Single basis function at a single direction."""
-    vals = eval_basis(idx.l, omega)
-    return float(vals[..., idx.flat])
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from pnsat.checks import golden_sector  # the test modules import it from here
 from pnsat.config import load_scenario, scenario_from_dict
 from pnsat.moments import MomentBasis, assemble_transport
 from pnsat.solver import build_setup
@@ -88,15 +89,6 @@ def lift(setup, state, full) -> dict:
         vals[..., idx] = state[a]
         out[a] = (vals @ back)[..., full.comps[a]]
     return out
-
-
-def sector_test2(basis):
-    """Transversally even sector of the order-2 system: one odd row, three even columns."""
-    odd_set = set(basis.odd_positions(1).tolist())
-    sector = [i.flat for i in basis.indices if i.k >= 0 and (i.l + i.k) % 2 == 0]
-    rows = np.array([i for i in sector if i in odd_set])
-    cols = np.array([i for i in sector if i not in odd_set])
-    return rows, cols
 
 
 class AssembledOperator:

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import bundled_doc, load_bundled, sector_test2
+from conftest import bundled_doc, golden_sector, load_bundled
 from pnsat.boundary import Face, marshak_matrix, onsager_L, onsager_bc, eigenstructure
 from pnsat.checks import truncate4
 from pnsat.config import scenario_from_dict
@@ -87,7 +87,7 @@ def g_nonzero_results():
 def _criterion_1():
     basis = MomentBasis.build(2)
     system = assemble_transport(basis)
-    rows, cols = sector_test2(basis)
+    rows, cols = golden_sector(basis)
     a_hat = system.a_hat_block(1, rows, cols).ravel()
     mt = marshak_matrix(basis, Face(1, "high"), rows=rows, cols=cols).ravel()
     assert tuple(truncate4(v) for v in a_hat) == (0.5773, -0.2581, 0.4472)
@@ -106,7 +106,7 @@ def test_criterion_01_golden_matrices():
 @_timed("properties", "c2")
 def test_criterion_02_marshak_dot_product():
     basis = MomentBasis.build(2)
-    rows, cols = sector_test2(basis)
+    rows, cols = golden_sector(basis)
     mt = marshak_matrix(basis, Face(1, "high"), rows=rows, cols=cols).ravel()
     dot = float(mt @ np.array([1.0, 2.5, -1.0]))
     assert truncate4(dot) == -0.1583
@@ -134,7 +134,7 @@ def test_criterion_04_truncation_locality():
                 face = Face(axis, side)
                 mt = marshak_matrix(basis, face)
                 bc = onsager_bc(basis, face, system)
-                low_deg = np.array([basis.indices[j].l < n for j in basis.even_positions(axis)])
+                low_deg = basis.degrees[basis.even_positions(axis)] < n
                 diff = (mt - bc.m_matrix)[:, low_deg]
                 if diff.size:
                     worst = max(worst, float(np.abs(diff).max()))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import sector_test2
+from conftest import golden_sector
 from pnsat.boundary import (
     Face,
     boundary_source,
@@ -22,7 +22,7 @@ from pnsat.sphharm import build_quadrature, eval_basis
 
 class TestMarshak:
     def test_golden_row(self, basis2):
-        rows, cols = sector_test2(basis2)
+        rows, cols = golden_sector(basis2)
         mt = marshak_matrix(basis2, Face(1, "high"), rows=rows, cols=cols).ravel()
         np.testing.assert_allclose(
             mt,
@@ -53,7 +53,8 @@ class TestOnsagerL:
         assert l_mat[0, 0] == pytest.approx(1.5, abs=1e-12)
 
     def test_sector_test2_scalar(self, basis2):
-        rows, _ = sector_test2(basis2)
+        rows, cols = golden_sector(basis2)
+        assert (rows.tolist(), cols.tolist()) == ([3], [0, 6, 8])  # (1, 1); (0, 0), (2, 0), (2, 2)
         l_mat = onsager_L(basis2, Face(1, "low"), rows=rows)
         assert l_mat[0, 0] == pytest.approx(1.5, abs=1e-12)
 
@@ -75,7 +76,7 @@ class TestOnsagerL:
 
 class TestOnsagerBc:
     def test_m_is_l_times_coupling(self, basis2, system2):
-        rows, cols = sector_test2(basis2)
+        rows, cols = golden_sector(basis2)
         bc = onsager_bc(basis2, Face(1, "high"), system2, rows=rows, cols=cols)
         np.testing.assert_allclose(
             bc.m_matrix.ravel(), [0.8660254037844386, -0.3872983346207417, 0.6708203932499369],
@@ -84,7 +85,7 @@ class TestOnsagerBc:
 
     def test_mean_column_matches_marshak(self, basis2, system2):
         # truncation only touches the highest-degree even columns
-        rows, cols = sector_test2(basis2)
+        rows, cols = golden_sector(basis2)
         mt = marshak_matrix(basis2, Face(1, "high"), rows=rows, cols=cols)
         bc = onsager_bc(basis2, Face(1, "high"), system2, rows=rows, cols=cols)
         assert bc.m_matrix[0, 0] == pytest.approx(mt[0, 0], abs=1e-13)
@@ -99,7 +100,7 @@ class TestOnsagerBc:
                 face = Face(axis, side)
                 mt = marshak_matrix(basis, face)
                 bc = onsager_bc(basis, face, system)
-                low_degree = np.array([basis.indices[j].l < n for j in basis.even_positions(axis)])
+                low_degree = basis.degrees[basis.even_positions(axis)] < n
                 assert np.abs((mt - bc.m_matrix)[:, low_degree]).max() < 1e-11
 
     @pytest.mark.parametrize("axis", [1, 2, 3])
@@ -109,7 +110,7 @@ class TestOnsagerBc:
         basis = MomentBasis.build(13)
         bc = onsager_bc(basis, Face(axis, "high"), assemble_transport(basis))
         mt = marshak_matrix(basis, Face(axis, "low"))
-        signs = np.stack(basis.parity.signs)[[ax - 1 for ax in (1, 2, 3) if ax != axis]]
+        signs = basis.parity[[ax - 1 for ax in (1, 2, 3) if ax != axis]]
         odd, even = basis.odd_positions(axis), basis.even_positions(axis)
         cross_l = np.any(signs[:, odd, None] != signs[:, None, odd], axis=0)
         cross_m = np.any(signs[:, odd, None] != signs[:, None, even], axis=0)
@@ -165,7 +166,7 @@ class TestEigenstructure:
         np.testing.assert_allclose(np.abs(eig.x_kernel.ravel()), [0.0, 1.0], atol=1e-15)
 
     def test_test2_singular_value(self, basis2, system2):
-        rows, cols = sector_test2(basis2)
+        rows, cols = golden_sector(basis2)
         eig = eigenstructure(system2.a_hat_block(1, rows, cols))
         assert eig.lambda_p[0] == pytest.approx(math.sqrt(3.0 / 5.0), abs=1e-13)
 
@@ -195,7 +196,7 @@ class TestEigenstructure:
 
 class TestCharacteristicForm:
     def test_scalar_relation_test2(self, basis2, system2):
-        rows, cols = sector_test2(basis2)
+        rows, cols = golden_sector(basis2)
         bc = onsager_bc(basis2, Face(1, "high"), system2, rows=rows, cols=cols)
         cf = characteristic_form(bc)
         l_lp = 1.5 * math.sqrt(3.0 / 5.0)

@@ -62,7 +62,30 @@ BAD_VALUES = [
         "kind": "beam", "amplitude": 1.0, "sigma_x": 25.0, "sigma_omega": 0.1, "sigma_eps": 0.14}}),
     ("tc_inflow_1d", ("boundaries", "x_low"), {"type": "onsager", "alpha": 1.0, "psi_in": {
         "kind": "beam", "amplitude": 1.0, "sigma_omega": 0.3, "eps_center": 1.0, "sigma_eps": 0.1}}),
+    # beside |k| > l above: the lower bound of the degree
+    ("tc2_stable", ("initial", "moments"), [{"l": -1, "k": 0, "amp": 1.0}]),
 ]
+
+# `pnsat assemble 3`'s basis table: flat position, degree, order and the parity on each axis
+BASIS_CSV_N3 = """\
+position,l,k,parity_x,parity_y,parity_z
+0,0,0,even,even,even
+1,1,-1,even,odd,even
+2,1,0,even,even,odd
+3,1,1,odd,even,even
+4,2,-2,odd,odd,even
+5,2,-1,even,odd,odd
+6,2,0,even,even,even
+7,2,1,odd,even,odd
+8,2,2,even,even,even
+9,3,-3,even,odd,even
+10,3,-2,odd,odd,odd
+11,3,-1,even,odd,even
+12,3,0,even,even,odd
+13,3,1,odd,even,even
+14,3,2,even,even,odd
+15,3,3,odd,even,even
+"""
 
 # every part of a document that must be a JSON object, as a key path into tc_inflow_1d
 OBJECT_SECTIONS = [
@@ -181,7 +204,10 @@ class TestConfigValidation:
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(doc))
         assert main(["run", str(cfg), "-o", str(tmp_path / "out")]) == 1
-        assert "validation error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "validation error" in err
+        if where == ("initial", "moments") and isinstance(bad, list):
+            assert "initial.moments[0]" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("path", OBJECT_SECTIONS, ids=lambda p: ".".join(p) or "config")
@@ -466,9 +492,13 @@ class TestCli:
         assert np.abs(a_x - a_x.T).max() < 1e-12
         ahat = np.loadtxt(out / "ahat_x.csv", delimiter=",")
         assert ahat.shape == (6, 10)
-        basis_lines = (out / "basis.csv").read_text().splitlines()
-        assert basis_lines[0] == "position,l,k,parity_x,parity_y,parity_z"
-        assert len(basis_lines) == 17
+        assert (out / "basis.csv").read_text() == BASIS_CSV_N3
+
+    def test_assemble_negative_degree_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "mats"
+        assert main(["assemble", "-1", "-o", str(out)]) == 1
+        assert "basis degree must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_validation_error_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import sector_test2
+from conftest import golden_sector
 from pnsat.errors import ValidationError
 from pnsat.moments import (
     MomentBasis,
@@ -54,7 +54,7 @@ class TestTransportAssembly:
             assert np.abs(a - a.T).max() < 1e-12
 
     def test_golden_coupling_row(self, basis2, system2):
-        rows, cols = sector_test2(basis2)
+        rows, cols = golden_sector(basis2)
         a_hat = system2.a_hat_block(1, rows, cols).ravel()
         np.testing.assert_allclose(
             a_hat,
@@ -98,7 +98,7 @@ class TestTransportAssembly:
         # omega_i Y_l couples only degrees l +- 1 and opposite axis-i parity: every other entry is 0.0
         basis = MomentBasis.build(13)
         system = assemble_transport(basis)
-        degrees = np.array([i.l for i in basis.indices])
+        degrees = basis.degrees
         far = np.abs(np.subtract.outer(degrees, degrees)) != 1
         for axis in (1, 2, 3):
             a = system.a_full[axis - 1]

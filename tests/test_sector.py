@@ -167,7 +167,7 @@ def test_union_of_initial_classes():
     orders = setup.basis.orders[np.concatenate(list(setup.comps.values()))]
     assert sorted(np.bincount(orders)) == [3, 4, 5]
     # about x, z is the basis's axis 2: every component is z-even
-    assert all(np.all(setup.basis.parity.signs[1][idx] > 0) for idx in setup.comps.values())
+    assert all(np.all(setup.basis.parity[1][idx] > 0) for idx in setup.comps.values())
 
 
 def test_affine_direction_reaches_sine_mode():
@@ -224,7 +224,7 @@ def test_frames_orthonormal_and_zero_outside_degree_and_class(name):
     assert setup.axes == (3,)
     rot = rotation_about(basis.n_max, sc.axes[0])
     np.testing.assert_allclose(rot @ rot.T, np.eye(basis.dim), rtol=0.0, atol=1e-14)
-    degrees = np.array([i.l for i in basis.indices])
+    degrees = basis.degrees
     assert np.all(rot[degrees[:, None] != degrees[None, :]] == 0.0)
     orders = [m if trig == "cos" else -m for m, trig in setup.modes]
     for (parity,), idx in basis.family_indices((3,)).items():

@@ -218,7 +218,7 @@ class TestStepping:
         # keep clear of the boundary SAT influence (a few stencil widths per stage)
         interior = slice(14, -14)
         for pos, flat in enumerate(setup.comps[e_fam]):
-            l = setup.basis.indices[flat].l
+            l = setup.basis.degrees[flat]
             want = 1.0 if l == 0 else math.exp(-2.0 * dt)
             got = new[e_fam][interior, pos]
             np.testing.assert_allclose(got, want, atol=1e-12)
@@ -374,7 +374,7 @@ class TestSetup:
                         off = [ax - 1 for ax in (1, 2, 3) if ax != f.axis]
                         # the inflow reaches the components even off the face axis, and about
                         # the polar axis only those of order k = 0
-                        sourced = np.all([basis.parity.signs[ax][fo] > 0 for ax in off], axis=0)
+                        sourced = np.all(basis.parity[np.ix_(off, fo)] > 0, axis=0)
                         if f.axis == 3:
                             sourced &= basis.orders[fo] == 0
                         g_dir[sourced] = bnd.boundary_source(
@@ -442,7 +442,7 @@ class TestSetup:
     def test_transport_blocks_exact_outside_neighbouring_degrees(self, name):
         # every component is a basis function, and A^(i) couples only l and l +- 1
         setup = build_setup(load_bundled(name))
-        degrees = np.array([i.l for i in setup.basis.indices])
+        degrees = setup.basis.degrees
         stored = 0
         for (a, d), block in setup.a_blocks.items():
             fa, fc = setup.comps[a], setup.comps[setup.tensor.complement(a, d)]

@@ -7,17 +7,13 @@ from hypothesis import strategies as st
 
 from pnsat import sphharm
 from pnsat.errors import ValidationError
+from pnsat.moments import MomentBasis
 from pnsat.sphharm import (
-    Direction,
-    ParityTable,
-    ShIndex,
-    basis_indices,
     build_quadrature,
-    classify_parity,
     cyclic_axes,
+    degrees_orders,
     eval_basis,
-    eval_sh,
-    parity_sign,
+    flat_position,
     parity_signs,
     reflect,
     rotation_about,
@@ -34,42 +30,43 @@ def random_directions(n, seed=0):
 
 class TestIndexing:
     def test_flat_position(self):
-        assert ShIndex(0, 0).flat == 0
-        assert ShIndex(1, -1).flat == 1
-        assert ShIndex(1, 0).flat == 2
-        assert ShIndex(2, 2).flat == 8
+        assert flat_position(0, 0) == 0
+        assert flat_position(1, -1) == 1
+        assert flat_position(1, 0) == 2
+        assert flat_position(2, 2) == 8
 
     def test_basis_order_matches_flat(self):
-        for pos, idx in enumerate(basis_indices(6)):
-            assert idx.flat == pos
+        l, k = degrees_orders(6)
+        assert l.size == k.size == 49
+        assert [flat_position(int(a), int(b)) for a, b in zip(l, k)] == list(range(49))
+        assert degrees_orders(6)[0] is l  # cached
+        assert not l.flags.writeable and not k.flags.writeable
 
     def test_invalid_index_rejected(self):
-        with pytest.raises(ValidationError):
-            ShIndex(1, 2)
-        with pytest.raises(ValidationError):
-            ShIndex(-1, 0)
+        with pytest.raises(ValidationError, match="invalid spherical-harmonic index"):
+            flat_position(1, 2)
+        with pytest.raises(ValidationError, match="invalid spherical-harmonic index"):
+            flat_position(-1, 0)
+        with pytest.raises(ValidationError, match="basis degree must be >= 0"):
+            degrees_orders(-1)
 
-    def test_direction_validates_norm(self):
-        with pytest.raises(ValidationError):
-            Direction((1.0, 1.0, 0.0))
-        d = Direction.from_mu_phi(0.3, 1.2)
-        assert d.mu == pytest.approx(0.3)
-        assert d.phi == pytest.approx(1.2)
+
+POLE, X_AXIS = np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])
 
 
 class TestEvaluation:
     def test_constant_mode(self):
         # 1/sqrt(4 pi) for any direction
-        for omega in random_directions(5):
-            assert eval_sh(ShIndex(0, 0), omega) == pytest.approx(0.28209479177387814, abs=1e-15)
+        y = eval_basis(0, random_directions(5))
+        np.testing.assert_allclose(y[:, flat_position(0, 0)], 0.28209479177387814, rtol=0.0, atol=1e-15)
 
     def test_degree_one_pole(self):
-        val = eval_sh(ShIndex(1, 0), Direction((0.0, 0.0, 1.0)))
+        val = eval_basis(1, POLE)[flat_position(1, 0)]
         assert val == pytest.approx(math.sqrt(3.0 / FOUR_PI), abs=1e-15)
 
     def test_degree_two_equator_zero(self):
         # associated Legendre factor vanishes at mu = 0 for (l, k) = (2, -1)
-        assert eval_sh(ShIndex(2, -1), Direction((1.0, 0.0, 0.0))) == 0.0
+        assert eval_basis(2, X_AXIS)[flat_position(2, -1)] == 0.0
 
     def test_degree_one_is_cartesian(self):
         dirs = random_directions(50, seed=3)
@@ -80,30 +77,43 @@ class TestEvaluation:
         np.testing.assert_allclose(y[:, 3], c * dirs[:, 0], atol=1e-14)  # (1, 1) ~ omega_x
 
 
+def mu_phi_directions(n, seed=0):
+    """Directions at uniform (mu, phi), with the poles and the azimuth seam among them."""
+    rng = np.random.default_rng(seed)
+    mu = np.concatenate(([-1.0, 1.0, 0.0, 0.5], rng.uniform(-1.0, 1.0, n)))
+    phi = np.concatenate(([0.0, 2.0 * math.pi, 0.0, 2.0 * math.pi], rng.uniform(0.0, 2.0 * math.pi, n)))
+    s = np.sqrt(1.0 - mu * mu)
+    return np.stack([s * np.cos(phi), s * np.sin(phi), mu], axis=-1)
+
+
 class TestParity:
     def test_table_rows(self):
-        assert classify_parity(3, ShIndex(1, 0)) == "odd"      # l+k odd
-        assert classify_parity(2, ShIndex(1, -1)) == "odd"     # k < 0
-        assert classify_parity(1, ShIndex(1, 1)) == "odd"      # k >= 0, k odd
-        assert classify_parity(1, ShIndex(1, -1)) == "even"    # k < 0, k odd
-        assert classify_parity(3, ShIndex(2, 0)) == "even"
+        def parity(axis, l, k):
+            return "even" if parity_signs(l, k)[axis - 1] > 0 else "odd"
+
+        assert parity(3, 1, 0) == "odd"      # l+k odd
+        assert parity(2, 1, -1) == "odd"     # k < 0
+        assert parity(1, 1, 1) == "odd"      # k >= 0, k odd
+        assert parity(1, 1, -1) == "even"    # k < 0, k odd
+        assert parity(3, 2, 0) == "even"
 
     def test_counting(self):
         for n in range(14):
-            table = ParityTable.build(n)
+            basis = MomentBasis.build(n)
             for axis in (1, 2, 3):
-                assert table.odd_positions(axis).size == n * (n + 1) // 2
-                assert table.even_positions(axis).size == (n + 1) * (n + 2) // 2
+                assert basis.odd_positions(axis).size == n * (n + 1) // 2
+                assert basis.even_positions(axis).size == (n + 1) * (n + 2) // 2
 
     def test_reflection_property_bulk(self):
-        # sign flip under reflection, exactly to roundoff, 1000 directions
-        dirs = random_directions(1000, seed=7)
+        # sign flip under reflection, exactly to roundoff: 1000 isotropic directions, and
+        # 500 at uniform (mu, phi) with the poles and the azimuth seam
+        dirs = np.concatenate([random_directions(1000, seed=7), mu_phi_directions(500, seed=8)])
         n_max = 9
         y = eval_basis(n_max, dirs)
+        signs = parity_signs(*degrees_orders(n_max))
         for axis in (1, 2, 3):
             y_ref = eval_basis(n_max, reflect(dirs, axis))
-            signs = np.array([parity_sign(axis, i) for i in basis_indices(n_max)])
-            np.testing.assert_allclose(y_ref, signs[None, :] * y, atol=1e-13)
+            np.testing.assert_allclose(y_ref, signs[axis - 1][None, :] * y, atol=1e-13)
 
     @given(
         mu=st.floats(-1.0, 1.0),
@@ -113,12 +123,13 @@ class TestParity:
     )
     @settings(max_examples=60, deadline=None)
     def test_reflection_property_hypothesis(self, mu, phi, axis, l):
-        d = Direction.from_mu_phi(mu, phi)
-        for k in range(-l, l + 1):
-            idx = ShIndex(l, k)
-            lhs = eval_sh(idx, reflect(d, axis))
-            rhs = parity_sign(axis, idx) * eval_sh(idx, d)
-            assert lhs == pytest.approx(rhs, abs=1e-12)
+        s = math.sqrt(1.0 - mu * mu)
+        d = np.array([s * math.cos(phi), s * math.sin(phi), mu])
+        block = slice(flat_position(l, -l), flat_position(l, l) + 1)
+        lhs = eval_basis(l, reflect(d, axis))[block]
+        signs = parity_signs(*degrees_orders(l))[axis - 1][block]
+        rhs = signs * eval_basis(l, d)[block]
+        np.testing.assert_allclose(lhs, rhs, rtol=0.0, atol=1e-12)
 
 
 def eval_about(n_max, axis, omega):
@@ -142,7 +153,7 @@ class TestAxisModes:
         gram = vals.T @ (quad.weights[:, None] * vals)
         np.testing.assert_allclose(gram, np.eye(vals.shape[1]), rtol=0.0, atol=1e-13)
         rot = rotation_about(n, axis)
-        degrees = np.array([i.l for i in basis_indices(n)])
+        degrees = degrees_orders(n)[0]
         assert np.all(rot[degrees[:, None] != degrees[None, :]] == 0.0)
         np.testing.assert_allclose(rot @ rot.T, np.eye(rot.shape[0]), rtol=0.0, atol=1e-13)
         dirs = random_directions(40, seed=axis)
@@ -155,19 +166,19 @@ class TestAxisModes:
         # parity of the basis's own axis j + 1
         dirs = random_directions(30, seed=axis)
         vals = eval_about(4, axis, dirs)
-        l = np.array([i.l for i in basis_indices(4)])
-        k = np.array([i.k for i in basis_indices(4)])
+        signs = parity_signs(*degrees_orders(4))
         for j, refl in enumerate(cyclic_axes(axis)):
             mirrored = eval_about(4, axis, reflect(dirs, refl))
-            np.testing.assert_allclose(mirrored, parity_signs(l, k)[j] * vals, rtol=0.0, atol=1e-13)
+            np.testing.assert_allclose(mirrored, signs[j] * vals, rtol=0.0, atol=1e-13)
 
 
 class TestReflect:
     def test_flip_and_fixed_point(self):
-        assert reflect(Direction((0.0, 0.0, 1.0)), 3).omega == (0.0, 0.0, -1.0)
-        assert reflect(Direction((1.0, 0.0, 0.0)), 2).omega == (1.0, 0.0, 0.0)
-        out = reflect(Direction((0.6, 0.0, 0.8)), 1)
-        assert out.omega == (-0.6, 0.0, 0.8)
+        assert reflect(POLE, 3).tolist() == [0.0, 0.0, -1.0]
+        assert reflect(X_AXIS, 2).tolist() == [1.0, 0.0, 0.0]
+        omega = np.array([0.6, 0.0, 0.8])
+        assert reflect(omega, 1).tolist() == [-0.6, 0.0, 0.8]
+        assert omega.tolist() == [0.6, 0.0, 0.8]  # the input is not changed
 
     def test_involution(self):
         dirs = random_directions(20, seed=1)
@@ -308,7 +319,7 @@ class TestRestrictedEvaluation:
     def test_restricted_layout_is_that_of_the_slice(self):
         # products read a restricted table as they read the slice of the full one
         nodes = build_quadrature(7, restriction=(1, 1)).nodes
-        rows = ParityTable.build(7).odd_positions(1)
+        rows = MomentBasis.build(7).odd_positions(1)
         got, want = eval_basis(7, nodes, rows), eval_basis(7, nodes)[:, rows]
         assert got.strides == want.strides
         w = nodes[:, 0]
