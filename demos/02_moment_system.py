@@ -12,7 +12,14 @@ package rests on.
 
 import numpy as np
 
-from pnsat import MomentBasis, ScatteringSpectrum, assemble_transport, recursion_check, scattering_diagonal
+from pnsat import (
+    MomentBasis,
+    ScatteringSpectrum,
+    assemble_transport,
+    flat_position,
+    recursion_check,
+    scattering_diagonal,
+)
 
 basis = MomentBasis.build(5)
 system = assemble_transport(basis)
@@ -31,7 +38,7 @@ print("coupling block shape:", system.a_hat[axis - 1].shape)
 ev = np.linalg.eigvalsh(a)
 print("eigenvalues come in +/- pairs:", np.abs(ev + ev[::-1]).max())
 print("standing modes:", int(np.sum(np.abs(ev) < 1e-10)), "=", basis.n_max + 1)
-print("fastest wave speed:", system.max_speed(axis))
+print("fastest wave speed:", system.max_speed())
 
 # The assembled entries satisfy the degree-coupling recursion pointwise.
 rng = np.random.default_rng(0)
@@ -44,4 +51,4 @@ print("recursion-identity residual:", max(recursion_check(system, ax, dirs) for 
 iso = scattering_diagonal(ScatteringSpectrum.isotropic(2.0, basis.n_max), basis)
 print("\nisotropic kernel: mean mode conserved (entry", iso[0], "), others relax at", iso[1])
 hg = scattering_diagonal(ScatteringSpectrum.henyey_greenstein(1.0, 0.5, basis.n_max), basis)
-print("Henyey-Greenstein g=0.5: degree-2 entry", hg[basis.pos(2, 0)], "= 0.25 - 1")
+print("Henyey-Greenstein g=0.5: degree-2 entry", hg[flat_position(2, 0)], "= 0.25 - 1")

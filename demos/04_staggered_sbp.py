@@ -57,5 +57,5 @@ print("\nintegration by parts residual:",
 l_scalar = np.array([[1.5]])
 a_row = np.array([[0.5774, -0.2582, 0.4472]])
 for alpha in (0.0, 0.5, 1.0):
-    pen = sat_penalties(l_scalar, a_row, alpha, "high")
-    print(f"alpha = {alpha}: tau^o = {pen.tau_odd.ravel()}, |tau^e| = {np.abs(pen.tau_even).max():.3f}")
+    tau_odd, tau_even = sat_penalties(l_scalar, a_row, alpha)
+    print(f"alpha = {alpha}: tau^o = {tau_odd.ravel()}, |tau^e| = {np.abs(tau_even).max():.3f}")

@@ -26,7 +26,6 @@ from .moments import (
     scattering_diagonal,
 )
 from .sbp import (
-    SatPenalty,
     SbpPair,
     StaggeredGrid1d,
     TensorGrid,

@@ -18,7 +18,6 @@ condition determines exactly the incoming characteristic waves.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,17 +56,23 @@ def _rows_cols(basis: MomentBasis, face: Face, rows, cols):
     return np.asarray(rows, dtype=int), np.asarray(cols, dtype=int)
 
 
-def _coupled(basis: MomentBasis, face: Face, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Where a face matrix over (rows, cols) can be non-zero: the same parity on both axes off the normal.
+def symmetry_key(basis: MomentBasis, axis: int) -> np.ndarray:
+    """Per flat position, a code of its class under the symmetries of the half-sphere omega_axis > 0.
 
-    Reflecting either axis maps the half-sphere omega_axis > 0 onto itself;
-    about the polar axis 3 so does every rotation, so there k must agree too.
+    Reflecting either other axis maps the half-sphere onto itself, so the key
+    is one code per parity class on those axes; about the polar axis 3 so does
+    every rotation, so there it is the order k.  Face integrals vanish between
+    classes, and a function of omega_axis alone lies in the class of u00.
     """
-    if face.axis == 3:
-        key = basis.orders  # the parities on axes 1 and 2 are functions of k
-    else:
-        p, q = (basis.parity[ax - 1] for ax in (1, 2, 3) if ax != face.axis)
-        key = p + 3 * q  # one code per parity class
+    if axis == 3:
+        return basis.orders
+    p, q = (basis.parity[ax - 1] for ax in (1, 2, 3) if ax != axis)
+    return p + 3 * q
+
+
+def _coupled(basis: MomentBasis, face: Face, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Where a face matrix over (rows, cols) can be non-zero: the same :func:`symmetry_key`."""
+    key = symmetry_key(basis, face.axis)
     return key[rows, None] == key[None, cols]
 
 
@@ -123,11 +128,6 @@ class OnsagerBoundary:
     l_matrix: np.ndarray
     a_hat: np.ndarray
     m_matrix: np.ndarray
-
-    @functools.cached_property
-    def l_min(self) -> float:
-        """Smallest eigenvalue of L, so ||L^{-1}||_2 = 1 / l_min."""
-        return float(np.linalg.eigvalsh(self.l_matrix)[0])
 
 
 def onsager_bc(basis: MomentBasis, face: Face, system: PnSystem, rows=None, cols=None) -> OnsagerBoundary:

@@ -450,6 +450,9 @@ def scenario_from_dict(doc: dict, base: Path | None = None) -> Scenario:
         {"model", "domain", "boundaries", "initial", "integration", "outputs"},
         "config",
     )
+    scenario_name = doc.get("name", "scenario")  # it names the default output directory
+    if not isinstance(scenario_name, str) or not scenario_name or "/" in scenario_name or "\\" in scenario_name:
+        raise ValidationError(f"name must be a non-empty string without a path separator, got {scenario_name!r}")
     model = doc["model"]
     _require_keys(model, {"N", "scattering", "stopping"}, {"N", "scattering", "stopping"}, "model")
     n_max = model["N"]
@@ -549,7 +552,7 @@ def scenario_from_dict(doc: dict, base: Path | None = None) -> Scenario:
 
     scattering = _scattering_from_dict(model["scattering"], n_max, base)
     return Scenario(
-        name=doc.get("name", "scenario"),
+        name=scenario_name,
         n_max=n_max,
         scattering=scattering,
         scattering_dict=model["scattering"],

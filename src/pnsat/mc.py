@@ -138,12 +138,23 @@ class McResult:
 # sampling helpers
 
 
-def _accepted(n: int, propose) -> np.ndarray:
-    """n draws by rejection; ``propose(m)`` returns the accepted ones of m proposals (2 * missing + 16)."""
+def _accepted(n: int, propose, what: str) -> np.ndarray:
+    """n draws by rejection; ``propose(m)`` returns the accepted ones of m proposals (2 * missing + 16).
+
+    Past 1000 n + 10^4 proposals (acceptance below about 1e-3; the bundled
+    sources accept 0.5 or more) raises NumericalError naming the sampler ``what``.
+    """
     out = np.empty(n)
-    filled = 0
+    filled = proposed = 0
     while filled < n:
-        take = propose(2 * (n - filled) + 16)[: n - filled]
+        if proposed > 1000 * n + 10_000:
+            raise NumericalError(
+                f"Monte Carlo {what} sampler accepted {filled} of {proposed} proposals "
+                "(acceptance below 1e-3); the source is not sampleable by rejection"
+            )
+        m = 2 * (n - filled) + 16
+        take = propose(m)[: n - filled]
+        proposed += m
         out[filled : filled + take.size] = take
         filled += take.size
     return out
@@ -171,7 +182,7 @@ def _sample_deflection(kind_dict: dict, spectrum, n: int, rng) -> np.ndarray:
         def propose(m):
             cand = rng.uniform(-1.0, 1.0, m)
             return cand[rng.random(m) * env < np.maximum(spectrum.phase_density(cand), 0.0)]
-        return _accepted(n, propose)
+        return _accepted(n, propose, "scattering deflection")
     raise NumericalError(f"scattering kind {kind!r} is not sampleable")
 
 
@@ -270,7 +281,7 @@ def _sample_initial(sc: Scenario, n: int, rng):
         def propose(m):
             cand = rng.uniform(-1.0, 1.0, m)
             return cand[rng.random(m) * (a + abs(b)) < a + b * cand]
-        mu = _accepted(n, propose)
+        mu = _accepted(n, propose, "initial direction")
         total_mass = FOUR_PI * a * mass_profile
     phi = rng.uniform(0.0, 2.0 * math.pi, n)
     s_t = np.sqrt(np.maximum(0.0, 1.0 - mu * mu))
@@ -296,7 +307,7 @@ def _sample_beam_source(sc: Scenario, n: int, rng):
         def propose_tau(m):
             tau = (sc.eps_max - rng.normal(inflow.eps_center, inflow.sigma_eps, m)) / sc.s_rho
             return tau[(tau >= 0.0) & (tau <= sc.t_end)]
-        taus = _accepted(n, propose_tau)
+        taus = _accepted(n, propose_tau, "beam birth time")
         # time integral of exp(-((eps(tau)-c)/(sqrt2 s))^2) over [0, t_end]
         rt2s = math.sqrt(2.0) * inflow.sigma_eps
         z0 = (sc.eps_max - inflow.eps_center) / rt2s
@@ -325,7 +336,7 @@ def _sample_beam_source(sc: Scenario, n: int, rng):
         cand = -1.0 + np.abs(rng.normal(0.0, s_om, m))
         cand = cand[cand < 0.0]
         return cand[rng.random(cand.size) < np.abs(cand)]
-    mu_in = _accepted(n, propose_mu)
+    mu_in = _accepted(n, propose_mu, "beam direction")
     # mu_in is the cosine along the INWARD direction -sign*e_axis ... flip to axis component
     mu_axis = sign * mu_in
     phi = rng.uniform(0.0, 2.0 * math.pi, n)

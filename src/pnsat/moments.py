@@ -23,6 +23,7 @@ sigma_l = 2 pi * integral of sigma_s(c) P_l(c) dc, independent of the order k.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,6 @@ from .sphharm import (
     _gauss_legendre,
     degrees_orders,
     eval_basis,
-    flat_position,
     parity_signs,
 )
 
@@ -75,9 +75,6 @@ class MomentBasis:
     def n_even(self) -> int:
         return (self.n_max + 1) * (self.n_max + 2) // 2
 
-    def pos(self, l: int, k: int) -> int:
-        return flat_position(l, k)
-
     def odd_positions(self, axis: int) -> np.ndarray:
         _check_axis(axis)
         return np.flatnonzero(self.parity[axis - 1] < 0)
@@ -89,25 +86,6 @@ class MomentBasis:
     def permutation(self, axis: int) -> np.ndarray:
         """Odd-first permutation: flat position of the j-th reordered component."""
         return np.concatenate([self.odd_positions(axis), self.even_positions(axis)])
-
-    def family_indices(self, axes: tuple[int, ...]) -> dict[tuple[str, ...], np.ndarray]:
-        """Partition the basis by parity over the given active axes.
-
-        Keys are tuples over ``axes`` with entries 'o'/'e'; values are the
-        sorted flat positions belonging to that family.  Inactive axes are
-        not distinguished, so in 1D there are two families, in 2D four.
-        """
-        keys = [()]
-        for _ in axes:
-            keys = [k + (p,) for k in keys for p in ("o", "e")]
-        out = {}
-        for key in keys:
-            mask = np.ones(self.dim, dtype=bool)
-            for ax, p in zip(axes, key):
-                sign = self.parity[ax - 1]
-                mask &= (sign < 0) if p == "o" else (sign > 0)
-            out[key] = np.nonzero(mask)[0]
-        return out
 
 
 @dataclass(frozen=True)
@@ -127,8 +105,8 @@ class PnSystem:
         """Sub-block of A^(axis) for explicit flat index sets (rows odd, cols even)."""
         return self.a_full[axis - 1][np.ix_(rows, cols)]
 
-    def max_speed(self, axis: int | None = None) -> float:
-        """Largest transport eigenvalue magnitude (max singular value of Ahat): the largest root of P_{N+1}.
+    def max_speed(self) -> float:
+        """The one transport speed of every axis (max singular value of its Ahat): the largest root of P_{N+1}.
 
         A^(z) couples equal orders k only; its k = 0 block is the Legendre Jacobi matrix, whose eigenvalues
         are the roots of P_{N+1} and exceed those of every |k| > 0 block, and A^(x), A^(y) are rotations of A^(z).
@@ -281,21 +259,32 @@ def scattering_diagonal(spec: ScatteringSpectrum, basis: MomentBasis) -> np.ndar
 
 
 def load_moment_table(path) -> ScatteringSpectrum:
-    """Read a plain-text table: header ``sigma_t <value>``, then ``l sigma_l`` lines."""
-    sigma_t = None
-    entries: dict[int, float] = {}
+    """Read a plain-text table: header ``sigma_t <value>``, then ``l sigma_l`` lines; ``#`` starts a comment.
+
+    A line that is not a key (``sigma_t`` or an integer degree) and one
+    finite number, or that repeats a key, is a ValidationError naming
+    ``path:line``.
+    """
+    entries: dict = {}
     with open(path) as fh:
-        for raw in fh:
+        for n, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            parts = line.split()
-            if parts[0] == "sigma_t":
-                sigma_t = float(parts[1])
-            else:
-                if len(parts) != 2:
-                    raise ValidationError(f"malformed moment-table line: {raw!r}")
-                entries[int(parts[0])] = float(parts[1])
+            try:
+                key, value = line.split()
+                key, value = (key if key == "sigma_t" else int(key)), float(value)
+                if not math.isfinite(value):
+                    raise ValueError
+            except ValueError:
+                raise ValidationError(
+                    f"{path}:{n}: expected 'sigma_t <value>' or 'l sigma_l' with an integer l and a finite value, "
+                    f"got {line!r}"
+                ) from None
+            if key in entries:
+                raise ValidationError(f"{path}:{n}: repeated {'header' if key == 'sigma_t' else 'degree'} {line!r}")
+            entries[key] = value
+    sigma_t = entries.pop("sigma_t", None)
     if sigma_t is None:
         raise ValidationError(f"moment table {path} is missing the 'sigma_t <value>' header")
     if not entries:

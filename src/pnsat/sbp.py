@@ -33,8 +33,8 @@ the mirror-symmetric extension.
 
 SAT penalties for the boundary condition u^o = +/- L Ahat u^e + g follow
 the one-parameter family tau^o = -alpha L^{-1}, alpha in [0, 1], with
-tau^e tied to tau^o so the mixed boundary terms in the discrete energy
-rate cancel.
+tau^e = +/-(1 - alpha) Ahat^T tied to tau^o so the mixed boundary terms in
+the discrete energy rate cancel; the sign is that of the face normal.
 """
 
 from __future__ import annotations
@@ -355,39 +355,19 @@ def build_sbp_pair(grid: StaggeredGrid1d) -> SbpPair:
 # SAT penalties
 
 
-@dataclass(frozen=True)
-class SatPenalty:
-    """Penalty matrices for one face: tau_odd (r x r), tau_even (s x r)."""
+def sat_penalties(l_matrix: np.ndarray, a_hat: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Energy-stable penalties (tau_odd, tau_even) of the high face: tau^o = -alpha L^{-1}, tied tau^e.
 
-    side: str
-    alpha: float
-    tau_odd: np.ndarray
-    tau_even: np.ndarray
-
-    def on_side(self, side: str) -> "SatPenalty":
-        """The penalty of the face on ``side`` of the same axis, alpha and blocks.
-
-        tau^o = -alpha L^{-1} does not depend on the side and tau^e only
-        changes sign, so the other face's penalty is exact without a solve.
-        """
-        if side == self.side:
-            return self
-        return SatPenalty(side, self.alpha, self.tau_odd, -self.tau_even)
-
-
-def sat_penalties(l_matrix: np.ndarray, a_hat: np.ndarray, alpha: float, side: str) -> SatPenalty:
-    """Energy-stable penalties tau^o = -alpha L^{-1} with the tied tau^e.
-
-    The tied even-side penalty is tau^e = +/-(1 - alpha) Ahat^T (+ on the
-    high side), so it is exactly zero at alpha = 1.
+    The tied even-side penalty is tau^e = (1 - alpha) Ahat^T, exactly zero at
+    alpha = 1; tau_odd is r x r and tau_even s x r.  A face's side is the
+    sign of its normal: tau^o does not depend on it, and the low face
+    negates tau^e.
 
     The admissible family requires alpha in [0, 1]: the discrete energy
     bound needs tau^o negative semidefinite and x^T L (-tau^o)^T L x <=
     x^T L x, which for tau^o = -alpha L^{-1} is exactly alpha <= 1.  The
     spectral condition is re-verified on the assembled matrices.
     """
-    if side not in ("low", "high"):
-        raise ValidationError(f"side must be 'low' or 'high', got {side!r}")
     if not 0.0 <= alpha <= 1.0:
         raise ValidationError(
             f"alpha = {alpha} is outside [0, 1]; the penalty family tau = -alpha L^(-1) "
@@ -397,10 +377,8 @@ def sat_penalties(l_matrix: np.ndarray, a_hat: np.ndarray, alpha: float, side: s
     a_hat = np.atleast_2d(np.asarray(a_hat, dtype=float))
     tau_odd = -alpha * np.linalg.inv(l_matrix) if alpha != 0.0 else np.zeros_like(l_matrix)
     tau_odd = 0.5 * (tau_odd + tau_odd.T)
-    # tied penalty +/-(Ahat + tau^o L Ahat)^T in closed form: tau^o L = -alpha I
+    # tied penalty (Ahat + tau^o L Ahat)^T in closed form: tau^o L = -alpha I
     tau_even = (1.0 - alpha) * a_hat.T
-    if side == "low":
-        tau_even = -tau_even
     # spectral re-check: eigenvalues of L^(1/2) (-tau)^T L^(1/2) must be <= 1
     w, v = np.linalg.eigh(l_matrix)
     sqrt_l = (v * np.sqrt(w)) @ v.T
@@ -409,7 +387,7 @@ def sat_penalties(l_matrix: np.ndarray, a_hat: np.ndarray, alpha: float, side: s
         raise NumericalError(
             f"assembled penalty violates the stability condition (spectrum [{ev.min():.3e}, {ev.max():.3e}])"
         )
-    return SatPenalty(side, alpha, tau_odd, tau_even)
+    return tau_odd, tau_even
 
 
 # ---------------------------------------------------------------------------

@@ -28,15 +28,16 @@ scaled by the inverse boundary norm entry.
 Boundary set-up.  L and Ahat do not depend on the side, so each axis
 assembles them once over the odd and even positions its blocks keep with
 :func:`pnsat.boundary.onsager_bc` on its high face; each odd family takes
-its slice, and both faces share them (the low face negates M).  They
-also share one penalty per odd family and alpha: tau^o does not depend on
-the side and the other face negates tau^e (:meth:`pnsat.sbp.SatPenalty.on_side`).
-With the penalty tau^o = -alpha L^-1 the constant of the energy bound is
+its slice, and both faces share them.  The side of a face is the sign of
+its normal: the low face negates M and tau^e, so both faces also share one
+:func:`pnsat.sbp.sat_penalties` solve per odd family and alpha.  With the
+penalty tau^o = -alpha L^-1 the constant of the energy bound is
 C = max(alpha, 1 - alpha) / lambda_min(L) per block, and since
 g(t) = time_factor(t) (g_space (x) g_dir), the face norm of g is
-time_factor(t)^2 times a sum fixed at set-up.  Each axis speed (the
-largest singular value of the Ahat of the physical axis) is computed once
-and serves the CFL step and the run metadata.
+time_factor(t)^2 times a sum fixed at set-up.  Every axis has the same
+transport speed, the largest root of P_{N+1}
+(:meth:`pnsat.moments.PnSystem.max_speed`); it is read once and serves
+the CFL step and the run metadata.
 
 Time integration is Strang-split: exact half-step relaxation (the
 scattering matrix is diagonal on the basis), a full transport step with
@@ -96,7 +97,7 @@ from . import boundary as bnd
 from .config import Scenario, face_key_to_dim_side
 from .errors import NumericalError, ValidationError
 from .moments import MomentBasis, PnSystem, assemble_transport, scattering_diagonal
-from .sbp import SatPenalty, StaggeredGrid1d, TensorGrid, outer, sat_penalties
+from .sbp import StaggeredGrid1d, TensorGrid, outer, sat_penalties
 from .sphharm import cyclic_axes, rotation_about
 
 logger = logging.getLogger(__name__)
@@ -110,10 +111,11 @@ class FaceBlock:
     family_even: tuple[str, ...]
     m_eff: np.ndarray
     l_matrix: np.ndarray
-    penalty: SatPenalty
+    tau_odd: np.ndarray
+    tau_even: np.ndarray  # negated on a low face, as m_eff is
     g_dir: np.ndarray
     g_space: np.ndarray  # transverse profile on the slab, shape = transverse grid
-    has_source: bool  # by symmetry: an inflow, and a component even off the face axis (k = 0 about axis 3)
+    has_source: bool  # an inflow, and a component in the symmetry class of u00 (bnd.symmetry_key)
 
 
 @dataclass(frozen=True)
@@ -145,7 +147,7 @@ class SolverSetup:
     a_blocks: dict
     q_relax: dict  # per family: the relaxation rate of each component, sigma_l - sigma_t at its degree
     faces: tuple[FaceData, ...]
-    speeds: dict  # per active physical axis: the largest singular value of its Ahat
+    speed: float  # the transport speed of every axis: the largest singular value of each Ahat
     mirror: tuple[int, ...] = ()  # storage axes integrated on x >= 0 only (see mirror_symmetry)
 
     @property
@@ -156,10 +158,6 @@ class SolverSetup:
     @property
     def families(self):
         return self.tensor.families
-
-    @property
-    def max_speed(self) -> float:
-        return max(self.speeds.values())
 
     @property
     def n_components(self) -> int:
@@ -203,7 +201,7 @@ class SolverSetup:
 
     def dt_stable(self) -> float:
         h_min = min(g.h for g in self.tensor.grids)
-        return self.scenario.cfl * h_min / sum(self.speeds.values())
+        return self.scenario.cfl * h_min / (self.tensor.ndim * self.speed)
 
 
 def sector(scenario: Scenario, basis: MomentBasis) -> tuple[np.ndarray, tuple | None]:
@@ -301,10 +299,10 @@ def build_setup(scenario: Scenario) -> SolverSetup:
     A 1-D run assembles about its active axis, with the operators of the
     basis's polar axis 3.  The transport blocks, L, Ahat, M, the penalties
     and the inflow moments are slices over each family's flat positions
-    ``comps[a]``; relaxation stays diagonal.  The CFL step and the axis
-    speeds come from the unreduced Ahat of each physical axis, so they do
-    not depend on the reduction.  A mirrored axis (:func:`mirror_symmetry`)
-    gets the half grid and keeps only its high face.
+    ``comps[a]``; relaxation stays diagonal.  The transport speed that sets
+    the CFL step is the largest singular value of the unreduced Ahat of
+    every axis, so it does not depend on the reduction.  A mirrored axis
+    (:func:`mirror_symmetry`) gets the half grid and keeps only its high face.
     """
     basis = MomentBasis.build(scenario.n_max)
     system = assemble_transport(basis)
@@ -316,7 +314,8 @@ def build_setup(scenario: Scenario) -> SolverSetup:
     tensor = TensorGrid.build(scenario.axes, grids)
     mask, modes = sector(scenario, basis)
     axes = scenario.axes if modes is None else (3,)
-    comps = {a: idx[mask[idx]] for a, idx in basis.family_indices(axes).items()}
+    odd = basis.parity[[ax - 1 for ax in axes]] < 0  # per storage axis: the odd flat positions
+    comps = {a: np.flatnonzero(mask & np.all(odd.T == (np.array(a) == "o"), axis=1)) for a in tensor.families}
     a_blocks = {}
     for a in tensor.families:
         for d, axis in enumerate(axes):
@@ -329,27 +328,25 @@ def build_setup(scenario: Scenario) -> SolverSetup:
     faces = []
     for d, axis in enumerate(axes):
         high = bnd.Face(axis, "high")
-        off_axis = [ax - 1 for ax in (1, 2, 3) if ax != axis]
         kept = {
             a: (comps[a], comps[tensor.complement(a, d)])
             for a in tensor.families
             if a[d] == "o" and comps[a].size and comps[tensor.complement(a, d)].size
         }
-        # per odd family: its Onsager block and where it sits in the axis assembly
+        # per odd family: its L, Ahat and M slices and where they sit in the axis assembly
         onsager, union = {}, None
         if kept:
             # one assembly over every odd row and even column a block keeps: the exact zeros
-            # between parity classes (and orders k about axis 3) make each block a slice of it
+            # between symmetry classes (bnd.symmetry_key) make each block a slice of it
             union = tuple(np.unique(np.concatenate([rc[i] for rc in kept.values()])) for i in (0, 1))
             full = bnd.onsager_bc(basis, high, system, rows=union[0], cols=union[1])
             for a, (rows, cols) in kept.items():
                 ro, re = np.searchsorted(union[0], rows), np.searchsorted(union[1], cols)
                 oe = np.ix_(ro, re)
-                bc = bnd.OnsagerBoundary(
-                    high, full.l_matrix[np.ix_(ro, ro)], full.a_hat[oe], full.m_matrix[oe]
-                )
-                onsager[a] = bc, oe
-        # per (odd family, alpha): the penalty, which the other face takes with tau^e negated
+                onsager[a] = full.l_matrix[np.ix_(ro, ro)], full.a_hat[oe], full.m_matrix[oe], oe
+            l_min = min(float(np.linalg.eigvalsh(v[0])[0]) for v in onsager.values())
+        key = bnd.symmetry_key(basis, axis)
+        # per (odd family, alpha): the high face's penalty; the low face negates tau^e
         penalties = {}
         for side in ("high",) if d in mirror else ("low", "high"):
             spec = scenario.faces[d, side]
@@ -359,19 +356,16 @@ def build_setup(scenario: Scenario) -> SolverSetup:
                 marshak = bnd.marshak_matrix(basis, face, rows=union[0], cols=union[1])
             blocks = []
             source_norm_sq = 0.0
-            for a, (bc, oe) in onsager.items():
+            for a, (l_mat, a_hat, m_mat, oe) in onsager.items():
                 rows = comps[a]
                 # M = sign * L Ahat: L and Ahat are side-independent
-                m_eff = marshak[oe] if marshak is not None else face.sign * bc.m_matrix
+                m_eff = marshak[oe] if marshak is not None else face.sign * m_mat
                 if (a, spec.alpha) not in penalties:
-                    penalties[a, spec.alpha] = sat_penalties(bc.l_matrix, bc.a_hat, spec.alpha, side)
-                pen = penalties[a, spec.alpha].on_side(side)
+                    penalties[a, spec.alpha] = sat_penalties(l_mat, a_hat, spec.alpha)
+                tau_odd, tau_even = penalties[a, spec.alpha]
                 # an inflow depends on omega only through omega_axis, so its moments vanish
-                # on components odd in another axis and, about the polar axis, of order k != 0
-                if axis == 3:
-                    sourced = basis.orders[rows] == 0
-                else:
-                    sourced = np.all(basis.parity[np.ix_(off_axis, rows)] > 0, axis=0)
+                # outside the symmetry class of u00
+                sourced = key[rows] == key[0]
                 has_source = spec.inflow.kind != "none" and bool(sourced.any())
                 g_dir = np.zeros(rows.size)
                 if has_source:
@@ -389,16 +383,17 @@ def build_setup(scenario: Scenario) -> SolverSetup:
                     for j in range(tensor.ndim) if j != d
                 ])
                 blocks.append(FaceBlock(
-                    a, tensor.complement(a, d), m_eff, bc.l_matrix, pen, g_dir, g_space, has_source
+                    a, tensor.complement(a, d), m_eff, l_mat, tau_odd, face.sign * tau_even,
+                    g_dir, g_space, has_source,
                 ))
                 if has_source:
                     w = tensor.boundary_weight(a, d)
                     source_norm_sq += float(np.sum(w * g_space * g_space)) * float(g_dir @ g_dir)
             c_const = None
             if spec.kind == "onsager" and onsager:
-                # tau^o = -alpha L^-1, so per block ||tau^o|| = alpha / l_min and
-                # ||L^-1 + tau^o^T|| = (1 - alpha) / l_min
-                c_const = max(spec.alpha, 1.0 - spec.alpha) / min(bc.l_min for bc, _ in onsager.values())
+                # tau^o = -alpha L^-1, so per block ||tau^o|| = alpha / lambda_min(L) and
+                # ||L^-1 + tau^o^T|| = (1 - alpha) / lambda_min(L)
+                c_const = max(spec.alpha, 1.0 - spec.alpha) / l_min
             faces.append(FaceData(
                 d, side, axis, spec.kind, spec.alpha, spec.inflow, tuple(blocks), source_norm_sq, c_const
             ))
@@ -413,7 +408,7 @@ def build_setup(scenario: Scenario) -> SolverSetup:
         a_blocks=a_blocks,
         q_relax=q_relax,
         faces=tuple(faces),
-        speeds={ax: system.max_speed(ax) for ax in scenario.axes},
+        speed=system.max_speed(),
         mirror=mirror,
     )
 
@@ -616,11 +611,11 @@ class _Stepper:
             bound = []
             for blk in face.blocks:
                 u_o = _slab(src_of[blk.family_odd], d, bidx)
-                tau_even = blk.penalty.tau_even.T / p_even if blk.penalty.alpha != 1.0 else None
+                tau_even = blk.tau_even.T / p_even if face.alpha != 1.0 else None
                 bound.append((
                     u_o, _slab(src_of[blk.family_even], d, bidx), blk.m_eff.T.copy(), np.empty_like(u_o),
                     np.multiply.outer(blk.g_space, blk.g_dir) if blk.has_source else None,
-                    _slab(dst_of[blk.family_odd], d, bidx), blk.penalty.tau_odd.T / p_odd,
+                    _slab(dst_of[blk.family_odd], d, bidx), blk.tau_odd.T / p_odd,
                     _slab(dst_of[blk.family_even], d, bidx) if tau_even is not None else None, tau_even,
                 ))
             inflow = face.inflow if any(blk.has_source for blk in face.blocks) else None
@@ -693,7 +688,7 @@ def step_strang(setup: SolverSetup, state: dict, dt: float, t: float = 0.0) -> d
     limit = setup.dt_stable()
     if dt > limit * (1.0 + 1e-12):
         raise ValidationError(
-            f"dt = {dt} violates the CFL bound cfl * h_min / sum_i lambda_max,i = {limit}"
+            f"dt = {dt} violates the CFL bound cfl * h_min / (ndim * max_speed) = {limit}"
         )
     stepper = _Stepper(setup)
     stepper.load(state)
@@ -827,8 +822,8 @@ def run(scenario: Scenario) -> RunResult:
         "dt": dt_base,
         "steps": step_count,
         "cfl": scenario.cfl,
-        "max_speed": setup.max_speed,
-        "matrix_norms": {f"ahat_axis_{ax}": speed for ax, speed in setup.speeds.items()},
+        "max_speed": setup.speed,
+        "matrix_norms": {f"ahat_axis_{ax}": setup.speed for ax in scenario.axes},
         "c_constant": c_const,
         "components": {
             "integrated": setup.n_components,

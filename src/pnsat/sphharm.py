@@ -203,15 +203,22 @@ def rotation_about(n_max: int, axis: int) -> np.ndarray:
     """R with R[i, j] = < Y_i about ``axis``, Y_j >, over the basis up to degree ``n_max``.
 
     Coefficients c on the basis are R c on the basis about ``axis``
-    (:func:`cyclic_axes`).  R is orthogonal and keeps each degree; the
-    full-sphere rule of degree ``n_max`` integrates every product exactly,
-    and the entries between different degrees are exact zeros.
+    (:func:`cyclic_axes`).  R is orthogonal and keeps each degree and each
+    Cartesian parity class: Y_i about the axis has on Cartesian axis
+    ``cyclic_axes(axis)[j]`` the parity of basis axis j + 1.  The full-sphere
+    rule of degree ``n_max`` integrates every product exactly, and the
+    entries between different degrees or different parity classes are exact
+    zeros.
     """
     quad = build_quadrature(n_max)
-    about = eval_basis(n_max, quad.nodes[:, [ax - 1 for ax in cyclic_axes(axis)]])
-    rot = about.T @ (quad.weights[:, None] * eval_basis(n_max, quad.nodes))
-    l = degrees_orders(n_max)[0]
-    rot[l[:, None] != l[None, :]] = 0.0
+    about = [ax - 1 for ax in cyclic_axes(axis)]
+    rot = eval_basis(n_max, quad.nodes[:, about]).T @ (quad.weights[:, None] * eval_basis(n_max, quad.nodes))
+    l, k = degrees_orders(n_max)
+    signs = parity_signs(l, k)
+    apart = l[:, None] != l[None, :]
+    for j, ax in enumerate(about):  # row i's parity on Cartesian axis `ax` is that of basis axis j + 1
+        apart |= signs[j][:, None] != signs[ax][None, :]
+    rot[apart] = 0.0
     return rot
 
 
@@ -286,10 +293,7 @@ def build_quadrature(n_max: int, restriction=None, polar_nodes: int | None = Non
     pp = np.tile(phi, n_mu)
     ww = np.repeat(w, n_phi) * w_phi
     s = np.sqrt(np.maximum(0.0, 1.0 - cc * cc))
-    if axis == 3:
-        nodes = np.stack([s * np.cos(pp), s * np.sin(pp), cc], axis=-1)
-    elif axis == 1:
-        nodes = np.stack([cc, s * np.cos(pp), s * np.sin(pp)], axis=-1)
-    else:
-        nodes = np.stack([s * np.sin(pp), cc, s * np.cos(pp)], axis=-1)
+    # (s cos phi, s sin phi, c) about the rule's polar axis, placed as in the basis about it
+    nodes = np.empty((cc.size, 3))
+    nodes[:, [ax - 1 for ax in cyclic_axes(axis)]] = np.stack([s * np.cos(pp), s * np.sin(pp), cc], axis=-1)
     return SphereQuadrature(nodes, ww)

@@ -127,8 +127,8 @@ class AssembledOperator:
                 ao, ae = blk.family_odd, blk.family_even
                 sel_o = self._on_axis(ao, d, self._unit_row(tensor.family_shape(ao)[d], b))
                 sel_e = self._on_axis(ae, d, self._unit_row(tensor.family_shape(ae)[d], b))
-                lift = {ao: sp.kron(sel_o.T, blk.penalty.tau_odd / p_o),
-                        ae: sp.kron(sel_e.T, blk.penalty.tau_even / p_e)}
+                lift = {ao: sp.kron(sel_o.T, blk.tau_odd / p_o),
+                        ae: sp.kron(sel_e.T, blk.tau_even / p_e)}
                 residual = {ao: sp.kron(sel_o, np.eye(blk.m_eff.shape[0])), ae: -sp.kron(sel_e, blk.m_eff)}
                 for x in (ao, ae):
                     for y in (ao, ae):

@@ -66,6 +66,20 @@ BAD_VALUES = [
     ("tc2_stable", ("initial", "moments"), [{"l": -1, "k": 0, "amp": 1.0}]),
 ]
 
+# (a moment-table body, the line it breaks): non-numeric, non-finite or non-integer entries,
+# a header without exactly one value, a repeated degree
+BAD_TABLES = [
+    ("sigma_t 1.0\n0 abc\n", 2),
+    ("sigma_t 1.0\nx 0.5\n", 2),
+    ("sigma_t\n0 0.5\n", 1),
+    ("sigma_t 1.0 2.0\n0 0.5\n", 1),
+    ("sigma_t nan\n0 0.5\n", 1),
+    ("sigma_t inf\n0 0.5\n", 1),
+    ("sigma_t 1.0\n0 0.5\n1 -inf\n", 3),
+    ("sigma_t 1.0\n0.5 0.5\n", 2),
+    ("sigma_t 1.0\n0 0.5\n1 0.2\n# comment\n0 0.4\n", 5),
+]
+
 # `pnsat assemble 3`'s basis table: flat position, degree, order and the parity on each axis
 BASIS_CSV_N3 = """\
 position,l,k,parity_x,parity_y,parity_z
@@ -249,6 +263,35 @@ class TestConfigValidation:
         assert main(["run", str(cfg), "-o", str(tmp_path / "out")]) == 1
         assert f"validation error: boundaries.{face}.psi_in.{key} must be > 0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("body, line", BAD_TABLES, ids=[f"case{i}" for i in range(len(BAD_TABLES))])
+    def test_bad_moment_table_exits_1(self, tmp_path, capsys, body, line):
+        table = tmp_path / "kernel.table"
+        table.write_text(body)
+        doc = small_doc("x", 3)
+        doc["model"]["scattering"] = {"kind": "table", "path": str(table)}
+        cfg = tmp_path / "table.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", str(cfg), "-o", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"validation error: {table}:{line}: " in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", ["../x", None])
+    def test_name_must_be_a_directory_name(self, tmp_path, capsys, monkeypatch, name):
+        # the default output directory is <name>_out in the working directory
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        doc = small_doc("x", 3)
+        doc["name"] = name
+        cfg = tmp_path / "named.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", str(cfg)]) == 1
+        assert "validation error: name must be a non-empty string" in capsys.readouterr().err
+        assert list(work.iterdir()) == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["named.json", "work"]
 
     def test_energy_mode_mapping(self):
         sc = scenario_from_dict(bundled_doc("tc4_beam"))

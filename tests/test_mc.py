@@ -3,6 +3,10 @@ import logging
 import math
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -570,6 +574,58 @@ class TestSupportedSources:
         assert main(["oracle", str(cfg), "--n", "1000", "-o", str(tmp_path / "mc")]) == 1
         assert "validation error: Monte Carlo supports only 'beam' inflow" in capsys.readouterr().err
         assert not (tmp_path / "mc").exists()
+
+
+def _session_alive(pgid: int) -> bool:
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+class TestRejectionCap:
+    """A source that rejection cannot sample fails in seconds and leaves no worker behind."""
+
+    @pytest.mark.parametrize("key, value, sampler", [
+        ("eps_center", 100.0, "beam birth time"),  # every birth time falls outside [0, t_end]
+        ("sigma_omega", 1e6, "beam direction"),  # almost every proposal leaves [-1, 0)
+    ])
+    def test_oracle_exits_2(self, tmp_path, key, value, sampler):
+        doc = bundled_doc("tc4_beam")
+        doc["boundaries"]["z_high"]["psi_in"][key] = value
+        cfg = tmp_path / "beam.json"
+        cfg.write_text(json.dumps(doc))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        # a session of its own, so the oracle and every worker it forks share one process group
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "pnsat", "oracle", str(cfg), "--n", "20000", "-o", str(tmp_path / "mc")],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
+        )
+        try:
+            _, err = proc.communicate(timeout=60)
+            left = _session_alive(proc.pid)
+        finally:
+            if _session_alive(proc.pid):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+        assert proc.returncode == 2, err
+        assert err.startswith(f"numerical failure: Monte Carlo {sampler} sampler accepted ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not left
+        assert not (tmp_path / "mc").exists()
+
+    def test_cap_is_a_thousand_proposals_per_draw(self):
+        proposed = []
+
+        def propose(m):
+            proposed.append(m)
+            return np.empty(0)
+
+        with pytest.raises(NumericalError, match="^Monte Carlo probe sampler accepted 0 of "):
+            mc_module._accepted(100, propose, "probe")
+        assert 1000 * 100 + 10_000 < sum(proposed) <= 1000 * 100 + 10_000 + 216
 
 
 class TestBeamSource:

@@ -289,23 +289,22 @@ class TestLazyPair:
 
 class TestSatPenalties:
     def test_alpha_zero(self):
+        # the high face's penalties: no odd-side term, tau^e = Ahat^T
         a_hat = np.array([[0.577, -0.258, 0.447]])
-        pen_lo = sat_penalties(np.array([[1.5]]), a_hat, 0.0, "low")
-        pen_hi = sat_penalties(np.array([[1.5]]), a_hat, 0.0, "high")
-        np.testing.assert_array_equal(pen_lo.tau_odd, [[0.0]])
-        np.testing.assert_allclose(pen_lo.tau_even, -a_hat.T)
-        np.testing.assert_allclose(pen_hi.tau_even, a_hat.T)
+        tau_odd, tau_even = sat_penalties(np.array([[1.5]]), a_hat, 0.0)
+        np.testing.assert_array_equal(tau_odd, [[0.0]])
+        np.testing.assert_allclose(tau_even, a_hat.T)
 
     def test_alpha_one_scalar(self):
-        pen = sat_penalties(np.array([[1.5]]), np.array([[0.5]]), 1.0, "high")
-        assert pen.tau_odd[0, 0] == pytest.approx(-2.0 / 3.0, abs=1e-14)
-        np.testing.assert_allclose(pen.tau_even, 0.0, atol=1e-14)
+        tau_odd, tau_even = sat_penalties(np.array([[1.5]]), np.array([[0.5]]), 1.0)
+        assert tau_odd[0, 0] == pytest.approx(-2.0 / 3.0, abs=1e-14)
+        np.testing.assert_allclose(tau_even, 0.0, atol=1e-14)
 
     def test_rejects_alpha_outside_family(self):
         with pytest.raises(ValidationError, match="stability"):
-            sat_penalties(np.array([[1.5]]), np.array([[0.5]]), 1.5, "high")
+            sat_penalties(np.array([[1.5]]), np.array([[0.5]]), 1.5)
         with pytest.raises(ValidationError):
-            sat_penalties(np.array([[1.5]]), np.array([[0.5]]), -0.1, "low")
+            sat_penalties(np.array([[1.5]]), np.array([[0.5]]), -0.1)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
     def test_admissibility_random_spd(self, alpha):
@@ -314,42 +313,24 @@ class TestSatPenalties:
             m = rng.standard_normal((r, r))
             l_mat = m @ m.T + 0.1 * np.eye(r)
             a_hat = rng.standard_normal((r, r + 3))
-            for side in ("low", "high"):
-                pen = sat_penalties(l_mat, a_hat, alpha, side)
-                ev = np.linalg.eigvalsh(0.5 * (pen.tau_odd + pen.tau_odd.T))
-                assert ev.max() <= 1e-12  # negative semidefinite
-                cond = l_mat @ (-pen.tau_odd.T) @ l_mat - l_mat
-                assert np.linalg.eigvalsh(0.5 * (cond + cond.T)).max() <= 1e-12
+            tau_odd = sat_penalties(l_mat, a_hat, alpha)[0]
+            ev = np.linalg.eigvalsh(0.5 * (tau_odd + tau_odd.T))
+            assert ev.max() <= 1e-12  # negative semidefinite
+            cond = l_mat @ (-tau_odd.T) @ l_mat - l_mat
+            assert np.linalg.eigvalsh(0.5 * (cond + cond.T)).max() <= 1e-12
 
     def test_tied_even_penalty_cancels_bilinear_terms(self):
-        # (tau^e)^T +- (Ahat + tau^o L Ahat) must vanish by construction
+        # on the high face (tau^e)^T - (Ahat + tau^o L Ahat) must vanish by construction
         rng = np.random.default_rng(3)
         m = rng.standard_normal((4, 4))
         l_mat = m @ m.T + 0.2 * np.eye(4)
         a_hat = rng.standard_normal((4, 7))
-        for side, sign in (("low", -1.0), ("high", 1.0)):
-            pen = sat_penalties(l_mat, a_hat, 0.7, side)
-            tied = (a_hat + pen.tau_odd @ l_mat @ a_hat).T
-            np.testing.assert_allclose(pen.tau_even, sign * tied, atol=1e-13)
-            # closed form +/-(1 - alpha) Ahat^T: exactly zero at alpha = 1
-            assert np.all(sat_penalties(l_mat, a_hat, 1.0, side).tau_even == 0.0)
-            np.testing.assert_array_equal(
-                sat_penalties(l_mat, a_hat, 0.5, side).tau_even, sign * 0.5 * a_hat.T
-            )
-
-    @pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
-    def test_other_side_is_the_solved_penalty(self, alpha):
-        rng = np.random.default_rng(4)
-        m = rng.standard_normal((3, 3))
-        l_mat = m @ m.T + 0.2 * np.eye(3)
-        a_hat = rng.standard_normal((3, 5))
-        for side, other in (("low", "high"), ("high", "low")):
-            pen = sat_penalties(l_mat, a_hat, alpha, side)
-            assert pen.on_side(side) is pen
-            moved, solved = pen.on_side(other), sat_penalties(l_mat, a_hat, alpha, other)
-            assert (moved.side, moved.alpha) == (other, alpha)
-            assert np.array_equal(moved.tau_odd, solved.tau_odd)
-            assert np.array_equal(moved.tau_even, solved.tau_even)
+        tau_odd, tau_even = sat_penalties(l_mat, a_hat, 0.7)
+        tied = (a_hat + tau_odd @ l_mat @ a_hat).T
+        np.testing.assert_allclose(tau_even, tied, atol=1e-13)
+        # closed form (1 - alpha) Ahat^T: exactly zero at alpha = 1
+        assert np.all(sat_penalties(l_mat, a_hat, 1.0)[1] == 0.0)
+        np.testing.assert_array_equal(sat_penalties(l_mat, a_hat, 0.5)[1], 0.5 * a_hat.T)
 
 
 class TestTensorGrid:

@@ -216,8 +216,8 @@ FRAME_CASES = ("tc1", "tc_inflow_1d", "two_class_1d", "along_y", "along_z", "bea
 @pytest.mark.parametrize("name", FRAME_CASES)
 def test_frames_orthonormal_and_zero_outside_degree_and_class(name):
     # the change of frame is the rotation onto the basis about the axis: orthogonal, zero
-    # between degrees, and to roundoff between classes; each family then integrates the
-    # basis functions of the kept modes' orders within its own parity
+    # between degrees and between parity classes; each family then integrates the basis
+    # functions of the kept modes' orders within its own parity
     sc = scenario_from_dict(CASES[name])
     setup = build_setup(sc)
     basis = setup.basis
@@ -227,7 +227,8 @@ def test_frames_orthonormal_and_zero_outside_degree_and_class(name):
     degrees = basis.degrees
     assert np.all(rot[degrees[:, None] != degrees[None, :]] == 0.0)
     orders = [m if trig == "cos" else -m for m, trig in setup.modes]
-    for (parity,), idx in basis.family_indices((3,)).items():
+    for parity in ("o", "e"):
+        idx = np.flatnonzero((basis.parity[2] < 0) == (parity == "o"))
         want = idx[np.isin(basis.orders[idx], orders)]
         assert np.array_equal(setup.comps[(parity,)], want)
     # u00 leads the all-even family
@@ -265,5 +266,6 @@ def test_complete_class_gets_identity_columns():
     doc["initial"]["moments"] = [{"l": 3, "k": k, "amp": 1.0} for k in (1, -1, 0, -2)]
     setup = build_setup(scenario_from_dict(doc))
     assert setup.n_components == 16
-    for a, idx in setup.basis.family_indices((3,)).items():
-        assert np.array_equal(setup.comps[a], idx)
+    for parity in ("o", "e"):
+        idx = np.flatnonzero((setup.basis.parity[2] < 0) == (parity == "o"))
+        assert np.array_equal(setup.comps[(parity,)], idx)

@@ -116,7 +116,7 @@ class TestRhs:
         blk, b = face.blocks[0], face.boundary_index
         res = state[blk.family_odd][b] - blk.m_eff @ state[blk.family_even][b]
         p_o = setup.tensor.axis_weights(0, "o")[b]
-        np.testing.assert_allclose(inc[blk.family_odd][b], (blk.penalty.tau_odd @ res) / p_o,
+        np.testing.assert_allclose(inc[blk.family_odd][b], (blk.tau_odd @ res) / p_o,
                                    atol=1e-13)
 
     def test_locality_of_delta(self):
@@ -283,7 +283,7 @@ class TestStepping:
             assert setup.n_components == setup.basis.dim
             assert any(np.any(q) for q in setup.q_relax.values())
             blocks = [blk for f in setup.faces for blk in f.blocks]
-            assert any(blk.penalty.alpha == 0.5 for blk in blocks)
+            assert any(f.alpha == 0.5 and f.blocks for f in setup.faces)
             assert any(blk.has_source for blk in blocks)
         sc = small_nd("xz", (8, 5), "z_high", BEAM)
         beam = sc.faces[(1, "high")].inflow
@@ -364,11 +364,11 @@ class TestSetup:
                         m_eff = bnd.marshak_matrix(basis, face, rows=fo, cols=fe)
                     else:
                         m_eff = face.sign * (l_blk @ a_blk)
-                    pen = sat_penalties(l_blk, a_blk, f.alpha, f.side)
+                    tau_odd, tau_even = sat_penalties(l_blk, a_blk, f.alpha)
                     close(blk.l_matrix, l_blk)
                     close(blk.m_eff, m_eff)
-                    close(blk.penalty.tau_odd, pen.tau_odd)
-                    assert np.array_equal(blk.penalty.tau_even, pen.tau_even)
+                    close(blk.tau_odd, tau_odd)
+                    assert np.array_equal(blk.tau_even, face.sign * tau_even)
                     g_dir = np.zeros(fo.size)
                     if blk.has_source:
                         off = [ax - 1 for ax in (1, 2, 3) if ax != f.axis]
@@ -396,7 +396,7 @@ class TestSetup:
 
     def test_gauss_legendre_once_per_node_count(self, monkeypatch):
         # tc4 (N = 13): the x and z outgoing rules share leggauss(15), the beam face's inflow
-        # rule takes 48 polar nodes, and both axis speeds read the largest node of leggauss(14)
+        # rule takes 48 polar nodes, and the one speed reads the largest node of leggauss(14)
         calls = {}
         solve = np.polynomial.legendre.leggauss
 
@@ -452,16 +452,19 @@ class TestSetup:
         assert stored == {"tc1": 26, "tc_inflow_1d": 10, "tc3_vacuum": 520}[name]
 
     def test_one_speed_per_axis(self, monkeypatch):
+        # every axis has the same speed, read once per set-up; the metadata repeats it per axis
         calls = []
         speed = PnSystem.max_speed
-        monkeypatch.setattr(PnSystem, "max_speed", lambda self, ax=None: calls.append(ax) or speed(self, ax))
+        monkeypatch.setattr(PnSystem, "max_speed", lambda self: calls.append(self) or speed(self))
         for sc in (vacuum_1d(n_max=3, cells=20, t_end=0.1), small_nd("xz", (8, 5), "z_high", BEAM)):
             calls.clear()
             result = run(sc)
-            speeds = result.setup.speeds
-            assert calls == list(sc.axes) == list(speeds)
-            assert result.metadata["matrix_norms"] == {f"ahat_axis_{ax}": v for ax, v in speeds.items()}
-            assert result.metadata["max_speed"] == max(speeds.values())
+            setup = result.setup
+            assert len(calls) == 1 and setup.speed == speed(setup.system)
+            assert result.metadata["matrix_norms"] == {f"ahat_axis_{ax}": setup.speed for ax in sc.axes}
+            assert result.metadata["max_speed"] == setup.speed
+            h_min = min(g.h for g in setup.tensor.grids)
+            assert setup.dt_stable() == sc.cfl * h_min / sum(setup.speed for _ in sc.axes)
 
     @staticmethod
     def beam_xz(alpha_low, alpha_high):
@@ -488,24 +491,23 @@ class TestSetup:
         assert calls == x_blocks + z_blocks  # not one per face
         for low, high in zip(faces[1, "low"].blocks, faces[1, "high"].blocks):
             assert low.family_odd == high.family_odd
-            assert (low.penalty.side, high.penalty.side) == ("low", "high")
-            assert np.array_equal(low.penalty.tau_odd, high.penalty.tau_odd)
-            assert np.array_equal(low.penalty.tau_even, -high.penalty.tau_even)
-            assert np.any(high.penalty.tau_even != 0.0)
-            solved = sat_penalties(low.l_matrix, setup.system.a_hat_block(
-                3, setup.comps[low.family_odd], setup.comps[low.family_even]), 0.5, "low")
-            np.testing.assert_allclose(low.penalty.tau_odd, solved.tau_odd, rtol=0.0,
-                                       atol=1e-14 * np.abs(solved.tau_odd).max())
-            assert np.array_equal(low.penalty.tau_even, solved.tau_even)
+            assert np.array_equal(low.tau_odd, high.tau_odd)
+            assert np.array_equal(low.tau_even, -high.tau_even)  # the side is the sign of the normal
+            assert np.any(high.tau_even != 0.0)
+            tau_odd, tau_even = sat_penalties(low.l_matrix, setup.system.a_hat_block(
+                3, setup.comps[low.family_odd], setup.comps[low.family_even]), 0.5)
+            np.testing.assert_allclose(low.tau_odd, tau_odd, rtol=0.0, atol=1e-14 * np.abs(tau_odd).max())
+            assert np.array_equal(high.tau_even, tau_even)
+            assert np.array_equal(high.m_eff, -low.m_eff)
 
     def test_unequal_alphas_solve_a_penalty_per_face(self):
         setup, calls = self.counted_setup(self.beam_xz(0.5, 1.0))
         faces = {(f.dim, f.side): f for f in setup.faces}
         assert calls == 2 + 2 * 2
+        assert (faces[1, "low"].alpha, faces[1, "high"].alpha) == (0.5, 1.0)
         for low, high in zip(faces[1, "low"].blocks, faces[1, "high"].blocks):
-            assert (low.penalty.alpha, high.penalty.alpha) == (0.5, 1.0)
-            np.testing.assert_allclose(low.penalty.tau_odd, 0.5 * high.penalty.tau_odd, rtol=1e-13)
-            assert np.all(high.penalty.tau_even == 0.0) and np.any(low.penalty.tau_even != 0.0)
+            np.testing.assert_allclose(low.tau_odd, 0.5 * high.tau_odd, rtol=1e-13)
+            assert np.all(high.tau_even == 0.0) and np.any(low.tau_even != 0.0)
 
     @pytest.mark.parametrize("name", BUNDLED)
     def test_closed_form_c_matches_penalty_norms(self, name):
@@ -515,8 +517,8 @@ class TestSetup:
                 assert f.c_constant is None
                 continue
             want = max(
-                max(np.linalg.norm(blk.penalty.tau_odd, 2),
-                    np.linalg.norm(np.linalg.inv(blk.l_matrix) + blk.penalty.tau_odd.T, 2))
+                max(np.linalg.norm(blk.tau_odd, 2),
+                    np.linalg.norm(np.linalg.inv(blk.l_matrix) + blk.tau_odd.T, 2))
                 for blk in f.blocks
             )
             np.testing.assert_allclose(f.c_constant, want, rtol=1e-14, atol=0.0)
@@ -627,12 +629,12 @@ class TestRun:
     def test_finite_wave_speeds(self):
         sc = vacuum_1d(n_max=9, cells=400, t_end=0.5, sigma=0.02)
         setup = build_setup(sc)
-        assert setup.max_speed <= 1.0
+        assert setup.speed <= 1.0
         res = run(sc)
         s = res.snapshots[0]
         x = s.nodes[0]
         h = 2.0 / 400
-        outside = np.abs(x) > 0.5 * setup.max_speed + 6 * 0.02 + 20 * h
+        outside = np.abs(x) > 0.5 * setup.speed + 6 * 0.02 + 20 * h
         assert np.abs(s.u00[outside]).max() < 1e-5 * np.abs(s.u00).max()
 
     def test_snapshot_times_hit_exactly(self):

@@ -160,6 +160,24 @@ class TestAxisModes:
         np.testing.assert_allclose(eval_about(n, axis, dirs), eval_basis(n, dirs) @ rot.T,
                                    rtol=0.0, atol=1e-13)
 
+    @pytest.mark.parametrize("axis", [1, 2])
+    def test_rotation_exact_zero_between_parity_classes(self, axis):
+        # Y_i about the axis has on Cartesian axis cyclic_axes(axis)[j] the parity of basis axis
+        # j + 1, Y_j its own parities; where they differ the integral vanishes, and R holds an
+        # exact zero in place of the quadrature's roundoff
+        for n in range(14):
+            quad = build_quadrature(n)
+            raw = eval_about(n, axis, quad.nodes).T @ (quad.weights[:, None] * eval_basis(n, quad.nodes))
+            signs = parity_signs(*degrees_orders(n))
+            apart = np.zeros(raw.shape, dtype=bool)
+            for j, cart in enumerate(cyclic_axes(axis)):
+                apart |= signs[j][:, None] != signs[cart - 1][None, :]
+            rot = rotation_about(n, axis)
+            assert np.all(rot[apart] == 0.0)
+            assert np.abs(raw[apart]).max(initial=0.0) < 1e-14
+            kept = ~apart & (degrees_orders(n)[0][:, None] == degrees_orders(n)[0][None, :])
+            assert np.array_equal(rot[kept], raw[kept])
+
     @pytest.mark.parametrize("axis", [1, 2, 3])
     def test_signs_match_reflections(self, axis):
         # reflecting Cartesian axis cyclic_axes(axis)[j] flips the basis about axis by the
