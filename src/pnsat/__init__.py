@@ -47,7 +47,6 @@ from .solver import (
     rhs,
     run,
     step_strang,
-    zero_state,
 )
 from .sphharm import (
     SphereQuadrature,

@@ -387,7 +387,7 @@ def check_semidiscrete_dissipativity(tol=1e-12, seed=5, n_samples=100) -> CheckR
     rng = np.random.default_rng(seed)
     worst = -np.inf
     for _ in range(n_samples):
-        st = {a: rng.standard_normal(shape) for a, shape in setup.shapes.items()}
+        st = rng.standard_normal(setup.size)
         worst = max(worst, inner(setup, st, rhs(setup, st)) / energy(setup, st))
     n, dim = setup.n_components, setup.basis.dim
     return CheckResult("solver.semidiscrete_dissipativity", worst <= tol and n == dim, tol - worst,

@@ -106,7 +106,12 @@ def write_mc(result: McResult, outdir) -> dict:
 
 
 def run_metadata(run_dir, scenario: Scenario) -> dict:
-    """A solver run's metadata.json; ValidationError unless its domain has the scenario's axes, extents, cells."""
+    """A solver run's metadata.json for the scenario's tallies.
+
+    ValidationError unless the run's domain has the scenario's axes, extents
+    and cells, and the run has a snapshot within 1e-9 of every scenario
+    snapshot time.
+    """
     with open(Path(run_dir) / "metadata.json") as fh:
         meta = json.load(fh)
     keys = ("axes", "extents", "cells")
@@ -117,6 +122,16 @@ def run_metadata(run_dir, scenario: Scenario) -> dict:
         got = None
     if got != want:
         raise ValidationError(f"run {run_dir} is not on the scenario's grid: its domain is {got}, not {want}")
+    try:
+        times = [float(rec["time"]) for rec in meta.get("snapshots", [])]
+    except (KeyError, TypeError, ValueError):
+        times = []
+    missing = [t for t in scenario.snapshot_times if not any(abs(r - t) < 1e-9 for r in times)]
+    if missing:
+        raise ValidationError(
+            f"run {run_dir} has no snapshot at t = {', '.join(f'{t:.6g}' for t in missing)} "
+            f"(its snapshots are at t = {', '.join(f'{t:.6g}' for t in times) or 'none'})"
+        )
     return meta
 
 
@@ -126,19 +141,13 @@ def diff_against_run(mc_result: McResult, run_dir) -> dict:
     Solver snapshots live on the even grid (boundaries + midpoints); the
     tally bins are centred on the interior even nodes, so the comparison is
     node-exact after stripping the two boundary entries.  The run must have
-    the tallies' grid (:func:`run_metadata`).
+    the tallies' grid and a snapshot at every tally time (:func:`run_metadata`).
     """
     run_dir = Path(run_dir)
     meta = run_metadata(run_dir, mc_result.scenario)
     entries = []
-    for i, snap in enumerate(mc_result.snapshots):
-        match = None
-        for rec in meta.get("snapshots", []):
-            if abs(rec["time"] - snap.time) < 1e-9:
-                match = rec
-                break
-        if match is None:
-            continue
+    for snap in mc_result.snapshots:
+        match = next(rec for rec in meta["snapshots"] if abs(rec["time"] - snap.time) < 1e-9)
         data = read_snapshot_csv(run_dir / match["file"])
         cells = mc_result.scenario.cells
         solver_u = np.asarray(data["u00"]).reshape(tuple(c + 2 for c in cells))

@@ -535,13 +535,15 @@ def _run_batches(batch, tasks: list, workers: int) -> list:
 
     Forked workers start without importing anything again, so callers need
     no ``__main__`` guard (the demos call ``simulate`` at module level).
-    Exceptions raised in a worker re-raise here with their type.
+    Results are collected in task order as they arrive, so an exception
+    raised in a worker re-raises here with its type as soon as every
+    earlier task is done, and leaving the pool stops the other workers.
     """
     if workers == 1:
         return list(map(batch, tasks))
     pool = multiprocessing.get_context("fork").Pool(workers)
     with pool:
-        results = pool.map(batch, tasks, chunksize=1)
+        results = list(pool.imap(batch, tasks, chunksize=1))
     pool.join()
     return results
 

@@ -1,7 +1,9 @@
 """Semi-discrete P_N operator with SAT boundary terms and Strang stepping.
 
-State layout: one array per parity family (2^d families over the active
-axes), shaped (family grid shape) + (number of family components,).  Each
+State layout: a state is one flat array that holds the parity families
+(2^d over the active axes) in order, each at its slice
+``SolverSetup.spans``; :meth:`SolverSetup.views` gives the family arrays,
+shaped (family grid shape) + (number of family components,).  Each
 family integrates only the basis functions of the reachable sector (see
 :func:`sector`), listed by their flat positions in ``SolverSetup.comps``:
 the volume, boundary, penalty and relaxation terms conserve the parity of
@@ -43,19 +45,20 @@ Time integration is Strang-split: exact half-step relaxation (the
 scattering matrix is diagonal on the basis), a full transport step with
 classical RK4, then the second relaxation half-step.  One buffered kernel
 computes the differences, the moment coupling and the SAT terms; ``run``
-steps in place with it, and :func:`rhs` and :func:`step_strang` run it on
-fresh buffers; :func:`step_strang`, the one entry point that takes a
-caller's dt, rejects a dt above the CFL bound.  Families and face blocks
-without components are skipped.
+steps the initial state in place with it, and :func:`rhs` and
+:func:`step_strang` run it on a copy of the caller's state;
+:func:`step_strang`, the one entry point that takes a caller's dt, rejects
+a dt above the CFL bound.  Families and face blocks without components are
+skipped.
 
-Kernel layout.  The state u and the RK4 quantities k, stage and acc are
-each one flat contiguous array holding the families in order; the family
-arrays are reshaped views of it, so every RK4 update is one array
-operation on the whole state.  RK4 reads two buffers and writes two, so
-the kernel binds two plans at construction, u -> acc and stage -> k: the
-hi/lo slices of each staggered difference and its target, the coupling
-blocks with -1/h folded in, and every face block's boundary slabs with
-m_eff^T and the penalties already divided by the boundary norm entries.
+Kernel layout.  The kernel steps the state array it is given; the RK4
+quantities k, stage and acc are flat arrays of the same layout, so every
+RK4 update is one array operation on the whole state.  RK4 reads two
+buffers and writes two, so the kernel binds two plans at construction,
+u -> acc and stage -> k: the hi/lo slices of each staggered difference and
+its target, the coupling blocks with -1/h folded in, and every face
+block's boundary slabs with m_eff^T and the penalties already divided by
+the boundary norm entries.
 Each SBP closure is one small dense product per grid end
 (:class:`pnsat.sbp.ClosureCorner`) along the differenced axis.  An RHS
 call is then a fixed list of subtractions, ``matmul`` calls and in-place
@@ -77,10 +80,11 @@ Norms.  :attr:`SolverSetup.shapes` and :attr:`SolverSetup.weights` hold
 each family's state shape and its SBP norm table (the outer product of
 its axis P entries, :meth:`pnsat.sbp.TensorGrid.weights`), flattened over
 its nodes; :func:`inner` is the one discrete inner product, contracting
-each family's (nodes, components) table against its node weights without
-a state-sized temporary, and :func:`energy` and :func:`mass_u00` read the
-same tables.  On a 1-D flat buffer :func:`energy` is one dot against
-:attr:`SolverSetup.flat_weights`, the node weights repeated per component.
+each family's (nodes, components) slice of two states against its node
+weights without a state-sized temporary, and :func:`energy` and
+:func:`mass_u00` read the same tables.  In 1-D :func:`energy` is one dot
+against :attr:`SolverSetup.flat_weights`, the node weights repeated per
+component.
 """
 
 from __future__ import annotations
@@ -171,9 +175,18 @@ class SolverSetup:
 
     @functools.cached_property
     def spans(self) -> dict:
-        """Per family: its slice of a flat state buffer, which holds the families in order."""
+        """Per family: its slice of a flat state, which holds the families in order."""
         ends = np.cumsum([0] + [math.prod(shape) for shape in self.shapes.values()]).tolist()
         return {a: slice(lo, hi) for a, lo, hi in zip(self.shapes, ends[:-1], ends[1:])}
+
+    @property
+    def size(self) -> int:
+        """Number of entries of a flat state."""
+        return max(span.stop for span in self.spans.values())
+
+    def views(self, state: np.ndarray) -> dict:
+        """Per family: its array, a view of the flat ``state``."""
+        return {a: state[span].reshape(self.shapes[a]) for a, span in self.spans.items()}
 
     @functools.cached_property
     def norm_tables(self) -> tuple:
@@ -187,14 +200,14 @@ class SolverSetup:
 
     @functools.cached_property
     def flat_weights(self) -> np.ndarray | None:
-        """1-D runs: the norm weight of each entry of a flat state buffer; None on multi-axis set-ups.
+        """1-D runs: the norm weight of each entry of a flat state; None on multi-axis set-ups.
 
         A 1-D state is small enough to keep a table of its size; a multi-axis
         one is not.
         """
         if self.tensor.ndim > 1:
             return None
-        out = np.zeros(sum(math.prod(shape) for shape in self.shapes.values()))
+        out = np.zeros(self.size)
         for a, span, m, w in self.norm_tables:
             out[span] = np.repeat(w, m)
         return out
@@ -417,26 +430,16 @@ def build_setup(scenario: Scenario) -> SolverSetup:
 # state
 
 
-def zero_state(setup: SolverSetup) -> dict:
-    return {a: np.zeros(shape) for a, shape in setup.shapes.items()}
-
-
-def initial_state(setup: SolverSetup, out: dict | None = None) -> dict:
-    """Populate the family arrays from the scenario's initial spec.
+def initial_state(setup: SolverSetup) -> np.ndarray:
+    """A new flat state from the scenario's initial spec.
 
     A 1-D run off the z axis first rotates the initial moment amplitudes
     onto the basis about its axis (:func:`pnsat.sphharm.rotation_about`, up
     to the highest degree they hold); each family then takes its positions.
-    Writes into ``out`` (a dict of family arrays, zeroed first) when given,
-    so a run fills its stepper's own buffer; otherwise into a new zero state.
     """
     sc = setup.scenario
-    if out is None:
-        state = zero_state(setup)
-    else:
-        state = out
-        for v in state.values():
-            v.fill(0.0)
+    u = np.zeros(setup.size)
+    state = setup.views(u)
     amps = np.zeros(setup.basis.dim)
     for flat, amp in sc.initial.moment_amplitudes(sc.n_max).items():
         amps[flat] = amp
@@ -457,44 +460,39 @@ def initial_state(setup: SolverSetup, out: dict | None = None) -> dict:
             ao, ae = blk.family_odd, blk.family_even
             profile = sc.initial.spatial_profile(setup.tensor.family_nodes(ao))
             state[ao][...] += np.multiply.outer(profile, blk.m_eff @ amps[setup.comps[ae]])
-    return state
+    return u
 
 
-def inner(setup: SolverSetup, u, v) -> float:
-    """The discrete SBP inner product <u, v> of the full domain.
+def inner(setup: SolverSetup, u: np.ndarray, v: np.ndarray) -> float:
+    """The discrete SBP inner product <u, v> of two flat states over the full domain.
 
-    ``u`` and ``v`` are flat state buffers (the layout of the stepper's
-    buffers) or dicts of family arrays.  Per family, one pass sums u v over
-    the components of each node and one dot applies the node weights, so
-    no state-sized temporary is made.  A mirrored run's states stand for
-    their mirror-symmetric extensions, whose sums are exactly
-    ``mirror_scale`` times the stored half's.
+    Per family, one pass sums u v over the components of each node and one
+    dot applies the node weights, so no state-sized temporary is made.  A
+    mirrored run's states stand for their mirror-symmetric extensions,
+    whose sums are exactly ``mirror_scale`` times the stored half's.
     """
-    flat_u, flat_v = isinstance(u, np.ndarray), isinstance(v, np.ndarray)
     total = 0.0
     for a, span, m, w in setup.norm_tables:
-        x = (u[span] if flat_u else u[a]).reshape(-1, m)
-        y = (v[span] if flat_v else v[a]).reshape(-1, m)
-        total += np.dot(w, np.einsum("ij,ij->i", x, y))
+        total += np.dot(w, np.einsum("ij,ij->i", u[span].reshape(-1, m), v[span].reshape(-1, m)))
     return setup.mirror_scale * float(total)
 
 
-def energy(setup: SolverSetup, state) -> float:
-    """Total discrete energy <u, u>: sum of squared family SBP norms, full domain.
+def energy(setup: SolverSetup, state: np.ndarray) -> float:
+    """Total discrete energy <u, u> of a flat state: sum of squared family SBP norms, full domain.
 
-    A 1-D flat buffer takes one dot against :attr:`SolverSetup.flat_weights`,
-    which costs a few numpy calls fewer per time step than :func:`inner`.
+    In 1-D it is one dot against :attr:`SolverSetup.flat_weights`, which
+    costs a few numpy calls fewer per time step than :func:`inner`.
     """
     w = setup.flat_weights
-    if w is not None and isinstance(state, np.ndarray):
+    if w is not None:
         return setup.mirror_scale * float(np.dot(w * state, state))
     return inner(setup, state, state)
 
 
-def mass_u00(setup: SolverSetup, state: dict) -> float:
-    """Discrete integral of the mean component (all-even family, position 0) over the full domain."""
+def mass_u00(setup: SolverSetup, state: np.ndarray) -> float:
+    """Discrete integral of the mean component (all-even family, position 0) of a flat state, full domain."""
     a = ("e",) * setup.tensor.ndim
-    return setup.mirror_scale * float(np.dot(state[a][..., 0].ravel(), setup.weights[a]))
+    return setup.mirror_scale * float(np.dot(setup.views(state)[a][..., 0].ravel(), setup.weights[a]))
 
 
 def unfold(setup: SolverSetup, values: np.ndarray) -> np.ndarray:
@@ -532,22 +530,22 @@ def _along(arr: np.ndarray, d: int) -> np.ndarray:
 
 
 class _Stepper:
-    """The transport kernel with in-place Strang/RK4 stepping on flat buffers.
+    """The transport kernel with in-place Strang/RK4 stepping of one flat state.
 
-    u, k, stage and acc are each one contiguous array that holds every
-    family in ``setup.families`` order; :meth:`views` gives the per-family
-    arrays, and ``state`` is the dict of views of u.  The two plans that
-    RK4 needs are bound at construction: ``plan_u`` reads u and writes acc
-    (k1 goes straight into the accumulator), ``plan_stage`` reads stage and
-    writes k.  :meth:`rhs` runs one of them.
+    u is the flat state it was given, which it steps in place; k, stage and
+    acc are flat arrays of the same layout, and ``state`` is the dict of
+    family views of u.  The two plans that RK4 needs are bound at
+    construction: ``plan_u`` reads u and writes acc (k1 goes straight into
+    the accumulator), ``plan_stage`` reads stage and writes k.  :meth:`rhs`
+    runs one of them.
     """
 
-    def __init__(self, setup: SolverSetup):
+    def __init__(self, setup: SolverSetup, u: np.ndarray):
         self.setup = setup
         tensor = setup.tensor
-        size = max(span.stop for span in setup.spans.values())
-        self.u, self.k, self.stage, self.acc = (np.empty(size) for _ in range(4))
-        self.state = self.views(self.u)
+        self.u = u
+        self.k, self.stage, self.acc = (np.empty(setup.size) for _ in range(3))
+        self.state = setup.views(u)
         self.scratch = np.empty(max(span.stop - span.start for span in setup.spans.values()))
         # per family with components: (axis, complement, -(moment block)/h so
         # the difference buffer holds raw differences, difference buffer)
@@ -569,15 +567,6 @@ class _Stepper:
         self.plan_u = self._bind(self.u, self.acc)
         self.plan_stage = self._bind(self.stage, self.k)
 
-    def views(self, flat: np.ndarray) -> dict:
-        """Per-family arrays viewing one flat buffer."""
-        return {a: flat[span].reshape(self.setup.shapes[a]) for a, span in self.setup.spans.items()}
-
-    def load(self, state: dict) -> None:
-        """Copy a dict of family arrays into u."""
-        for a, v in self.state.items():
-            v[...] = state[a]
-
     def _bind(self, x: np.ndarray, out: np.ndarray) -> tuple:
         """The plan that reads buffer ``x`` and writes buffer ``out``: views and operands bound once.
 
@@ -586,7 +575,7 @@ class _Stepper:
         tau^o^T / p^o and, unless alpha = 1 makes tau^e vanish, tau^e^T / p^e.
         """
         tensor = self.setup.tensor
-        src_of, dst_of = self.views(x), self.views(out)
+        src_of, dst_of = self.setup.views(x), self.setup.views(out)
         diffs, corners, coupling = [], [], []
         for a, terms in self.terms.items():
             dst = dst_of[a].reshape(-1, dst_of[a].shape[-1])
@@ -675,25 +664,23 @@ class _Stepper:
             self._relax(0.5 * dt)
 
 
-def rhs(setup: SolverSetup, state: dict, t: float = 0.0) -> dict:
-    """Transport + SAT increment (no relaxation); pure in ``state``."""
-    stepper = _Stepper(setup)
-    stepper.load(state)
+def rhs(setup: SolverSetup, u: np.ndarray, t: float = 0.0) -> np.ndarray:
+    """Transport + SAT increment (no relaxation) of a flat state, as a new flat array; pure in ``u``."""
+    stepper = _Stepper(setup, u.copy())
     stepper.rhs(stepper.plan_u, t)
-    return stepper.views(stepper.acc)
+    return stepper.acc
 
 
-def step_strang(setup: SolverSetup, state: dict, dt: float, t: float = 0.0) -> dict:
-    """One Strang-split step (relax, RK4, relax) of a copy of ``state``; dt must meet the CFL bound."""
+def step_strang(setup: SolverSetup, u: np.ndarray, dt: float, t: float = 0.0) -> np.ndarray:
+    """One Strang-split step (relax, RK4, relax) of a copy of the flat state ``u``; dt must meet the CFL bound."""
     limit = setup.dt_stable()
     if dt > limit * (1.0 + 1e-12):
         raise ValidationError(
             f"dt = {dt} violates the CFL bound cfl * h_min / (ndim * max_speed) = {limit}"
         )
-    stepper = _Stepper(setup)
-    stepper.load(state)
+    stepper = _Stepper(setup, u.copy())
     stepper.step(dt, t)
-    return stepper.state
+    return stepper.u
 
 
 # ---------------------------------------------------------------------------
@@ -738,7 +725,7 @@ class RunResult:
     log: EnergyLog
     snapshots: list[Snapshot]
     metadata: dict
-    final_state: dict
+    final_state: np.ndarray  # flat, in the layout of setup.spans
     setup: SolverSetup
 
 
@@ -750,8 +737,7 @@ def run(scenario: Scenario) -> RunResult:
     """
     wall0 = _time.perf_counter()
     setup = build_setup(scenario)
-    stepper = _Stepper(setup)
-    state = initial_state(setup, out=stepper.state)
+    stepper = _Stepper(setup, initial_state(setup))
     dt_base = setup.dt_stable()
     t = 0.0
     times = [0.0]
@@ -775,7 +761,7 @@ def run(scenario: Scenario) -> RunResult:
                 time=at_t,
                 energy=scenario.energy_of(at_t),
                 nodes=snap_nodes,
-                u00=unfold(setup, state[e_family][..., 0]),
+                u00=unfold(setup, stepper.state[e_family][..., 0]),
             )
         )
 
@@ -836,7 +822,7 @@ def run(scenario: Scenario) -> RunResult:
         "rhs_calls": stepper.rhs_calls,
         "wall_seconds": _time.perf_counter() - wall0,
     }
-    return RunResult(scenario, log, snapshots, meta, state, setup)
+    return RunResult(scenario, log, snapshots, meta, stepper.u, setup)
 
 
 # ---------------------------------------------------------------------------

@@ -72,8 +72,8 @@ def build_full_setup(scenario):
         return build_setup(scenario)
 
 
-def lift(setup, state, full) -> dict:
-    """A state of ``setup`` in the layout of the full-basis setup ``full``.
+def lift(setup, state, full) -> np.ndarray:
+    """A flat state of ``setup`` as a flat state of the full-basis setup ``full``.
 
     Each family's components go to their flat positions; a 1-D run's
     coefficients, on the basis about its axis, are rotated back onto the
@@ -83,11 +83,12 @@ def lift(setup, state, full) -> dict:
     back = np.eye(basis.dim)
     if setup.axes != full.axes:
         back = rotation_about(basis.n_max, setup.scenario.axes[0])
-    out = {}
+    out = np.zeros(full.size)
+    fams, into = setup.views(state), full.views(out)
     for a, idx in setup.comps.items():
         vals = np.zeros(setup.tensor.family_shape(a) + (basis.dim,))
-        vals[..., idx] = state[a]
-        out[a] = (vals @ back)[..., full.comps[a]]
+        vals[..., idx] = fams[a]
+        into[a][...] = (vals @ back)[..., full.comps[a]]
     return out
 
 
@@ -97,19 +98,17 @@ class AssembledOperator:
     An independent reference for the solver's kernel: L is assembled from
     Kronecker products of the SBP derivative matrices D^o / D^e with the
     moment blocks, plus the SAT rows of every face block; s(t) carries the
-    boundary source g.  States are packed by concatenating the flattened
-    family arrays.  Build it on a full-basis setup (:func:`build_full_setup`)
-    and compare reduced runs through :func:`lift`.
+    boundary source g.  States are the solver's flat states, whose family
+    slices ``setup.spans`` are the block rows of L.  Build it on a
+    full-basis setup (:func:`build_full_setup`) and compare reduced runs
+    through :func:`lift`.
     """
 
     def __init__(self, setup):
         self.setup = setup
         tensor = setup.tensor
         fams = setup.families
-        self.shapes = setup.shapes
-        sizes = {a: int(np.prod(s)) for a, s in self.shapes.items()}
-        starts = np.cumsum([0] + list(sizes.values()))
-        self.slices = {a: slice(starts[i], starts[i + 1]) for i, a in enumerate(fams)}
+        sizes = {a: int(np.prod(s)) for a, s in setup.shapes.items()}
         blocks = {(a, b): sp.csr_matrix((sizes[a], sizes[b])) for a in fams for b in fams}
         for a in fams:
             for d in range(tensor.ndim):
@@ -148,12 +147,6 @@ class AssembledOperator:
         row[0, index] = 1.0
         return sp.csr_matrix(row)
 
-    def pack(self, state) -> np.ndarray:
-        return np.concatenate([state[a].ravel() for a in self.setup.families])
-
-    def unpack(self, vec) -> dict:
-        return {a: vec[self.slices[a]].reshape(s) for a, s in self.shapes.items()}
-
     def source(self, t: float) -> np.ndarray:
         out = np.zeros(self.matrix.shape[0])
         energy_map = self.setup.scenario.energy_map
@@ -162,22 +155,22 @@ class AssembledOperator:
                 tf = face.inflow.time_factor(t, energy_map)
                 g = (tf * np.multiply.outer(blk.g_space, blk.g_dir)).ravel()
                 for fam, mat in lift.items():
-                    out[self.slices[fam]] -= mat @ g
+                    out[self.setup.spans[fam]] -= mat @ g
         return out
 
-    def rhs(self, state, t: float = 0.0) -> dict:
-        return self.unpack(self.matrix @ self.pack(state) + self.source(t))
+    def rhs(self, state, t: float = 0.0) -> np.ndarray:
+        return self.matrix @ state + self.source(t)
 
-    def step_strang(self, state, dt: float, t: float) -> dict:
+    def step_strang(self, state, dt: float, t: float) -> np.ndarray:
         """Relaxation half-step, classical RK4 on L u + s(t), relaxation half-step."""
         relax = np.concatenate([
             np.broadcast_to(np.exp(self.setup.q_relax[a] * 0.5 * dt), s).ravel()
-            for a, s in self.shapes.items()
+            for a, s in self.setup.shapes.items()
         ])
-        u = relax * self.pack(state)
+        u = relax * state
         f = lambda v, s: self.matrix @ v + self.source(s)
         k1 = f(u, t)
         k2 = f(u + 0.5 * dt * k1, t + 0.5 * dt)
         k3 = f(u + 0.5 * dt * k2, t + 0.5 * dt)
         k4 = f(u + dt * k3, t + dt)
-        return self.unpack(relax * (u + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)))
+        return relax * (u + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))

@@ -477,6 +477,27 @@ class TestCli:
         with pytest.raises(ValidationError, match="not on the scenario's grid"):
             diff_against_run(tallies, tmp_path / "run")
 
+    def test_oracle_diff_against_run_without_the_tally_times_exits_1(self, tmp_path, capsys, monkeypatch):
+        # a run on the same grid at other snapshot times used to give an empty diff.json and
+        # exit 0; it now fails before the simulation and names the unmatched times
+        monkeypatch.setattr("pnsat.cli.simulate", lambda *a, **k: pytest.fail("simulated"))
+        doc = small_doc("x", 2, cells=12)
+        doc["integration"]["t_end"] = 0.8
+        doc["outputs"]["snapshot_times"] = [0.4, 0.8]
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", str(cfg), "-o", str(tmp_path / "run")]) == 0
+        doc["outputs"]["snapshot_times"] = [0.3, 0.6]
+        oracle = tmp_path / "oracle.json"
+        oracle.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["oracle", str(oracle), "--n", "4000", "-o", str(tmp_path / "mc"),
+                     "--diff", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert code == 1 and "Traceback" not in err
+        assert "has no snapshot at t = 0.3, 0.6 (its snapshots are at t = 0.4, 0.8)" in err
+        assert not (tmp_path / "mc").exists()
+
     def test_oracle_worker_error_exits_2(self, tmp_path, capsys, monkeypatch):
         # the Legendre reconstruction 1 + 5 P2(c) is negative near c = 0: a NumericalError
         # raised by the first collision inside a pool worker

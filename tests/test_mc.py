@@ -6,6 +6,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -156,6 +157,14 @@ PARALLEL_CASES = {
 }
 
 
+def _fail_first_then_sleep(task):
+    """A batch stand-in: task 0 fails at once, every other task takes 2 s."""
+    if task == 0:
+        raise NumericalError("batch 0 failed")
+    time.sleep(2.0)
+    return task
+
+
 class TestParallelBatches:
     """The pooled batches give the in-process result bit for bit."""
 
@@ -172,6 +181,15 @@ class TestParallelBatches:
             assert one.u00.any()
             assert np.array_equal(one.u00, two.u00)
             assert np.array_equal(one.stderr, two.stderr)
+
+    def test_worker_error_raises_before_later_batches_finish(self):
+        # the pool used to collect every batch before it re-raised: 4 tasks on 2 workers
+        # took about 4 s; the failure of task 0 now ends the pool at once
+        t0 = time.perf_counter()
+        with pytest.raises(NumericalError, match="batch 0 failed"):
+            mc_module._run_batches(_fail_first_then_sleep, [0, 1, 2, 3], 2)
+        assert time.perf_counter() - t0 < 3.0
+        assert multiprocessing.active_children() == []
 
     def test_default_worker_count(self):
         cores = len(os.sched_getaffinity(0))

@@ -92,10 +92,7 @@ def test_drawn_scenario_runs_or_fails_cleanly(doc):
         setup = build_setup(scenario_from_dict({**doc, "initial": every_moment_initial(n_max, ndim)}))
         assert setup.n_components == (n_max + 1) ** 2
         rng = np.random.default_rng(0)
-        state = {a: rng.standard_normal(setup.tensor.family_shape(a) + (setup.comps[a].size,))
-                 for a in setup.families}
+        state = rng.standard_normal(setup.size)
         want = AssembledOperator(setup).rhs(state, 0.05)
         got = rhs(setup, state, 0.05)
-        scale = max((np.abs(v).max() for v in want.values() if v.size), default=1.0)
-        for a in setup.families:
-            np.testing.assert_allclose(got[a], want[a], rtol=0.0, atol=1e-13 * scale)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * np.abs(want).max())

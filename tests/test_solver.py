@@ -37,7 +37,6 @@ from pnsat.solver import (
     rhs,
     run,
     step_strang,
-    zero_state,
 )
 
 
@@ -98,20 +97,15 @@ class TestRhs:
     def test_constant_state_interior_zero(self):
         sc = vacuum_1d()
         setup = build_setup(sc)
-        state = zero_state(setup)
-        for a in state:
-            state[a][...] = 1.0
-        inc = rhs(setup, state)
+        inc = setup.views(rhs(setup, np.ones(setup.size)))
         for a, arr in inc.items():
             assert np.abs(arr[2:-2]).max() < 1e-13  # interior SAT-free rows
 
     def test_boundary_rows_carry_sat_residual(self):
         sc = vacuum_1d()
         setup = build_setup(sc)
-        state = zero_state(setup)
-        for a in state:
-            state[a][...] = 1.0
-        inc = rhs(setup, state)
+        state = setup.views(np.ones(setup.size))
+        inc = setup.views(rhs(setup, np.ones(setup.size)))
         face = setup.faces[0]  # the high face when the run is mirrored
         blk, b = face.blocks[0], face.boundary_index
         res = state[blk.family_odd][b] - blk.m_eff @ state[blk.family_even][b]
@@ -122,10 +116,10 @@ class TestRhs:
     def test_locality_of_delta(self):
         sc = vacuum_1d(cells=80)
         setup = build_setup(sc)
-        state = zero_state(setup)
+        state = np.zeros(setup.size)
         e_fam, o_fam = ("e",), ("o",)
-        state[e_fam][40, 0] = 1.0
-        inc = rhs(setup, state)
+        setup.views(state)[e_fam][40, 0] = 1.0
+        inc = setup.views(rhs(setup, state))
         hit = np.nonzero(np.abs(inc[o_fam]).max(axis=-1) > 0)[0]
         assert hit.size > 0
         assert hit.min() >= 35 and hit.max() <= 45
@@ -136,8 +130,7 @@ class TestRhs:
         # odd-family increment = -Ahat^T d/dx u00 up to O(h^2)
         sc = vacuum_1d(n_max=3, cells=200, sigma=0.25)
         setup = build_setup(sc)
-        state = initial_state(setup)
-        inc = rhs(setup, state)
+        inc = setup.views(rhs(setup, initial_state(setup)))
         o_fam, e_fam = ("o",), ("e",)
         x_o = setup.tensor.axis_nodes(0, "o")
         sig = 0.25
@@ -156,11 +149,10 @@ class TestRhs:
         assert setup.n_components == 16
         rng = np.random.default_rng(5)
         for _ in range(100):
-            st = {a: rng.standard_normal(setup.tensor.family_shape(a) + (setup.comps[a].size,))
-                  for a in setup.families}
-            inc = rhs(setup, st)
+            st = rng.standard_normal(setup.size)
+            fams, inc = setup.views(st), setup.views(rhs(setup, st))
             val = sum(
-                float(np.sum(setup.tensor.axis_weights(0, a[0])[:, None] * st[a] * inc[a]))
+                float(np.sum(setup.tensor.axis_weights(0, a[0])[:, None] * fams[a] * inc[a]))
                 for a in setup.families
             )
             assert val <= 1e-12 * energy(setup, st)
@@ -173,8 +165,7 @@ class TestNorms:
         # 'o' axis, p_even on an 'e' axis) weights the node sums of u . v
         setup = build_setup(small_nd(axes, cells, f"{axes[0]}_high", ISOTROPIC))
         rng = np.random.default_rng(11)
-        u = {a: rng.random(s) for a, s in setup.shapes.items()}
-        v = {a: rng.random(s) for a, s in setup.shapes.items()}
+        u, v = rng.random(setup.size), rng.random(setup.size)
 
         def kron_weights(a):
             w = np.ones(1)
@@ -183,20 +174,21 @@ class TestNorms:
             return w
 
         def reference(x, y):
+            x, y = setup.views(x), setup.views(y)
             return sum(float(kron_weights(a) @ (x[a] * y[a]).reshape(-1, s[-1]).sum(axis=1))
                        for a, s in setup.shapes.items())
 
         assert inner(setup, u, v) == pytest.approx(reference(u, v), rel=1e-13)
         assert energy(setup, u) == pytest.approx(reference(u, u), rel=1e-13)
         even = ("e",) * len(axes)
-        mass = float(kron_weights(even) @ u[even][..., 0].ravel())
+        mass = float(kron_weights(even) @ setup.views(u)[even][..., 0].ravel())
         assert mass_u00(setup, u) == pytest.approx(mass, rel=1e-13)
 
     @pytest.mark.parametrize("name", ["tc1", "tc_inflow_1d"])
     def test_energy_of_a_flat_1d_buffer_matches_inner(self, name):
         # one dot against the flat weight table (tc1 is mirrored) against the per-family sums
         setup = build_setup(load_bundled(name))
-        flat = np.random.default_rng(5).random(setup.flat_weights.size)
+        flat = np.random.default_rng(5).random(setup.size)
         assert energy(setup, flat) == pytest.approx(inner(setup, flat, flat), rel=1e-14)
 
     def test_no_flat_weight_table_on_multi_axis_setups(self):
@@ -210,11 +202,11 @@ class TestStepping:
         # transport contributes nothing in the interior, only relaxation acts
         sc = vacuum_1d(n_max=3, cells=60, scattering={"kind": "isotropic", "sigma_s": 2.0})
         setup = build_setup(sc)
-        state = zero_state(setup)
+        state = np.zeros(setup.size)
         e_fam = ("e",)
-        state[e_fam][:, :] = 1.0
+        setup.views(state)[e_fam][:, :] = 1.0
         dt = setup.dt_stable()
-        new = step_strang(setup, state, dt, 0.0)
+        new = setup.views(step_strang(setup, state, dt, 0.0))
         # keep clear of the boundary SAT influence (a few stencil widths per stage)
         interior = slice(14, -14)
         for pos, flat in enumerate(setup.comps[e_fam]):
@@ -229,25 +221,17 @@ class TestStepping:
         state = initial_state(setup)
         dt = setup.dt_stable()
         k1 = rhs(setup, state, 0.0)
-        u2 = {a: state[a] + 0.5 * dt * k1[a] for a in state}
-        k2 = rhs(setup, u2, 0.0)
-        u3 = {a: state[a] + 0.5 * dt * k2[a] for a in state}
-        k3 = rhs(setup, u3, 0.0)
-        u4 = {a: state[a] + dt * k3[a] for a in state}
-        k4 = rhs(setup, u4, 0.0)
-        manual = {
-            a: state[a] + dt / 6.0 * (k1[a] + 2 * k2[a] + 2 * k3[a] + k4[a]) for a in state
-        }
-        stepped = step_strang(setup, state, dt, 0.0)
-        for a in state:
-            np.testing.assert_allclose(stepped[a], manual[a], atol=1e-14)
+        k2 = rhs(setup, state + 0.5 * dt * k1, 0.0)
+        k3 = rhs(setup, state + 0.5 * dt * k2, 0.0)
+        k4 = rhs(setup, state + dt * k3, 0.0)
+        manual = state + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        np.testing.assert_allclose(step_strang(setup, state, dt, 0.0), manual, atol=1e-14)
 
     def test_cfl_violation_rejected(self):
         sc = vacuum_1d()
         setup = build_setup(sc)
-        state = zero_state(setup)
         with pytest.raises(ValidationError, match="CFL"):
-            step_strang(setup, state, 10.0 * setup.dt_stable(), 0.0)
+            step_strang(setup, np.zeros(setup.size), 10.0 * setup.dt_stable(), 0.0)
 
     def test_buffered_stepper_matches_reference(self):
         # reference: RK4 on the assembled global sparse operator; the n-D cases carry
@@ -268,13 +252,10 @@ class TestStepping:
             ref = lift(setup, state, full)
             for i in range(3):
                 ref = op.step_strang(ref, dt, i * dt)
-            stepper = _Stepper(setup)
-            stepper.load(state)
+            stepper = _Stepper(setup, state)
             for i in range(3):
                 stepper.step(dt, i * dt)
-            got = lift(setup, stepper.state, full)
-            for a in state:
-                np.testing.assert_allclose(got[a], ref[a], atol=1e-13)
+            np.testing.assert_allclose(lift(setup, stepper.u, full), ref, atol=1e-13)
         assert build_setup(cases[0]).n_components < build_full_setup(cases[0]).n_components
 
     def test_n_dimensional_cases_exercise_every_term(self):
@@ -289,32 +270,29 @@ class TestStepping:
         beam = sc.faces[(1, "high")].inflow
         assert beam.time_factor(0.0, sc.energy_map) != beam.time_factor(0.1, sc.energy_map)
 
-    def test_stepper_reused_across_caller_dicts(self):
-        # one stepper loading two different dicts in turn agrees with fresh steppers
+    def test_stepper_reused_across_states(self):
+        # one stepper stepping two different states in turn through its u agrees with fresh
+        # steppers: its other buffers carry nothing from one step to the next
         sc = small_nd("xz", (8, 5), "z_high", BEAM)
         setup = build_setup(sc)
         dt = setup.dt_stable()
         first = initial_state(setup)
-        second = {a: 0.5 * v[::-1].copy() for a, v in first.items()}
+        second = 0.5 * first[::-1]
         want = {}
         for name, st in (("first", first), ("second", second)):
-            fresh = _Stepper(setup)
-            fresh.load(st)
+            fresh = _Stepper(setup, st.copy())
             for i in range(2):
                 fresh.step(dt, i * dt)
-            want[name] = {a: v.copy() for a, v in fresh.state.items()}
-        shared = _Stepper(setup)
-        got = {"first": {a: v.copy() for a, v in first.items()},
-               "second": {a: v.copy() for a, v in second.items()}}
+            want[name] = fresh.u
+        shared = _Stepper(setup, np.empty(setup.size))
+        got = {"first": first.copy(), "second": second.copy()}
         for i in range(2):
             for name in ("first", "second"):
-                shared.load(got[name])
+                shared.u[...] = got[name]
                 shared.step(dt, i * dt)
-                for a, v in shared.state.items():
-                    got[name][a][...] = v
+                got[name][...] = shared.u
         for name in got:
-            for a in got[name]:
-                assert np.array_equal(got[name][a], want[name][a])
+            assert np.array_equal(got[name], want[name])
 
     def test_single_step_energy_non_increasing(self):
         sc = vacuum_1d(n_max=5, cells=60)
