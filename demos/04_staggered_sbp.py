@@ -4,12 +4,14 @@ Staggered summation-by-parts operators and SAT penalties
 
 Odd variables live on integer nodes, even variables on midpoints plus both
 endpoints, so each derivative is a plain central difference. The boundary
-closures come from a table of exact rationals, both ends superposed: the
-left-end closure meets the accuracy constraints and the SBP identity
-Q^o + (Q^e)^T = B, the right end is its mirror image, and where the two
-ends share rows their deviations from the stencil add. The identity holds
-entrywise, which makes the discrete integration-by-parts identity hold to
-the last bit and carries the energy bound to the semi-discrete level.
+closures come from a table of dyadic rationals (denominators up to 32),
+exact in binary, with both ends superposed: the left-end closure meets the
+accuracy constraints and the SBP identity Q^o + (Q^e)^T = B, the right end
+is its mirror image, and where the two ends share rows their deviations
+from the stencil add. Doubles hold every entry and every such sum exactly,
+so the identity holds entrywise, which makes the discrete
+integration-by-parts identity hold to the last bit and carries the energy
+bound to the semi-discrete level.
 """
 
 import numpy as np

@@ -192,11 +192,16 @@ class ScatteringSpectrum:
         object.__setattr__(self, "moments", m)
         if m.ndim != 1 or m.size == 0:
             raise ValidationError("scattering moments must be a non-empty 1-d sequence")
-        if np.abs(m[1:]).size and np.abs(m[1:]).max() > m[0] + 1e-12:
-            raise ValidationError("scattering moments must satisfy |sigma_l| <= sigma_0")
+        over = np.flatnonzero(np.abs(m[1:]) > m[0] + 1e-12)
+        if over.size:
+            l = int(over[0]) + 1
+            raise ValidationError(
+                f"scattering moments must satisfy |sigma_l| <= sigma_0: sigma_{l} = {float(m[l])} "
+                f"exceeds sigma_0 = {float(m[0])} in magnitude"
+            )
         if m[0] > self.sigma_t + 1e-12:
             raise ValidationError(
-                f"sigma_0 = {m[0]!r} exceeds sigma_t = {self.sigma_t!r}; "
+                f"sigma_0 = {float(m[0])} exceeds sigma_t = {float(self.sigma_t)}; "
                 "relaxation would be positive"
             )
 

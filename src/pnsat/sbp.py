@@ -7,14 +7,15 @@ variables (n+2 nodes).  The operator pair (P^o, Q^o, P^e, Q^e) satisfies
     Q^o + (Q^e)^T = B,   B = -e_first e_first^T + e_last e_last^T pattern,
 
 with diagonal positive P, interior stencils that are plain staggered
-central differences, and closures from a table of exact rationals, both
-ends superposed on every grid with n >= 4 cells (:func:`_overlay`).  The
-resulting D^o = (P^o)^{-1} Q^o is second-order accurate at every node; D^e
-is second-order except first-order in its two boundary rows.  A pair keeps
-what the transport kernel reads, the norm vectors and the dense closure
-corners, plus the exact closure entries; the sparse (CSR) matrices Q and D
-are assembled from those and the interior stencil on first access.  Both
-cost time and memory linear in the number of cells.
+central differences, and closures from a table of dyadic rationals, exact
+in binary, both ends superposed on every grid with n >= 4 cells
+(:func:`_overlay`).  The resulting D^o = (P^o)^{-1} Q^o is second-order
+accurate at every node; D^e is second-order except first-order in its two
+boundary rows.  A pair keeps what the transport kernel reads, the norm
+vectors and the dense closure corners, plus the exact closure entries; the
+sparse (CSR) matrices Q and D are assembled from those and the interior
+stencil on first access.  Both cost time and memory linear in the number
+of cells.
 
 Mirror plane.  A grid built with ``mirror=True`` stores only x >= 0 of a
 symmetric interval [-X, X] with an even number n >= 8 of cells; h is the
@@ -40,7 +41,6 @@ the discrete energy rate cancel; the sign is that of the face normal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, reduce
 
 import numpy as np
@@ -191,36 +191,38 @@ class SbpPair:
 # row 3) and the first norm entries.  They meet the SBP identity on the
 # corner, make D^o exact on 1, x, x^2 in every row and D^e exact on 1, x, x^2
 # in rows 1..3 and on 1, x in its boundary row; tests/test_sbp.py checks each
-# condition in exact arithmetic.
-_F = Fraction
+# condition in exact arithmetic.  Every entry is a dyadic rational with a
+# denominator of at most 32, so a double holds it exactly, and the overlay's
+# sums of such entries are exact too.
 _CORNER_Q_ODD = (
-    (_F(-3, 4), _F(25, 32), _F(0), _F(-1, 32)),
-    (_F(-1, 4), _F(-25, 32), _F(15, 16), _F(3, 32)),
-    (_F(0), _F(0), _F(-15, 16), _F(15, 16)),
+    (-3 / 4, 25 / 32, 0.0, -1 / 32),
+    (-1 / 4, -25 / 32, 15 / 16, 3 / 32),
+    (0.0, 0.0, -15 / 16, 15 / 16),
 )
 _CORNER_Q_EVEN = (
-    (_F(-1, 4), _F(1, 4), _F(0), _F(0)),
-    (_F(-25, 32), _F(25, 32), _F(0), _F(0)),
-    (_F(0), _F(-15, 16), _F(15, 16), _F(0)),
-    (_F(1, 32), _F(-3, 32), _F(-15, 16), _F(1)),
+    (-1 / 4, 1 / 4, 0.0, 0.0),
+    (-25 / 32, 25 / 32, 0.0, 0.0),
+    (0.0, -15 / 16, 15 / 16, 0.0),
+    (1 / 32, -3 / 32, -15 / 16, 1.0),
 )
-_CORNER_P_ODD = (_F(5, 16), _F(5, 4), _F(15, 16))
-_CORNER_P_EVEN = (_F(1, 4), _F(25, 32), _F(15, 16), _F(33, 32))
+_CORNER_P_ODD = (5 / 16, 5 / 4, 15 / 16)
+_CORNER_P_EVEN = (1 / 4, 25 / 32, 15 / 16, 33 / 32)
 
 
 def _overlay(n: int):
     """Exact (h = 1) entries of the full pair's closure rows on an n >= 4 cell grid.
 
-    Returns dicts ``qo[i, j]``, ``qe[j, i]``, ``po[i]`` and ``pe[j]`` over
-    the rows the corners cover; every other row is the stencil -1, +1 at
-    columns i + shift, i + shift + 1 with unit norm.  Each entry is that
-    stencil plus the left corner's deviation from it plus the deviation's
-    antisymmetric mirror image (i, j) -> (last row - i, last column - j) at
-    the right end; the stencil is itself antisymmetric under that map.  For
-    n = 4, 5 the ends share rows and the two deviations are added there,
-    not overwritten.  The SBP identity and the accuracy conditions are
-    linear in (Q, P) and hold for the stencil alone on the shared (interior)
-    rows, so the sum meets them too; the shared norms are 7/8 and 31/32.
+    Returns the rows ``qo[i][j]``, ``qe[j][i]`` and the norms ``po[i]``,
+    ``pe[j]`` the corners cover, zero entries dropped (a covered row may be
+    empty); every other row is the stencil -1, +1 at columns i + shift,
+    i + shift + 1 with unit norm.  Each entry is that stencil plus the left
+    corner's deviation from it plus the deviation's antisymmetric mirror
+    image (i, j) -> (last row - i, last column - j) at the right end; the
+    stencil is itself antisymmetric under that map.  For n = 4, 5 the ends
+    share rows and the two deviations are added there, not overwritten.  The
+    SBP identity and the accuracy conditions are linear in (Q, P) and hold
+    for the stencil alone on the shared (interior) rows, so the sum meets
+    them too; the shared norms are 7/8 and 31/32.
     """
     out = []
     for table, norms, shift, n_rows in (
@@ -231,67 +233,55 @@ def _overlay(n: int):
         q, p = {}, {}
         for r, (row, w) in enumerate(zip(table, norms)):
             i = n_rows - 1 - r
-            p[r] = p.get(r, 1) + w - 1
-            p[i] = p.get(i, 1) + w - 1
+            p[r] = p.get(r, 1.0) + w - 1
+            p[i] = p.get(i, 1.0) + w - 1
+            low, high = q.setdefault(r, {}), q.setdefault(i, {})
             for c, v in enumerate(row):
                 j = n_cols - 1 - c
                 st = (c == r + shift + 1) - (c == r + shift)  # the stencil entry; it is -st at (i, j)
-                q[r, c] = q.get((r, c), st) + v - st
-                q[i, j] = q.get((i, j), -st) - (v - st)
-        out.append((q, p))
+                low[c] = low.get(c, st) + v - st
+                high[j] = high.get(j, -st) - (v - st)
+        out.append(({i: {j: v for j, v in row.items() if v} for i, row in q.items()}, p))
     (qo, po), (qe, pe) = out
     return qo, qe, po, pe
 
 
 def _mirror_overlay(n: int):
-    """Exact (h = 1) closure entries of the half pair on x > 0 of an even n >= 8 cell grid.
+    """Exact (h = 1) closure rows and norms of the half pair on x > 0 of an even n >= 8 cell grid.
 
-    The full grid's high-end entries, shifted so that its node n/2 + 1
-    (x = h on the odd grid, h/2 on the even grid) becomes row 0, plus the
-    first even row's single entry +1 at odd column 0: its stencil partner
-    is the node x = 0, where every odd variable of a mirror-symmetric state
+    The full grid's high-end rows, shifted so that its node n/2 + 1 (x = h
+    on the odd grid, h/2 on the even grid) becomes row 0, plus the first
+    even row's single entry +1 at odd column 0: its stencil partner is the
+    node x = 0, where every odd variable of a mirror-symmetric state
     vanishes.
     """
     qo_f, qe_f, po_f, pe_f = _overlay(n)
     o = n // 2 + 1
-    qo = {(i - o, j - o): v for (i, j), v in qo_f.items() if i >= o}
-    qe = {(j - o, i - o): v for (j, i), v in qe_f.items() if j >= o}
-    qe[0, 0] = Fraction(1)
-    po = {i - o: v for i, v in po_f.items() if i >= o}
-    pe = {j - o: v for j, v in pe_f.items() if j >= o}
-    pe[0] = Fraction(1)
+    qo, qe = ({i - o: {j - o: v for j, v in row.items()} for i, row in q.items() if i >= o} for q in (qo_f, qe_f))
+    po, pe = ({i - o: w for i, w in p.items() if i >= o} for p in (po_f, pe_f))
+    qe[0], pe[0] = {0: 1.0}, 1.0
     return qo, qe, po, pe
-
-
-def _exact_rows(q: dict) -> dict[int, dict[int, Fraction]]:
-    """Exact (h = 1) entries per covered row, rows in order; a covered row may hold no entry."""
-    rows: dict[int, dict[int, Fraction]] = {}
-    for (i, j), v in sorted(q.items()):
-        row = rows.setdefault(i, {})
-        if v:
-            row[j] = v
-    return rows
 
 
 def _closure(rows: dict, p: dict, n_rows: int, shift: int, h: float, split: int):
     """Scaled norm P and closure corners of one operator.
 
-    ``rows`` (:func:`_exact_rows`) and ``p`` hold the exact (h = 1) entries
-    of the rows they cover; every other row i is the staggered stencil -1,
-    +1 at columns i + shift, i + shift + 1 with unit norm.  A covered row is
-    a closure row when its exact D entries differ from that stencil; the
-    closure rows below ``split`` make up the low-end :class:`ClosureCorner`,
-    the others the high-end one, and an end without closure rows has no
-    corner.
+    ``rows`` and ``p`` (:func:`_overlay`) hold the exact (h = 1) entries of
+    the rows they cover; every other row i is the staggered stencil -1, +1
+    at columns i + shift, i + shift + 1 with unit norm.  A covered row is a
+    closure row when its D entries differ from that stencil; the closure
+    rows below ``split`` make up the low-end :class:`ClosureCorner`, the
+    others the high-end one, and an end without closure rows has no corner.
+    The one rounding is the division Q / P, correctly rounded.
     """
     p_vec = np.ones(n_rows)
-    p_vec[list(p)] = [float(w) for w in p.values()]
+    p_vec[list(p)] = list(p.values())
     p_vec *= h
 
     def stencil(i):
-        return {i + shift: Fraction(-1), i + shift + 1: Fraction(1)}
+        return {i + shift: -1.0, i + shift + 1: 1.0}
 
-    h_d = {i: {j: w / p[i] for j, w in row.items()} for i, row in rows.items()}  # exact rows of h * D
+    h_d = {i: {j: w / p[i] for j, w in row.items()} for i, row in rows.items()}  # rows of h * D
     closure = [i for i, e in h_d.items() if e != stencil(i)]
     low = [i for i in closure if i < split]
     high = [i for i in closure if i >= split]
@@ -304,17 +294,17 @@ def _closure(rows: dict, p: dict, n_rows: int, shift: int, h: float, split: int)
         weights = np.zeros((hi - lo, max(max(e) for e in entries) + 1 - c0))
         for i, e in enumerate(entries):
             for j, w in e.items():
-                weights[i, j - c0] = float(w)
+                weights[i, j - c0] = w
         corners.append(ClosureCorner(slice(lo, hi), slice(c0, c0 + weights.shape[1]), weights))
     return p_vec, tuple(corners)
 
 
 def _sparse(rows: dict, p_vec: np.ndarray, shape: tuple[int, int], shift: int):
-    """Sparse Q and D = P^{-1} Q of one operator from its exact rows and the stencil elsewhere."""
+    """Sparse Q and D = P^{-1} Q of one operator from its closure rows and the stencil elsewhere."""
     stencil = np.ones(shape[0], dtype=bool)
     stencil[list(rows)] = False
     stencil = np.flatnonzero(stencil)
-    r, c, v = zip(*((i, j, float(w)) for i, row in rows.items() for j, w in row.items()))
+    r, c, v = zip(*((i, j, w) for i, row in rows.items() for j, w in row.items()))
     q_mat = sp.csr_matrix(
         (
             np.concatenate([np.full(stencil.size, -1.0), np.ones(stencil.size), v]),
@@ -328,13 +318,14 @@ def _sparse(rows: dict, p_vec: np.ndarray, shape: tuple[int, int], shift: int):
 
 
 def build_sbp_pair(grid: StaggeredGrid1d) -> SbpPair:
-    """Second-order staggered SBP pair on a grid; closures from the exact rational table.
+    """Second-order staggered SBP pair on a grid; closures from the dyadic table, exact in binary.
 
-    The SBP identity Q^o + (Q^e)^T = B holds entrywise exactly (rational
-    arithmetic, then converted to float); P entries are positive; D^o is
-    exact through quadratics at every node.  The build forms the closure
-    corners and the norms only; the sparse matrices are assembled from the
-    interior stencil and the exact closure entries on first access
+    The SBP identity Q^o + (Q^e)^T = B holds entrywise exactly: every
+    closure entry and norm is a dyadic rational that a double holds
+    exactly, so the only rounding is the division D = P^{-1} Q.  P entries
+    are positive; D^o is exact through quadratics at every node.  The build
+    forms the closure corners and the norms only; the sparse matrices are
+    assembled from the interior stencil and the closure rows on first access
     (:class:`SbpPair`), and both cost time linear in the number of cells.
     On a mirrored grid the pair is the half pair of the module docstring.
     """
@@ -345,10 +336,9 @@ def build_sbp_pair(grid: StaggeredGrid1d) -> SbpPair:
     else:
         qo, qe, po, pe = _overlay(n)
         split_odd, split_even = (n_odd + 1) // 2, (n_even + 1) // 2
-    rows_odd, rows_even = _exact_rows(qo), _exact_rows(qe)
-    p_odd, corners_odd = _closure(rows_odd, po, n_odd, 0, grid.h, split_odd)
-    p_even, corners_even = _closure(rows_even, pe, n_even, -1, grid.h, split_even)
-    return SbpPair(grid, p_odd, p_even, corners_odd, corners_even, rows_odd, rows_even)
+    p_odd, corners_odd = _closure(qo, po, n_odd, 0, grid.h, split_odd)
+    p_even, corners_even = _closure(qe, pe, n_even, -1, grid.h, split_even)
+    return SbpPair(grid, p_odd, p_even, corners_odd, corners_even, qo, qe)
 
 
 # ---------------------------------------------------------------------------

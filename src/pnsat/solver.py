@@ -729,6 +729,23 @@ class RunResult:
     setup: SolverSetup
 
 
+STEP_BUDGET = 10_000_000  # the most steps one run may take
+
+
+def _check_step_budget(t_end: float, dt: float, n_snapshots: int) -> None:
+    """Raise before the first step when a run could take more than :data:`STEP_BUDGET` steps.
+
+    A run takes at most ceil(t_end / dt) steps of dt plus one shortened step
+    per snapshot time; dt = 0 counts as unbounded.
+    """
+    bound = t_end / dt + n_snapshots if dt > 0 else math.inf
+    if bound > STEP_BUDGET:
+        raise NumericalError(
+            f"the run needs up to {bound:.3g} steps of dt = {dt:.3g} to reach t_end = {t_end:.6g}, "
+            f"over the budget of {STEP_BUDGET:,} steps"
+        )
+
+
 def run(scenario: Scenario) -> RunResult:
     """Integrate a scenario to its end time, recording energy and snapshots.
 
@@ -737,8 +754,9 @@ def run(scenario: Scenario) -> RunResult:
     """
     wall0 = _time.perf_counter()
     setup = build_setup(scenario)
-    stepper = _Stepper(setup, initial_state(setup))
     dt_base = setup.dt_stable()
+    _check_step_budget(scenario.t_end, dt_base, len(scenario.snapshot_times))
+    stepper = _Stepper(setup, initial_state(setup))
     t = 0.0
     times = [0.0]
     setup_s = _time.perf_counter() - wall0
@@ -790,7 +808,7 @@ def run(scenario: Scenario) -> RunResult:
         while next_snap is not None and t >= next_snap - 1e-12:
             take_snapshot(t)
             next_snap = next(snap_iter, None)
-        if step_count > 10_000_000:
+        if step_count > STEP_BUDGET:  # a backstop: _check_step_budget bounds the count up front
             raise NumericalError("step budget exceeded")
 
     stepping_s = _time.perf_counter() - wall0 - setup_s

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import golden_sector
+from pnsat import boundary, checks
 from pnsat.boundary import (
     Face,
     boundary_source,
@@ -93,15 +95,8 @@ class TestOnsagerBc:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_truncation_locality(self, n):
-        basis = MomentBasis.build(n)
-        system = assemble_transport(basis)
-        for axis in (1, 2, 3):
-            for side in ("low", "high"):
-                face = Face(axis, side)
-                mt = marshak_matrix(basis, face)
-                bc = onsager_bc(basis, face, system)
-                low_degree = basis.degrees[basis.even_positions(axis)] < n
-                assert np.abs((mt - bc.m_matrix)[:, low_degree]).max() < 1e-11
+        result = checks.check_truncation_locality(n_list=(n,))
+        assert result.passed, result.line()
 
     @pytest.mark.parametrize("axis", [1, 2, 3])
     def test_cross_class_entries_exact_zero(self, axis):
@@ -297,3 +292,27 @@ class TestRestrictedRows:
         for rows in (basis13.odd_positions(axis), self.some_rows(basis13, axis, 7)):
             want = 2.0 * (y[:, rows].T @ (quad.weights * profile(quad.nodes)))
             close_per_block(boundary_source(face, profile, basis13, rows=rows), want)
+
+
+def shifted(fn, delta):
+    """``fn`` with ``delta`` added to entry [0, 0] of the matrix it returns."""
+    def wrapper(*args, **kwargs):
+        out = np.array(fn(*args, **kwargs), dtype=float)
+        out[0, 0] += delta
+        return out
+    return wrapper
+
+
+class TestChecksDetectFaults:
+    """Each boundary check behind an acceptance criterion fails on a perturbed matrix."""
+
+    @pytest.mark.parametrize("check, name, delta", [
+        (checks.check_golden_marshak, "marshak_matrix", 1e-3),  # 0.8660 -> 0.8670
+        (checks.check_l_analytic, "onsager_L", 1e-10),  # L = 3/2 off by 1e-10 > 1e-12
+        (checks.check_truncation_locality, "marshak_matrix", 1e-9),  # the mean column, degree 0 < N
+    ], ids=["golden_marshak", "l_analytic", "truncation_locality"])
+    def test_check_fails_on_a_perturbed_matrix(self, check, name, delta):
+        assert check().passed
+        with mock.patch.object(boundary, name, shifted(getattr(boundary, name), delta)):
+            result = check()
+        assert not result.passed and result.margin < 0, result.line()

@@ -19,6 +19,12 @@ from pnsat.io import diff_against_run
 from pnsat.solver import run
 
 
+def package_env() -> dict:
+    """The environment with this checkout's ``src`` first on PYTHONPATH, for ``python -m pnsat``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def small_doc(axes, n_max, cells=6) -> dict:
     """A short vacuum run on ``cells`` cells per axis, one snapshot at the end."""
     return {
@@ -278,6 +284,28 @@ class TestConfigValidation:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("scattering, message", [
+        ({"kind": "isotropic", "sigma_s": 1.0, "sigma_t": 0.5},
+         "sigma_0 = 1.0 exceeds sigma_t = 0.5; relaxation would be positive"),
+        # a table body: the message names the first degree whose moment is too large
+        ("sigma_t 1.0\n0 0.5\n1 0.2\n2 -0.75\n3 0.9\n",
+         "scattering moments must satisfy |sigma_l| <= sigma_0: sigma_2 = -0.75 exceeds sigma_0 = 0.5 in magnitude"),
+    ], ids=["isotropic", "table"])
+    def test_scattering_bounds_exit_1_with_plain_numbers(self, tmp_path, capsys, scattering, message):
+        if isinstance(scattering, str):
+            table = tmp_path / "kernel.table"
+            table.write_text(scattering)
+            scattering = {"kind": "table", "path": str(table)}
+        doc = bundled_doc("tc_inflow_1d")
+        doc["model"]["scattering"] = scattering
+        cfg = tmp_path / "scattering.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", str(cfg), "-o", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"validation error: {message}\n"
+        assert "np.float64" not in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("name", ["../x", None])
     def test_name_must_be_a_directory_name(self, tmp_path, capsys, monkeypatch, name):
         # the default output directory is <name>_out in the working directory
@@ -337,10 +365,8 @@ class TestCli:
         assert "PASS" in out and "FAIL" not in out
 
     def test_module_entry_point(self):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run([sys.executable, "-m", "pnsat", "--help"],
-                              env=env, capture_output=True, text=True, timeout=60)
+                              env=package_env(), capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert "oracle" in proc.stdout
 
@@ -535,6 +561,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: out of memory") and shown in err
         assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_run_over_the_step_budget_exits_2_before_stepping(self, tmp_path):
+        # extents in the wrong unit: 1e-6 instead of 1 needs about 2.8e8 steps; the run
+        # must fail before its first step, not after ten million of them
+        doc = bundled_doc("tc_inflow_1d")
+        doc["domain"]["extents"] = [[0.0, 1e-6]]
+        cfg = tmp_path / "tiny.json"
+        cfg.write_text(json.dumps(doc))
+        proc = subprocess.run([sys.executable, "-m", "pnsat", "run", str(cfg), "-o", str(tmp_path / "out")],
+                              env=package_env(), capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 2
+        assert proc.stdout == "" and proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("numerical failure: the run needs up to 2.8e+08 steps of dt = 5.36e-09")
+        assert "budget of 10,000,000 steps" in proc.stderr
         assert not (tmp_path / "out").exists()
 
     def test_oracle_too_few_particles_exits_1_before_workers(self, tmp_path, capsys, monkeypatch):

@@ -1,4 +1,4 @@
-"""Every narrated demo runs to the end against the package in this checkout."""
+"""Every narrated demo runs to the end against the package in this checkout, warnings as errors."""
 
 import os
 import subprocess
@@ -21,6 +21,7 @@ def test_demo_exits_zero(demo, tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     env["MPLBACKEND"] = "Agg"
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, "-W", "error", str(demo)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 from unittest import mock
@@ -7,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import bundled_doc, load_bundled
-from pnsat import sbp
+from pnsat import checks, sbp
 from pnsat.config import scenario_from_dict
 from pnsat.errors import NumericalError, ValidationError
 from pnsat.sbp import StaggeredGrid1d, TensorGrid, build_sbp_pair, sat_penalties
@@ -105,26 +106,36 @@ class TestSbpPair:
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_convergence_order(self):
-        errs = []
-        ns = (16, 32, 64, 128)
-        for n in ns:
-            grid = StaggeredGrid1d(0.0, 1.0, n)
-            pair = build_sbp_pair(grid)
-            err = pair.d_odd @ np.sin(grid.x_even + 2.0) - np.cos(grid.x_odd + 2.0)
-            errs.append(math.sqrt(float(err @ (pair.p_odd * err))))
-        orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
-        assert min(orders) >= 1.8
+        result = checks.check_sbp_convergence()  # D^o on sin(x + 2), n = 16..128, order >= 1.8
+        assert result.passed, result.line()
 
 
-def exact_operator(q, p, n_rows, n_cols, shift):
-    """Dense Fraction Q and norm of one operator: the rows of ``q``, the unit-norm stencil -1, +1 elsewhere."""
+def exact_operator(rows, p, n_rows, n_cols, shift):
+    """Dense Fraction Q and norm of one operator: the closure ``rows``, the unit-norm stencil -1, +1 elsewhere.
+
+    ``Fraction(v)`` of a double is its exact value, so no entry is rounded here.
+    """
     mat = [[Fraction(0)] * n_cols for _ in range(n_rows)]
-    covered = {i for i, _ in q}
-    for i in set(range(n_rows)) - covered:
+    for i in set(range(n_rows)) - set(rows):
         mat[i][i + shift], mat[i][i + shift + 1] = Fraction(-1), Fraction(1)
-    for (i, j), v in q.items():
-        mat[i][j] = v
-    return mat, [p.get(i, Fraction(1)) for i in range(n_rows)]
+    for i, row in rows.items():
+        for j, v in row.items():
+            mat[i][j] = Fraction(v)
+    return mat, [Fraction(p.get(i, 1.0)) for i in range(n_rows)]
+
+
+def assert_dyadic(values, max_denominator=32):
+    """Each value is a dyadic rational with a denominator of at most ``max_denominator``."""
+    for v in values:
+        d = Fraction(v).denominator
+        assert d <= max_denominator and d & (d - 1) == 0, v
+
+
+def closure_table():
+    """Every entry and norm of the left-end closure table."""
+    return [v for table in (sbp._CORNER_Q_ODD, sbp._CORNER_Q_EVEN) for row in table for v in row] + [
+        *sbp._CORNER_P_ODD, *sbp._CORNER_P_EVEN
+    ]
 
 
 class TestExactClosure:
@@ -151,6 +162,22 @@ class TestExactClosure:
             for k in range(2 if j in (0, n + 1) else 3):
                 assert sum(q * x**k for q, x in zip(qe[j], xo)) == (k * pe[j] * xe[j] ** (k - 1) if k else 0)
         assert min(po) > 0 and min(pe) > 0
+        # the overlay's sums are dyadic too: its entries equal the table's in exact arithmetic
+        assert_dyadic([v for q in (qo_d, qe_d) for row in q.values() for v in row.values()])
+        assert_dyadic([*po_d.values(), *pe_d.values()])
+
+    def test_table_is_dyadic_with_denominators_up_to_32(self):
+        table = closure_table()
+        assert len(table) == 35  # 12 + 16 entries, zeros included, and 3 + 4 norms
+        assert_dyadic(table)
+
+    @pytest.mark.parametrize("entry", [1 / 3, 0.1, 1 / 64])
+    def test_rejects_a_non_dyadic_entry(self, entry):
+        # 1/3 and 0.1 are not dyadic (their doubles are rounded); 1/64 is, but exceeds the bound
+        table = closure_table()
+        table[5] = entry
+        with pytest.raises(AssertionError):
+            assert_dyadic(table)
 
 
 class TestMirrorPair:
@@ -223,6 +250,21 @@ class TestMirrorPair:
     def test_rejects_grids_without_a_mirror_node(self, lo, hi, n):
         with pytest.raises(ValidationError, match="mirrored grid"):
             StaggeredGrid1d(lo, hi, n, mirror=True)
+
+
+class TestIdentityCheck:
+    def test_identity_check_fails_on_one_ulp(self):
+        # one closure entry of Q^o one unit in the last place off: the exact check sees it
+        def nudged(grid):
+            pair = build_sbp_pair(grid)
+            rows = {i: dict(row) for i, row in pair.closure_odd.items()}
+            rows[0][1] = math.nextafter(rows[0][1], math.inf)
+            return dataclasses.replace(pair, closure_odd=rows)
+
+        assert checks.check_sbp_identity().margin == 0.0
+        with mock.patch.object(checks, "build_sbp_pair", nudged):
+            result = checks.check_sbp_identity()
+        assert not result.passed and -1e-15 < result.margin < 0, result.line()
 
 
 def counting_csr():

@@ -20,7 +20,7 @@ from pnsat import boundary as bnd
 from pnsat import solver as solver_module
 from pnsat import sphharm
 from pnsat.config import scenario_from_dict
-from pnsat.errors import ValidationError
+from pnsat.errors import NumericalError, ValidationError
 from pnsat.moments import PnSystem, ScatteringSpectrum
 from pnsat.sbp import sat_penalties
 from pnsat.solver import (
@@ -519,6 +519,20 @@ class TestSetup:
 
 
 class TestRun:
+    @pytest.mark.parametrize("t_end, dt, n_snapshots, over", [
+        (1.5, 5.36e-9, 2, True),  # 2.8e8 steps
+        (1.0, 0.0, 0, True),  # dt = 0 never reaches t_end
+        (1e300, 1e-10, 0, True),  # the quotient overflows to inf
+        (1.0, 1.0 / 9_999_990, 10, False),  # 9,999,990 steps plus 10 snapshot steps: at the budget
+        (1.0, 1.0 / 9_999_990, 11, True),
+    ])
+    def test_step_budget_is_checked_before_stepping(self, t_end, dt, n_snapshots, over):
+        if over:
+            with pytest.raises(NumericalError, match="over the budget of 10,000,000 steps"):
+                solver_module._check_step_budget(t_end, dt, n_snapshots)
+        else:
+            solver_module._check_step_budget(t_end, dt, n_snapshots)
+
     def test_conservation_before_boundary_contact(self):
         sc = scenario_from_dict({
             "name": "mass",

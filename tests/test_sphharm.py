@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pnsat import sphharm
+from pnsat import checks, sphharm
 from pnsat.errors import ValidationError
 from pnsat.moments import MomentBasis
 from pnsat.sphharm import (
@@ -239,17 +239,8 @@ class TestQuadrature:
         assert val == pytest.approx(math.sqrt(3.0) / 4.0, abs=1e-14)
 
     def test_half_plus_half_equals_full(self):
-        n = 6
-        full = build_quadrature(n)
-        y = eval_basis(n, full.nodes)
-        gram_full = y.T @ (full.weights[:, None] * y)
-        for axis in (1, 2, 3):
-            acc = np.zeros_like(gram_full)
-            for sign in (-1, 1):
-                h = build_quadrature(n, restriction=(axis, sign))
-                yh = eval_basis(n, h.nodes)
-                acc += yh.T @ (h.weights[:, None] * yh)
-            assert np.abs(acc - gram_full).max() < 1e-11
+        result = checks.check_half_plus_half()  # N = 6, each axis, both half spheres, 1e-11
+        assert result.passed, result.line()
 
     def test_rejects_negative_degree(self):
         with pytest.raises(ValidationError):
