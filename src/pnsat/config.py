@@ -262,6 +262,12 @@ class InitialSpec:
             if not isinstance(d["moments"], list):
                 raise ValidationError(f"{where}.moments must be a list, got {d['moments']!r}")
             moments = tuple(_moment(m, f"{where}.moments[{i}]") for i, m in enumerate(d["moments"]))
+            first = {}
+            for i, (l, k, _) in enumerate(moments):
+                if (l, k) in first:
+                    raise ValidationError(f"{where}.moments[{i}]: repeated moment (l={l}, k={k}), "
+                                          f"first given in {where}.moments[{first[l, k]}]")
+                first[l, k] = i
             return cls(
                 "gaussian_envelope_moments",
                 center=center,
@@ -435,6 +441,8 @@ def _scattering_from_dict(d: dict, n_max: int, base: Path | None) -> ScatteringS
         )
     if kind == "table":
         _require_keys(d, {"kind", "path"}, {"kind", "path"}, "model.scattering")
+        if not isinstance(d["path"], str) or not d["path"]:
+            raise ValidationError(f"model.scattering.path must be a non-empty string, got {d['path']!r}")
         path = Path(d["path"])
         if base is not None and not path.is_absolute():
             path = base / path
@@ -491,6 +499,10 @@ def scenario_from_dict(doc: dict, base: Path | None = None) -> Scenario:
             raise ValidationError(f"domain.cells entries must be integers, got {c!r}")
         if c < 4:
             raise ValidationError(f"domain.cells entries must be >= 4, got {c}")
+
+    length_unit = dom.get("length_unit", "dimensionless")
+    if not isinstance(length_unit, str) or not length_unit:
+        raise ValidationError(f"domain.length_unit must be a non-empty string, got {length_unit!r}")
 
     bnd = doc["boundaries"]
     expected = {f"{name}_{side}" for name in axis_names for side in ("low", "high")}
@@ -555,7 +567,7 @@ def scenario_from_dict(doc: dict, base: Path | None = None) -> Scenario:
         name=scenario_name,
         n_max=n_max,
         scattering=scattering,
-        scattering_dict=model["scattering"],
+        scattering_dict=dict(model["scattering"]),  # a copy: the caller may edit its document
         axes=axes,
         extents=extents,
         cells=cells,
@@ -567,7 +579,7 @@ def scenario_from_dict(doc: dict, base: Path | None = None) -> Scenario:
         s_rho=s_rho,
         eps_max=eps_max,
         snapshot_times=tuple(sorted(snaps)),
-        length_unit=dom.get("length_unit", "dimensionless"),
+        length_unit=length_unit,
     )
 
 

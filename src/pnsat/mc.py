@@ -31,13 +31,14 @@ import functools
 import logging
 import math
 import multiprocessing
+import numbers
 import os
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Scenario
+from .config import InflowSpec, Scenario
 from .errors import NumericalError, ValidationError
 from .sphharm import FOUR_PI
 
@@ -221,15 +222,17 @@ def _rotate(u: list, mu_s: np.ndarray, chi: np.ndarray) -> list:
     return out
 
 
-def _check_supported(sc: Scenario) -> None:
-    """Raise ValidationError unless the scenario is a source the oracle samples.
+def _source_sampler(sc: Scenario):
+    """The sampler of the scenario's source; ValidationError unless the oracle samples it.
 
     Two sources are supported: 'gaussian_bulk' initial data with no face
-    inflow, and 'zero' initial data with exactly one inflow face, a 'beam'
-    (with ``sigma_x`` on multi-axis domains).
+    inflow (:func:`_sample_initial`), and 'zero' initial data with exactly
+    one inflow face, a 'beam' (with ``sigma_x`` on multi-axis domains;
+    :func:`_sample_beam_source` bound to that face and inflow).  Either is
+    called as ``sample(sc, n, rng)``.
     """
     inflows = {
-        f"{sc.axis_names[d]}_{side}": spec.inflow
+        f"{sc.axis_names[d]}_{side}": ((d, side), spec.inflow)
         for (d, side), spec in sc.faces.items()
         if spec.inflow.kind != "none"
     }
@@ -240,7 +243,7 @@ def _check_supported(sc: Scenario) -> None:
                 "Monte Carlo runs with 'gaussian_bulk' initial data need every face inflow "
                 f"'none', got inflow on {', '.join(sorted(inflows))}"
             )
-        return
+        return _sample_initial
     if kind != "zero":
         raise ValidationError(
             f"Monte Carlo supports 'gaussian_bulk' or 'zero' initial data, got {kind!r}"
@@ -250,13 +253,30 @@ def _check_supported(sc: Scenario) -> None:
             "Monte Carlo runs with 'zero' initial data need exactly one inflow face, "
             f"got {len(inflows)}"
         )
-    [(name, inflow)] = inflows.items()
+    [(name, (face, inflow))] = inflows.items()
     if inflow.kind != "beam":
         raise ValidationError(
             f"Monte Carlo supports only 'beam' inflow, got {inflow.kind!r} on {name}"
         )
     if sc.ndim > 1 and inflow.sigma_x is None:
         raise ValidationError(f"multi-axis Monte Carlo beam runs need sigma_x on {name}")
+    return functools.partial(_sample_beam_source, face=face, inflow=inflow)
+
+
+def _directions(mu: np.ndarray, comp: int, rng) -> np.ndarray:
+    """Unit directions (n, 3), column-contiguous, with component ``comp`` = mu and a uniform azimuth.
+
+    The other two components, in ascending order, are s cos(phi) and
+    s sin(phi) with s = sqrt(1 - mu^2).
+    """
+    phi = rng.uniform(0.0, 2.0 * math.pi, mu.size)
+    s_t = np.sqrt(np.maximum(0.0, 1.0 - mu * mu))
+    dirs = np.empty((3, mu.size)).T
+    first, second = (c for c in range(3) if c != comp)
+    dirs[:, comp] = mu
+    dirs[:, first] = s_t * np.cos(phi)
+    dirs[:, second] = s_t * np.sin(phi)
+    return dirs
 
 
 def _sample_initial(sc: Scenario, n: int, rng):
@@ -283,22 +303,17 @@ def _sample_initial(sc: Scenario, n: int, rng):
             return cand[rng.random(m) * (a + abs(b)) < a + b * cand]
         mu = _accepted(n, propose, "initial direction")
         total_mass = FOUR_PI * a * mass_profile
-    phi = rng.uniform(0.0, 2.0 * math.pi, n)
-    s_t = np.sqrt(np.maximum(0.0, 1.0 - mu * mu))
-    dirs = np.stack([s_t * np.cos(phi), s_t * np.sin(phi), mu]).T
+    dirs = _directions(mu, 2, rng)
     birth = np.zeros(n)
     return pos, dirs, birth, total_mass / n
 
 
-def _sample_beam_source(sc: Scenario, n: int, rng):
-    """Positions, directions, birth times, weight for a boundary beam run.
+def _sample_beam_source(sc: Scenario, n: int, rng, face: tuple[int, str], inflow: InflowSpec):
+    """Positions, directions, birth times, weight for a beam ``inflow`` on ``face`` = (dim, side).
 
     Laid out as by :func:`_sample_initial`.
     """
-    (d, side), spec = next(
-        (key, spec) for key, spec in sc.faces.items() if spec.inflow.kind == "beam"
-    )
-    inflow = spec.inflow
+    d, side = face
     axis = sc.axes[d]
     sign = 1 if side == "high" else -1
     # birth times from the energy profile (or uniform when none)
@@ -338,15 +353,7 @@ def _sample_beam_source(sc: Scenario, n: int, rng):
         return cand[rng.random(cand.size) < np.abs(cand)]
     mu_in = _accepted(n, propose_mu, "beam direction")
     # mu_in is the cosine along the INWARD direction -sign*e_axis ... flip to axis component
-    mu_axis = sign * mu_in
-    phi = rng.uniform(0.0, 2.0 * math.pi, n)
-    s_t = np.sqrt(np.maximum(0.0, 1.0 - mu_axis * mu_axis))
-    comp = axis - 1
-    dirs = np.empty((3, n)).T
-    others = [c for c in range(3) if c != comp]
-    dirs[:, comp] = mu_axis
-    dirs[:, others[0]] = s_t * np.cos(phi)
-    dirs[:, others[1]] = s_t * np.sin(phi)
+    dirs = _directions(sign * mu_in, axis - 1, rng)
     # total injected mass: int |mu| psi_in over incoming hemisphere, x, tau
     mu_grid = np.linspace(-1.0, 0.0, 4001)
     dens = np.abs(mu_grid) * np.exp(-(((mu_grid + 1.0) / (math.sqrt(2.0) * s_om)) ** 2))
@@ -498,8 +505,8 @@ def _workers(n_batches: int) -> int:
     return min(n_batches, len(os.sched_getaffinity(0)))
 
 
-def _run_batch(sc: Scenario, grid: TallyGrid, has_beam: bool, record, task):
-    """Sample and advance one (seed, count) batch.
+def _run_batch(sc: Scenario, grid: TallyGrid, sample, record, task):
+    """Sample (by ``sample``, see :func:`_source_sampler`) and advance one (seed, count) batch.
 
     ``record`` is (times, snapshot indices, scales) of the deposits, in time
     order.  Particles sampled outside the closed domain box (the tails of a
@@ -510,7 +517,6 @@ def _run_batch(sc: Scenario, grid: TallyGrid, has_beam: bool, record, task):
     """
     child, n_b = task
     rng = np.random.default_rng(child)
-    sample = _sample_beam_source if has_beam else _sample_initial
     pos, dirs, birth, weight = sample(sc, n_b, rng)
     inside = np.ones(pos.shape[0], dtype=bool)
     for x, (lo, hi) in zip(pos.T, sc.extents):
@@ -559,10 +565,11 @@ def simulate(scenario: Scenario, n_particles: int, seed: int) -> McResult:
     is usable.  The tallies are
     stacked in batch order before they are reduced, so the result is
     bit-identical for every worker count.  An unsupported source (see
-    :func:`_check_supported`) raises ValidationError before any particle is
-    sampled or any worker starts.  Each snapshot's track-length window is
-    ``WINDOW_FRAC`` of the time horizon, with ``SUBSAMPLES`` deposit points
-    along the in-window track.
+    :func:`_source_sampler`), a particle count that is not an integer of at
+    least ``N_BATCHES`` or a seed that is not a non-negative integer raises
+    ValidationError before any particle is sampled or any worker starts.
+    Each snapshot's track-length window is ``WINDOW_FRAC`` of the time
+    horizon, with ``SUBSAMPLES`` deposit points along the in-window track.
 
     Each batch advances its particles flight by flight (see
     :func:`_advance_batch`); the tallies at a fixed seed are a different
@@ -574,12 +581,14 @@ def simulate(scenario: Scenario, n_particles: int, seed: int) -> McResult:
     time of the whole pool (``"pool"``).
     """
     t0 = time.perf_counter()
-    _check_supported(scenario)
+    sample = _source_sampler(scenario)
+    for name, value in (("n_particles", n_particles), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+            raise ValidationError(f"{name} must be a non-negative integer, got {value!r}")
     if n_particles < N_BATCHES:
         raise ValidationError("need at least one particle per batch")
     sc = scenario
     grid = TallyGrid.from_scenario(sc)
-    has_beam = any(spec.inflow.kind == "beam" for spec in sc.faces.values())
     snap_times = list(sc.snapshot_times)
     if not snap_times:
         raise ValidationError("scenario defines no snapshots to tally")
@@ -589,7 +598,7 @@ def simulate(scenario: Scenario, n_particles: int, seed: int) -> McResult:
     counts = [n_particles // N_BATCHES] * N_BATCHES
     for i in range(n_particles % N_BATCHES):
         counts[i] += 1
-    batch = functools.partial(_timed, functools.partial(_run_batch, sc, grid, has_beam, record))
+    batch = functools.partial(_timed, functools.partial(_run_batch, sc, grid, sample, record))
     workers = _workers(N_BATCHES)
     t_pool = time.perf_counter()
     results, batch_s = zip(
@@ -629,6 +638,6 @@ def simulate(scenario: Scenario, n_particles: int, seed: int) -> McResult:
             "flights": flights,
             "deposits": deposits,
             "seconds": seconds,
-            "source": "beam" if has_beam else "initial",
+            "source": "initial" if sample is _sample_initial else "beam",
         },
     )

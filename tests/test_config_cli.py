@@ -70,6 +70,12 @@ BAD_VALUES = [
         "kind": "beam", "amplitude": 1.0, "sigma_omega": 0.3, "eps_center": 1.0, "sigma_eps": 0.1}}),
     # beside |k| > l above: the lower bound of the degree
     ("tc2_stable", ("initial", "moments"), [{"l": -1, "k": 0, "amp": 1.0}]),
+    # a repeated (l, k), whose first amplitude would be dropped
+    ("tc2_stable", ("initial", "moments"), [{"l": 0, "k": 0, "amp": 1.0}, {"l": 0, "k": 0, "amp": 2.0}]),
+    ("tc1", ("domain", "length_unit"), [1, 2]),
+    ("tc1", ("domain", "length_unit"), ""),
+    ("tc1", ("model", "scattering"), {"kind": "table", "path": 5}),
+    ("tc1", ("model", "scattering"), {"kind": "table", "path": ""}),
 ]
 
 # (a moment-table body, the line it breaks): non-numeric, non-finite or non-integer entries,
@@ -225,10 +231,26 @@ class TestConfigValidation:
         cfg.write_text(json.dumps(doc))
         assert main(["run", str(cfg), "-o", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
-        assert "validation error" in err
+        assert err.startswith("validation error: ") and err.count("\n") == 1
         if where == ("initial", "moments") and isinstance(bad, list):
             assert "initial.moments[0]" in err
         assert not (tmp_path / "out").exists()
+
+    def test_repeated_moment_names_both_entries(self):
+        doc = bundled_doc("tc2_stable")
+        doc["initial"]["moments"].append(dict(doc["initial"]["moments"][1], amp=7.0))
+        l, k = doc["initial"]["moments"][1]["l"], doc["initial"]["moments"][1]["k"]
+        with pytest.raises(ValidationError, match=rf"^initial.moments\[3\]: repeated moment \(l={l}, k={k}\), "
+                                                  rf"first given in initial.moments\[1\]$"):
+            scenario_from_dict(doc)
+
+    def test_scenario_keeps_its_own_scattering(self):
+        doc = bundled_doc("tc4_beam")
+        given = dict(doc["model"]["scattering"])
+        sc = scenario_from_dict(doc)
+        doc["model"]["scattering"].update(kind="isotropic", g=0.0)
+        assert sc.scattering_dict == given == sc.to_dict()["model"]["scattering"]
+        assert given["kind"] == "henyey_greenstein" and given["g"] == 0.8
 
     @pytest.mark.parametrize("path", OBJECT_SECTIONS, ids=lambda p: ".".join(p) or "config")
     def test_non_object_section_exits_1(self, tmp_path, capsys, path):

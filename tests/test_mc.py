@@ -3,6 +3,7 @@ import logging
 import math
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -352,7 +353,8 @@ class TestEventSemantics:
         t_coll = birth + rng.exponential(0.5, birth.size)
         want, deposits = direct_tally(sc, pos, dirs, birth, weight, record, absorbed=t_coll)
         grid = TallyGrid.from_scenario(sc)
-        got, flights, got_deposits = mc_module._run_batch(sc, grid, False, record, (child, 20_000))
+        got, flights, got_deposits = mc_module._run_batch(
+            sc, grid, mc_module._sample_initial, record, (child, 20_000))
         assert np.array_equal(got, want)
         assert (flights, got_deposits) == (20_000, deposits)
 
@@ -364,14 +366,14 @@ class TestEventSemantics:
             doc = bundled_doc({"tc3": "tc3_vacuum", "tc4": "tc4_beam"}[case])
             doc["model"]["scattering"] = {"kind": "none"}
             sc = scenario_from_dict(doc)
-        has_beam = case == "tc4"
         record = mc_module._record_times(sc, 0.02, 4)
         child = np.random.SeedSequence(21).spawn(3)[2]
-        sample = mc_module._sample_beam_source if has_beam else mc_module._sample_initial
+        sample = mc_module._source_sampler(sc)
+        assert (sample is mc_module._sample_initial) == (case != "tc4")
         pos, dirs, birth, weight = sample(sc, 20_000, np.random.default_rng(child))
         want, deposits = direct_tally(sc, pos, dirs, birth, weight, record)
         grid = TallyGrid.from_scenario(sc)
-        got, flights, got_deposits = mc_module._run_batch(sc, grid, has_beam, record, (child, 20_000))
+        got, flights, got_deposits = mc_module._run_batch(sc, grid, sample, record, (child, 20_000))
         assert want.any() and np.array_equal(got, want)
         assert (flights, got_deposits) == (20_000, deposits)
 
@@ -586,6 +588,24 @@ class TestSupportedSources:
         with pytest.raises(ValidationError, match="need sigma_x on z_high"):
             simulate(scenario_from_dict(doc), 1000, seed=0)
 
+    @pytest.mark.parametrize("n, seed, message", [
+        (1000, -1, "seed must be a non-negative integer, got -1"),
+        (1000, 1.5, "seed must be a non-negative integer, got 1.5"),
+        (1000, True, "seed must be a non-negative integer, got True"),
+        (1000.0, 0, "n_particles must be a non-negative integer, got 1000.0"),
+    ], ids=["negative_seed", "float_seed", "bool_seed", "float_count"])
+    def test_bad_seed_or_count_rejected(self, n, seed, message):
+        sc = scenario_from_dict(bundled_doc("tc1"))
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            simulate(sc, n, seed=seed)
+
+    def test_oracle_negative_seed_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "tc1.json"
+        cfg.write_text(json.dumps(bundled_doc("tc1")))
+        assert main(["oracle", str(cfg), "--n", "1000", "--seed", "-1", "-o", str(tmp_path / "mc")]) == 1
+        assert capsys.readouterr().err == "validation error: seed must be a non-negative integer, got -1\n"
+        assert not (tmp_path / "mc").exists()
+
     def test_oracle_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "inflow.json"
         cfg.write_text(json.dumps(bundled_doc("tc_inflow_1d")))
@@ -650,11 +670,9 @@ class TestBeamSource:
     def test_total_injected_mass(self):
         doc = bundled_doc("tc4_beam")
         sc = scenario_from_dict(doc)
-        from pnsat.mc import _sample_beam_source
-
         rng = np.random.default_rng(4)
         n = 50_000
-        pos, dirs, birth, w = _sample_beam_source(sc, n, rng)
+        pos, dirs, birth, w = mc_module._source_sampler(sc)(sc, n, rng)
         # oracle: product of 1-d quadratures for the influx integral
         from scipy.integrate import quad
 

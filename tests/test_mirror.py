@@ -3,20 +3,19 @@
 A run that is invariant under x -> -x with Omega_x -> -Omega_x integrates
 x >= 0 only (``solver.mirror_symmetry``).  These tests rerun small mirrored
 scenarios on the whole domain, by patching the symmetry function, and
-require the same time step, step count, time grid, snapshot nodes and
-``c_constant``, and the same energy, bound, mass and snapshots to 1e-12 of
-each column's maximum.  Scenarios that break one condition must run full.
+require the same run to 1e-12 of each column's maximum by
+``checks.run_deviation``.  Scenarios that break one condition run full.
 """
 
 import copy
 import logging
 
-import numpy as np
 import pytest
 
 from conftest import full_domain, load_bundled
+from pnsat.checks import run_deviation
 from pnsat.config import scenario_from_dict
-from pnsat.solver import build_setup, mass_u00, run
+from pnsat.solver import build_setup, run
 
 ONSAGER = {"type": "onsager", "alpha": 1.0, "psi_in": {"kind": "none"}}
 HALF = {"type": "onsager", "alpha": 0.5, "psi_in": {"kind": "none"}}
@@ -118,27 +117,6 @@ FULL = {
 }
 
 
-def assert_close(got, want, what):
-    scale = np.nanmax(np.abs(want)) if np.any(np.isfinite(want)) else 1.0
-    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * scale, err_msg=what)
-
-
-def assert_same_run(half, full):
-    """Identical grids and constants; energy, bound, mass and snapshots to 1e-12 of each column's maximum."""
-    for key in ("dt", "steps", "c_constant", "matrix_norms", "components"):
-        assert half.metadata[key] == full.metadata[key], key
-    assert np.array_equal(half.log.times, full.log.times)
-    assert_close(half.log.energies, full.log.energies, "energy")
-    assert_close(half.log.bound, full.log.bound, "bound")
-    assert_close(half.log.source_integral, full.log.source_integral, "source integral")
-    assert_close(mass_u00(half.setup, half.final_state), mass_u00(full.setup, full.final_state), "mass")
-    assert [s.time for s in half.snapshots] == [s.time for s in full.snapshots]
-    for i, (a, b) in enumerate(zip(half.snapshots, full.snapshots, strict=True)):
-        assert all(np.array_equal(x, y) for x, y in zip(a.nodes, b.nodes, strict=True)), f"snapshot {i} nodes"
-        assert a.u00.shape == b.u00.shape
-        assert_close(a.u00, b.u00, f"snapshot {i}")
-
-
 @pytest.mark.parametrize("name", sorted(MIRRORED))
 def test_mirrored_run_matches_full_domain(name, monkeypatch):
     doc, axes = MIRRORED[name]
@@ -152,8 +130,9 @@ def test_mirrored_run_matches_full_domain(name, monkeypatch):
     for d in half.setup.mirror:
         assert half.setup.tensor.axis_nodes(d, "o").min() > 0.0
         assert not any(f.dim == d and f.side == "low" for f in half.setup.faces)
-    assert half.setup.n_components == full.setup.n_components
-    assert_same_run(half, full)
+    assert half.metadata["components"] == full.metadata["components"]  # the component counts too
+    dev, column = run_deviation(half, full)
+    assert dev < 1e-12, column
     assert half.log.energies[-1] > 0.0
 
 
@@ -166,7 +145,8 @@ def test_broken_symmetry_runs_full(name, monkeypatch, caplog):
     assert result.metadata["mirror"] == []
     assert f"x: not mirrored ({reason})" in [r.getMessage() for r in caplog.records if r.name == "pnsat.solver"]
     monkeypatch.setattr("pnsat.solver.mirror_symmetry", full_domain)
-    assert_same_run(result, run(sc))
+    dev, column = run_deviation(result, run(sc))
+    assert dev < 1e-12, column
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import copy
 import logging
 import math
 import sys
@@ -19,6 +20,7 @@ from conftest import (
 from pnsat import boundary as bnd
 from pnsat import solver as solver_module
 from pnsat import sphharm
+from pnsat.checks import run_deviation
 from pnsat.config import scenario_from_dict
 from pnsat.errors import NumericalError, ValidationError
 from pnsat.moments import PnSystem, ScatteringSpectrum
@@ -683,6 +685,53 @@ class TestEnergyBound:
         rep = energy_bound_check(SimpleNamespace(log=log))
         assert rep.ok and rep.first_violation is None
         assert rep.margin == pytest.approx(0.05, abs=1e-7)  # t = 0 (slack 1e-8) is not counted
+
+
+def edited(result, edit):
+    """A deep copy of a run with ``edit`` applied to it in place."""
+    other = copy.deepcopy(result)
+    edit(other)
+    return other
+
+
+# (an edit of a vacuum run, the column run_deviation must name, the deviation it must report)
+RUN_EDITS = {
+    "unchanged": (lambda r: None, "energy", 0.0),
+    "dt": (lambda r: r.metadata.update(dt=np.nextafter(r.metadata["dt"], 1.0)), "dt", math.inf),
+    "steps": (lambda r: r.metadata.update(steps=r.metadata["steps"] + 1), "steps", math.inf),
+    "times": (lambda r: r.log.times.__setitem__(-1, np.nextafter(r.log.times[-1], 1.0)), "times", math.inf),
+    "snapshot_time": (lambda r: setattr(r.snapshots[0], "time", 0.11), "snapshot times", math.inf),
+    "snapshot_dropped": (lambda r: r.snapshots.pop(), "snapshot times", math.inf),
+    "snapshot_nodes": (lambda r: setattr(r.snapshots[1], "nodes", (r.snapshots[1].nodes[0] + 1e-9,)),
+                       "snapshot grids", math.inf),
+    "snapshot_shape": (lambda r: setattr(r.snapshots[1], "u00", r.snapshots[1].u00[:-1]), "snapshot grids", math.inf),
+    "energy_nan": (lambda r: r.log.energies.__setitem__(3, np.nan), "energy", math.inf),
+    # no inflow: an all-zero reference column admits no deviation
+    "source_integral": (lambda r: r.log.source_integral.__setitem__(-1, 1e-300), "source integral", math.inf),
+    "energy": (lambda r: r.log.energies.__setitem__(0, r.log.energies[0] * (1.0 + 2e-9)), "energy", 2e-9),
+    "c_constant": (lambda r: r.metadata.update(c_constant=r.metadata["c_constant"] * (1.0 + 4e-9)), "C", 4e-9),
+    "mass": (lambda r: r.final_state.__imul__(1.5), "mass", 0.5),
+    "snapshot": (lambda r: r.snapshots[1].u00.__iadd__(1e-6 * np.abs(r.snapshots[1].u00).max()), "snapshot 1", 1e-6),
+}
+
+
+class TestRunDeviation:
+    @pytest.fixture(scope="class")
+    def vacuum(self):
+        return run(vacuum_1d(t_end=0.3, cells=40, snapshots=[0.1, 0.3]))
+
+    @pytest.mark.parametrize("name", RUN_EDITS)
+    def test_names_the_edited_column(self, vacuum, name):
+        edit, column, dev = RUN_EDITS[name]
+        got = run_deviation(edited(vacuum, edit), vacuum)
+        assert got[1] == column
+        assert got[0] == pytest.approx(dev, rel=1e-6, abs=0.0)
+
+    def test_nan_bound_and_no_c_agree_with_themselves_only(self):
+        marshak = run(load_bundled("tc2_unstable"))
+        assert marshak.metadata["c_constant"] is None and np.isnan(marshak.log.bound).all()
+        assert run_deviation(edited(marshak, lambda r: None), marshak) == (0.0, "energy")
+        assert run_deviation(edited(marshak, lambda r: r.metadata.update(c_constant=0.0)), marshak) == (math.inf, "C")
 
 
 class TestPlateauDetector:
