@@ -52,10 +52,10 @@ def write_run(result: RunResult, outdir) -> dict:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     log = result.log
-    bound = log.bound
-    # streamed from the arrays: float repr dominates the cost, so text for every row at once
-    # would only hold memory
-    rows = (f"{float(t)!r},{float(e)!r},{float(b)!r}" for t, e, b in zip(log.times, log.energies, bound))
+    # streamed from Python float columns: float repr dominates the cost, so text for every row
+    # at once would only hold memory
+    columns = (log.times.tolist(), log.energies.tolist(), log.bound.tolist())
+    rows = (f"{t!r},{e!r},{b!r}" for t, e, b in zip(*columns))
     _write_csv(outdir / "energy.csv", ("t", "E", "bound"), rows)
     snap_files = []
     for i, snap in enumerate(result.snapshots):

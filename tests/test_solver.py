@@ -662,6 +662,36 @@ class TestEnergyBound:
         assert rep.applicable and rep.ok
         assert res.log.source_integral[-1] > 0
 
+    @pytest.mark.parametrize("case", ["beam_on_one_of_four_faces", "vacuum"])
+    def test_source_integral_is_the_trapezoid_sum_over_every_face(self, case):
+        # the cumulative column against its definition: the trapezoid rule over the steps taken of
+        # mirror_scale * sum over all faces of ||g||^2, recomputed at every logged time
+        if case == "vacuum":
+            sc = vacuum_1d(t_end=0.3, cells=40)
+        else:
+            sc = small_nd("xz", (8, 5), "z_high", BEAM)
+        dts, step = [], _Stepper.step
+
+        def recording_step(stepper, dt, t):
+            dts.append(dt)
+            step(stepper, dt, t)
+
+        with mock.patch.object(_Stepper, "step", recording_step):
+            res = run(sc)
+        setup = res.setup
+        gsq = [setup.mirror_scale * sum(face_source_norm_sq(setup, f, t) for f in setup.faces)
+               for t in res.log.times.tolist()]
+        want = [0.0]
+        for dt, g0, g1 in zip(dts, gsq[:-1], gsq[1:], strict=True):
+            want.append(want[-1] + 0.5 * dt * (g0 + g1))
+        assert np.array_equal(res.log.source_integral, want)
+        sourced = [f for f in setup.faces if f.inflow.kind != "none"]
+        if case == "vacuum":
+            assert not sourced and not np.any(res.log.source_integral)
+        else:
+            assert len(setup.faces) == 4 and len(sourced) == 1
+            assert len(set(gsq[1:])) > 1 and res.log.source_integral[-1] > 0  # the source varies in time
+
     def test_unstable_run_not_applicable(self):
         res = run(load_bundled("tc2_unstable"))
         rep = energy_bound_check(res)
