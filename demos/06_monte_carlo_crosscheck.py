@@ -3,18 +3,17 @@ Cross-checking the solver against Monte Carlo and an exact solution
 ===================================================================
 
 For free flight from an isotropic Gaussian bulk the kinetic density has a
-closed form: a moving-window average of the initial profile. The Monte
-Carlo oracle reproduces it within statistical noise, and the moment solver
-lands on the same curve up to its truncation error. The tally bins are
-centred on the solver's interior even-grid nodes, so the two outputs diff
-node by node.
+closed form: a moving-window average of the initial profile, clipped to the
+domain (``pnsat.exact.u00``). The Monte Carlo oracle reproduces it within
+statistical noise, and the moment solver lands on the same curve up to its
+truncation error. The tally bins are centred on the solver's interior
+even-grid nodes, so the two outputs diff node by node.
 """
-
-import math
 
 import numpy as np
 
 from pnsat import run, scenario_from_dict, simulate
+from pnsat.exact import u00
 
 scenario = scenario_from_dict({
     "name": "demo_mc",
@@ -31,19 +30,11 @@ scenario = scenario_from_dict({
 })
 
 
-def exact_mean_density(t, x, sigma=0.2):
-    """Moving-window average of the initial profile: (1/2t) int_{x-t}^{x+t}."""
-    a = (x + t) / sigma
-    b = (x - t) / sigma
-    return (0.5 / t) * 0.5 * (math.erf(a / math.sqrt(2)) - math.erf(b / math.sqrt(2)))
-
-
 solver = run(scenario)
 mc = simulate(scenario, n_particles=500_000, seed=2024)
 
 for snap_pn, snap_mc in zip(solver.snapshots, mc.snapshots):
-    x = np.asarray(mc.centers[0])
-    exact = np.array([exact_mean_density(snap_mc.time, xi) for xi in x])
+    exact = u00(mc.centers[0], snap_mc.time, sigma=0.2)
     pn = snap_pn.u00_centers
     z = np.abs(snap_mc.u00 - exact) / np.maximum(snap_mc.stderr, 1e-300)
     print(f"t = {snap_mc.time}:")

@@ -1,8 +1,14 @@
 """Named property checks backing the ``verify`` command.
 
 Each check returns a :class:`CheckResult` with the measured margin, so the
-command can print one machine-readable line per invariant.  The functions
-accept prebuilt objects where that makes fault injection easy to test.
+command can print one machine-readable line per invariant.  Every size,
+tolerance and seed is a literal in its check's body: ``verify`` runs each
+check as it stands.  Two kinds of argument remain, for the tests: a
+prebuilt ``system`` (the golden values and block purity), which makes
+fault injection easy, and the degree list of
+:func:`check_truncation_locality`.  The solver checks run small scenarios
+end to end; :func:`check_free_streaming` measures the whole scheme against
+the closed form of :mod:`pnsat.exact`.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import boundary as bnd
+from . import exact
 from .config import scenario_from_dict
 from .moments import MomentBasis, ScatteringSpectrum, assemble_transport, recursion_check, scattering_diagonal
 from .sbp import StaggeredGrid1d, build_sbp_pair, sat_penalties
@@ -46,9 +53,10 @@ def _random_directions(n: int, rng) -> np.ndarray:
 # --------------------------------------------------------------------------- sphharm
 
 
-def check_orthonormality(n_list=(3, 8, 13), tol=1e-11) -> CheckResult:
+def check_orthonormality() -> CheckResult:
+    tol = 1e-11
     worst = 0.0
-    for n in n_list:
+    for n in (3, 8, 13):
         quad = build_quadrature(n)
         y = eval_basis(n, quad.nodes)
         gram = y.T @ (quad.weights[:, None] * y)
@@ -56,21 +64,21 @@ def check_orthonormality(n_list=(3, 8, 13), tol=1e-11) -> CheckResult:
     return CheckResult("sphharm.orthonormality", worst < tol, tol - worst, f"max gram dev {worst:.2e}")
 
 
-def check_parity(n_max=9, n_dirs=1000, tol=1e-12, seed=0) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    dirs = _random_directions(n_dirs, rng)
-    signs = MomentBasis.build(n_max).parity  # the table the solver reads
-    y = eval_basis(n_max, dirs)
+def check_parity() -> CheckResult:
+    tol = 1e-12
+    dirs = _random_directions(1000, np.random.default_rng(0))
+    signs = MomentBasis.build(9).parity  # the table the solver reads
+    y = eval_basis(9, dirs)
     worst = 0.0
     for axis in (1, 2, 3):
-        y_ref = eval_basis(n_max, reflect(dirs, axis))
+        y_ref = eval_basis(9, reflect(dirs, axis))
         worst = max(worst, float(np.abs(y_ref - signs[axis - 1][None, :] * y).max()))
     return CheckResult("sphharm.parity", worst < tol, tol - worst, f"max reflection dev {worst:.2e}")
 
 
-def check_counting(n_max=13) -> CheckResult:
+def check_counting() -> CheckResult:
     ok = True
-    for n in range(n_max + 1):
+    for n in range(14):
         basis = MomentBasis.build(n)
         for axis in (1, 2, 3):
             odd = basis.odd_positions(axis).size
@@ -79,7 +87,8 @@ def check_counting(n_max=13) -> CheckResult:
     return CheckResult("sphharm.counting", ok, 0.0 if ok else -1.0)
 
 
-def check_half_plus_half(n_max=6, tol=1e-11) -> CheckResult:
+def check_half_plus_half() -> CheckResult:
+    tol, n_max = 1e-11, 6
     full = build_quadrature(n_max)
     y_full = eval_basis(n_max, full.nodes)
     gram_full = y_full.T @ (full.weights[:, None] * y_full)
@@ -121,8 +130,9 @@ def check_golden_coupling(system=None) -> CheckResult:
     return CheckResult("assembly.golden_coupling", ok, 0.0 if ok else -1.0, f"{got} vs {want}")
 
 
-def check_block_purity(n_max=7, tol=1e-13, system=None) -> CheckResult:
-    basis = MomentBasis.build(n_max) if system is None else system.basis
+def check_block_purity(system=None) -> CheckResult:
+    tol = 1e-13
+    basis = MomentBasis.build(7) if system is None else system.basis
     if system is None:
         system = assemble_transport(basis)
     worst = 0.0
@@ -135,10 +145,11 @@ def check_block_purity(n_max=7, tol=1e-13, system=None) -> CheckResult:
     return CheckResult("assembly.block_purity", worst < tol, tol - worst, f"max same-parity entry {worst:.2e}")
 
 
-def check_spectrum(n_list=range(1, 10), tol=1e-10) -> CheckResult:
+def check_spectrum() -> CheckResult:
+    tol = 1e-10
     ok = True
     worst = 0.0
-    for n in n_list:
+    for n in range(1, 10):
         basis = MomentBasis.build(n)
         system = assemble_transport(basis)
         for axis in (1, 2, 3):
@@ -151,30 +162,30 @@ def check_spectrum(n_list=range(1, 10), tol=1e-10) -> CheckResult:
                        f"max asymmetry {worst:.2e}")
 
 
-def check_rank(n_max=13, tol=1e-10) -> CheckResult:
-    basis = MomentBasis.build(n_max)
-    system = assemble_transport(basis)
+def check_rank() -> CheckResult:
+    tol = 1e-10
+    system = assemble_transport(MomentBasis.build(13))
     smin = min(
         float(np.linalg.svd(system.a_hat[axis - 1], compute_uv=False)[-1]) for axis in (1, 2, 3)
     )
     return CheckResult("assembly.rank", smin > tol, smin - tol, f"min singular value {smin:.2e}")
 
 
-def check_recursion(n_max=5, n_dirs=100, tol=1e-12, seed=1) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    basis = MomentBasis.build(n_max)
-    system = assemble_transport(basis)
-    dirs = _random_directions(n_dirs, rng)
+def check_recursion() -> CheckResult:
+    tol = 1e-12
+    system = assemble_transport(MomentBasis.build(5))
+    dirs = _random_directions(100, np.random.default_rng(1))
     worst = max(recursion_check(system, axis, dirs) for axis in (1, 2, 3))
     return CheckResult("assembly.recursion", worst < tol, tol - worst, f"max residual {worst:.2e}")
 
 
-def check_quadrature_agreement(n_max=13, tol=1e-12) -> CheckResult:
-    """Closed-form A^(i) against full-sphere quadrature of < omega_i Y, Y^T > for every axis.
+def check_quadrature_agreement() -> CheckResult:
+    """Closed-form A^(i) against full-sphere quadrature of < omega_i Y, Y^T > for every axis, N = 13.
 
     The product rule of :func:`build_quadrature` is exact to degree
-    2 n_max + 2, so the two agree to roundoff.
+    2 N + 2, so the two agree to roundoff.
     """
+    tol, n_max = 1e-12, 13
     system = assemble_transport(MomentBasis.build(n_max))
     quad = build_quadrature(n_max)
     y = eval_basis(n_max, quad.nodes)
@@ -186,7 +197,8 @@ def check_quadrature_agreement(n_max=13, tol=1e-12) -> CheckResult:
                        f"max entry dev {worst:.2e}")
 
 
-def check_scattering(tol=1e-13) -> CheckResult:
+def check_scattering() -> CheckResult:
+    tol = 1e-13
     basis = MomentBasis.build(4)
     iso = scattering_diagonal(ScatteringSpectrum.isotropic(2.0, 4), basis)
     ok = abs(iso[0]) < tol and np.allclose(iso[1:], -2.0, atol=tol)
@@ -212,7 +224,8 @@ def check_golden_marshak(system=None) -> CheckResult:
                        f"{got}, row.(1,2.5,-1) = {dot}")
 
 
-def check_l_analytic(tol=1e-12) -> CheckResult:
+def check_l_analytic() -> CheckResult:
+    tol = 1e-12
     basis = MomentBasis.build(1)
     face = bnd.Face(3, "high")
     l_mat = bnd.onsager_L(basis, face)
@@ -222,8 +235,9 @@ def check_l_analytic(tol=1e-12) -> CheckResult:
     return CheckResult("boundary.l_analytic", dev < tol, tol - dev, f"dev {dev:.2e}")
 
 
-def check_truncation_locality(n_list=range(1, 8), tol=1e-11) -> CheckResult:
+def check_truncation_locality(n_list=range(1, 8)) -> CheckResult:
     """Mtilde - L Ahat vanishes except in the highest-degree even columns."""
+    tol = 1e-11
     worst = 0.0
     for n in n_list:
         basis = MomentBasis.build(n)
@@ -241,16 +255,17 @@ def check_truncation_locality(n_list=range(1, 8), tol=1e-11) -> CheckResult:
                        f"max off-tail dev {worst:.2e}")
 
 
-def check_energy_algebra(n_max=3, n_samples=1000, tol=1e-10, seed=2) -> CheckResult:
+def check_energy_algebra() -> CheckResult:
     """Boundary flux form under the stabilized condition stays below the source bound."""
-    rng = np.random.default_rng(seed)
-    basis = MomentBasis.build(n_max)
+    tol = 1e-10
+    rng = np.random.default_rng(2)
+    basis = MomentBasis.build(3)
     system = assemble_transport(basis)
     face = bnd.Face(1, "high")
     obc = bnd.onsager_bc(basis, face, system)
     l_inv_norm = float(np.linalg.norm(np.linalg.inv(obc.l_matrix), 2))
     worst = -np.inf
-    for _ in range(n_samples):
+    for _ in range(1000):
         u_e = rng.standard_normal(obc.a_hat.shape[1])
         g = rng.standard_normal(obc.a_hat.shape[0])
         u_o = obc.m_matrix @ u_e + g
@@ -260,9 +275,10 @@ def check_energy_algebra(n_max=3, n_samples=1000, tol=1e-10, seed=2) -> CheckRes
                        f"max flux excess {worst:.2e}")
 
 
-def check_characteristic(n_max=4, n_samples=200, tol=1e-11, seed=3) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    basis = MomentBasis.build(n_max)
+def check_characteristic() -> CheckResult:
+    tol = 1e-11
+    rng = np.random.default_rng(3)
+    basis = MomentBasis.build(4)
     system = assemble_transport(basis)
     worst = 0.0
     consistent = True
@@ -270,7 +286,7 @@ def check_characteristic(n_max=4, n_samples=200, tol=1e-11, seed=3) -> CheckResu
         face = bnd.Face(2, side)
         obc = bnd.onsager_bc(basis, face, system)
         cf = bnd.characteristic_form(obc)
-        for _ in range(n_samples):
+        for _ in range(200):
             u_e = rng.standard_normal(obc.a_hat.shape[1])
             g = rng.standard_normal(obc.a_hat.shape[0])
             u_o = obc.m_matrix @ u_e + g
@@ -283,8 +299,9 @@ def check_characteristic(n_max=4, n_samples=200, tol=1e-11, seed=3) -> CheckResu
                        f"max equivalent-form residual {worst:.2e}")
 
 
-def check_reflection_consistency(n_max=5, tol=1e-13) -> CheckResult:
-    basis = MomentBasis.build(n_max)
+def check_reflection_consistency() -> CheckResult:
+    tol = 1e-13
+    basis = MomentBasis.build(5)
     worst = 0.0
     for axis in (1, 2, 3):
         lo, hi = bnd.Face(axis, "low"), bnd.Face(axis, "high")
@@ -299,18 +316,19 @@ def check_reflection_consistency(n_max=5, tol=1e-13) -> CheckResult:
 # --------------------------------------------------------------------------- sbp
 
 
-def check_sbp_identity(n_list=(8, 16, 64)) -> CheckResult:
+def check_sbp_identity() -> CheckResult:
     worst = 0.0
-    for n in n_list:
+    for n in (8, 16, 64):
         pair = build_sbp_pair(StaggeredGrid1d(0.0, 1.0, n))
         dev = np.abs(pair.q_odd + pair.q_even.T - pair.boundary_matrix()).max()
         worst = max(worst, float(dev))
     return CheckResult("sbp.identity", worst == 0.0, -worst, f"max entry dev {worst:.2e}")
 
 
-def check_sbp_exactness(n_list=(8, 16, 64), tol=1e-12) -> CheckResult:
+def check_sbp_exactness() -> CheckResult:
+    tol = 1e-12
     worst = 0.0
-    for n in n_list:
+    for n in (8, 16, 64):
         grid = StaggeredGrid1d(-0.3, 1.1, n)
         pair = build_sbp_pair(grid)
         worst = max(worst, float(np.abs(pair.d_odd @ np.ones(n + 2)).max()))
@@ -320,7 +338,8 @@ def check_sbp_exactness(n_list=(8, 16, 64), tol=1e-12) -> CheckResult:
     return CheckResult("sbp.exactness", worst < tol, tol - worst, f"max dev {worst:.2e}")
 
 
-def check_sbp_convergence(min_order=1.8) -> CheckResult:
+def check_sbp_convergence() -> CheckResult:
+    min_order = 1.8
     errs = []
     ns = (16, 32, 64, 128)
     for n in ns:
@@ -334,8 +353,9 @@ def check_sbp_convergence(min_order=1.8) -> CheckResult:
                        f"observed orders {[round(o, 2) for o in orders]}")
 
 
-def check_penalty_admissibility(tol=1e-12, seed=4) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def check_penalty_admissibility() -> CheckResult:
+    tol = 1e-12
+    rng = np.random.default_rng(4)
     worst = -np.inf
     for r in (1, 3, 10):
         m = rng.standard_normal((r, r))
@@ -351,7 +371,7 @@ def check_penalty_admissibility(tol=1e-12, seed=4) -> CheckResult:
                        f"max stability-condition excess {worst:.2e}")
 
 
-def check_semidiscrete_dissipativity(tol=1e-12, seed=5, n_samples=100) -> CheckResult:
+def check_semidiscrete_dissipativity() -> CheckResult:
     """<u, P rhs(u)> <= 0 for random states over the full basis (g = 0).
 
     The probe holds a degree-3 initial moment in each of the four (y, z)
@@ -382,10 +402,11 @@ def check_semidiscrete_dissipativity(tol=1e-12, seed=5, n_samples=100) -> CheckR
         "integration": {"cfl": 0.5, "t_end": 1.0},
         "outputs": {"snapshot_times": []},
     })
+    tol = 1e-12
     setup = build_setup(sc)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(5)
     worst = -np.inf
-    for _ in range(n_samples):
+    for _ in range(100):
         st = rng.standard_normal(setup.size)
         worst = max(worst, inner(setup, st, rhs(setup, st)) / energy(setup, st))
     n, dim = setup.n_components, setup.basis.dim
@@ -433,7 +454,7 @@ def run_deviation(result, reference) -> tuple[float, str]:
     return worst
 
 
-def check_mirror_agreement(tol=1e-12) -> CheckResult:
+def check_mirror_agreement() -> CheckResult:
     """A small symmetric x-z run on x >= 0 against the same run on the whole domain.
 
     The probe has alpha = 0.5 x faces (so tau^e acts), a time-dependent
@@ -445,6 +466,7 @@ def check_mirror_agreement(tol=1e-12) -> CheckResult:
     Passes when only the probe is mirrored, on x (so the check fails should
     zero inflow ever count as none), and :func:`run_deviation` < ``tol``.
     """
+    tol = 1e-12
     face = {"type": "onsager", "alpha": 0.5, "psi_in": {"kind": "none"}}
     beam = {"kind": "beam", "amplitude": 1.0, "sigma_x": 0.5, "sigma_omega": 0.3,
             "eps_center": 1.9, "sigma_eps": 0.1}
@@ -468,6 +490,47 @@ def check_mirror_agreement(tol=1e-12) -> CheckResult:
     dev, column = run_deviation(half, full) if mirrored else (math.inf, "the mirror axes")
     return CheckResult("solver.mirror_agreement", dev < tol, tol - dev,
                        f"max dev {dev:.2e} of the column's max, in {column}")
+
+
+def _free_streaming_error(n_max: int, cells: int, t_end: float) -> float:
+    """Relative L2 error of u00 at t_end against :func:`pnsat.exact.u00`, on the snapshot's nodes.
+
+    The probe is the paper's first test case: a normal pdf pulse (sigma 0.2)
+    on [-1, 1], isotropic, with vacuum Onsager faces and no scattering.
+    """
+    vacuum = {"type": "onsager", "alpha": 1.0, "psi_in": {"kind": "none"}}
+    snap = run(scenario_from_dict({
+        "name": "free-streaming-probe",
+        "model": {"N": n_max, "scattering": {"kind": "none"}, "stopping": {"mode": "time"}},
+        "domain": {"axes": ["x"], "extents": [[-1.0, 1.0]], "cells": [cells]},
+        "boundaries": {"x_low": vacuum, "x_high": vacuum},
+        "initial": {"kind": "gaussian_bulk", "mu": [0.0], "sigma": [0.2],
+                    "normalize": "pdf", "direction": {"kind": "isotropic"}},
+        "integration": {"cfl": 0.5, "t_end": t_end},
+        "outputs": {"snapshot_times": [t_end]},
+    })).snapshots[0]
+    want = exact.u00(snap.nodes[0], snap.time, 0.2)
+    return float(np.linalg.norm(snap.u00 - want) / np.linalg.norm(want))
+
+
+def check_free_streaming() -> CheckResult:
+    """The whole scheme against the closed-form free-streaming solution.
+
+    Cell orders: the error at N = 13 and t = 0.4 on 100, 200 and 400 cells,
+    where the spatial error dominates; both orders lie within 0.2 of 2.  N
+    ladder: the error at t = 2 on 100 cells, after the pulse has reached the
+    faces, where the angular truncation dominates; it falls from P3 to P7 to
+    P13.  The margin is 0.2 less the largest order deviation, -1 when the
+    ladder does not fall.
+    """
+    errs = [_free_streaming_error(13, cells, 0.4) for cells in (100, 200, 400)]
+    orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
+    ladder = [_free_streaming_error(n, 100, 2.0) for n in (3, 7, 13)]
+    dev = max(abs(o - 2.0) for o in orders)
+    falling = ladder[0] > ladder[1] > ladder[2]
+    return CheckResult("solver.free_streaming", dev <= 0.2 and falling, 0.2 - dev if falling else -1.0,
+                       f"cell orders {[round(o, 2) for o in orders]} at N = 13, t = 0.4; "
+                       f"P3/P7/P13 errors [{', '.join(f'{e:.3g}' for e in ladder)}] at t = 2")
 
 
 ALL_CHECKS = (
@@ -494,8 +557,9 @@ ALL_CHECKS = (
     check_penalty_admissibility,
     check_semidiscrete_dissipativity,
     check_mirror_agreement,
+    check_free_streaming,
 )
 
 
-def run_all(checks=ALL_CHECKS) -> list[CheckResult]:
-    return [c() for c in checks]
+def run_all() -> list[CheckResult]:
+    return [c() for c in ALL_CHECKS]

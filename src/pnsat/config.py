@@ -352,8 +352,8 @@ class InitialSpec:
 class Scenario:
     name: str
     n_max: int
-    scattering: ScatteringSpectrum
-    scattering_dict: dict
+    scattering: ScatteringSpectrum  # what the solver and the Monte Carlo oracle read
+    scattering_dict: dict  # the document's model.scattering, echoed by to_dict
     axes: tuple[int, ...]
     extents: tuple[tuple[float, float], ...]
     cells: tuple[int, ...]

@@ -161,30 +161,29 @@ def _accepted(n: int, propose, what: str) -> np.ndarray:
     return out
 
 
-def _sample_deflection(kind_dict: dict, spectrum, n: int, rng) -> np.ndarray:
-    kind = kind_dict.get("kind")
-    if kind == "isotropic":
-        return rng.uniform(-1.0, 1.0, n)
-    if kind == "henyey_greenstein":
-        g = float(kind_dict["g"])
+def _sample_deflection(spectrum, n: int, rng) -> np.ndarray:
+    """Deflection cosines drawn from the spectrum's law.
+
+    Henyey-Greenstein by inversion of its g (g = 0 is isotropic); a table
+    (g None) by rejection against the Legendre reconstruction.
+    """
+    g = spectrum.g
+    if g is not None:
         if abs(g) < 1e-12:
             return rng.uniform(-1.0, 1.0, n)
         u = rng.random(n)
         frac = (1.0 - g * g) / (1.0 - g + 2.0 * g * u)
         return (1.0 + g * g - frac * frac) / (2.0 * g)
-    if kind == "table":
-        # rejection against the Legendre reconstruction
-        grid = np.linspace(-1.0, 1.0, 513)
-        dens = spectrum.phase_density(grid)
-        if dens.min() < -1e-10 * max(dens.max(), 1.0):
-            raise NumericalError("tabulated scattering kernel is not sampleable (negative density)")
-        env = dens.max() * 1.05
+    grid = np.linspace(-1.0, 1.0, 513)
+    dens = spectrum.phase_density(grid)
+    if dens.min() < -1e-10 * max(dens.max(), 1.0):
+        raise NumericalError("tabulated scattering kernel is not sampleable (negative density)")
+    env = dens.max() * 1.05
 
-        def propose(m):
-            cand = rng.uniform(-1.0, 1.0, m)
-            return cand[rng.random(m) * env < np.maximum(spectrum.phase_density(cand), 0.0)]
-        return _accepted(n, propose, "scattering deflection")
-    raise NumericalError(f"scattering kind {kind!r} is not sampleable")
+    def propose(m):
+        cand = rng.uniform(-1.0, 1.0, m)
+        return cand[rng.random(m) * env < np.maximum(spectrum.phase_density(cand), 0.0)]
+    return _accepted(n, propose, "scattering deflection")
 
 
 def _rotate(u: list, mu_s: np.ndarray, chi: np.ndarray) -> list:
@@ -425,7 +424,6 @@ def _advance_batch(sc: Scenario, grid: TallyGrid, pos, dirs, birth, weight, rng,
     """
     sigma_t = sc.scattering.sigma_t
     sigma_0 = float(sc.scattering.moments[0])
-    kernel = sc.scattering_dict
     comp = [ax - 1 for ax in sc.axes]
     lo = [e[0] for e in sc.extents]
     hi = [e[1] for e in sc.extents]
@@ -492,7 +490,7 @@ def _advance_batch(sc: Scenario, grid: TallyGrid, pos, dirs, birth, weight, rng,
         w = w[ci]
         if sigma_0 < sigma_t:
             w *= sigma_0 / sigma_t
-        mu_s = _sample_deflection(kernel, sc.scattering, n_c, rng)
+        mu_s = _sample_deflection(sc.scattering, n_c, rng)
         chi = rng.uniform(0.0, 2.0 * math.pi, n_c)
         u = _rotate([uc[ci] for uc in u], mu_s, chi)
         s_coll = rng.exponential(1.0 / sigma_t, n_c)

@@ -182,10 +182,14 @@ class ScatteringSpectrum:
     ``moments[l] = 2 pi * integral_{-1}^{1} sigma_s(c) P_l(c) dc`` in units of
     1/length; ``sigma_t`` in the same units.  Requires |sigma_l| <= sigma_0
     and sigma_0 <= sigma_t (up to roundoff) so relaxation never amplifies.
+    ``g`` names the law the moments come from, which the Monte Carlo oracle
+    samples: the Henyey-Greenstein anisotropy, 0.0 for an isotropic kernel
+    (and for none), None for a table, sampled from :meth:`phase_density`.
     """
 
     sigma_t: float
     moments: np.ndarray
+    g: float | None = None
 
     def __post_init__(self):
         m = np.asarray(self.moments, dtype=float)
@@ -207,13 +211,13 @@ class ScatteringSpectrum:
 
     @classmethod
     def none(cls, n_max: int = 0) -> "ScatteringSpectrum":
-        return cls(0.0, np.zeros(n_max + 1))
+        return cls(0.0, np.zeros(n_max + 1), 0.0)
 
     @classmethod
     def isotropic(cls, sigma_s: float, n_max: int, sigma_t: float | None = None) -> "ScatteringSpectrum":
         m = np.zeros(n_max + 1)
         m[0] = sigma_s
-        return cls(sigma_s if sigma_t is None else sigma_t, m)
+        return cls(sigma_s if sigma_t is None else sigma_t, m, 0.0)
 
     @classmethod
     def henyey_greenstein(
@@ -223,13 +227,13 @@ class ScatteringSpectrum:
         if not -1.0 < g < 1.0:
             raise ValidationError(f"HG anisotropy must lie in (-1, 1), got {g}")
         m = sigma_s * g ** np.arange(n_max + 1, dtype=float)
-        return cls(sigma_s if sigma_t is None else sigma_t, m)
+        return cls(sigma_s if sigma_t is None else sigma_t, m, float(g))
 
     def truncated(self, n_max: int) -> "ScatteringSpectrum":
         m = np.zeros(n_max + 1)
         upto = min(n_max + 1, self.moments.size)
         m[:upto] = self.moments[:upto]
-        return ScatteringSpectrum(self.sigma_t, m)
+        return ScatteringSpectrum(self.sigma_t, m, self.g)
 
     def phase_density(self, cos_theta: np.ndarray) -> np.ndarray:
         """sigma_s(c) reconstructed from the moments: sum (2l+1)/(4 pi) sigma_l P_l(c)."""

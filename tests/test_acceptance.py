@@ -6,7 +6,6 @@ two groups (property criteria 1-6, scenario criteria 7-11).
 """
 
 import json
-import math
 import time
 
 import numpy as np
@@ -22,6 +21,7 @@ from pnsat.checks import (
     check_truncation_locality,
 )
 from pnsat.config import scenario_from_dict
+from pnsat.exact import energy_fraction
 from pnsat.mc import simulate
 from pnsat.moments import MomentBasis, assemble_transport
 from pnsat.sbp import StaggeredGrid1d, build_sbp_pair
@@ -181,20 +181,11 @@ def test_criterion_07_test1_energy_decay(tc1_result):
 
 
 def test_criterion_07b_decay_matches_kinetic_oracle(tc1_result):
-    # independent oracle: wave-packet weights/speeds from the degree-14
-    # Gauss-Legendre rule, squared-Gaussian exit fractions via erf
+    # independent oracle: the P13 wave packets of a sigma = 0.2 pulse leaving [-1, 1]
     res = tc1_result
     t, e = res.log.times, res.log.energies
-    mu, w = np.polynomial.legendre.leggauss(14)
-    lam, wgt = mu[mu > 0], w[mu > 0]
-    sig_e = 0.2 / math.sqrt(2.0)
-
-    def remaining(c):
-        return 0.5 * (math.erf((1 - c) / (math.sqrt(2) * sig_e))
-                      - math.erf((-1 - c) / (math.sqrt(2) * sig_e)))
-
     probe = np.linspace(0.0, 15.0, 601)
-    oracle = np.array([sum(wj * remaining(lj * tp) for lj, wj in zip(lam, wgt)) for tp in probe])
+    oracle = energy_fraction(probe, 0.2, 13)
     solver = np.interp(probe, t, e / e[0])
     assert np.abs(solver - oracle).max() < 0.02
     oracle_plateaus = detect_plateaus(probe, oracle)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import math
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import bundled_doc
+from pnsat import exact
 from pnsat import mc as mc_module
 from pnsat.cli import main
 from pnsat.config import scenario_from_dict
@@ -47,28 +49,16 @@ def scattering_1d(scattering: dict, n=13):
     return scenario_from_dict(doc)
 
 
-def u00_free_streaming(sc, edges, sigma=0.2) -> np.ndarray:
-    """Free-streaming u00 of a centred normal pdf on [-1, 1], averaged as the tally estimates it.
+def u00_free_streaming(sc, edges) -> np.ndarray:
+    """Free-streaming u00 of the sigma = 0.2 pulse, averaged as the tally estimates it.
 
-    At time t, u00(t, x) = (1/2t)(Phi(x + t) - Phi(x - t)) with Phi the
-    initial cdf clipped to the domain.  Each bin averages it over its edges
-    (closed form through the antiderivative of erf) and each snapshot over
+    Each snapshot averages the bin values (:func:`pnsat.exact.u00_bins`) over
     the estimator's record times and weights (``mc._record_times``).
     Returns shape (snapshots, bins).
     """
-    s = sigma * math.sqrt(2.0)
-
-    def erf_integral(y):
-        # antiderivative of erf(clip(y, -1, 1) / s): y erf(y/s) + s/sqrt(pi) exp(-(y/s)^2)
-        # inside the domain, continued linearly outside it
-        c = min(max(y, -1.0), 1.0)
-        inside = c * math.erf(c / s) + s / math.sqrt(math.pi) * math.exp(-((c / s) ** 2))
-        return inside + (y - c) * math.erf(c / s)
-
     out = np.zeros((len(sc.snapshot_times), edges.size - 1))
     for t, si, weight in zip(*mc_module._record_times(sc, mc_module.WINDOW_FRAC, mc_module.SUBSAMPLES)):
-        window = np.array([erf_integral(e + t) - erf_integral(e - t) for e in edges])
-        out[si] += weight * (0.25 / t) * np.diff(window) / np.diff(edges)
+        out[si] += weight * exact.u00_bins(edges, t, 0.2)
     return out
 
 
@@ -425,8 +415,7 @@ class TestAgainstKineticSolution:
         # one bin off breaks the bound by far.
         sc = free_streaming_1d()
         mc = simulate(sc, 1_000_000, seed=42)
-        exact = u00_free_streaming(sc, mc.grid.edges[0])
-        for snap, want in zip(mc.snapshots, exact, strict=True):
+        for snap, want in zip(mc.snapshots, u00_free_streaming(sc, mc.grid.edges[0]), strict=True):
             assert np.all(np.abs(snap.u00 - want) <= 5.3 * snap.stderr)
             assert not np.all(np.abs(1.05 * snap.u00 - want) <= 5.3 * 1.05 * snap.stderr)
             assert not np.all(np.abs(snap.u00[1:] - want[:-1]) <= 5.3 * snap.stderr[1:])
@@ -438,16 +427,12 @@ class TestAgainstKineticSolution:
         doc["initial"].update(mu=[0.9], sigma=[0.3])
         mc = simulate(scenario_from_dict(doc), 400_000, seed=7)
         snap = mc.snapshots[0]
-
-        def cdf(y):
-            return 0.5 * math.erf((min(max(y, -1.0), 1.0) - 0.9) / (0.3 * math.sqrt(2)))
-
-        exact = np.array([(cdf(x + 0.5) - cdf(x - 0.5)) / (2 * 0.5) for x in mc.centers[0]])
+        want = exact.u00(mc.centers[0], 0.5, 0.3, mu=0.9)
         # 16-batch standard errors are t-distributed with 15 degrees of freedom: 5 of them
         # bound all 50 bins at about 1% family-wise.  The 1e-4 floor covers the far-left
         # bins, where the exact value is below 1e-4 and no particle arrives.  Sampling the
         # whole Gaussian puts the bins near x = 1 about 40 standard errors too high.
-        assert np.all(np.abs(snap.u00 - exact) <= 5.0 * snap.stderr + 1e-4)
+        assert np.all(np.abs(snap.u00 - want) <= 5.0 * snap.stderr + 1e-4)
 
     def test_variance_scales_inversely_with_n(self):
         sc = free_streaming_1d()
@@ -511,34 +496,33 @@ class TestSamplers:
         assert w * 200_000 == pytest.approx(want, rel=1e-12)
 
     def test_hg_deflection_mean(self):
-        from pnsat.mc import _sample_deflection
-        from pnsat.moments import ScatteringSpectrum
-
         rng = np.random.default_rng(1)
         g = 0.6
         spec = ScatteringSpectrum.henyey_greenstein(1.0, g, 8)
-        mu = _sample_deflection({"kind": "henyey_greenstein", "g": g}, spec, 400_000, rng)
+        mu = mc_module._sample_deflection(spec, 400_000, rng)
         assert mu.mean() == pytest.approx(g, abs=0.005)
         assert np.all(np.abs(mu) <= 1.0 + 1e-12)
 
     def test_table_kernel_rejection(self):
-        from pnsat.mc import _sample_deflection
-        from pnsat.moments import ScatteringSpectrum
-
         rng = np.random.default_rng(2)
         g = 0.4
-        spec = ScatteringSpectrum.henyey_greenstein(1.0, g, 16)
-        mu = _sample_deflection({"kind": "table"}, spec, 200_000, rng)
+        spec = ScatteringSpectrum(1.0, ScatteringSpectrum.henyey_greenstein(1.0, g, 16).moments)  # a table
+        mu = mc_module._sample_deflection(spec, 200_000, rng)
         assert mu.mean() == pytest.approx(g, abs=0.01)
 
     def test_unsampleable_kernel_raises(self):
-        from pnsat.mc import _sample_deflection
-        from pnsat.moments import ScatteringSpectrum
-
         rng = np.random.default_rng(3)
-        spec = ScatteringSpectrum.none(2)
-        with pytest.raises(NumericalError):
-            _sample_deflection({"kind": "mystery"}, spec, 10, rng)
+        spec = ScatteringSpectrum(1.0, np.array([1.0, 0.0, 1.0]))  # a table, negative at c = 0
+        with pytest.raises(NumericalError, match="not sampleable"):
+            mc_module._sample_deflection(spec, 10, rng)
+
+    def test_oracle_samples_the_spectrum_the_solver_reads(self):
+        # scattering_dict is only the document's echo: editing it changes no tally
+        sc = scattering_1d({"kind": "henyey_greenstein", "sigma_s": 2.0, "g": 0.6, "sigma_t": 2.5})
+        edited = dataclasses.replace(sc, scattering_dict={"kind": "isotropic", "sigma_s": 2.0})
+        a, b = simulate(sc, 20_000, seed=5), simulate(edited, 20_000, seed=5)
+        for sa, sb in zip(a.snapshots, b.snapshots, strict=True):
+            np.testing.assert_array_equal(sa.u00, sb.u00)
 
     def test_rejects_unsupported_initial(self):
         doc = bundled_doc("tc2_unstable")
