@@ -350,6 +350,8 @@ class InitialSpec:
 
 @dataclass(frozen=True)
 class Scenario:
+    __hash__ = None  # compares by value, but holds dicts
+
     name: str
     n_max: int
     scattering: ScatteringSpectrum  # what the solver and the Monte Carlo oracle read

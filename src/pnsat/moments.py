@@ -175,7 +175,7 @@ def recursion_check(system: PnSystem, axis: int, omega) -> float:
 # scattering
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScatteringSpectrum:
     """Legendre moments of the deflection kernel plus the total cross section.
 
@@ -185,6 +185,8 @@ class ScatteringSpectrum:
     ``g`` names the law the moments come from, which the Monte Carlo oracle
     samples: the Henyey-Greenstein anisotropy, 0.0 for an isotropic kernel
     (and for none), None for a table, sampled from :meth:`phase_density`.
+    Two spectra are equal when ``sigma_t``, ``g`` and the moments are
+    (``np.array_equal``); the hash agrees with that equality.
     """
 
     sigma_t: float
@@ -208,6 +210,16 @@ class ScatteringSpectrum:
                 f"sigma_0 = {float(m[0])} exceeds sigma_t = {float(self.sigma_t)}; "
                 "relaxation would be positive"
             )
+
+    def __eq__(self, other):
+        if not isinstance(other, ScatteringSpectrum):
+            return NotImplemented
+        return (self.sigma_t == other.sigma_t and self.g == other.g
+                and np.array_equal(self.moments, other.moments))
+
+    def __hash__(self):
+        # float hashes agree with ==, so -0.0 and 0.0 moments hash alike
+        return hash((self.sigma_t, self.g, tuple(self.moments.tolist())))
 
     @classmethod
     def none(cls, n_max: int = 0) -> "ScatteringSpectrum":

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import multiprocessing
@@ -251,6 +252,15 @@ class TestConfigValidation:
         doc["model"]["scattering"].update(kind="isotropic", g=0.0)
         assert sc.scattering_dict == given == sc.to_dict()["model"]["scattering"]
         assert given["kind"] == "henyey_greenstein" and given["g"] == 0.8
+
+    def test_scenarios_compare_by_value(self):
+        sc = load_scenario(scenario_path("tc1"))
+        assert sc == load_scenario(scenario_path("tc1"))
+        other_g = dataclasses.replace(sc.scattering, g=0.5)
+        assert sc.scattering != other_g
+        assert sc != dataclasses.replace(sc, scattering=other_g)
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(sc)
 
     @pytest.mark.parametrize("path", OBJECT_SECTIONS, ids=lambda p: ".".join(p) or "config")
     def test_non_object_section_exits_1(self, tmp_path, capsys, path):

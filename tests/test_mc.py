@@ -201,6 +201,12 @@ class TestParallelBatches:
         assert len(records) == 1 and records[0].levelno == logging.DEBUG
         assert "16 batches on 2 workers" in records[0].getMessage()
         assert f"{meta['flights']} flights, {meta['deposits']} deposits" in records[0].getMessage()
+        # the reaped workers' page faults and system time
+        kernel = meta["kernel"]
+        assert set(kernel) == {"minor_faults", "system_s"}
+        assert isinstance(kernel["minor_faults"], int) and kernel["minor_faults"] >= 0
+        assert isinstance(kernel["system_s"], float) and kernel["system_s"] >= 0.0
+        assert f"{kernel['minor_faults']} minor faults, {kernel['system_s']:.3f} s system" in records[0].getMessage()
 
     def test_seconds_recorded_and_logged(self, tmp_path, caplog):
         cfg = tmp_path / "free.json"
@@ -225,6 +231,38 @@ class TestParallelBatches:
         # scatterers fly again after each collision
         assert counts[1][0] > 20_003 and counts[1][1] > 0
         assert counts[1] == counts[2]
+
+
+class TestWorkerHeap:
+    """Pool workers keep their freed heap; this process's allocator is never changed."""
+
+    def test_in_process_run_skips_the_hook(self, monkeypatch):
+        def refuse():
+            raise AssertionError("allocator changed in this process")
+
+        monkeypatch.setattr(mc_module, "_keep_heap", refuse)
+        monkeypatch.setattr(mc_module, "_workers", lambda n_batches: 1)
+        assert simulate(free_streaming_1d(), 5000, seed=3).meta["workers"] == 1
+
+    def test_hook_runs_once_in_each_worker(self, tmp_path, monkeypatch):
+        def record_pid():
+            (tmp_path / str(os.getpid())).touch(exist_ok=False)
+
+        monkeypatch.setattr(mc_module, "_keep_heap", record_pid)
+        monkeypatch.setattr(mc_module, "_workers", lambda n_batches: 2)
+        simulate(free_streaming_1d(), 5000, seed=3)
+        pids = {int(p.name) for p in tmp_path.iterdir()}
+        assert len(pids) == 2 and os.getpid() not in pids
+
+    @pytest.mark.parametrize("libc", ["missing", "no_mallopt"])
+    def test_hook_returns_without_mallopt(self, monkeypatch, libc):
+        def cdll(name):
+            if libc == "missing":
+                raise OSError("no libc")
+            return object()
+
+        monkeypatch.setattr(mc_module.ctypes, "CDLL", cdll)
+        assert mc_module._keep_heap() is None
 
 
 class Distances:

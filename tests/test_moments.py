@@ -217,6 +217,13 @@ class TestScattering:
         assert back.sigma_t == spec.sigma_t
         np.testing.assert_array_equal(back.moments, spec.moments)
 
+    def test_equal_spectra_hash_equal(self):
+        a, b = ScatteringSpectrum.none(2), ScatteringSpectrum.none(2)
+        assert a == b and hash(a) == hash(b)
+        assert ScatteringSpectrum.none(2) != ScatteringSpectrum.none(3)
+        signed = ScatteringSpectrum(0.0, np.array([-0.0, 0.0]), 0.0)
+        assert signed == ScatteringSpectrum.none(1) and hash(signed) == hash(ScatteringSpectrum.none(1))
+
     def test_table_requires_header(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("0 1.0\n1 0.5\n")
