@@ -77,6 +77,26 @@ Both calls reach the same BLAS gemm or gemv and give the same bits.
 thousand nodes it is the slower (30.0 us against 25.6 us on tc3, one
 BLAS thread).
 
+Compiled plans.  A plan is a flat list of (call, operands, output)
+entries.  :func:`_layout` reduces it to its structure, each entry's call
+and operand positions, and :func:`_emit` writes a structure as Python
+source, one call per line in plan order, naming each operand by its
+position and each call by a fixed name (``subtract``, ``add``,
+``multiply``, ``dot``, ``matmul``); no text of the scenario enters it.
+:func:`_kernel` emits and compiles each structure once into a factory
+``make(*operands, energy_map) -> rhs(t)`` whose body reads its operands
+from closure cells; its cache holds :data:`KERNEL_CACHE` structures, so
+both plans of a stepper share one compile, and so does every stepper of
+the same plan structure.  A step then pays
+for its numpy calls and little else: a tc1 RHS (11 calls) takes about
+8.3 us compiled against 9.3 us through a loop over the plan.  The cost is
+one cold emit and compile per plan structure and process, measured as
+0.37-0.39 ms for tc1 (11 lines, 28 operands), 0.50-0.71 ms for
+tc_inflow_1d (19, 40), 1.2-1.9 ms for tc3 (58, 125) and 1.2-1.5 ms for
+tc4 (61, 127); a cached structure costs a few us.
+The text is registered with :mod:`linecache`, so a traceback through a
+kernel shows the failing call, and ``_Stepper.kernel_source`` holds it.
+
 Mirror planes.  A scenario that is invariant under x_d -> -x_d with
 Omega_d -> -Omega_d (symmetric extents with an even cell count of at least
 8, equal faces on that axis, data centred at 0 and even in Omega_d, no
@@ -103,6 +123,8 @@ component.
 from __future__ import annotations
 
 import functools
+import hashlib
+import linecache
 import logging
 import math
 import time as _time
@@ -213,16 +235,17 @@ class SolverSetup:
 
     @functools.cached_property
     def flat_weights(self) -> np.ndarray | None:
-        """1-D runs: the norm weight of each entry of a flat state; None on multi-axis set-ups.
+        """1-D runs: the full-domain norm weight of each entry of a flat state; None on multi-axis set-ups.
 
-        A 1-D state is small enough to keep a table of its size; a multi-axis
-        one is not.
+        The node weights repeated per component, times :attr:`mirror_scale`:
+        a power of 2, so the fold is exact.  A 1-D state is small enough to
+        keep a table of its size; a multi-axis one is not.
         """
         if self.tensor.ndim > 1:
             return None
         out = np.zeros(self.size)
         for a, span, m, w in self.norm_tables:
-            out[span] = np.repeat(w, m)
+            out[span] = np.repeat(self.mirror_scale * w, m)
         return out
 
     def dt_stable(self) -> float:
@@ -494,11 +517,12 @@ def energy(setup: SolverSetup, state: np.ndarray) -> float:
     """Total discrete energy <u, u> of a flat state: sum of squared family SBP norms, full domain.
 
     In 1-D it is one dot against :attr:`SolverSetup.flat_weights`, which
-    costs a few numpy calls fewer per time step than :func:`inner`.
+    hold ``mirror_scale`` and cost a few numpy calls fewer per time step
+    than :func:`inner`.
     """
     w = setup.flat_weights
     if w is not None:
-        return setup.mirror_scale * float(np.dot(w * state, state))
+        return float(np.dot(w * state, state))
     return inner(setup, state, state)
 
 
@@ -552,15 +576,84 @@ def _product(axes_spanned: int):
     return np.dot if axes_spanned <= 1 else np.matmul
 
 
+# the only calls a kernel makes, by the name its source gives them
+_CALLS = {"subtract": np.subtract, "add": np.add, "multiply": np.multiply, "dot": np.dot, "matmul": np.matmul}
+_CALL_NAMES = {call: name for name, call in _CALLS.items()}
+_TIME_FACTOR = object()  # a plan's stand-in for its face's inflow time factor at t, the kernel's local ``tf``
+KERNEL_CACHE = 32  # plan structures kept compiled per process; the key holds calls and positions, no arrays
+
+
+def _layout(plan: list) -> tuple[tuple, list]:
+    """A plan's structure and its operands, in order of first use.
+
+    The structure holds per entry its call and the positions of its
+    operands and output: an operand's index in the list, or -1 for the time
+    factor.  An array that an entry both reads and writes keeps one
+    position.  Plans of one structure share one kernel (:func:`_kernel`).
+    """
+    operands, position, entries = [], {}, []
+    for call, args, out in plan:
+        refs = []
+        for x in (*args, out):
+            if x is _TIME_FACTOR:
+                refs.append(-1)
+                continue
+            p = position.setdefault(id(x), len(operands))
+            if p == len(operands):
+                operands.append(x)
+            refs.append(p)
+        entries.append((call, tuple(refs)))
+    return tuple(entries), operands
+
+
+def _emit(structure: tuple) -> str:
+    """The kernel source of a plan structure: one line per entry, in plan order.
+
+    The source defines ``make(o0, o1, ..., energy_map)``, which returns
+    ``rhs(t)`` running the plan's calls on the operands it closes over.  An
+    operand is named by its position only and each call by its fixed name in
+    :data:`_CALLS`, so no text of the scenario enters the source.  In-place
+    updates are ``add(x, y, out=x)``, since an augmented assignment would
+    make ``x`` a local of ``rhs``.
+    """
+    lines, n_operands = [], 0
+    for call, refs in structure:
+        *args, out = ("tf" if p < 0 else f"o{p}" for p in refs)
+        n_operands = max(n_operands, 1 + max(refs))
+        if call is _TIME_FACTOR:
+            lines.append(f"tf = {args[0]}.time_factor(t, energy_map)")
+        else:
+            lines.append(f"{_CALL_NAMES[call]}({', '.join(args)}, out={out})")
+    params = "".join(f"o{i}, " for i in range(n_operands))
+    body = "".join(f"        {line}\n" for line in lines) or "        pass\n"
+    return f"def make({params}energy_map):\n    def rhs(t):\n{body}    return rhs\n"
+
+
+@functools.lru_cache(maxsize=KERNEL_CACHE)
+def _kernel(structure: tuple):
+    """(source, ``make`` factory) of a plan structure, emitted and compiled once per structure.
+
+    The text is registered with :mod:`linecache` under the kernel's file
+    name, so a traceback through a kernel shows the call that failed; the
+    registry keeps one entry of a few KB per structure a process compiles.
+    """
+    source = _emit(structure)
+    filename = f"<pnsat kernel {hashlib.sha1(source.encode()).hexdigest()[:12]}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = dict(_CALLS)
+    exec(compile(source, filename, "exec"), namespace)
+    return source, namespace["make"]
+
+
 class _Stepper:
     """The transport kernel with in-place Strang/RK4 stepping of one flat state.
 
     u is the flat state it was given, which it steps in place; k, stage and
     acc are flat arrays of the same layout, and ``state`` is the dict of
-    family views of u.  The two plans that RK4 needs are bound at
-    construction: ``plan_u`` reads u and writes acc (k1 goes straight into
-    the accumulator), ``plan_stage`` reads stage and writes k.  :meth:`rhs`
-    runs one of them.
+    family views of u.  The two plans that RK4 needs are bound and compiled
+    at construction: ``rhs_u(t)`` reads u and writes acc (k1 goes straight
+    into the accumulator), ``rhs_stage(t)`` reads stage and writes k.  Both
+    run the one compiled text ``kernel_source``.
     """
 
     def __init__(self, setup: SolverSetup, u: np.ndarray):
@@ -587,20 +680,28 @@ class _Stepper:
         self.q_relax = q if any(np.any(v) for v in q.values()) else None
         self._relax_cache: tuple[float, dict] | None = None
         self.rhs_calls = 0
-        self.plan_u = self._bind(self.u, self.acc)
-        self.plan_stage = self._bind(self.stage, self.k)
+        energy_map = setup.scenario.energy_map
+        structure, operands = _layout(self._bind(self.u, self.acc))
+        self.kernel_source, make = _kernel(structure)
+        self.rhs_u = make(*operands, energy_map)
+        structure, operands = _layout(self._bind(self.stage, self.k))
+        self.rhs_stage = _kernel(structure)[1](*operands, energy_map)
 
-    def _bind(self, x: np.ndarray, out: np.ndarray) -> tuple:
-        """The plan that reads buffer ``x`` and writes buffer ``out``: views, operands and calls bound once.
+    def _bind(self, x: np.ndarray, out: np.ndarray) -> list:
+        """The plan that reads buffer ``x`` and writes buffer ``out``: its numpy calls, in call order.
 
-        Each product carries its call (:func:`_product`): the coupling's rows
-        run over every axis, a SAT slab's and a leading-axis corner's over all
-        but one; a corner along a later axis is batched over the axes before
-        it and takes ``np.matmul``.  Per face, the plan holds the inflow when a
-        block carries a source, and per block the slabs with m_eff^T, g's
-        space-direction product, the residual buffer, tau^o^T / p^o with the
-        odd increment's buffer and, unless alpha = 1 makes tau^e vanish, the
-        even slab with tau^e^T / p^e and its increment's buffer.
+        Each entry is (call, operands, output), with views, operands and calls
+        bound once: every staggered difference, then every closure corner,
+        then the coupling products, then the SAT terms face by face.  Each
+        product carries its call (:func:`_product`): the coupling's rows run
+        over every axis, a SAT slab's and a leading-axis corner's over all but
+        one; a corner along a later axis is batched over the axes before it
+        and takes ``np.matmul``.  Per face, the plan reads the inflow's time
+        factor when a block carries a source, and per block it computes the
+        residual from the slabs with m_eff^T and g's space-direction product,
+        then adds the odd increment, tau^o^T / p^o applied to it, and, unless
+        alpha = 1 makes tau^e vanish, the even one with tau^e^T / p^e; the
+        residual and both increments have buffers of their own.
         """
         tensor = self.setup.tensor
         src_of, dst_of = self.setup.views(x), self.setup.views(out)
@@ -612,65 +713,45 @@ class _Stepper:
                 src = src_of[c]
                 pre = (slice(None),) * d
                 target = db if a[d] == "o" else db[pre + (slice(1, -1),)]
-                diffs.append((src[pre + (slice(1, None),)], src[pre + (slice(None, -1),)], target))
+                diffs.append((np.subtract, (src[pre + (slice(1, None),)], src[pre + (slice(None, -1),)]), target))
                 pair = tensor.pairs[d]
                 # the leading axis has nothing before it to batch over: its corners are 2-D products
                 prod, batch = (face_product, 0) if d == 0 else (np.matmul, slice(None))
                 for cn in pair.corners_odd if a[d] == "o" else pair.corners_even:
-                    corners.append((prod, cn.weights, _along(src, d)[batch, cn.cols], _along(db, d)[batch, cn.rows]))
+                    corners.append((prod, (cn.weights, _along(src, d)[batch, cn.cols]), _along(db, d)[batch, cn.rows]))
                 lhs = db.reshape(-1, db.shape[-1])
                 if n == 0:
-                    coupling.append((coupling_product, lhs, block, dst, None))
+                    coupling.append((coupling_product, (lhs, block), dst))
                 else:
-                    coupling.append((coupling_product, lhs, block, self.scratch[: dst.size].reshape(dst.shape), dst))
+                    part = self.scratch[: dst.size].reshape(dst.shape)
+                    coupling += [(coupling_product, (lhs, block), part), (np.add, (dst, part), dst)]
         sats = []
         for face in self.setup.faces:
             d, bidx = face.dim, face.boundary_index
             p_odd = tensor.axis_weights(d, "o")[bidx]
             p_even = tensor.axis_weights(d, "e")[bidx]
-            bound = []
+            if any(blk.has_source for blk in face.blocks):
+                sats.append((_TIME_FACTOR, (face.inflow,), _TIME_FACTOR))
             for blk in face.blocks:
                 u_o = _slab(src_of[blk.family_odd], d, bidx)
-                even = None
+                res, inc = np.empty(u_o.shape), np.empty(u_o.shape)
+                sats += [
+                    (face_product, (_slab(src_of[blk.family_even], d, bidx), blk.m_eff.T.copy()), res),
+                    (np.subtract, (u_o, res), res),
+                ]
+                if blk.has_source:
+                    # inc as scratch: tf g, before it takes the increment
+                    sats += [
+                        (np.multiply, (np.multiply.outer(blk.g_space, blk.g_dir), _TIME_FACTOR), inc),
+                        (np.subtract, (res, inc), res),
+                    ]
+                out_o = _slab(dst_of[blk.family_odd], d, bidx)
+                sats += [(face_product, (res, blk.tau_odd.T / p_odd), inc), (np.add, (out_o, inc), out_o)]
                 if face.alpha != 1.0:
                     out_e = _slab(dst_of[blk.family_even], d, bidx)
-                    even = (out_e, blk.tau_even.T / p_even, np.empty(out_e.shape))
-                bound.append((
-                    u_o, _slab(src_of[blk.family_even], d, bidx), blk.m_eff.T.copy(), np.empty(u_o.shape),
-                    np.multiply.outer(blk.g_space, blk.g_dir) if blk.has_source else None,
-                    _slab(dst_of[blk.family_odd], d, bidx), blk.tau_odd.T / p_odd, np.empty(u_o.shape), even,
-                ))
-            inflow = face.inflow if any(blk.has_source for blk in face.blocks) else None
-            sats.append((inflow, face_product, bound))
-        return diffs, corners, coupling, sats
-
-    def rhs(self, plan: tuple, t: float) -> None:
-        """Transport + SAT increment at time t of the plan's input buffer, written to its output."""
-        self.rhs_calls += 1
-        diffs, corners, coupling, sats = plan
-        for hi, lo, target in diffs:
-            np.subtract(hi, lo, out=target)
-        for prod, weights, src, target in corners:
-            prod(weights, src, out=target)
-        for prod, lhs, block, target, into in coupling:
-            prod(lhs, block, out=target)
-            if into is not None:
-                into += target
-        energy_map = self.setup.scenario.energy_map
-        for inflow, prod, bound in sats:
-            tf = inflow.time_factor(t, energy_map) if inflow is not None else 0.0
-            for u_o, u_e, m_t, res, g, out_o, tau_odd, inc_o, even in bound:
-                prod(u_e, m_t, out=res)
-                np.subtract(u_o, res, out=res)
-                if g is not None:
-                    np.multiply(g, tf, out=inc_o)  # inc_o as scratch: tf g, before it takes the increment
-                    res -= inc_o
-                prod(res, tau_odd, out=inc_o)
-                out_o += inc_o
-                if even is not None:
-                    out_e, tau_even, inc_e = even
-                    prod(res, tau_even, out=inc_e)
-                    out_e += inc_e
+                    inc_e = np.empty(out_e.shape)
+                    sats += [(face_product, (res, blk.tau_even.T / p_even), inc_e), (np.add, (out_e, inc_e), out_e)]
+        return diffs + corners + coupling + sats
 
     def _relax(self, dt_half: float) -> None:
         """Exact relaxation of u over dt_half; factors cached per step size."""
@@ -684,19 +765,26 @@ class _Stepper:
         """Advance u (and so ``self.state``) in place by one Strang step."""
         if self.q_relax is not None:
             self._relax(0.5 * dt)
-        u, k, stage, acc = self.u, self.k, self.stage, self.acc
-        self.rhs(self.plan_u, t)  # k1 into acc
-        for prev, c, twice, t_off in (
-            (acc, 0.5 * dt, True, 0.5 * dt), (k, 0.5 * dt, True, 0.5 * dt), (k, dt, False, dt)
-        ):
-            np.multiply(prev, c, out=stage)
-            stage += u
-            self.rhs(self.plan_stage, t + t_off)  # into k
-            acc += k
-            if twice:
-                acc += k
+        u, k, stage, acc, rhs_stage = self.u, self.k, self.stage, self.acc, self.rhs_stage
+        half = 0.5 * dt
+        self.rhs_u(t)  # k1 into acc
+        np.multiply(acc, half, out=stage)
+        stage += u
+        rhs_stage(t + half)  # k2 into k
+        acc += k
+        acc += k
+        np.multiply(k, half, out=stage)
+        stage += u
+        rhs_stage(t + half)  # k3
+        acc += k
+        acc += k
+        np.multiply(k, dt, out=stage)
+        stage += u
+        rhs_stage(t + dt)  # k4
+        acc += k
         acc *= dt / 6.0
         u += acc
+        self.rhs_calls += 4
         if self.q_relax is not None:
             self._relax(0.5 * dt)
 
@@ -704,7 +792,7 @@ class _Stepper:
 def rhs(setup: SolverSetup, u: np.ndarray, t: float = 0.0) -> np.ndarray:
     """Transport + SAT increment (no relaxation) of a flat state, as a new flat array; pure in ``u``."""
     stepper = _Stepper(setup, u.copy())
-    stepper.rhs(stepper.plan_u, t)
+    stepper.rhs_u(t)
     return stepper.acc
 
 
@@ -826,22 +914,26 @@ def run(scenario: Scenario) -> RunResult:
         take_snapshot(t)
         next_snap = next(snap_iter, None)
 
+    step, u, t_end = stepper.step, stepper.u, scenario.t_end
     step_count = 0
-    while t < scenario.t_end - 1e-12:
-        dt = min(dt_base, scenario.t_end - t)
+    while t < t_end - 1e-12:
+        dt = min(dt_base, t_end - t)
         if next_snap is not None and t + dt > next_snap - 1e-12:
             dt = next_snap - t
-        stepper.step(dt, t)
+        step(dt, t)
         t += dt
         step_count += 1
-        e_now = energy(setup, stepper.u)
+        e_now = energy(setup, u)
         if not math.isfinite(e_now):
             raise NumericalError(
                 f"non-finite energy at t = {t:.6g}; last good state at t = {times[-1]:.6g}"
             )
-        gnorm_now = source_norm_sq(t)
-        gsq.append(gsq[-1] + 0.5 * dt * (gnorm_prev + gnorm_now))
-        gnorm_prev = gnorm_now
+        if inflow_faces:
+            gnorm_now = source_norm_sq(t)
+            gsq.append(gsq[-1] + 0.5 * dt * (gnorm_prev + gnorm_now))
+            gnorm_prev = gnorm_now
+        else:
+            gsq.append(0.0)  # the trapezoid sum of exact zeros
         times.append(t)
         energies.append(e_now)
         while next_snap is not None and t >= next_snap - 1e-12:
@@ -853,8 +945,10 @@ def run(scenario: Scenario) -> RunResult:
     stepping_s = _time.perf_counter() - wall0 - setup_s
     modes = None if setup.modes is None else [list(mode) for mode in setup.modes]
     logger.debug(
-        "run %s: %d steps of dt = %.6g on %d components (modes %s), set-up %.3f s, stepping %.3f s",
-        scenario.name, step_count, dt_base, setup.n_components, modes, setup_s, stepping_s,
+        "run %s: %d steps of dt = %.6g on %d components (modes %s), kernel text %d lines, "
+        "set-up %.3f s, stepping %.3f s",
+        scenario.name, step_count, dt_base, setup.n_components, modes,
+        stepper.kernel_source.count("\n"), setup_s, stepping_s,
     )
     c_vals = [f.c_constant for f in setup.faces if f.c_constant is not None]
     all_onsager = all(f.kind == "onsager" for f in setup.faces)

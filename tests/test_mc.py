@@ -562,6 +562,29 @@ class TestSamplers:
         for sa, sb in zip(a.snapshots, b.snapshots, strict=True):
             np.testing.assert_array_equal(sa.u00, sb.u00)
 
+    @pytest.mark.parametrize("case", ["free_1d", "tc3", "tc4"])
+    def test_unread_direction_components_change_nothing(self, case, monkeypatch):
+        # without scattering a flight reads only the active axes' components: skipping the
+        # others leaves tallies, standard errors and counts bit-identical to computing all three
+        if case == "free_1d":
+            sc = free_streaming_1d()
+        else:
+            doc = bundled_doc({"tc3": "tc3_vacuum", "tc4": "tc4_beam"}[case])
+            doc["model"]["scattering"] = {"kind": "none"}
+            sc = scenario_from_dict(doc)
+        read = mc_module._read_components(sc)
+        assert read == tuple(ax - 1 for ax in sc.axes) and len(read) < 3
+        dirs = mc_module._source_sampler(sc)(sc, 10, np.random.default_rng(0), read)[1]
+        # the active axes' components are computed, and the unread azimuthal one is skipped
+        assert not np.isnan(dirs[:, read]).any() and np.isnan(dirs).all(axis=0).any()
+        got = simulate(sc, 20_000, seed=7)
+        monkeypatch.setattr(mc_module, "_read_components", lambda sc: (0, 1, 2))
+        full = simulate(sc, 20_000, seed=7)
+        for a, b in zip(got.snapshots, full.snapshots, strict=True):
+            assert np.array_equal(a.u00, b.u00) and np.array_equal(a.stderr, b.stderr)
+        assert (got.meta["flights"], got.meta["deposits"]) == (full.meta["flights"], full.meta["deposits"])
+        assert got.meta["deposits"] > 0
+
     def test_rejects_unsupported_initial(self):
         doc = bundled_doc("tc2_unstable")
         sc = scenario_from_dict(doc)

@@ -1,7 +1,12 @@
 import copy
+import dataclasses
+import io
 import logging
 import math
+import re
 import sys
+import tokenize
+import traceback
 from types import SimpleNamespace
 from unittest import mock
 
@@ -302,6 +307,60 @@ class TestStepping:
         e0 = energy(setup, state)
         new = step_strang(setup, state, setup.dt_stable(), 0.0)
         assert energy(setup, new) <= e0 * (1.0 + 1e-12)
+
+
+KERNEL_NAMES = {"def", "make", "rhs", "return", "t", "tf", "energy_map", "time_factor", "out",
+                "subtract", "add", "multiply", "dot", "matmul"}
+
+
+class TestCompiledKernel:
+    def test_one_compile_per_plan_structure(self):
+        compiled = solver_module._kernel
+        compiled.cache_clear()
+        setup = build_setup(vacuum_1d(n_max=5, cells=30))
+        first = _Stepper(setup, initial_state(setup))
+        assert (compiled.cache_info().misses, compiled.cache_info().hits) == (1, 1)  # both plans, one compile
+        assert first.rhs_u.__code__ is first.rhs_stage.__code__
+        # another order, grid and pulse: the same plan structure, so the same text and factory
+        other = build_setup(vacuum_1d(n_max=7, cells=40, sigma=0.3))
+        second = _Stepper(other, initial_state(other))
+        assert second.kernel_source == first.kernel_source
+        assert second.rhs_u.__code__ is first.rhs_u.__code__
+        assert compiled.cache_info().misses == 1
+        # an inflow face adds calls: a structure of its own
+        inflow = build_setup(load_bundled("tc_inflow_1d"))
+        third = _Stepper(inflow, initial_state(inflow))
+        assert third.kernel_source != first.kernel_source
+        assert compiled.cache_info().misses == 2
+
+    @pytest.mark.parametrize("axes", ["x", "xz"])
+    def test_source_holds_only_positions_and_fixed_names(self, axes):
+        name = "__import__('os').system('exit 3')"
+        if axes == "x":
+            doc = bundled_doc("tc_inflow_1d")
+            doc["name"] = name
+            sc = scenario_from_dict(doc)
+        else:
+            sc = dataclasses.replace(small_nd("xz", (8, 5), "z_high", BEAM), name=name)
+        setup = build_setup(sc)
+        source = _Stepper(setup, initial_state(setup)).kernel_source
+        assert "import" not in source and "system" not in source
+        tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
+        operands = {tok.string for tok in tokens if tok.type == tokenize.NAME} - KERNEL_NAMES
+        assert operands and all(re.fullmatch(r"o\d+", n) for n in operands)
+        assert {tok.type for tok in tokens} <= {  # no string or number literal
+            tokenize.NAME, tokenize.OP, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
+
+    def test_traceback_shows_the_failing_call(self):
+        setup = build_setup(vacuum_1d(n_max=3, cells=24))
+        state = np.random.default_rng(2).choice([-1e308, 1e308], setup.size)
+        stepper = _Stepper(setup, state)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError) as err:
+            stepper.rhs_u(0.0)
+        frame = traceback.extract_tb(err.value.__traceback__)[-1]
+        assert frame.filename.startswith("<pnsat kernel") and frame.name == "rhs"
+        assert frame.line == stepper.kernel_source.splitlines()[frame.lineno - 1].strip()
+        assert frame.line.startswith("subtract(")
 
 
 BUNDLED = ("tc1", "tc2_stable", "tc2_unstable", "tc3_vacuum", "tc4_beam", "tc_inflow_1d")
