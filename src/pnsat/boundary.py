@@ -26,6 +26,7 @@ from .errors import NumericalError, ValidationError
 from .moments import MomentBasis, PnSystem
 from .sphharm import build_quadrature, eval_basis
 
+RANK_TOL = 1e-10  # the smallest singular value a coupling block of full row rank may have
 SQRT2 = np.sqrt(2.0)
 
 
@@ -201,14 +202,14 @@ class Eigenstructure:
         return np.diag(lam)
 
 
-def eigenstructure(a_hat: np.ndarray, rank_tol: float = 1e-10) -> Eigenstructure:
-    """Decompose a coupling block; raises on row-rank deficiency."""
+def eigenstructure(a_hat: np.ndarray) -> Eigenstructure:
+    """Decompose a coupling block; raises on row-rank deficiency (a singular value <= RANK_TOL)."""
     a_hat = np.atleast_2d(np.asarray(a_hat, dtype=float))
     r, s = a_hat.shape
     if r > s:
         raise ValidationError(f"coupling block must be wide (r <= s), got {a_hat.shape}")
     u, sv, vh = np.linalg.svd(a_hat)
-    if r and sv[-1] <= rank_tol:
+    if r and sv[-1] <= RANK_TOL:
         raise NumericalError(
             f"coupling block is row-rank deficient (smallest singular value {sv[-1]:.3e})"
         )

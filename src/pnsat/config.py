@@ -7,15 +7,16 @@ echo of a document is a fixed point of the parser.
 
 Energy-mode scenarios (continuous slowing down with a constant stopping
 power times density, ``s_rho``) are mapped to pseudo-time immediately:
-tau = (eps_max - eps) / s_rho, so the solver and the Monte Carlo oracle
-only ever see pseudo-time.
+tau = (eps_max - eps) / s_rho, and a beam whose profile is given in energy
+carries the inverse map, so the solver and the Monte Carlo oracle only
+ever see pseudo-time.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -106,6 +107,8 @@ class InflowSpec:
     sigma_omega: float | None = None
     eps_center: float | None = None
     sigma_eps: float | None = None
+    eps_max: float | None = None  # with s_rho, model.stopping's map eps = eps_max - s_rho * tau, for eps_center
+    s_rho: float | None = None  # set by scenario_from_dict, not echoed by to_dict
 
     @classmethod
     def from_dict(cls, d: dict, where: str) -> "InflowSpec":
@@ -145,9 +148,9 @@ class InflowSpec:
             return np.exp(-((np.asarray(x_t) / (math.sqrt(2.0) * self.sigma_x)) ** 2))
         return np.ones_like(np.asarray(x_t, dtype=float))
 
-    def time_factor(self, tau: float, energy_map) -> float:
+    def time_factor(self, tau: float) -> float:
         if self.kind == "beam" and self.eps_center is not None:
-            eps = energy_map(tau)
+            eps = self.eps_max - self.s_rho * tau
             return math.exp(-(((eps - self.eps_center) / (math.sqrt(2.0) * self.sigma_eps)) ** 2))
         return 1.0
 
@@ -387,10 +390,6 @@ class Scenario:
             raise ValidationError("tau_of_energy only applies to energy-mode scenarios")
         return (self.eps_max - eps) / self.s_rho
 
-    @property
-    def energy_map(self):
-        return self.energy_of if self.mode == "energy" else None
-
     def to_dict(self) -> dict:
         d = {
             "name": self.name,
@@ -545,11 +544,14 @@ def scenario_from_dict(doc: dict, base: Path | None = None) -> Scenario:
     else:
         raise ValidationError("model.stopping.mode must be 'time' or 'energy'")
     for (d_, side), spec in faces.items():
-        if mode != "energy" and spec.inflow.eps_center is not None:
+        if spec.inflow.eps_center is None:
+            continue
+        if mode != "energy":
             raise ValidationError(
                 f"boundaries.{axis_names[d_]}_{side}.psi_in: a beam with eps_center needs "
                 "an energy-mode scenario"
             )
+        faces[d_, side] = replace(spec, inflow=replace(spec.inflow, eps_max=eps_max, s_rho=s_rho))
     cfl = _number(integ, "cfl", "integration", lo=0.0, hi=1.0)
     if cfl == 0.0:
         raise ValidationError("integration.cfl must lie in (0, 1]")

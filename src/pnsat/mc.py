@@ -392,19 +392,19 @@ def _sample_beam_source(sc: Scenario, n: int, rng, read=(0, 1, 2), *, face: tupl
 BIRTH_TOL = 1e-15  # a particle is tallied at record times from birth - BIRTH_TOL on
 
 
-def _record_times(sc: Scenario, window_frac: float, subsamples: int):
+def _record_times(sc: Scenario):
     """(times, snapshot indices, scales) of the deposits, in time order.
 
-    Each snapshot's track-length window (``window_frac`` of the horizon,
-    narrowed to fit inside [0, t_end]) is sampled at ``subsamples`` evenly
-    spaced record times, each scaled 1 / subsamples; a zero-width window
-    has one record time.
+    Each snapshot's track-length window (:data:`WINDOW_FRAC` of the horizon,
+    narrowed to fit inside [0, t_end]) is sampled at :data:`SUBSAMPLES`
+    evenly spaced record times, each scaled 1 / SUBSAMPLES; a zero-width
+    window has one record time.
     """
-    window = window_frac * sc.t_end
+    window = WINDOW_FRAC * sc.t_end
     rec = []
     for si, ts in enumerate(sc.snapshot_times):
         w_eff = min(window, 2.0 * ts, 2.0 * (sc.t_end - ts))
-        k_eff = subsamples if w_eff > 0.0 else 1
+        k_eff = SUBSAMPLES if w_eff > 0.0 else 1
         for j in range(k_eff):
             rec.append((ts - 0.5 * w_eff + w_eff * (j + 0.5) / k_eff, si, 1.0 / k_eff))
     rec.sort(key=lambda r: r[0])
@@ -642,7 +642,7 @@ def simulate(scenario: Scenario, n_particles: int, seed: int) -> McResult:
     snap_times = list(sc.snapshot_times)
     if not snap_times:
         raise ValidationError("scenario defines no snapshots to tally")
-    record = _record_times(sc, WINDOW_FRAC, SUBSAMPLES)
+    record = _record_times(sc)
 
     seq = np.random.SeedSequence(seed)
     counts = [n_particles // N_BATCHES] * N_BATCHES

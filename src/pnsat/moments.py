@@ -41,6 +41,7 @@ from .sphharm import (
 
 _AXES = (1, 2, 3)
 _SQRT2 = np.sqrt(2.0)
+LEGENDRE_NODES = 256  # Gauss-Legendre nodes of legendre_moments
 
 
 @dataclass(frozen=True)
@@ -253,14 +254,14 @@ class ScatteringSpectrum:
         return Legendre(coef)(np.asarray(cos_theta, dtype=float))
 
 
-def legendre_moments(phase, n_max: int, n_quad: int = 256) -> np.ndarray:
+def legendre_moments(phase, n_max: int) -> np.ndarray:
     """2 pi * integral of phase(c) * P_l(c) over c in [-1, 1] for l = 0..n_max.
 
     Gauss-Legendre oracle used to turn a tabulated/callable kernel into a
     :class:`ScatteringSpectrum`; also handy as an independent check of the
     built-in spectra.
     """
-    c, w = leggauss(n_quad)
+    c, w = leggauss(LEGENDRE_NODES)
     vals = np.asarray(phase(c), dtype=float)
     out = np.empty(n_max + 1)
     for l in range(n_max + 1):
@@ -270,9 +271,9 @@ def legendre_moments(phase, n_max: int, n_quad: int = 256) -> np.ndarray:
 
 
 def scattering_diagonal(spec: ScatteringSpectrum, basis: MomentBasis) -> np.ndarray:
-    """Relaxation eigenvalues per flat component: sigma_l - sigma_t (all <= 0)."""
+    """Relaxation eigenvalues per flat component: sigma_l - sigma_t, clamped at 0 (roundoff never amplifies)."""
     spec = spec.truncated(basis.n_max)
-    return spec.moments[basis.degrees] - spec.sigma_t
+    return np.minimum(spec.moments[basis.degrees] - spec.sigma_t, 0.0)
 
 
 # ---------------------------------------------------------------------------

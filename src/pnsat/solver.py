@@ -49,7 +49,7 @@ steps the initial state in place with it, and :func:`rhs` and
 :func:`step_strang` run it on a copy of the caller's state;
 :func:`step_strang`, the one entry point that takes a caller's dt, rejects
 a dt above the CFL bound.  Families and face blocks without components are
-skipped.
+skipped, and so is relaxation when sigma_t = 0.
 
 Kernel layout.  The kernel steps the state array it is given; the RK4
 quantities k, stage and acc are flat arrays of the same layout, so every
@@ -71,11 +71,9 @@ closure corners (bound as 2-D views) of a 2-D run.  ``np.matmul`` takes
 the products over a plane or a volume, which are the multi-axis coupling
 and every product of a 3-D run, and the corners along a later axis, which
 are batched over the axes before it and which ``np.dot`` cannot batch.
-Both calls reach the same BLAS gemm or gemv and give the same bits.
-``np.dot`` skips 0.35-0.5 us of ``np.matmul``'s ufunc dispatch per call,
-30-45% of a 1-D product's cost, but on a 2-D coupling over about a
-thousand nodes it is the slower (30.0 us against 25.6 us on tc3, one
-BLAS thread).
+Both calls reach the same BLAS gemm or gemv and give the same bits;
+``np.dot`` has the cheaper dispatch, ``np.matmul`` the faster product over
+a plane.
 
 Compiled plans.  A plan is a flat list of (call, operands, output)
 entries.  :func:`_layout` reduces it to its structure, each entry's call
@@ -84,16 +82,11 @@ source, one call per line in plan order, naming each operand by its
 position and each call by a fixed name (``subtract``, ``add``,
 ``multiply``, ``dot``, ``matmul``); no text of the scenario enters it.
 :func:`_kernel` emits and compiles each structure once into a factory
-``make(*operands, energy_map) -> rhs(t)`` whose body reads its operands
-from closure cells; its cache holds :data:`KERNEL_CACHE` structures, so
-both plans of a stepper share one compile, and so does every stepper of
-the same plan structure.  A step then pays
-for its numpy calls and little else: a tc1 RHS (11 calls) takes about
-8.3 us compiled against 9.3 us through a loop over the plan.  The cost is
-one cold emit and compile per plan structure and process, measured as
-0.37-0.39 ms for tc1 (11 lines, 28 operands), 0.50-0.71 ms for
-tc_inflow_1d (19, 40), 1.2-1.9 ms for tc3 (58, 125) and 1.2-1.5 ms for
-tc4 (61, 127); a cached structure costs a few us.
+``make(*operands) -> rhs(t)`` whose body reads its operands from closure
+cells; its cache holds :data:`KERNEL_CACHE` structures, so both plans of a
+stepper share one compile, and so does every stepper of the same plan
+structure.  A step then pays for its numpy calls and little else, at the
+price of one emit and compile per plan structure and process.
 The text is registered with :mod:`linecache`, so a traceback through a
 kernel shows the failing call, and ``_Stepper.kernel_source`` holds it.
 
@@ -104,17 +97,16 @@ Omega_d -> -Omega_d (symmetric extents with an even cell count of at least
 reads this from the scenario, the same way :func:`sector` reads parity,
 and the axis gets the half SBP pair of :mod:`pnsat.sbp` and loses its low
 face.  The kernel is the same; h, and so dt, is the full grid's.  Every
-reported quantity is full-domain: :func:`inner` (hence :func:`energy`) and
-:func:`mass_u00` are 2x the half-domain sums per mirrored axis, ``run``
-scales the source norm the same way, and snapshots are reflected onto the
-full grid's nodes.
+reported quantity is full-domain: the norm tables and the face source
+norms hold a factor 2 per mirrored axis, and snapshots are reflected onto
+the full grid's nodes.
 
 Norms.  :attr:`SolverSetup.shapes` and :attr:`SolverSetup.weights` hold
-each family's state shape and its SBP norm table (the outer product of
-its axis P entries, :meth:`pnsat.sbp.TensorGrid.weights`), flattened over
-its nodes; :func:`inner` is the one discrete inner product, contracting
-each family's (nodes, components) slice of two states against its node
-weights without a state-sized temporary, and :func:`energy` and
+each family's state shape and its full-domain SBP norm table (the outer
+product of its axis P entries, :meth:`pnsat.sbp.TensorGrid.weights`),
+flattened over its nodes; :func:`inner` is the one discrete inner product,
+contracting each family's (nodes, components) slice of two states against
+its node weights without a state-sized temporary, and :func:`energy` and
 :func:`mass_u00` read the same tables.  In 1-D :func:`energy` is one dot
 against :attr:`SolverSetup.flat_weights`, the node weights repeated per
 component.
@@ -166,7 +158,7 @@ class FaceData:
     alpha: float
     inflow: object
     blocks: tuple[FaceBlock, ...]
-    source_norm_sq: float  # ||g||^2 at time factor 1: sum over blocks of (sum w g_space^2)(g_dir . g_dir)
+    source_norm_sq: float  # full-domain ||g||^2 at factor 1: sum over blocks of (sum w g_space^2)(g_dir . g_dir)
     c_constant: float | None
 
     @property
@@ -188,11 +180,7 @@ class SolverSetup:
     faces: tuple[FaceData, ...]
     speed: float  # the transport speed of every axis: the largest singular value of each Ahat
     mirror: tuple[int, ...] = ()  # storage axes integrated on x >= 0 only (see mirror_symmetry)
-
-    @property
-    def mirror_scale(self) -> float:
-        """Full-domain over half-domain sums: 2 per mirrored axis."""
-        return 2.0 ** len(self.mirror)
+    mirror_scale: float = 1.0  # full-domain over half-domain sums, 2 per mirrored axis: in weights and face norms
 
     @property
     def families(self):
@@ -230,22 +218,22 @@ class SolverSetup:
 
     @functools.cached_property
     def weights(self) -> dict:
-        """Per family with components: its SBP norm table, flattened over the grid."""
-        return {a: self.tensor.weights(a).ravel() for a in self.families if self.comps[a].size}
+        """Per family with components: its SBP norm table, flattened over the grid, times :attr:`mirror_scale`."""
+        scale = self.mirror_scale  # a power of 2: the fold is exact
+        return {a: scale * self.tensor.weights(a).ravel() for a in self.families if self.comps[a].size}
 
     @functools.cached_property
     def flat_weights(self) -> np.ndarray | None:
-        """1-D runs: the full-domain norm weight of each entry of a flat state; None on multi-axis set-ups.
+        """1-D runs: the norm weight of each entry of a flat state; None on multi-axis set-ups.
 
-        The node weights repeated per component, times :attr:`mirror_scale`:
-        a power of 2, so the fold is exact.  A 1-D state is small enough to
-        keep a table of its size; a multi-axis one is not.
+        The node weights repeated per component.  A 1-D state is small
+        enough to keep a table of its size; a multi-axis one is not.
         """
         if self.tensor.ndim > 1:
             return None
         out = np.zeros(self.size)
         for a, span, m, w in self.norm_tables:
-            out[span] = np.repeat(self.mirror_scale * w, m)
+            out[span] = np.repeat(w, m)
         return out
 
     def dt_stable(self) -> float:
@@ -356,6 +344,7 @@ def build_setup(scenario: Scenario) -> SolverSetup:
     basis = MomentBasis.build(scenario.n_max)
     system = assemble_transport(basis)
     mirror = mirror_symmetry(scenario, basis)
+    mirror_scale = 2.0 ** len(mirror)
     grids = tuple(
         StaggeredGrid1d(lo, hi, c, mirror=d in mirror)
         for d, ((lo, hi), c) in enumerate(zip(scenario.extents, scenario.cells))
@@ -444,7 +433,8 @@ def build_setup(scenario: Scenario) -> SolverSetup:
                 # ||L^-1 + tau^o^T|| = (1 - alpha) / lambda_min(L)
                 c_const = max(spec.alpha, 1.0 - spec.alpha) / l_min
             faces.append(FaceData(
-                d, side, axis, spec.kind, spec.alpha, spec.inflow, tuple(blocks), source_norm_sq, c_const
+                d, side, axis, spec.kind, spec.alpha, spec.inflow, tuple(blocks),
+                mirror_scale * source_norm_sq, c_const,
             ))
     return SolverSetup(
         scenario=scenario,
@@ -459,6 +449,7 @@ def build_setup(scenario: Scenario) -> SolverSetup:
         faces=tuple(faces),
         speed=system.max_speed(),
         mirror=mirror,
+        mirror_scale=mirror_scale,
     )
 
 
@@ -503,22 +494,19 @@ def inner(setup: SolverSetup, u: np.ndarray, v: np.ndarray) -> float:
     """The discrete SBP inner product <u, v> of two flat states over the full domain.
 
     Per family, one pass sums u v over the components of each node and one
-    dot applies the node weights, so no state-sized temporary is made.  A
-    mirrored run's states stand for their mirror-symmetric extensions,
-    whose sums are exactly ``mirror_scale`` times the stored half's.
+    dot applies the node weights, so no state-sized temporary is made.
     """
     total = 0.0
     for a, span, m, w in setup.norm_tables:
         total += np.dot(w, np.einsum("ij,ij->i", u[span].reshape(-1, m), v[span].reshape(-1, m)))
-    return setup.mirror_scale * float(total)
+    return float(total)
 
 
 def energy(setup: SolverSetup, state: np.ndarray) -> float:
     """Total discrete energy <u, u> of a flat state: sum of squared family SBP norms, full domain.
 
-    In 1-D it is one dot against :attr:`SolverSetup.flat_weights`, which
-    hold ``mirror_scale`` and cost a few numpy calls fewer per time step
-    than :func:`inner`.
+    In 1-D it is one dot against :attr:`SolverSetup.flat_weights`, a few
+    numpy calls fewer per time step than :func:`inner`.
     """
     w = setup.flat_weights
     if w is not None:
@@ -529,7 +517,7 @@ def energy(setup: SolverSetup, state: np.ndarray) -> float:
 def mass_u00(setup: SolverSetup, state: np.ndarray) -> float:
     """Discrete integral of the mean component (all-even family, position 0) of a flat state, full domain."""
     a = ("e",) * setup.tensor.ndim
-    return setup.mirror_scale * float(np.dot(setup.views(state)[a][..., 0].ravel(), setup.weights[a]))
+    return float(np.dot(setup.views(state)[a][..., 0].ravel(), setup.weights[a]))
 
 
 def unfold(setup: SolverSetup, values: np.ndarray) -> np.ndarray:
@@ -544,15 +532,11 @@ def _slab(arr: np.ndarray, dim: int, idx: int) -> np.ndarray:
     return arr[(slice(None),) * dim + (idx,)]
 
 
-def face_source_norm_sq(setup: SolverSetup, face: FaceData, t: float) -> float:
-    """Squared face norm of g at time t, transverse-weighted: time_factor(t)^2 ||g||^2 at factor 1.
-
-    The norm is over the face's stored nodes; summed over the faces of a
-    mirrored run, ``mirror_scale`` times it is the full domain's.
-    """
+def face_source_norm_sq(face: FaceData, t: float) -> float:
+    """Squared full-domain face norm of g at time t, transverse-weighted: time_factor(t)^2 ||g||^2 at factor 1."""
     if face.inflow.kind == "none":
         return 0.0
-    tf = face.inflow.time_factor(t, setup.scenario.energy_map)
+    tf = face.inflow.time_factor(t)
     return tf * tf * face.source_norm_sq
 
 
@@ -609,7 +593,7 @@ def _layout(plan: list) -> tuple[tuple, list]:
 def _emit(structure: tuple) -> str:
     """The kernel source of a plan structure: one line per entry, in plan order.
 
-    The source defines ``make(o0, o1, ..., energy_map)``, which returns
+    The source defines ``make(o0, o1, ...)``, which returns
     ``rhs(t)`` running the plan's calls on the operands it closes over.  An
     operand is named by its position only and each call by its fixed name in
     :data:`_CALLS`, so no text of the scenario enters the source.  In-place
@@ -621,12 +605,12 @@ def _emit(structure: tuple) -> str:
         *args, out = ("tf" if p < 0 else f"o{p}" for p in refs)
         n_operands = max(n_operands, 1 + max(refs))
         if call is _TIME_FACTOR:
-            lines.append(f"tf = {args[0]}.time_factor(t, energy_map)")
+            lines.append(f"tf = {args[0]}.time_factor(t)")
         else:
             lines.append(f"{_CALL_NAMES[call]}({', '.join(args)}, out={out})")
-    params = "".join(f"o{i}, " for i in range(n_operands))
+    params = ", ".join(f"o{i}" for i in range(n_operands))
     body = "".join(f"        {line}\n" for line in lines) or "        pass\n"
-    return f"def make({params}energy_map):\n    def rhs(t):\n{body}    return rhs\n"
+    return f"def make({params}):\n    def rhs(t):\n{body}    return rhs\n"
 
 
 @functools.lru_cache(maxsize=KERNEL_CACHE)
@@ -676,16 +660,14 @@ class _Stepper:
                     shape = tensor.family_shape(a) + (setup.comps[c].size,)
                     block = setup.a_blocks[(a, d)] / -tensor.grids[d].h
                     self.terms[a].append((d, c, block, np.empty(shape)))
-        q = {a: v for a, v in setup.q_relax.items() if v.size}
-        self.q_relax = q if any(np.any(v) for v in q.values()) else None
+        relaxes = setup.scenario.scattering.sigma_t > 0.0  # sigma_t = 0 leaves every rate 0 up to roundoff
+        self.q_relax = {a: v for a, v in setup.q_relax.items() if v.size} if relaxes else None
         self._relax_cache: tuple[float, dict] | None = None
-        self.rhs_calls = 0
-        energy_map = setup.scenario.energy_map
         structure, operands = _layout(self._bind(self.u, self.acc))
         self.kernel_source, make = _kernel(structure)
-        self.rhs_u = make(*operands, energy_map)
+        self.rhs_u = make(*operands)
         structure, operands = _layout(self._bind(self.stage, self.k))
-        self.rhs_stage = _kernel(structure)[1](*operands, energy_map)
+        self.rhs_stage = _kernel(structure)[1](*operands)
 
     def _bind(self, x: np.ndarray, out: np.ndarray) -> list:
         """The plan that reads buffer ``x`` and writes buffer ``out``: its numpy calls, in call order.
@@ -784,20 +766,25 @@ class _Stepper:
         acc += k
         acc *= dt / 6.0
         u += acc
-        self.rhs_calls += 4
         if self.q_relax is not None:
             self._relax(0.5 * dt)
 
 
 def rhs(setup: SolverSetup, u: np.ndarray, t: float = 0.0) -> np.ndarray:
-    """Transport + SAT increment (no relaxation) of a flat state, as a new flat array; pure in ``u``."""
+    """Transport + SAT increment (no relaxation) of a flat state, as a new flat array; pure in ``u``.
+
+    Binds a whole :class:`_Stepper` per call: for many states keep one and call its ``rhs_u``.
+    """
     stepper = _Stepper(setup, u.copy())
     stepper.rhs_u(t)
     return stepper.acc
 
 
 def step_strang(setup: SolverSetup, u: np.ndarray, dt: float, t: float = 0.0) -> np.ndarray:
-    """One Strang-split step (relax, RK4, relax) of a copy of the flat state ``u``; dt must meet the CFL bound."""
+    """One Strang-split step (relax, RK4, relax) of a copy of the flat state ``u``; dt must meet the CFL bound.
+
+    Binds a whole :class:`_Stepper` per call: for many steps keep one and call its ``step``.
+    """
     limit = setup.dt_stable()
     if dt > limit * (1.0 + 1e-12):
         raise ValidationError(
@@ -871,11 +858,13 @@ def _check_step_budget(t_end: float, dt: float, n_snapshots: int) -> None:
         )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the finiteness checks on E(t) report these
 def run(scenario: Scenario) -> RunResult:
     """Integrate a scenario to its end time, recording energy and snapshots.
 
     Energies, the bound and the snapshots are full-domain also for a
-    mirrored run; ``final_state`` is the stored state of ``setup``.
+    mirrored run; ``final_state`` is the stored state of ``setup``.  A
+    non-finite E(t), at t = 0 or after a step, is a NumericalError.
     """
     wall0 = _time.perf_counter()
     setup = build_setup(scenario)
@@ -886,12 +875,14 @@ def run(scenario: Scenario) -> RunResult:
     times = [0.0]
     setup_s = _time.perf_counter() - wall0
     energies = [energy(setup, stepper.u)]
+    if not math.isfinite(energies[0]):
+        raise NumericalError(f"the initial data have non-finite energy E(0) = {energies[0]}")
     gsq = [0.0]
 
     inflow_faces = [f for f in setup.faces if f.inflow.kind != "none"]  # every other face adds an exact 0
 
     def source_norm_sq(at_t: float) -> float:
-        return setup.mirror_scale * sum(face_source_norm_sq(setup, f, at_t) for f in inflow_faces)
+        return sum(face_source_norm_sq(f, at_t) for f in inflow_faces)
 
     gnorm_prev = source_norm_sq(0.0)
     snap_iter = iter(sorted(scenario.snapshot_times))
@@ -970,7 +961,7 @@ def run(scenario: Scenario) -> RunResult:
         "mirror": [scenario.axis_names[d] for d in setup.mirror],
         "length_unit": scenario.length_unit,
         "seconds": {"setup": setup_s, "stepping": stepping_s},
-        "rhs_calls": stepper.rhs_calls,
+        "rhs_calls": 4 * step_count,  # four RK4 stages per step
         "wall_seconds": _time.perf_counter() - wall0,
     }
     return RunResult(scenario, log, snapshots, meta, stepper.u, setup)
@@ -1023,19 +1014,18 @@ def energy_bound_check(result: RunResult, tol_rel: float = 1e-8) -> BoundReport:
     )
 
 
-def detect_plateaus(
-    times: np.ndarray,
-    energies: np.ndarray,
-    flat_tol: float = 1e-4,
-    drop_tol: float = 0.01,
-    min_len_frac: float = 0.015,
-) -> list[tuple[float, float]]:
+PLATEAU_FLAT_TOL = 1e-4  # a plateau stays within this fraction of E(0) of its first value
+PLATEAU_DROP_TOL = 0.01  # consecutive plateaus are apart by a drop of more than this fraction of E(0)
+PLATEAU_MIN_LEN_FRAC = 0.015  # a plateau lasts at least this fraction of the horizon
+
+
+def detect_plateaus(times: np.ndarray, energies: np.ndarray) -> list[tuple[float, float]]:
     """Maximal flat intervals of an energy curve, separated by visible drops.
 
-    An interval is flat when |E(t) - E(t_start)| < flat_tol * E(0)
-    throughout; plateaus shorter than ``min_len_frac`` of the horizon are
-    ignored, and consecutive plateaus count separately only when the curve
-    drops by more than drop_tol * E(0) between them.
+    An interval is flat when |E(t) - E(t_start)| < PLATEAU_FLAT_TOL * E(0)
+    throughout; plateaus shorter than ``PLATEAU_MIN_LEN_FRAC`` of the
+    horizon are ignored, and consecutive plateaus count separately only when
+    the curve drops by more than PLATEAU_DROP_TOL * E(0) between them.
     """
     t = np.asarray(times, dtype=float)
     e = np.asarray(energies, dtype=float)
@@ -1045,9 +1035,9 @@ def detect_plateaus(
     i = 0
     while i < len(t):
         j = i
-        while j + 1 < len(t) and abs(e[j + 1] - e[i]) < flat_tol * e0:
+        while j + 1 < len(t) and abs(e[j + 1] - e[i]) < PLATEAU_FLAT_TOL * e0:
             j += 1
-        if t[j] - t[i] >= min_len_frac * horizon:
+        if t[j] - t[i] >= PLATEAU_MIN_LEN_FRAC * horizon:
             raw.append((i, j))
             i = j + 1
         else:
@@ -1056,7 +1046,7 @@ def detect_plateaus(
     last_level = None
     for i, j in raw:
         level = e[i]
-        if last_level is None or (last_level - level) > drop_tol * e0:
+        if last_level is None or (last_level - level) > PLATEAU_DROP_TOL * e0:
             kept.append((float(t[i]), float(t[j])))
             last_level = level
     return kept

@@ -149,10 +149,9 @@ class AssembledOperator:
 
     def source(self, t: float) -> np.ndarray:
         out = np.zeros(self.matrix.shape[0])
-        energy_map = self.setup.scenario.energy_map
         for face, blk, lift in self.lifts:
             if face.inflow.kind != "none":
-                tf = face.inflow.time_factor(t, energy_map)
+                tf = face.inflow.time_factor(t)
                 g = (tf * np.multiply.outer(blk.g_space, blk.g_dir)).ravel()
                 for fam, mat in lift.items():
                     out[self.setup.spans[fam]] -= mat @ g

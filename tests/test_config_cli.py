@@ -610,6 +610,25 @@ class TestCli:
         assert "budget of 10,000,000 steps" in proc.stderr
         assert not (tmp_path / "out").exists()
 
+    def test_run_with_non_finite_initial_energy_exits_2_before_stepping(self, tmp_path):
+        # amplitude 1e308 overflows the initial profile: E(0) is already infinite, so the run
+        # fails on the initial data, and under -W error no floating-point warning escapes
+        doc = bundled_doc("tc1")
+        doc["model"]["N"] = 3
+        doc["domain"]["cells"] = [20]
+        doc["integration"]["t_end"] = 0.2
+        doc["outputs"]["snapshot_times"] = []
+        doc["initial"]["amplitude"] = 1e308
+        cfg = tmp_path / "overflow.json"
+        cfg.write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "pnsat", "run", str(cfg), "-o", str(tmp_path / "out")],
+            env=package_env(), capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 2
+        assert proc.stderr == "numerical failure: the initial data have non-finite energy E(0) = inf\n"
+        assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_oracle_too_few_particles_exits_1_before_workers(self, tmp_path, capsys, monkeypatch):
         def no_batches(*args):
             raise AssertionError("batches started")

@@ -57,7 +57,7 @@ def u00_free_streaming(sc, edges) -> np.ndarray:
     Returns shape (snapshots, bins).
     """
     out = np.zeros((len(sc.snapshot_times), edges.size - 1))
-    for t, si, weight in zip(*mc_module._record_times(sc, mc_module.WINDOW_FRAC, mc_module.SUBSAMPLES)):
+    for t, si, weight in zip(*mc_module._record_times(sc)):
         out[si] += weight * exact.u00_bins(edges, t, 0.2)
     return out
 
@@ -374,7 +374,7 @@ class TestEventSemantics:
 
     def test_pure_absorber_matches_a_direct_computation(self):
         sc = scattering_1d({"kind": "isotropic", "sigma_s": 0.0, "sigma_t": 2.0})
-        record = mc_module._record_times(sc, 0.02, 4)
+        record = mc_module._record_times(sc)
         child = np.random.SeedSequence(9).spawn(1)[0]
         rng = np.random.default_rng(child)
         pos, dirs, birth, weight = mc_module._sample_initial(sc, 20_000, rng)
@@ -394,7 +394,7 @@ class TestEventSemantics:
             doc = bundled_doc({"tc3": "tc3_vacuum", "tc4": "tc4_beam"}[case])
             doc["model"]["scattering"] = {"kind": "none"}
             sc = scenario_from_dict(doc)
-        record = mc_module._record_times(sc, 0.02, 4)
+        record = mc_module._record_times(sc)
         child = np.random.SeedSequence(21).spawn(3)[2]
         sample = mc_module._source_sampler(sc)
         assert (sample is mc_module._sample_initial) == (case != "tc4")

@@ -209,6 +209,13 @@ class TestScattering:
         q = scattering_diagonal(spec, basis)
         assert np.all(q <= 1e-15)
 
+    def test_no_rate_is_positive(self):
+        # sigma_0 = 1e-12 over sigma_t = 0 passes validation as roundoff; the rate it would give,
+        # +1e-12, is clamped to 0, so relaxation never amplifies
+        basis = MomentBasis.build(3)
+        q = scattering_diagonal(ScatteringSpectrum.isotropic(1e-12, 3, sigma_t=0.0), basis)
+        assert np.all(q <= 0.0) and q[0] == 0.0
+
     def test_table_roundtrip(self, tmp_path):
         spec = ScatteringSpectrum.henyey_greenstein(0.8, 0.3, 5, sigma_t=1.0)
         path = tmp_path / "kernel.txt"
