@@ -8,7 +8,7 @@ u00 is therefore the average of the initial profile over the window
 [x - t, x + t]:
 
     u00(x, t) = (Phi(x + t) - Phi(x - t)) / (2 t),
-    Phi(y) = erf((clip(y, -1, 1) - mu) / (sigma sqrt 2)) / 2.
+    Phi(y) = erf((clip(y, -1, 1) - mu) / (sigma sqrt 2)) / 2,  erf = math.erf.
 
 The profile is clipped to the domain: its tail beyond a face is no initial
 data, and vacuum faces let nothing in.  The P_N system on one axis carries
@@ -26,20 +26,21 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erf
+
+_erf = np.vectorize(math.erf, otypes=[float])
 
 
 def _cdf(y, sigma: float, mu: float) -> np.ndarray:
     """Phi: the initial mass left of y, up to a constant, with the profile clipped to [-1, 1]."""
-    return 0.5 * erf((np.clip(y, -1.0, 1.0) - mu) / (sigma * math.sqrt(2.0)))
+    return 0.5 * _erf((np.clip(y, -1.0, 1.0) - mu) / (sigma * math.sqrt(2.0)))
 
 
 def _cdf_integral(y, sigma: float) -> np.ndarray:
     """An antiderivative of Phi at mu = 0: closed form inside [-1, 1], continued linearly outside."""
     s = sigma * math.sqrt(2.0)
     c = np.clip(y, -1.0, 1.0)
-    inside = c * erf(c / s) + s / math.sqrt(math.pi) * np.exp(-((c / s) ** 2))
-    return 0.5 * (inside + (y - c) * erf(c / s))
+    inside = c * _erf(c / s) + s / math.sqrt(math.pi) * np.exp(-((c / s) ** 2))
+    return 0.5 * (inside + (y - c) * _erf(c / s))
 
 
 def u00(x, t: float, sigma: float, mu: float = 0.0) -> np.ndarray:
@@ -68,5 +69,5 @@ def energy_fraction(t, sigma: float, n_max: int) -> np.ndarray:
     """
     nodes, weights = np.polynomial.legendre.leggauss(n_max + 1)
     c = np.asarray(t, dtype=float)[..., None] * np.abs(nodes)
-    remaining = 0.5 * (erf((1.0 - c) / sigma) - erf((-1.0 - c) / sigma))
+    remaining = 0.5 * (_erf((1.0 - c) / sigma) - _erf((-1.0 - c) / sigma))
     return remaining @ weights / 2.0

@@ -381,7 +381,7 @@ def _sample_beam_source(sc: Scenario, n: int, rng, read=(0, 1, 2), *, face: tupl
     # total injected mass: int |mu| psi_in over incoming hemisphere, x, tau
     mu_grid = np.linspace(-1.0, 0.0, 4001)
     dens = np.abs(mu_grid) * np.exp(-(((mu_grid + 1.0) / (math.sqrt(2.0) * s_om)) ** 2))
-    dir_integral = 2.0 * math.pi * np.trapezoid(dens, mu_grid)
+    dir_integral = 2.0 * math.pi * float(np.trapezoid(dens, mu_grid))
     total_mass = inflow.amplitude * time_integral * space_integral * dir_integral
     return pos, dirs, taus, total_mass / n
 
@@ -542,6 +542,9 @@ def _run_batch(sc: Scenario, grid: TallyGrid, sample, record, task):
     child, n_b = task
     rng = np.random.default_rng(child)
     pos, dirs, birth, weight = sample(sc, n_b, rng, _read_components(sc))
+    if not math.isfinite(weight):
+        source = "initial data" if sample is _sample_initial else "beam"
+        raise NumericalError(f"Monte Carlo particle weight of the {source} is {weight}, not finite")
     inside = np.ones(pos.shape[0], dtype=bool)
     for x, (lo, hi) in zip(pos.T, sc.extents):
         inside &= (x >= lo) & (x <= hi)
@@ -614,7 +617,8 @@ def simulate(scenario: Scenario, n_particles: int, seed: int) -> McResult:
     result is bit-identical for every worker count.  An unsupported source (see
     :func:`_source_sampler`), a particle count that is not an integer of at
     least ``N_BATCHES`` or a seed that is not a non-negative integer raises
-    ValidationError before any particle is sampled or any worker starts.
+    ValidationError before any particle is sampled or any worker starts; a
+    particle weight or tally that overflows raises NumericalError.
     Each snapshot's track-length window is ``WINDOW_FRAC`` of the time
     horizon, with ``SUBSAMPLES`` deposit points along the in-window track.
 
@@ -669,9 +673,12 @@ def simulate(scenario: Scenario, n_particles: int, seed: int) -> McResult:
     # independent estimate of the full tally (per-particle weight uses the
     # batch size), so the batch mean is the estimator
     norm = 1.0 / (grid.bin_volume * SQRT_FOUR_PI)
-    batch_tallies *= norm
-    mean = batch_tallies.mean(axis=0)
-    stderr = batch_tallies.std(axis=0, ddof=1) / math.sqrt(N_BATCHES)
+    with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check below reports these
+        batch_tallies *= norm
+        mean = batch_tallies.mean(axis=0)
+        stderr = batch_tallies.std(axis=0, ddof=1) / math.sqrt(N_BATCHES)
+    if not np.isfinite(stderr).all():  # a non-finite tally makes its bin's spread NaN
+        raise NumericalError("Monte Carlo tallies or their standard errors overflow double precision")
     snapshots = [
         TallySnapshot(ts, sc.energy_of(ts), mean[i], stderr[i])
         for i, ts in enumerate(snap_times)

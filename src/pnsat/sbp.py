@@ -12,10 +12,10 @@ in binary, both ends superposed on every grid with n >= 4 cells
 (:func:`_overlay`).  The resulting D^o = (P^o)^{-1} Q^o is second-order
 accurate at every node; D^e is second-order except first-order in its two
 boundary rows.  A pair keeps what the transport kernel reads, the norm
-vectors and the dense closure corners, plus the exact closure entries; the
-sparse (CSR) matrices Q and D are assembled from those and the interior
-stencil on first access.  Both cost time and memory linear in the number
-of cells.
+vectors and the dense closure corners, plus the exact closure entries,
+built in time linear in the number of cells.  The dense matrices Q and D,
+reference operators for the checks and tests that no run reads, are
+assembled from those and the interior stencil on first access.
 
 Mirror plane.  A grid built with ``mirror=True`` stores only x >= 0 of a
 symmetric interval [-X, X] with an even number n >= 8 of cells; h is the
@@ -44,7 +44,6 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import NumericalError, ValidationError
 
@@ -135,8 +134,8 @@ class SbpPair:
     ``closure_odd`` / ``closure_even`` hold the exact (h = 1) entries of Q^o
     / Q^e per row they cover; every other row is the stencil -1, +1.
 
-    The sparse (CSR) operators are built together on first access of any
-    of them: ``q_odd`` is (n+1) x (n+2), ``q_even`` is (n+2) x (n+1),
+    The dense reference operators are built together on first access of
+    any of them: ``q_odd`` is (n+1) x (n+2), ``q_even`` is (n+2) x (n+1),
     ``d_odd`` = (P^o)^{-1} Q^o maps even-grid functions to odd-grid
     derivative values and ``d_even`` vice versa.
     """
@@ -150,37 +149,36 @@ class SbpPair:
     closure_even: dict
 
     @cached_property
-    def _operators(self) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
+    def _operators(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(Q^o, Q^e, D^o, D^e), assembled once."""
         n_odd, n_even = self.p_odd.size, self.p_even.size
-        q_odd, d_odd = _sparse(self.closure_odd, self.p_odd, (n_odd, n_even), 0)
-        q_even, d_even = _sparse(self.closure_even, self.p_even, (n_even, n_odd), -1)
+        q_odd, d_odd = _dense(self.closure_odd, self.p_odd, (n_odd, n_even), 0)
+        q_even, d_even = _dense(self.closure_even, self.p_even, (n_even, n_odd), -1)
         return q_odd, q_even, d_odd, d_even
 
     @property
-    def q_odd(self) -> sp.csr_matrix:
+    def q_odd(self) -> np.ndarray:
         return self._operators[0]
 
     @property
-    def q_even(self) -> sp.csr_matrix:
+    def q_even(self) -> np.ndarray:
         return self._operators[1]
 
     @property
-    def d_odd(self) -> sp.csr_matrix:
+    def d_odd(self) -> np.ndarray:
         return self._operators[2]
 
     @property
-    def d_even(self) -> sp.csr_matrix:
+    def d_even(self) -> np.ndarray:
         return self._operators[3]
 
-    def boundary_matrix(self) -> sp.csr_matrix:
+    def boundary_matrix(self) -> np.ndarray:
         """The exact corner matrix B = Q^o + (Q^e)^T: e_last e_last^T, less e_first e_first^T unless mirrored."""
-        shape = self.q_odd.shape
-        ends = [(shape[0] - 1, shape[1] - 1, 1.0)]
+        b = np.zeros((self.p_odd.size, self.p_even.size))
+        b[-1, -1] = 1.0
         if not self.grid.mirror:
-            ends.insert(0, (0, 0, -1.0))
-        rows, cols, vals = zip(*ends)
-        return sp.csr_matrix((vals, (rows, cols)), shape=shape)
+            b[0, 0] = -1.0
+        return b
 
 
 # ---------------------------------------------------------------------------
@@ -299,22 +297,15 @@ def _closure(rows: dict, p: dict, n_rows: int, shift: int, h: float, split: int)
     return p_vec, tuple(corners)
 
 
-def _sparse(rows: dict, p_vec: np.ndarray, shape: tuple[int, int], shift: int):
-    """Sparse Q and D = P^{-1} Q of one operator from its closure rows and the stencil elsewhere."""
-    stencil = np.ones(shape[0], dtype=bool)
-    stencil[list(rows)] = False
-    stencil = np.flatnonzero(stencil)
-    r, c, v = zip(*((i, j, w) for i, row in rows.items() for j, w in row.items()))
-    q_mat = sp.csr_matrix(
-        (
-            np.concatenate([np.full(stencil.size, -1.0), np.ones(stencil.size), v]),
-            (np.concatenate([stencil, stencil, r]), np.concatenate([stencil + shift, stencil + shift + 1, c])),
-        ),
-        shape=shape,
-    )
-    d_mat = q_mat.copy()
-    d_mat.data /= np.repeat(p_vec, np.diff(d_mat.indptr))  # entrywise Q / P, row by row
-    return q_mat, d_mat
+def _dense(rows: dict, p_vec: np.ndarray, shape: tuple[int, int], shift: int):
+    """Dense Q and D = Q / P of one operator from its closure rows and the stencil elsewhere."""
+    q_mat = np.zeros(shape)
+    stencil = np.setdiff1d(np.arange(shape[0]), list(rows))
+    q_mat[stencil, stencil + shift] = -1.0
+    q_mat[stencil, stencil + shift + 1] = 1.0
+    for i, row in rows.items():
+        q_mat[i, list(row)] = list(row.values())
+    return q_mat, q_mat / p_vec[:, None]
 
 
 def build_sbp_pair(grid: StaggeredGrid1d) -> SbpPair:
@@ -324,9 +315,9 @@ def build_sbp_pair(grid: StaggeredGrid1d) -> SbpPair:
     closure entry and norm is a dyadic rational that a double holds
     exactly, so the only rounding is the division D = P^{-1} Q.  P entries
     are positive; D^o is exact through quadratics at every node.  The build
-    forms the closure corners and the norms only; the sparse matrices are
-    assembled from the interior stencil and the closure rows on first access
-    (:class:`SbpPair`), and both cost time linear in the number of cells.
+    forms the closure corners and the norms only, in time linear in the
+    number of cells; the dense matrices are assembled from the interior
+    stencil and the closure rows on first access (:class:`SbpPair`).
     On a mirrored grid the pair is the half pair of the module docstring.
     """
     n = grid.n_cells

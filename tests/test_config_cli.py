@@ -629,6 +629,35 @@ class TestCli:
         assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("name, amplitude, message", [
+        # the particle weight itself overflows, from either source
+        ("tc1", 1e308, "Monte Carlo particle weight of the initial data is inf, not finite"),
+        ("tc4_beam", 1e308, "Monte Carlo particle weight of the beam is inf, not finite"),
+        # finite weights whose batch spread overflows when squared
+        ("tc1", 1e200, "Monte Carlo tallies or their standard errors overflow double precision"),
+    ], ids=["initial_weight", "beam_weight", "tallies"])
+    def test_oracle_with_overflowing_data_exits_2(self, tmp_path, name, amplitude, message):
+        doc = bundled_doc(name)
+        if name == "tc1":
+            doc["model"]["N"] = 3
+            doc["domain"]["cells"] = [20]
+            doc["integration"]["t_end"] = 0.1
+            doc["outputs"]["snapshot_times"] = [0.1]
+            doc["initial"]["amplitude"] = amplitude
+        else:
+            doc["boundaries"]["z_high"]["psi_in"]["amplitude"] = amplitude
+        cfg = tmp_path / "overflow.json"
+        cfg.write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "pnsat", "oracle", str(cfg), "--n", "1600",
+             "-o", str(tmp_path / "mc")],
+            env=package_env(), capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(f"numerical failure: {message}")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+        assert not (tmp_path / "mc").exists()
+
     def test_oracle_too_few_particles_exits_1_before_workers(self, tmp_path, capsys, monkeypatch):
         def no_batches(*args):
             raise AssertionError("batches started")
@@ -670,3 +699,41 @@ class TestCli:
         cfg = tmp_path / "broken.json"
         cfg.write_text("{not json")
         assert main(["run", str(cfg)]) == 1
+
+
+# Prepended to a numpy-only subprocess: a meta-path finder that refuses every scipy module,
+# as if scipy were not installed.
+REFUSE_SCIPY = """
+import sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"{name} is not installed")
+        return None
+
+sys.meta_path.insert(0, RefuseScipy())
+"""
+
+
+class TestNumpyOnly:
+    """The package runs on numpy alone: scipy is a test dependency, not a runtime one."""
+
+    @pytest.mark.parametrize("args", [
+        ["verify"],
+        ["run", scenario_path("tc2_stable"), "-o", "run"],
+        ["oracle", scenario_path("tc3_vacuum"), "--n", "20000", "-o", "mc"],
+        ["assemble", "3", "-o", "mats"],
+    ], ids=lambda args: args[0])
+    def test_command_runs_without_scipy(self, tmp_path, args):
+        code = REFUSE_SCIPY + f"from pnsat.cli import main\nsys.exit(main({args!r}))\n"
+        proc = subprocess.run([sys.executable, "-W", "error", "-c", code], cwd=tmp_path,
+                              env=package_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+
+    def test_import_loads_no_scipy(self):
+        code = "import sys, pnsat, pnsat.cli\nprint(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+        proc = subprocess.run([sys.executable, "-W", "error", "-c", code],
+                              env=package_env(), capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"

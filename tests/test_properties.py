@@ -3,8 +3,9 @@
 Draws scenarios over 1-3 axes in any order, N = 0..4 and 4-6 cells per
 axis, with Onsager or unstable Marshak faces, alpha in {0, 0.5, 1} and no,
 isotropic or beam inflow.  A run either exits 0 with a bound report whose
-snapshots read back to the in-memory arrays, or exits 1 or 2 with a
-message; the kernel's increment matches the assembled global operator on
+snapshots read back to the in-memory arrays, and whose discrete energy
+bound holds when every face is Onsager, or exits 1 or 2 with a message;
+the kernel's increment matches the assembled global operator on
 random states over the full basis.
 """
 
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 from conftest import AssembledOperator, every_moment_initial
 from pnsat.cli import main
 from pnsat.config import scenario_from_dict
-from pnsat.solver import build_setup, rhs, run
+from pnsat.solver import build_setup, energy_bound_check, rhs, run
 
 INFLOWS = (
     {"kind": "none"},
@@ -79,6 +80,9 @@ def test_drawn_scenario_runs_or_fails_cleanly(doc):
         assert "energy bound" in stdout.getvalue() or "energy-bound" in stdout.getvalue()
 
         result = results[0]
+        if all(face["type"] == "onsager" for face in doc["boundaries"].values()):
+            report = energy_bound_check(result)
+            assert report.ok, report.describe()
         for i, snap in enumerate(result.snapshots):
             data = np.genfromtxt(out / f"snapshot_{i:03d}.csv", delimiter=",", names=True)
             assert data.dtype.names == (*doc["domain"]["axes"], "u00")

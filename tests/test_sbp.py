@@ -5,7 +5,6 @@ from unittest import mock
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from conftest import bundled_doc, load_bundled
 from pnsat import checks, sbp
@@ -36,8 +35,8 @@ class TestSbpPair:
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 16, 64])
     def test_sbp_identity_exact(self, n):
         pair = build_sbp_pair(StaggeredGrid1d(0.0, 1.0, n))
-        b = (pair.q_odd + pair.q_even.T).toarray()
-        assert np.array_equal(b, pair.boundary_matrix().toarray())  # entrywise exact
+        b = pair.q_odd + pair.q_even.T
+        assert np.array_equal(b, pair.boundary_matrix())  # entrywise exact
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 16, 400])
     def test_closure_corners_reproduce_derivatives(self, n):
@@ -186,11 +185,11 @@ class TestMirrorPair:
     @pytest.mark.parametrize("n", [8, 10, 16, 48])
     def test_identity_is_the_high_corner_only(self, n):
         pair = build_sbp_pair(StaggeredGrid1d(-1.5, 1.5, n, mirror=True))
-        b = (pair.q_odd + pair.q_even.T).toarray()
+        b = pair.q_odd + pair.q_even.T
         want = np.zeros(b.shape)
         want[-1, -1] = 1.0  # e_last e_last^T: no term at the mirror plane
         assert np.array_equal(b, want)
-        assert np.array_equal(b, pair.boundary_matrix().toarray())
+        assert np.array_equal(b, pair.boundary_matrix())
 
     @pytest.mark.parametrize("n", [8, 10, 16, 48])
     def test_norms_positive_and_half_the_full_norm(self, n):
@@ -267,54 +266,54 @@ class TestIdentityCheck:
         assert not result.passed and -1e-15 < result.margin < 0, result.line()
 
 
-def counting_csr():
-    """Patch ``scipy.sparse.csr_matrix``, as the SBP module calls it, with a counting wrapper."""
-    return mock.patch.object(sbp.sp, "csr_matrix", wraps=sp.csr_matrix)
+def counting_dense():
+    """Patch the SBP module's dense-operator helper with a counting wrapper."""
+    return mock.patch.object(sbp, "_dense", wraps=sbp._dense)
 
 
 class TestLazyPair:
-    def test_tc3_tensor_grid_builds_no_sparse_matrix(self):
+    def test_tc3_tensor_grid_builds_no_reference_matrix(self):
         sc = load_bundled("tc3_vacuum")
-        with counting_csr() as csr:
+        with counting_dense() as built:
             grids = [
                 StaggeredGrid1d(lo, hi, n, mirror=(d == 0))
                 for d, ((lo, hi), n) in enumerate(zip(sc.extents, sc.cells))
             ]
             tensor = TensorGrid.build(sc.axes, grids)
             assert all(pair.corners_odd and pair.corners_even for pair in tensor.pairs)
-        assert csr.call_count == 0
+        assert built.call_count == 0
 
     @pytest.mark.parametrize("name, cells", [("tc1", [40]), ("tc3_vacuum", [8, 6])])
-    def test_a_run_builds_no_sparse_matrix(self, name, cells):
+    def test_a_run_builds_no_reference_matrix(self, name, cells):
         doc = bundled_doc(name)
         doc["model"].update({"N": 3, "stopping": {"mode": "time"}})
         doc["domain"]["cells"] = cells
         doc["integration"] = {"cfl": 0.5, "t_end": 0.05}
         doc["outputs"] = {"snapshot_times": [0.05]}
-        with counting_csr() as csr:
+        with counting_dense() as built:
             result = run(scenario_from_dict(doc))
         assert result.metadata["steps"] > 0
-        assert csr.call_count == 0
+        assert built.call_count == 0
 
     @pytest.mark.parametrize("mirror", [False, True])
     def test_first_read_builds_all_four_once(self, mirror):
         pair = build_sbp_pair(StaggeredGrid1d(-1.0, 1.0, 16, mirror=mirror))
-        with counting_csr() as csr:
+        with counting_dense() as built:
             d_odd = pair.d_odd
-            assert csr.call_count == 2  # Q^o and Q^e; D^o and D^e are their row-scaled copies
+            assert built.call_count == 2  # Q^o and Q^e; D^o and D^e are their row-scaled copies
             mats = (pair.q_odd, pair.q_even, pair.d_odd, pair.d_even)
-            assert all(sp.issparse(m) and m.format == "csr" for m in mats)
+            assert all(isinstance(m, np.ndarray) for m in mats)
             assert mats[2] is d_odd and pair.q_odd is mats[0]
-        assert csr.call_count == 2
+        assert built.call_count == 2
         n_odd, n_even = pair.p_odd.size, pair.p_even.size
         assert pair.q_odd.shape == pair.d_odd.shape == (n_odd, n_even)
         assert pair.q_even.shape == pair.d_even.shape == (n_even, n_odd)
         # D = P^-1 Q row by row, and every row outside the corners is the stencil
-        np.testing.assert_array_equal(pair.d_odd.toarray(), pair.q_odd.toarray() / pair.p_odd[:, None])
+        np.testing.assert_array_equal(pair.d_odd, pair.q_odd / pair.p_odd[:, None])
         interior = np.ones(n_odd, dtype=bool)
         for corner in pair.corners_odd:
             interior[corner.rows] = False
-        stencil = pair.grid.h * pair.d_odd.toarray()[interior]
+        stencil = pair.grid.h * pair.d_odd[interior]
         assert np.array_equal(np.sort(stencil, axis=1)[:, [0, -1]], np.tile([-1.0, 1.0], (interior.sum(), 1)))
 
     def test_nodes_are_computed_once_and_read_only(self):
